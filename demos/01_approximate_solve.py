@@ -14,8 +14,8 @@ from onlinelp import (
     RunConfig,
     evaluate_solution,
     generate_mkp,
-    run_pass,
     solve_lp,
+    solve_online,
 )
 
 params = MkpParams(m=8, n=1000, tightness=0.25, seed=42)
@@ -28,7 +28,7 @@ print(f"exact LP optimum (bounded-variable simplex): {exact.obj:.4f} "
 
 for method in ("explicit", "implicit"):
     config = RunConfig(method=method, seed=7, enforce_feasibility=True)
-    sol = run_pass(instance, config)
+    sol = solve_online(instance, config)
     metrics = evaluate_solution(instance, sol.x_hat, opt_value=exact.obj,
                                 y=np.maximum(sol.y_final, 0.0))
     print(f"{method:>8}: objective {sol.objective:10.4f}   "

@@ -9,7 +9,7 @@ both updates.
 
 import numpy as np
 
-from onlinelp import MkpParams, RunConfig, generate_mkp, run_duplicated, solve_lp
+from onlinelp import MkpParams, RunConfig, generate_mkp, solve_lp, solve_online
 
 params = MkpParams(m=8, n=1000, tightness=0.25, seed=1)
 instance = generate_mkp(params)
@@ -26,7 +26,7 @@ for k in ks:
     for method in ("explicit", "implicit"):
         rels = []
         for seed in seeds:
-            sol = run_duplicated(instance, RunConfig(
+            sol = solve_online(instance, RunConfig(
                 method=method, duplication=k, seed=seed,
                 enforce_feasibility=True))
             rels.append(sol.objective / opt)

@@ -3,16 +3,17 @@
 Untouched dual coordinates only drift by -gamma*d_i per iteration, so the
 pass never needs to form the full dual vector: each coordinate is
 materialized on demand when a column's support asks for it.  This script
-times the lazy pass while the nonzero count grows 100x at fixed n, checks
-that the dense pass gives bitwise-identical output, and prints the
-timing table.
+times the lazy pass (``RunConfig(lazy=True)``) while the nonzero count
+grows 100x at fixed n, checks that the default dense pass gives
+bitwise-identical output, and prints the timing table.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
-from onlinelp import MkpParams, RunConfig, generate_mkp, lazy_explicit_pass, run_pass
+from onlinelp import MkpParams, RunConfig, generate_mkp, solve_online
 
 n = 10_000
 rows = ((10, 0.1), (100, 0.1), (1000, 0.1))   # nnz ~ 1e4, 1e5, 1e6
@@ -23,10 +24,10 @@ for m, sigma in rows:
                                       density=sigma, seed=3))
     config = RunConfig(method="explicit", seed=3)
     t0 = time.perf_counter()
-    lazy = lazy_explicit_pass(instance, config)
+    lazy = solve_online(instance, replace(config, lazy=True))
     t_lazy = time.perf_counter() - t0
     t0 = time.perf_counter()
-    dense = run_pass(instance, config)
+    dense = solve_online(instance, config)
     t_dense = time.perf_counter() - t0
     same = (np.array_equal(lazy.x_hat, dense.x_hat)
             and np.array_equal(lazy.y_final, dense.y_final))

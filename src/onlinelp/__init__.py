@@ -1,11 +1,11 @@
 """Approximate LP solving by single-pass online learning, plus exact sifting.
 
 The package covers the full pipeline: sparse inequality-form LP instances
-(`model`), one-pass explicit/implicit online solvers with variable
-duplication (`online`), a bounded-variable revised simplex (`simplex`),
-a sifting column-generation loop initialized and stabilized by the online
-output (`sifting`), and multi-knapsack generation plus MPS/CSV I/O
-(`instances`, `mps`).
+(`model`), the one-pass explicit/implicit online solver `solve_online`
+with variable duplication (`online`), a bounded-variable revised simplex
+(`simplex`), a sifting column-generation loop initialized and stabilized
+by the online output (`sifting`), and multi-knapsack generation plus
+MPS/CSV I/O (`instances`, `mps`).
 """
 
 from .model import (
@@ -29,9 +29,6 @@ from .online import (
     default_stepsize,
     explicit_step,
     implicit_step,
-    run_pass,
-    lazy_explicit_pass,
-    run_duplicated,
     solve_online,
     unit_box_rescaled,
 )

@@ -29,7 +29,7 @@ from .instances import MkpParams, ResultRecord, generate_mkp, netlib_modify, wri
 from .model import compute_stats, relative_optimality, stopping_residual
 from .mps import MpsParseError, parse_mps, write_mps
 from .online import RunConfig, default_stepsize, solve_online, unit_box_rescaled
-from .sifting import SiftConfig, SiftRoundLimit, sift
+from .sifting import SiftConfig, SiftRoundLimit, basis_metrics, sift
 from .simplex import SolveStatus, solve_lp
 
 EXIT_OK = 0
@@ -38,6 +38,8 @@ EXIT_SOLVE = 4
 EXIT_LIMIT = 5
 
 MAX_K_DEFAULT = 5000
+ACC_REFERENCE_LIMIT = 20_000  # sift reports acc only up to this many columns
+SUPPORT_TOL = 1e-9            # x entries above this count as basic for acc
 
 FIG_SIZES = ((5, 100), (8, 1000), (16, 2000), (32, 4000))
 FIG2_KS = (1, 2, 4, 8, 16, 32)
@@ -121,6 +123,17 @@ def _exact_optimum(instance) -> float | None:
               file=sys.stderr)
         return None
     return res.obj
+
+
+def _seed_recall(instance, seed_set) -> float | None:
+    """acc: the share of an exact optimum's support that the seed set holds."""
+    full = solve_lp(instance)
+    if full.status is not SolveStatus.OPTIMAL:
+        return None
+    support = np.flatnonzero(full.x_star > SUPPORT_TOL)
+    if support.size == 0:
+        return None
+    return basis_metrics(support, seed_set, instance.num_cols)[0]
 
 
 # -- gen ----------------------------------------------------------------------
@@ -249,11 +262,14 @@ def _cmd_sift(args) -> int:
         print(f"error: sift failed: {exc}", file=sys.stderr)
         return EXIT_SOLVE
     wall = time.perf_counter() - t0
+    acc = None
+    if instance.num_cols <= ACC_REFERENCE_LIMIT:
+        acc = _seed_recall(instance, result.initial_working_set)
 
     print(f"objective   {result.objective:.10g}")
     print(f"rounds      {result.rounds}")
     print(f"working     {result.final_working_set.size} of {instance.num_cols}")
-    print(f"acc         {'n/a' if result.acc is None else f'{result.acc:.4f}'}")
+    print(f"acc         {'n/a' if acc is None else f'{acc:.4f}'}")
     print(f"rdc         {result.rdc:.4f}")
     print(f"time_s      {wall:.6g}")
     if limited:
@@ -272,7 +288,7 @@ def _cmd_sift(args) -> int:
             instance=label, method=f"sift+{pre_config.method}",
             k=pre_config.duplication, gamma=gamma, seed=pre_config.seed,
             objective=result.objective, violation=0.0, rel_opt=None,
-            acc=result.acc, rdc=result.rdc, rounds=result.rounds, wall_time_s=wall,
+            acc=acc, rdc=result.rdc, rounds=result.rounds, wall_time_s=wall,
         )
         write_results_csv([record], _resolve_out(args.out))
     return EXIT_LIMIT if limited else EXIT_OK
@@ -381,8 +397,27 @@ def _add_instance_options(p: argparse.ArgumentParser) -> None:
                    help="clamp rhs/upper bounds to the supported regime after loading")
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that keeps its options by destination, for --config."""
+
+    def __init__(self, *args, **kwargs):
+        self.options: dict[str, argparse.Action] = {}
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.default is not argparse.SUPPRESS:  # -h/--help is no option
+            self.options[action.dest] = action
+        return action
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    return _build_parser()[0]
+
+
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The parser plus its subcommand parsers by name."""
+    parser = _Parser(
         prog="onlinelp",
         description="Approximate LP solving by online learning, with exact sifting.",
     )
@@ -454,52 +489,53 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--out", required=True)
     b.set_defaults(func=_cmd_bench)
 
-    return parser
+    return parser, {"gen": g, "solve": s, "sift": f, "bench": b}
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    if "--config" not in argv:
-        return argv
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
-        parser.error("--config needs a path")
-    defaults = {}
+def _apply_config_file(parser: _Parser, commands: dict[str, _Parser], path: str) -> None:
+    """Make each ``key = value`` line of the file a default of every
+    subcommand that has the option; a key that none has is a usage error."""
+    entries = {}
     try:
-        with open(argv[i + 1]) as fh:
+        with open(path) as fh:
             for raw in fh:
                 line = raw.strip()
                 if not line or line.startswith("#"):
                     continue
                 key, _, value = line.partition("=")
-                defaults[key.strip().replace("-", "_")] = value.strip()
+                entries[key.strip().replace("-", "_")] = value.strip()
     except OSError as exc:
         parser.error(f"cannot read config file: {exc}")
-    for action in parser._subparsers._group_actions[0].choices.values():  # noqa: SLF001
-        known = {a.dest for a in action._actions}  # noqa: SLF001
-        updates = {}
-        for key, value in defaults.items():
-            if key in known:
-                updates[key] = value
-        if updates:
-            action.set_defaults(**{k: _coerce_default(action, k, v)
-                                   for k, v in updates.items()})
-    return argv[:i] + argv[i + 2:]
+    unknown = [k for k in entries if not any(k in c.options for c in commands.values())]
+    if unknown:
+        parser.error(f"config file {path}: no subcommand has option(s) {', '.join(unknown)}")
+    for command in commands.values():
+        command.set_defaults(**{k: _coerce_default(parser, command.options[k], v)
+                                for k, v in entries.items() if k in command.options})
 
 
-def _coerce_default(subparser, dest: str, value: str):
-    for a in subparser._actions:  # noqa: SLF001
-        if a.dest == dest:
-            if isinstance(a, argparse._StoreTrueAction):  # noqa: SLF001
-                return value in ("1", "true", "yes")
-            if a.type is not None:
-                return a.type(value)
-    return value
+def _coerce_default(parser: _Parser, action: argparse.Action, value: str):
+    try:
+        if isinstance(action.default, bool):  # an on/off flag
+            return {"1": True, "true": True, "yes": True,
+                    "0": False, "false": False, "no": False}[value.lower()]
+        converted = value if action.type is None else action.type(value)
+        if action.choices is None or converted in action.choices:
+            return converted
+    except (KeyError, ValueError):
+        pass
+    parser.error(f"config file: bad value {value!r} for {action.dest}")
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser, commands = _build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
-    argv = _apply_config_file(parser, argv)
+    # --config may sit anywhere on the line; a pre-pass takes it out
+    pre = argparse.ArgumentParser(prog=parser.prog, add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    known, argv = pre.parse_known_args(argv)
+    if known.config is not None:
+        _apply_config_file(parser, commands, known.config)
     args = parser.parse_args(argv)
     return args.func(args)
 

@@ -11,27 +11,28 @@ Two dual updates are provided for the finite-sum dual
   exactly by a three-case analysis, recovering a possibly fractional x_j
   as the Lagrange multiplier of the kink.
 
-A pass visits every column exactly once in a seeded uniformly random order.
-``run_duplicated`` repeats each column K times against capacity K*b and
-averages the K estimates, which tightens both the optimality gap and the
-constraint violation by roughly sqrt(K).
+``solve_online`` runs one pass, visiting every column in a seeded uniformly
+random order.  With duplication factor K it visits K virtual copies of each
+column against capacity K*b and averages the K estimates, which tightens
+both the optimality gap and the constraint violation by roughly sqrt(K).
 
-The explicit pass also comes in a lazy O(nnz(A)) variant: between touches a
-coordinate only drifts by -gamma*d_i per iteration, so its value after k
-untouched iterations is [y_i - k*gamma*d_i]_+ and never needs to be formed
-until the column support demands it.  The dense and lazy passes share the
-same per-coordinate arithmetic, so their outputs agree bitwise.
+The explicit pass also comes in a lazy O(nnz(A)) variant (``RunConfig.lazy``):
+between touches a coordinate only drifts by -gamma*d_i per iteration, so its
+value after k untouched iterations is [y_i - k*gamma*d_i]_+ and never needs
+to be formed until the column support demands it.  The dense and lazy
+passes share the same per-coordinate arithmetic, so their outputs agree
+bitwise.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .model import LpInstance, InstanceStats, compute_stats
+from .model import LpInstance, InstanceStats, compute_stats, constraint_violation
 from .projection import project_weighted_simplex
 
 __all__ = [
@@ -42,9 +43,6 @@ __all__ = [
     "default_stepsize",
     "explicit_step",
     "implicit_step",
-    "run_pass",
-    "lazy_explicit_pass",
-    "run_duplicated",
     "solve_online",
     "explicit_dual_norm_bound",
     "implicit_dual_norm_bound",
@@ -93,6 +91,9 @@ class RunConfig:
     "theorem" is the gap/violation-balancing value of the worst-case
     bounds.  Every mode resolves to one constant, so a run is replayed
     bitwise from its float.
+
+    ``lazy`` selects the O(nnz) explicit engine.  It tracks the dual norm
+    only as an upper bound, so it cannot run ``check_dual_bounds``.
     """
 
     method: str = "explicit"
@@ -102,7 +103,6 @@ class RunConfig:
     enforce_feasibility: bool = False
     start: str | np.ndarray = "zero"
     lazy: bool = False
-    block_layout: bool = False
     check_assumptions: bool = True
     check_dual_bounds: bool = False
 
@@ -120,6 +120,8 @@ class RunConfig:
             raise ValueError(f"start must be one of {_STARTS} or an explicit vector")
         if self.lazy and self.method != "explicit":
             raise ValueError("the lazy pass exists only for the explicit update")
+        if self.lazy and self.check_dual_bounds:
+            raise ValueError("per-iterate bound checks need the dense pass")
 
 
 @dataclass(frozen=True)
@@ -252,34 +254,21 @@ def _entry_norm_bound(stats: InstanceStats, num_rows: int, gamma: float) -> floa
 # -- single-step operations --------------------------------------------------
 
 def explicit_step(instance: LpInstance, y, j: int, gamma: float,
-                  remaining_capacity=None, d=None):
+                  remaining_capacity=None):
     """One explicit subgradient step on column j.
 
     Returns ``(y_next, x_k)`` with x_k = 1{c_j > <a_j, y>} (forced to 0 when
     a remaining-capacity vector is supplied and column j does not fit) and
-    y_next = [y + gamma * (a_j x_k - d)]_+.
+    y_next = [y + gamma * (a_j x_k - d)]_+.  It runs the pass engine on the
+    one-column sequence (j,), so it is the pass's own arithmetic; the
+    caller's arrays are left untouched.
     """
-    y = np.asarray(y, dtype=np.float64)
-    if d is None:
-        d = instance.rhs / instance.num_cols
-    rows, vals = instance.column(j)
-    x = 1.0 if instance.obj[j] > vals @ y[rows] else 0.0
-    if x == 1.0 and remaining_capacity is not None:
-        if not np.all(remaining_capacity[rows] >= vals):
-            x = 0.0
-    y_next = y - gamma * d
-    if x == 1.0:
-        y_next[rows] += gamma * vals
-    np.maximum(y_next, 0.0, out=y_next)
-    return y_next, x
-
-
-def _prox_objective(y_point, y_center, rows, vals, c_j, d, gamma):
-    """Value of the implicit subproblem objective at y_point."""
-    lin = float(d @ y_point)
-    kink = max(c_j - float(vals @ y_point[rows]), 0.0)
-    prox = float(np.sum((y_point - y_center) ** 2)) / (2.0 * gamma)
-    return lin + kink + prox
+    remaining = (None if remaining_capacity is None
+                 else np.array(remaining_capacity, dtype=np.float64))
+    x_sum, y_next, _ = _explicit_pass(instance, np.array([j]), gamma,
+                                      np.asarray(y, dtype=np.float64), remaining,
+                                      lazy=False, norm_bound=None)
+    return y_next, float(x_sum[j])
 
 
 def _kkt_residual(y_plus, z, rows, vals, c_j, gamma, x):
@@ -327,7 +316,7 @@ def _implicit_step_core(y, rows, vals, c_j, gd, gamma) -> ProximalSolution:
     return ProximalSolution(y3, x, ProxCase.KINK_ACTIVE, resid)
 
 
-def implicit_step(instance: LpInstance, y, j: int, gamma: float, d=None) -> ProximalSolution:
+def implicit_step(instance: LpInstance, y, j: int, gamma: float) -> ProximalSolution:
     """Solve the proximal-point subproblem for column j exactly.
 
     Minimizes <d,y'> + [c_j - <a_j,y'>]_+ + ||y' - y||^2 / (2 gamma) over
@@ -337,8 +326,7 @@ def implicit_step(instance: LpInstance, y, j: int, gamma: float, d=None) -> Prox
     y = np.asarray(y, dtype=np.float64)
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    if d is None:
-        d = instance.rhs / instance.num_cols
+    d = instance.rhs / instance.num_cols
     rows, vals = instance.column(j)
     return _implicit_step_core(y, rows, vals, float(instance.obj[j]), gamma * d, gamma)
 
@@ -358,13 +346,11 @@ def _resolve_start(start, num_rows: int) -> np.ndarray:
     return y0
 
 
-def _column_sequence(num_cols: int, duplication: int, seed: int,
-                     block_layout: bool) -> np.ndarray:
+def _column_sequence(num_cols: int, duplication: int, seed: int) -> np.ndarray:
+    # virtual index t of the K*n copies maps to column t mod n
     rng = np.random.default_rng(seed)
     if duplication == 1:
         return rng.permutation(num_cols)
-    if block_layout:
-        return np.concatenate([rng.permutation(num_cols) for _ in range(duplication)])
     return rng.permutation(num_cols * duplication) % num_cols
 
 
@@ -402,16 +388,20 @@ class LazyDualState:
 
 
 def _explicit_pass(instance: LpInstance, seq: np.ndarray, gamma: float,
-                   start_y: np.ndarray, enforce: bool, duplication: int,
-                   lazy: bool, norm_bound: float | None) -> OnlineSolution:
-    """Shared engine for the dense and lazy explicit passes.
+                   start_y: np.ndarray, remaining: np.ndarray | None,
+                   lazy: bool, norm_bound: float | None):
+    """The explicit engine: dense and lazy variants of one update.
 
-    The dense variant materializes the full dual vector every iteration
-    (O(mn) work, exact norm tracking); the lazy one materializes only the
-    visited column supports (O(nnz) work, norm tracked as an upper bound
-    since stale entries only shrink under the drift).
+    Visits the columns of ``seq`` in order and returns ``(x_sum, y_final,
+    max_norm)``, where x_sum[j] counts the accepted copies of column j.
+    A ``remaining`` capacity vector, when given, is drawn down in place and
+    refuses any copy that does not fit.  The dense variant materializes the
+    full dual vector every iteration (O(mn) work, exact norm tracking); the
+    lazy one materializes only the visited column supports (O(nnz) work,
+    norm tracked as an upper bound since stale entries only shrink under
+    the drift).
     """
-    m, n = instance.num_rows, instance.num_cols
+    n = instance.num_cols
     d = instance.rhs / n
     if lazy and np.any(d < 0):
         raise ValueError("lazy explicit pass requires b >= 0")
@@ -420,7 +410,6 @@ def _explicit_pass(instance: LpInstance, seq: np.ndarray, gamma: float,
     state = LazyDualState.from_start(start_y, gamma, d)
     gd = state.step_d
     x_sum = np.zeros(n)
-    remaining = duplication * instance.rhs.astype(np.float64) if enforce else None
 
     if lazy:
         stale_sq = float(start_y @ start_y)
@@ -459,30 +448,26 @@ def _explicit_pass(instance: LpInstance, seq: np.ndarray, gamma: float,
             max_norm_sq = max(max_norm_sq, stale_sq)
         state.commit(rows, k, new_vals)
 
-    n_iter = seq.size
-    y_final = state.materialize_all(n_iter)
+    y_final = state.materialize_all(seq.size)
     if lazy:
         max_norm = math.sqrt(max(max_norm_sq, 0.0))
     else:
         max_norm = max(max_norm, float(np.linalg.norm(y_final)))
         if norm_bound is not None and max_norm > norm_bound * (1.0 + 1e-9):
             raise RuntimeError("explicit dual iterate escaped its norm bound at the end")
-
-    x_hat = x_sum / duplication
-    return _finish(instance, x_hat, y_final, max_norm, n_iter)
+    return x_sum, y_final, max_norm
 
 
 def _implicit_pass(instance: LpInstance, seq: np.ndarray, gamma: float,
-                   start_y: np.ndarray, enforce: bool, duplication: int,
-                   norm_bound: float | None, step_bound: float | None) -> OnlineSolution:
-    m, n = instance.num_rows, instance.num_cols
-    d = instance.rhs / n
-    gd = gamma * d
+                   start_y: np.ndarray, remaining: np.ndarray | None,
+                   norm_bound: float | None, step_bound: float | None):
+    """The implicit engine; same contract as ``_explicit_pass``."""
+    n = instance.num_cols
+    gd = gamma * (instance.rhs / n)
     c = instance.obj
     cp, ri, vals_all = instance.col_ptr, instance.row_idx, instance.values
     y = start_y.copy()
     x_sum = np.zeros(n)
-    remaining = duplication * instance.rhs.astype(np.float64) if enforce else None
     max_norm = float(np.linalg.norm(y))
 
     for k, j in enumerate(seq):
@@ -513,84 +498,7 @@ def _implicit_pass(instance: LpInstance, seq: np.ndarray, gamma: float,
             x = max(x, 0.0)
             remaining[rows] -= x * vals
         x_sum[j] += x
-
-    x_hat = x_sum / duplication
-    return _finish(instance, x_hat, y, max_norm, seq.size)
-
-
-def _finish(instance, x_hat, y_final, max_norm, elapsed) -> OnlineSolution:
-    np.clip(x_hat, 0.0, instance.upper, out=x_hat)
-    r = instance.to_scipy() @ x_hat - instance.rhs
-    np.maximum(r, 0.0, out=r)
-    return OnlineSolution(
-        x_hat=x_hat,
-        y_final=y_final,
-        objective=float(instance.obj @ x_hat),
-        violation=float(np.linalg.norm(r)),
-        max_dual_norm=max_norm,
-        elapsed_columns=int(elapsed),
-    )
-
-
-def _run(instance: LpInstance, config: RunConfig, duplication: int) -> OnlineSolution:
-    if not np.all(instance.upper == 1.0):
-        raise ValueError(
-            "online passes require unit upper bounds; rescale with unit_box_rescaled()"
-        )
-    stats = compute_stats(instance)
-    if config.check_assumptions and not stats.assumptions_ok:
-        raise ValueError(
-            "instance violates d = b/n > 0; pass check_assumptions=False to override"
-        )
-    gamma = default_stepsize(stats, instance.num_rows, instance.num_cols,
-                             duplication, config.method, config.stepsize)
-    start_y = _resolve_start(config.start, instance.num_rows)
-    seq = _column_sequence(instance.num_cols, duplication, config.seed,
-                           config.block_layout)
-
-    norm_bound = step_bound = None
-    if config.check_dual_bounds:
-        if not stats.assumptions_ok:
-            raise ValueError("dual-iterate bounds require d_lo > 0")
-        entry = _entry_norm_bound(stats, instance.num_rows, gamma)
-        if float(np.linalg.norm(start_y)) > entry:
-            raise ValueError("start point too large for the dual-iterate bound to apply")
-        if config.method == "explicit":
-            norm_bound = explicit_dual_norm_bound(stats, instance.num_rows, gamma)
-        else:
-            norm_bound = implicit_dual_norm_bound(stats, instance.num_rows, gamma)
-            step_bound = implicit_step_norm_bound(stats, instance.num_rows, gamma)
-
-    if config.method == "explicit":
-        return _explicit_pass(instance, seq, gamma, start_y,
-                              config.enforce_feasibility, duplication,
-                              config.lazy, norm_bound)
-    return _implicit_pass(instance, seq, gamma, start_y,
-                          config.enforce_feasibility, duplication,
-                          norm_bound, step_bound)
-
-
-def run_pass(instance: LpInstance, config: RunConfig) -> OnlineSolution:
-    """One online pass over all columns in seeded random order (K = 1)."""
-    return _run(instance, config, duplication=1)
-
-
-def lazy_explicit_pass(instance: LpInstance, config: RunConfig) -> OnlineSolution:
-    """O(nnz(A)) explicit pass; bitwise-identical x_hat/y_final to run_pass."""
-    if config.method != "explicit":
-        raise ValueError("lazy pass exists only for the explicit update")
-    if config.check_dual_bounds:
-        raise ValueError("per-iterate bound checks need the dense pass")
-    return _run(instance, replace(config, lazy=True), duplication=1)
-
-
-def run_duplicated(instance: LpInstance, config: RunConfig) -> OnlineSolution:
-    """Single pass over K virtual copies of each column against capacity K*b.
-
-    No physical copies are formed: virtual index t maps to column t mod n,
-    and the K per-copy estimates of a column are averaged into x_hat.
-    """
-    return _run(instance, config, duplication=config.duplication)
+    return x_sum, y, max_norm
 
 
 def unit_box_rescaled(instance: LpInstance) -> tuple[LpInstance, np.ndarray]:
@@ -615,24 +523,53 @@ def unit_box_rescaled(instance: LpInstance) -> tuple[LpInstance, np.ndarray]:
 
 
 def solve_online(instance: LpInstance, config: RunConfig) -> OnlineSolution:
-    """Run the configured (possibly duplicated) pass on any finite-box instance.
+    """Run one online pass over K = ``config.duplication`` copies of each column.
 
-    Instances with non-unit upper bounds are rescaled to the unit box for
-    the pass and the primal estimate is mapped back, so the returned
-    solution lives in the original coordinates.
+    No physical copies are formed: the pass visits a seeded random order
+    of the K*n virtual columns against capacity K*b (when feasibility is
+    enforced), and the K per-copy estimates of a column are averaged into
+    x_hat.  Instances with non-unit upper bounds are rescaled to the unit
+    box for the pass and the primal estimate is mapped back, so the
+    returned solution lives in the original coordinates.
     """
     scaled, u = unit_box_rescaled(instance)
-    if scaled is instance:
-        return run_duplicated(instance, config)
-    sol = run_duplicated(scaled, config)
-    x_hat = sol.x_hat * u
-    r = instance.to_scipy() @ x_hat - instance.rhs
-    np.maximum(r, 0.0, out=r)
+    m, n, k = scaled.num_rows, scaled.num_cols, config.duplication
+    stats = compute_stats(scaled)
+    if config.check_assumptions and not stats.assumptions_ok:
+        raise ValueError(
+            "instance violates d = b/n > 0; pass check_assumptions=False to override"
+        )
+    gamma = default_stepsize(stats, m, n, k, config.method, config.stepsize)
+    start_y = _resolve_start(config.start, m)
+    seq = _column_sequence(n, k, config.seed)
+    remaining = k * scaled.rhs.astype(np.float64) if config.enforce_feasibility else None
+
+    norm_bound = step_bound = None
+    if config.check_dual_bounds:
+        if not stats.assumptions_ok:
+            raise ValueError("dual-iterate bounds require d_lo > 0")
+        if float(np.linalg.norm(start_y)) > _entry_norm_bound(stats, m, gamma):
+            raise ValueError("start point too large for the dual-iterate bound to apply")
+        if config.method == "explicit":
+            norm_bound = explicit_dual_norm_bound(stats, m, gamma)
+        else:
+            norm_bound = implicit_dual_norm_bound(stats, m, gamma)
+            step_bound = implicit_step_norm_bound(stats, m, gamma)
+
+    if config.method == "explicit":
+        x_sum, y_final, max_norm = _explicit_pass(scaled, seq, gamma, start_y, remaining,
+                                                  config.lazy, norm_bound)
+    else:
+        x_sum, y_final, max_norm = _implicit_pass(scaled, seq, gamma, start_y, remaining,
+                                                  norm_bound, step_bound)
+    x_hat = np.clip(x_sum / k, 0.0, 1.0)
+    if scaled is not instance:
+        x_hat *= u
     return OnlineSolution(
         x_hat=x_hat,
-        y_final=sol.y_final,
+        y_final=y_final,
         objective=float(instance.obj @ x_hat),
-        violation=float(np.linalg.norm(r)),
-        max_dual_norm=sol.max_dual_norm,
-        elapsed_columns=sol.elapsed_columns,
+        violation=constraint_violation(instance, x_hat),
+        max_dual_norm=max_norm,
+        elapsed_columns=int(seq.size),
     )

@@ -31,9 +31,6 @@ __all__ = [
     "basis_metrics",
 ]
 
-SUPPORT_TOL = 1e-9  # x entries above this count as basic for acc purposes
-
-
 class SiftRoundLimit(RuntimeError):
     """Round cap hit before certification; `partial` holds the best result."""
 
@@ -58,7 +55,6 @@ class SiftConfig:
     pricing_tolerance: float = 1e-7
     max_new_columns_per_round: int | None = None
     max_rounds: int = 200
-    acc_reference_limit: int = 20_000
 
     def __post_init__(self):
         if not (0.0 < self.stabilization_alpha <= 1.0):
@@ -86,8 +82,7 @@ class SiftResult:
     y: np.ndarray                   # exact dual of the final working problem
     objective: float
     rounds: int
-    acc: float | None
-    rdc: float
+    rdc: float                      # initial working set size over n
     initial_working_set: np.ndarray | None = field(repr=False, default=None)
     trace: tuple[SiftRound, ...] = ()
 
@@ -132,7 +127,11 @@ def stabilize(y_working, y_anchor, alpha: float) -> np.ndarray:
 
 
 def basis_metrics(reference_basis, initial_working_set, n: int) -> tuple[float, float]:
-    """(acc, rdc): basic-column recall of the seed set, and its size over n."""
+    """(acc, rdc): basic-column recall of the seed set, and its size over n.
+
+    ``sift`` reports only rdc; acc needs a reference basis, which costs a
+    full exact solve, so callers that want it run that solve themselves.
+    """
     ref = set(int(j) for j in reference_basis)
     if not ref:
         raise ValueError("reference basis is empty")
@@ -217,15 +216,6 @@ def sift(instance: LpInstance, online_solution: OnlineSolution,
         prev_res, prev_w = res, w
         w = np.union1d(w, priced)
 
-    acc = None
-    if n <= config.acc_reference_limit:
-        full = solve_lp(instance)
-        if full.status is SolveStatus.OPTIMAL:
-            reference = np.flatnonzero(full.x_star > SUPPORT_TOL)
-            if reference.size:
-                acc, _ = basis_metrics(reference, w0, n)
-    rdc = w0.size / n
-
     x = np.zeros(n)
     x[w] = res.x_star
     result = SiftResult(
@@ -235,8 +225,7 @@ def sift(instance: LpInstance, online_solution: OnlineSolution,
         y=res.y_star,
         objective=res.obj,
         rounds=len(trace),
-        acc=acc,
-        rdc=rdc,
+        rdc=w0.size / n,
         initial_working_set=w0,
         trace=tuple(trace),
     )

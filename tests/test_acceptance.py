@@ -6,6 +6,7 @@ runtime caps are asserted alongside the numeric tolerances.
 
 import re
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,13 +24,10 @@ from onlinelp.model import LpInstance, compute_stats
 from onlinelp.online import (
     RunConfig,
     default_stepsize,
-    lazy_explicit_pass,
-    run_duplicated,
-    run_pass,
     solve_online,
 )
 from onlinelp.projection import ProjectionInfeasibleError, project_weighted_simplex
-from onlinelp.sifting import sift
+from onlinelp.sifting import basis_metrics, sift
 from onlinelp.simplex import SolveStatus, enumerate_vertices_oracle, solve_lp
 
 
@@ -71,10 +69,10 @@ def test_01_oracle_equivalence():
 
 def test_02_toy_lp_recovery():
     toy = LpInstance.from_dense([[1.0, 1.0]], [0.5], [1.0, 1.0])
-    imp = run_pass(toy, RunConfig(method="implicit", stepsize=0.005,
-                                  enforce_feasibility=True, seed=0))
-    exp = run_pass(toy, RunConfig(method="explicit", stepsize=0.005,
-                                  enforce_feasibility=True, seed=0))
+    imp = solve_online(toy, RunConfig(method="implicit", stepsize=0.005,
+                                      enforce_feasibility=True, seed=0))
+    exp = solve_online(toy, RunConfig(method="explicit", stepsize=0.005,
+                                      enforce_feasibility=True, seed=0))
     check(2, "implicit recovers the 0.5 toy optimum; enforced explicit stays at 0",
           abs(imp.objective - 0.5) <= 1e-9 and exp.objective == 0.0,
           f"implicit {imp.objective!r}, explicit {exp.objective!r}")
@@ -91,8 +89,8 @@ def test_03_lazy_equals_dense_and_scales():
         inst = generate_mkp(MkpParams(m=m, n=n, tightness=0.3, density=sigma,
                                       seed=trial))
         cfg = RunConfig(method="explicit", seed=trial)
-        dense = run_pass(inst, cfg)
-        lazy = lazy_explicit_pass(inst, cfg)
+        dense = solve_online(inst, cfg)
+        lazy = solve_online(inst, replace(cfg, lazy=True))
         if not (np.array_equal(dense.x_hat, lazy.x_hat)
                 and np.array_equal(dense.y_final, lazy.y_final)):
             mismatches += 1
@@ -103,7 +101,7 @@ def test_03_lazy_equals_dense_and_scales():
     for m, sigma in ((10, 0.1), (100, 0.1), (1000, 0.1)):
         inst = generate_mkp(MkpParams(m=m, n=n, tightness=0.25, density=sigma, seed=7))
         t1 = time.perf_counter()
-        lazy_explicit_pass(inst, RunConfig(method="explicit", seed=7))
+        solve_online(inst, RunConfig(method="explicit", seed=7, lazy=True))
         times.append(time.perf_counter() - t1)
         nnzs.append(inst.nnz)
     # per-iteration bookkeeping gives cost ~ (nnz + n); growth must stay
@@ -127,7 +125,7 @@ def test_04_dual_iterate_bounds():
             for mode in ("simple", "theorem"):
                 for k in (1, 4):
                     for enforce in (False, True):
-                        run_duplicated(inst, RunConfig(
+                        solve_online(inst, RunConfig(
                             method=method, stepsize=mode, duplication=k,
                             seed=runs, enforce_feasibility=enforce,
                             check_dual_bounds=True))
@@ -150,7 +148,7 @@ def test_05_duplication_monotonicity():
             opt = solve_lp(inst).obj
             for method in ("explicit", "implicit"):
                 for k in ks:
-                    sol = run_duplicated(inst, RunConfig(
+                    sol = solve_online(inst, RunConfig(
                         method=method, duplication=k, seed=seed,
                         enforce_feasibility=True))
                     per_seed[(method, k)].append(sol.objective / opt)
@@ -189,8 +187,8 @@ def test_06_implicit_beats_explicit_when_tight():
             inst = generate_mkp(MkpParams(m=m, n=n, tightness=0.01, seed=seed))
             opt = solve_lp(inst).obj
             for method in rel:
-                sol = run_pass(inst, RunConfig(method=method, seed=seed,
-                                               enforce_feasibility=True))
+                sol = solve_online(inst, RunConfig(method=method, seed=seed,
+                                                   enforce_feasibility=True))
                 rel[method].append(sol.objective / opt)
         me, mi = float(np.mean(rel["explicit"])), float(np.mean(rel["implicit"]))
         details.append(f"({m},{n}): implicit {mi:.3f} vs explicit {me:.3f}")
@@ -208,7 +206,7 @@ def test_07_violation_tradeoff():
         inst = generate_mkp(MkpParams(m=6, n=120, tightness=tau, seed=seed))
         stats = compute_stats(inst)
         gamma = default_stepsize(stats, 6, 120, 1, "explicit", "simple")
-        sol = run_pass(inst, RunConfig(method="explicit", seed=seed))
+        sol = solve_online(inst, RunConfig(method="explicit", seed=seed))
         tele = float(np.linalg.norm(sol.y_final)) / gamma
         if sol.violation > tele * (1 + 1e-12) + 1e-9:
             ok = False
@@ -226,8 +224,8 @@ def test_08_sifting_correctness():
     for seed in range(30):
         inst = generate_mkp(MkpParams(m=20, n=2000, tightness=0.25, seed=seed))
         direct = solve_lp(inst)
-        pre = run_duplicated(inst, RunConfig(method="explicit", duplication=2,
-                                             seed=seed, start="ones"))
+        pre = solve_online(inst, RunConfig(method="explicit", duplication=2,
+                                           seed=seed, start="ones"))
         result = sift(inst, pre)
         worst = max(worst, abs(result.objective - direct.obj) / (1 + abs(direct.obj)))
         # independent certificate: dense reduced costs over every column
@@ -247,11 +245,16 @@ def test_09_basis_prediction_quality():
     for seed in range(10):
         inst = generate_mkp(MkpParams(m=100, n=10_000, tightness=0.05,
                                       density=0.1, seed=seed))
-        pre = run_duplicated(inst, RunConfig(method="explicit", duplication=2,
-                                             seed=seed, start="ones", lazy=True))
+        pre = solve_online(inst, RunConfig(method="explicit", duplication=2,
+                                           seed=seed, start="ones", lazy=True))
         result = sift(inst, pre)
         rdcs.append(result.rdc)
-        accs.append(result.acc if result.acc is not None else np.nan)
+        reference = solve_lp(inst)
+        support = np.flatnonzero(reference.x_star > 1e-9)
+        if reference.status is SolveStatus.OPTIMAL and support.size:
+            accs.append(basis_metrics(support, result.initial_working_set, inst.num_cols)[0])
+        else:
+            accs.append(np.nan)
     med_rdc = float(np.median(rdcs))
     med_acc = float(np.nanmedian(accs))
     # acc is reported, not asserted: alternate degenerate optima make the

@@ -2,6 +2,8 @@ import csv
 import subprocess
 import sys
 
+import pytest
+
 from onlinelp.cli import main
 from onlinelp.instances import read_results_csv
 
@@ -206,6 +208,23 @@ class TestPlumbing:
         out = capsys.readouterr().out
         assert "method = implicit" in out
         assert "K = 2" in out
+
+    @pytest.mark.parametrize("value, expected", [("true", True), ("false", False)])
+    def test_config_file_sets_flag(self, tmp_path, capsys, value, expected):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"enforce-feasibility = {value}\n")
+        code = run_cli(["--config", str(cfg), "solve",
+                        "--gen", "m=3,n=20,tau=0.4,seed=0"])
+        assert code == 0
+        assert f"enforce_feasibility = {expected}" in capsys.readouterr().out
+
+    def test_config_file_unknown_key_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("method = implicit\nno-such-option = 1\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["--config", str(cfg), "solve", "--gen", "m=3,n=20,tau=0.4,seed=0"])
+        assert exc.value.code == 2
+        assert "no_such_option" in capsys.readouterr().err
 
     def test_console_script_help(self):
         proc = subprocess.run(

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,9 +15,6 @@ from onlinelp.online import (
     implicit_dual_norm_bound,
     implicit_step,
     implicit_step_norm_bound,
-    lazy_explicit_pass,
-    run_duplicated,
-    run_pass,
     solve_online,
     unit_box_rescaled,
 )
@@ -126,8 +124,8 @@ class TestDefaultStepsize:
             for enforce in (False, True):
                 config = RunConfig(method=method, duplication=4, seed=2,
                                    enforce_feasibility=enforce)
-                base = run_duplicated(inst, config)
-                other = run_duplicated(scaled, config)
+                base = solve_online(inst, config)
+                other = solve_online(scaled, config)
                 assert np.array_equal(base.x_hat, other.x_hat)
                 assert np.array_equal(base.y_final * 2.0 ** (q - p), other.y_final)
 
@@ -155,6 +153,13 @@ class TestExplicitStep:
         inst = LpInstance.from_dense([[1.0]], [1.0], [2.0])
         _, x = explicit_step(inst, [2.0], 0, gamma=0.1)  # c == <a, y>
         assert x == 0.0
+
+    def test_leaves_inputs_untouched(self):
+        inst = LpInstance.from_dense([[1.0, 0.5]], [1.0], [2.0, 1.0])
+        y, capacity = np.array([0.25]), np.array([2.0])
+        y_next, x = explicit_step(inst, y, 0, gamma=0.1, remaining_capacity=capacity)
+        assert x == 1.0 and y_next[0] == pytest.approx(0.25 + 0.1 * (1.0 - 0.5))
+        assert y[0] == 0.25 and capacity[0] == 2.0
 
 
 class TestImplicitStep:
@@ -219,50 +224,45 @@ class TestImplicitStep:
 class TestRunPass:
     def test_single_profitable_column(self):
         inst = LpInstance.from_dense([[0.5]], [1.0], [2.0])
-        sol = run_pass(inst, RunConfig(method="explicit", seed=3))
+        sol = solve_online(inst, RunConfig(method="explicit", seed=3))
         np.testing.assert_array_equal(sol.x_hat, [1.0])
 
     def test_negative_costs_never_bought(self):
         inst = LpInstance.from_dense([[1.0, 2.0, 0.5]], [1.5], [-1.0, -0.5, -2.0])
         for seed in range(10):
             for method in ("explicit", "implicit"):
-                sol = run_pass(inst, RunConfig(method=method, seed=seed))
+                sol = solve_online(inst, RunConfig(method=method, seed=seed))
                 np.testing.assert_array_equal(sol.x_hat, np.zeros(3))
 
     def test_seed_determinism(self):
         inst = generate_mkp(MkpParams(m=4, n=60, tightness=0.4, seed=2))
-        a = run_pass(inst, RunConfig(method="implicit", seed=123))
-        b = run_pass(inst, RunConfig(method="implicit", seed=123))
+        a = solve_online(inst, RunConfig(method="implicit", seed=123))
+        b = solve_online(inst, RunConfig(method="implicit", seed=123))
         assert np.array_equal(a.x_hat, b.x_hat)
         assert np.array_equal(a.y_final, b.y_final)
         assert a.objective == b.objective and a.violation == b.violation
 
-    def test_requires_unit_upper(self):
-        inst = LpInstance.from_dense([[1.0]], [1.0], [1.0], upper=[2.0])
-        with pytest.raises(ValueError, match="unit upper"):
-            run_pass(inst, RunConfig())
-
     def test_assumption_gate(self):
         inst = LpInstance.from_dense([[1.0, 1.0]], [0.0], [1.0, 1.0])
         with pytest.raises(ValueError, match="b/n"):
-            run_pass(inst, RunConfig())
-        sol = run_pass(inst, RunConfig(check_assumptions=False))
+            solve_online(inst, RunConfig())
+        sol = solve_online(inst, RunConfig(check_assumptions=False))
         assert sol.elapsed_columns == 2
 
     def test_enforcement_zero_violation(self):
         inst = generate_mkp(MkpParams(m=5, n=40, tightness=0.2, seed=4))
         for method in ("explicit", "implicit"):
-            sol = run_pass(inst, RunConfig(method=method, enforce_feasibility=True,
-                                           seed=8))
+            sol = solve_online(inst, RunConfig(method=method, enforce_feasibility=True,
+                                               seed=8))
             assert sol.violation <= 1e-9 * (1.0 + float(np.max(inst.rhs)))
 
     def test_toy_contrast_between_methods(self):
         inst = toy_half_lp()
-        imp = run_pass(inst, RunConfig(method="implicit", stepsize=0.005,
-                                       enforce_feasibility=True, seed=0))
+        imp = solve_online(inst, RunConfig(method="implicit", stepsize=0.005,
+                                           enforce_feasibility=True, seed=0))
         assert imp.objective == pytest.approx(0.5, abs=1e-9)
-        exp = run_pass(inst, RunConfig(method="explicit", stepsize=0.005,
-                                       enforce_feasibility=True, seed=0))
+        exp = solve_online(inst, RunConfig(method="explicit", stepsize=0.005,
+                                           enforce_feasibility=True, seed=0))
         assert exp.objective == 0.0
 
 
@@ -272,8 +272,8 @@ class TestLazyPass:
             inst = generate_mkp(MkpParams(m=15, n=300, tightness=0.3,
                                           density=sigma, seed=seed))
             cfg = RunConfig(method="explicit", seed=seed)
-            dense = run_pass(inst, cfg)
-            lazy = lazy_explicit_pass(inst, cfg)
+            dense = solve_online(inst, cfg)
+            lazy = solve_online(inst, replace(cfg, lazy=True))
             assert np.array_equal(dense.x_hat, lazy.x_hat)
             assert np.array_equal(dense.y_final, lazy.y_final)
 
@@ -281,10 +281,10 @@ class TestLazyPass:
         inst = generate_mkp(MkpParams(m=8, n=120, tightness=0.15, density=0.4, seed=5))
         cfg = RunConfig(method="explicit", seed=7, duplication=4,
                         enforce_feasibility=True)
-        dense = run_duplicated(inst, cfg)
-        lazy = run_duplicated(inst, RunConfig(method="explicit", seed=7,
-                                              duplication=4, lazy=True,
-                                              enforce_feasibility=True))
+        dense = solve_online(inst, cfg)
+        lazy = solve_online(inst, RunConfig(method="explicit", seed=7,
+                                            duplication=4, lazy=True,
+                                            enforce_feasibility=True))
         assert np.array_equal(dense.x_hat, lazy.x_hat)
         assert np.array_equal(dense.y_final, lazy.y_final)
 
@@ -292,30 +292,19 @@ class TestLazyPass:
         with pytest.raises(ValueError):
             RunConfig(method="implicit", lazy=True)
 
+    def test_lazy_rejects_bound_checks(self):
+        # the lazy engine tracks only an upper bound on the dual norm
+        with pytest.raises(ValueError, match="dense pass"):
+            RunConfig(lazy=True, check_dual_bounds=True)
+
 
 class TestDuplication:
-    def test_k1_equals_run_pass(self):
-        inst = generate_mkp(MkpParams(m=6, n=80, tightness=0.3, seed=3))
-        for method in ("explicit", "implicit"):
-            cfg = RunConfig(method=method, seed=42, duplication=1)
-            a = run_pass(inst, cfg)
-            b = run_duplicated(inst, cfg)
-            assert np.array_equal(a.x_hat, b.x_hat)
-            assert np.array_equal(a.y_final, b.y_final)
-
     def test_granularity_with_k4(self):
         inst = generate_mkp(MkpParams(m=6, n=80, tightness=0.3, seed=3))
-        sol = run_duplicated(inst, RunConfig(method="explicit", seed=1, duplication=4))
+        sol = solve_online(inst, RunConfig(method="explicit", seed=1, duplication=4))
         allowed = {0.0, 0.25, 0.5, 0.75, 1.0}
         assert set(np.unique(sol.x_hat)).issubset(allowed)
         assert sol.elapsed_columns == 4 * inst.num_cols
-
-    def test_block_layout_differs_but_valid(self):
-        inst = generate_mkp(MkpParams(m=6, n=80, tightness=0.3, seed=3))
-        uni = run_duplicated(inst, RunConfig(seed=1, duplication=4))
-        blk = run_duplicated(inst, RunConfig(seed=1, duplication=4, block_layout=True))
-        assert set(np.unique(blk.x_hat)).issubset({0.0, 0.25, 0.5, 0.75, 1.0})
-        assert blk.elapsed_columns == uni.elapsed_columns
 
 
 class TestInvariants:
@@ -325,7 +314,7 @@ class TestInvariants:
             inst = generate_mkp(MkpParams(m=6, n=100, tightness=0.1, seed=seed))
             stats = compute_stats(inst)
             gamma = default_stepsize(stats, 6, 100, 1, "explicit", "simple")
-            sol = run_pass(inst, RunConfig(method="explicit", seed=seed))
+            sol = solve_online(inst, RunConfig(method="explicit", seed=seed))
             bound = float(np.linalg.norm(sol.y_final)) / gamma
             assert sol.violation <= bound * (1 + 1e-12) + 1e-9
 
@@ -335,8 +324,8 @@ class TestInvariants:
             inst = generate_mkp(MkpParams(m=5, n=60, tightness=0.3, seed=seed))
             for method in ("explicit", "implicit"):
                 for mode in ("simple", "theorem"):
-                    sol = run_pass(inst, RunConfig(method=method, stepsize=mode,
-                                                   seed=seed, check_dual_bounds=True))
+                    sol = solve_online(inst, RunConfig(method=method, stepsize=mode,
+                                                       seed=seed, check_dual_bounds=True))
                     stats = compute_stats(inst)
                     gamma = default_stepsize(stats, 5, 60, 1, method, mode)
                     if method == "explicit":

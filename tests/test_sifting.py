@@ -3,7 +3,7 @@ import pytest
 
 from onlinelp.instances import MkpParams, generate_mkp
 from onlinelp.model import LpInstance
-from onlinelp.online import RunConfig, run_duplicated, run_pass
+from onlinelp.online import RunConfig, solve_online
 from onlinelp.sifting import (
     SiftConfig,
     basis_metrics,
@@ -98,8 +98,8 @@ class TestBasisMetrics:
 
 
 def online_then_sift(inst, sift_config=None, seed=0, k=2):
-    sol = run_duplicated(inst, RunConfig(method="explicit", seed=seed,
-                                         duplication=k, start="ones"))
+    sol = solve_online(inst, RunConfig(method="explicit", seed=seed,
+                                       duplication=k, start="ones"))
     return sift(inst, sol, sift_config)
 
 
@@ -120,7 +120,7 @@ class TestSift:
         inst = generate_mkp(MkpParams(m=4, n=60, tightness=0.3, seed=5))
         full = solve_lp(inst)
         support = np.flatnonzero(full.x_star > 1e-9)
-        fake = run_pass(inst, RunConfig(seed=0))
+        fake = solve_online(inst, RunConfig(seed=0))
         x_fake = np.zeros(60)
         x_fake[support] = 1.0
         fake = type(fake)(x_hat=x_fake, y_final=full.y_star,
@@ -161,12 +161,29 @@ class TestSift:
     def test_acc_rdc_reported(self):
         inst = generate_mkp(MkpParams(m=5, n=150, tightness=0.25, seed=9))
         result = online_then_sift(inst, seed=9)
-        assert result.acc is not None and 0.0 <= result.acc <= 1.0
-        assert 0.0 < result.rdc <= 1.0
+        support = np.flatnonzero(solve_lp(inst).x_star > 1e-9)
+        acc, rdc = basis_metrics(support, result.initial_working_set, inst.num_cols)
+        assert 0.0 <= acc <= 1.0
+        assert 0.0 < result.rdc <= 1.0 and rdc == result.rdc
+
+    def test_solves_only_working_problems(self, monkeypatch):
+        import onlinelp.sifting as sifting
+
+        sizes = []
+
+        def recording_solve_lp(instance, *args, **kwargs):
+            sizes.append(instance.num_cols)
+            return solve_lp(instance, *args, **kwargs)
+
+        monkeypatch.setattr(sifting, "solve_lp", recording_solve_lp)
+        inst = generate_mkp(MkpParams(m=6, n=300, tightness=0.15, seed=1))
+        result = online_then_sift(inst, seed=1)
+        assert len(sizes) == result.rounds
+        assert sizes == [r.working_size for r in result.trace]
 
     def test_rejects_negative_rhs(self):
         inst = LpInstance.from_dense([[-1.0]], [-1.0], [1.0])
-        fake_sol = run_pass(
+        fake_sol = solve_online(
             LpInstance.from_dense([[1.0]], [1.0], [1.0]), RunConfig(seed=0))
         with pytest.raises(ValueError, match="b >= 0"):
             sift(inst, fake_sol)
