@@ -5,7 +5,9 @@ pass never needs to form the full dual vector: each coordinate is
 materialized on demand when a column's support asks for it.  This script
 times the lazy pass (``RunConfig(lazy=True)``) while the nonzero count
 grows 100x at fixed n, checks that the default dense pass gives
-bitwise-identical output, and prints the timing table.
+bitwise-identical output, and prints the timing table.  Both passes run
+on the engine ``explicit_engine()`` names: the compiled kernel, or the
+numpy loop where no C compiler is available.
 """
 
 import time
@@ -14,10 +16,12 @@ from dataclasses import replace
 import numpy as np
 
 from onlinelp import MkpParams, RunConfig, generate_mkp, solve_online
+from onlinelp.online import explicit_engine
 
 n = 10_000
 rows = ((10, 0.1), (100, 0.1), (1000, 0.1))   # nnz ~ 1e4, 1e5, 1e6
 
+print(f"explicit engine: {explicit_engine()}")
 print(f"{'m':>6} {'nnz':>9} {'lazy (s)':>9} {'dense (s)':>10}  identical?")
 for m, sigma in rows:
     instance = generate_mkp(MkpParams(m=m, n=n, tightness=0.25,

@@ -1,0 +1,114 @@
+"""Build-on-first-use loader of the compiled explicit-pass kernel, ``_kernel.c``.
+
+The first ``load()`` compiles the C source with the system compiler into
+``~/.cache/onlinelp``, under a name keyed by a hash of the source, the
+flags and the compiler, and loads it with ctypes.  The library is written
+to a temporary file and renamed into place, so concurrent first uses never
+see a partial file.  Where that directory cannot be written, the library
+is built for this process alone.  When there is no compiler or the build
+fails, ``load()`` returns None, ``reason()`` says why, and the explicit
+engine runs its Python loop.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import shutil
+import subprocess
+import tempfile
+import threading
+from pathlib import Path
+
+SOURCE = Path(__file__).with_name("_kernel.c")
+FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+BUILD_TIMEOUT_S = 120
+
+# the kernel's return status
+DONE, TIE, ESCAPED = 0, 1, 2
+
+_ptr, _i64, _f64, _int = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double, ctypes.c_int
+_ARGTYPES = (
+    _i64, _ptr, _ptr, _ptr, _ptr, _ptr,    # m, col_ptr, row_idx, vals, c, step_d
+    _f64, _ptr, _i64, _i64, _int,          # gamma, seq, k0, T, forced
+    _ptr, _ptr, _ptr, _ptr,                # y_base, last, remaining, x_sum
+    _int, _f64, _ptr, ctypes.POINTER(_int),  # dense, norm_bound, acc, status
+)
+
+_lock = threading.Lock()
+_state: tuple | None = None   # (kernel function or None, reason); None until tried
+
+
+class _Unavailable(Exception):
+    pass
+
+
+def _compiler() -> str | None:
+    return shutil.which("cc")
+
+
+def _build(cc: str, target: Path) -> None:
+    fd, tmp = tempfile.mkstemp(suffix=".so", dir=target.parent)
+    os.close(fd)
+    try:
+        done = subprocess.run([cc, *FLAGS, "-o", tmp, str(SOURCE), "-lm"],
+                              capture_output=True, text=True, timeout=BUILD_TIMEOUT_S)
+        if done.returncode != 0:
+            raise _Unavailable(f"{cc} failed: {done.stderr.strip()[-500:]}")
+        os.replace(tmp, target)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _cache_dir() -> Path | None:
+    try:
+        cache = Path.home() / ".cache" / "onlinelp"
+        cache.mkdir(parents=True, exist_ok=True)
+        return cache
+    except (OSError, RuntimeError):   # RuntimeError: no home directory
+        return None
+
+
+def _open(cc: str) -> ctypes.CDLL:
+    key = hashlib.sha256(b"\0".join(
+        [SOURCE.read_bytes(), cc.encode(), *(f.encode() for f in FLAGS)])).hexdigest()[:16]
+    name = f"_kernel-{key}.so"
+    cache = _cache_dir()
+    if cache is not None and not (cache / name).exists() and os.access(cache, os.W_OK):
+        _build(cc, cache / name)
+    if cache is not None and (cache / name).exists():
+        return ctypes.CDLL(str(cache / name))
+    # no usable cache: build for this process alone; the mapping outlives the file
+    with tempfile.TemporaryDirectory(prefix="onlinelp-") as tmp:
+        _build(cc, Path(tmp) / name)
+        return ctypes.CDLL(str(Path(tmp) / name))
+
+
+def _try_load() -> tuple:
+    cc = _compiler()
+    if cc is None:
+        return None, "no C compiler (cc) on PATH"
+    try:
+        fn = _open(cc).explicit_pass
+    except (_Unavailable, OSError, subprocess.SubprocessError) as exc:
+        return None, f"kernel build failed: {exc}"
+    fn.argtypes = _ARGTYPES
+    fn.restype = ctypes.c_int64
+    return fn, ""
+
+
+def load():
+    """The kernel function, or None when it cannot be built or loaded."""
+    global _state
+    with _lock:
+        if _state is None:
+            _state = _try_load()
+        return _state[0]
+
+
+def reason() -> str:
+    """Why ``load()`` returned None ("" when the kernel is loaded)."""
+    load()
+    return _state[1]

@@ -28,7 +28,7 @@ import numpy as np
 from .instances import MkpParams, ResultRecord, generate_mkp, netlib_modify, write_results_csv
 from .model import compute_stats, relative_optimality, stopping_residual
 from .mps import MpsParseError, parse_mps, write_mps
-from .online import RunConfig, default_stepsize, solve_online, unit_box_rescaled
+from .online import RunConfig, default_stepsize, explicit_engine, solve_online, unit_box_rescaled
 from .sifting import SiftConfig, SiftRoundLimit, basis_metrics, sift
 from .simplex import SolveStatus, solve_lp
 
@@ -112,6 +112,11 @@ def _derived_gamma(instance, config: RunConfig) -> float:
                             config.duplication, config.method, config.stepsize)
 
 
+def _engine(method: str) -> str:
+    # the implicit update has only the Python engine
+    return explicit_engine() if method == "explicit" else "python"
+
+
 def _exact_optimum(instance) -> float | None:
     try:
         res = solve_lp(instance)
@@ -165,7 +170,7 @@ def _cmd_solve(args) -> int:
     gamma = _derived_gamma(instance, config)
     _echo("resolved", {
         "instance": label, "method": config.method, "K": duplication,
-        "gamma": gamma, "seed": config.seed,
+        "gamma": gamma, "engine": _engine(config.method), "seed": config.seed,
         "enforce_feasibility": config.enforce_feasibility,
         "start": config.start, "lazy": config.lazy,
         "until_eps": args.until_eps, "max_k": args.max_k,
@@ -191,7 +196,6 @@ def _cmd_solve(args) -> int:
         return EXIT_SOLVE
     wall = time.perf_counter() - t0
 
-    gamma = _derived_gamma(instance, config)
     rel_opt = None
     if args.exact:
         opt = _exact_optimum(instance)
@@ -211,7 +215,7 @@ def _cmd_solve(args) -> int:
 
     if args.out:
         record = ResultRecord(
-            instance=label, method=config.method, k=duplication, gamma=gamma,
+            instance=label, method=config.method, k=duplication, gamma=sol.gamma,
             seed=config.seed, objective=sol.objective, violation=sol.violation,
             rel_opt=rel_opt, wall_time_s=wall,
         )
@@ -244,6 +248,7 @@ def _cmd_sift(args) -> int:
     _echo("resolved", {
         "instance": label, "prepass_method": pre_config.method,
         "prepass_K": pre_config.duplication, "gamma": gamma,
+        "engine": _engine(pre_config.method),
         "seed": pre_config.seed, "alpha": sift_config.stabilization_alpha,
         "anchor": sift_config.use_online_anchor,
         "init_threshold": sift_config.init_threshold,
@@ -339,7 +344,6 @@ def _bench_cell(cell: dict) -> ResultRecord:
     instance = generate_mkp(params)
     config = RunConfig(method=cell["method"], duplication=cell["k"], seed=cell["seed"],
                        enforce_feasibility=cell["enforce"], lazy=cell["lazy"])
-    gamma = _derived_gamma(instance, config)
     t0 = time.perf_counter()
     sol = solve_online(instance, config)
     wall = time.perf_counter() - t0
@@ -349,7 +353,7 @@ def _bench_cell(cell: dict) -> ResultRecord:
         if res.status is SolveStatus.OPTIMAL and res.obj != 0.0:
             rel_opt = relative_optimality(instance, sol.x_hat, res.obj)
     return ResultRecord(
-        instance=params.label(), method=cell["method"], k=cell["k"], gamma=gamma,
+        instance=params.label(), method=cell["method"], k=cell["k"], gamma=sol.gamma,
         seed=cell["seed"], objective=sol.objective, violation=sol.violation,
         rel_opt=rel_opt, wall_time_s=wall,
     )
@@ -360,6 +364,7 @@ def _cmd_bench(args) -> int:
     _echo("resolved", {
         "preset": args.preset or "custom", "cells": len(cells),
         "reps": args.reps, "seed": args.seed, "workers": args.workers,
+        "engine": explicit_engine(),
     })
     records: list[ResultRecord | None] = [None] * len(cells)
     failures = 0

@@ -155,16 +155,13 @@ class LpInstance:
     def restrict_columns(self, cols: np.ndarray, meta=None) -> "LpInstance":
         """Sub-instance over the given column ids (order preserved)."""
         cols = np.asarray(cols, dtype=np.int64)
-        counts = self.col_ptr[cols + 1] - self.col_ptr[cols]
+        starts = self.col_ptr[cols]
+        counts = self.col_ptr[cols + 1] - starts
         cp = np.zeros(cols.size + 1, dtype=np.int64)
         np.cumsum(counts, out=cp[1:])
-        ri = np.empty(cp[-1], dtype=np.int64)
-        vals = np.empty(cp[-1], dtype=np.float64)
-        for k, j in enumerate(cols):
-            lo, hi = self.col_ptr[j], self.col_ptr[j + 1]
-            ri[cp[k]:cp[k + 1]] = self.row_idx[lo:hi]
-            vals[cp[k]:cp[k + 1]] = self.values[lo:hi]
-        return LpInstance(self.num_rows, cols.size, cp, ri, vals,
+        # entry p of the new column k sits at starts[k] + (p - cp[k]) in the old arrays
+        gather = np.repeat(starts - cp[:-1], counts) + np.arange(cp[-1])
+        return LpInstance(self.num_rows, cols.size, cp, self.row_idx[gather], self.values[gather],
                           self.rhs, self.obj[cols], self.upper[cols], meta=meta)
 
 

@@ -22,16 +22,39 @@ value after k untouched iterations is [y_i - k*gamma*d_i]_+ and never needs
 to be formed until the column support demands it.  The dense and lazy
 passes share the same per-coordinate arithmetic, so their outputs agree
 bitwise.
+
+Both explicit passes run their per-column loop in a small C kernel
+(``_kernel.c``), built with the system C compiler on first use and loaded
+with ctypes; without a compiler, or when the build fails, the numpy loop
+``_python_loop`` runs instead.  ``explicit_engine()`` says which one runs.
+The kernel's contract is bitwise equality with that loop, which stays its
+reference:
+
+* every stored value (drift, update, capacity draw-down, clamp) is the
+  same IEEE operation in the same order as the numpy expression, built
+  with ``-ffp-contract=off`` so no multiply and add are fused;
+* the one sum whose order is numpy's BLAS's business, <a_j, y>, decides
+  only c_j > <a_j, y>.  The kernel also sums |a_ij y_i|, and whenever
+  |c_j - <a_j, y>| <= 4 (nnz_j + 1) 2^-53 sum_i |a_ij y_i|, twice the
+  widest gap between two summation orders, it hands the step back: the
+  decision is made with the reference's numpy expression and the kernel
+  resumes with it.  Outside that band every summation order agrees;
+* ``max_dual_norm`` is a diagnostic whose sums are ordered differently,
+  so it agrees to about 1e-14 relative rather than bitwise.  A dense pass
+  with ``check_dual_bounds`` stops at the step whose norm escaped, and
+  the error is raised here with the reference's message.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from . import _kernel
 from .model import LpInstance, InstanceStats, compute_stats, constraint_violation
 from .projection import project_weighted_simplex
 
@@ -41,6 +64,7 @@ __all__ = [
     "ProximalSolution",
     "ProxCase",
     "default_stepsize",
+    "explicit_engine",
     "explicit_step",
     "implicit_step",
     "solve_online",
@@ -134,6 +158,7 @@ class OnlineSolution:
     violation: float
     max_dual_norm: float
     elapsed_columns: int
+    gamma: float              # the step length the pass resolved and used
 
 
 def default_stepsize(stats: InstanceStats, num_rows: int, num_cols: int,
@@ -399,24 +424,62 @@ def _explicit_pass(instance: LpInstance, seq: np.ndarray, gamma: float,
     full dual vector every iteration (O(mn) work, exact norm tracking); the
     lazy one materializes only the visited column supports (O(nnz) work,
     norm tracked as an upper bound since stale entries only shrink under
-    the drift).
+    the drift).  The loop runs in the compiled kernel when it is loaded
+    and in ``_python_loop``, its reference, otherwise.
     """
-    n = instance.num_cols
+    m, n = instance.num_rows, instance.num_cols
     d = instance.rhs / n
     if lazy and np.any(d < 0):
         raise ValueError("lazy explicit pass requires b >= 0")
+    # the compiled loop writes through raw pointers: y_base is a fresh copy
+    # of start_y, but the capacity vector is drawn down where it lies
+    if start_y.shape != (m,) or start_y.dtype != np.float64:
+        raise ValueError(f"start dual must be float64 of shape ({m},)")
+    if remaining is not None and not (remaining.shape == (m,) and remaining.dtype == np.float64
+                                      and remaining.flags.c_contiguous):
+        raise ValueError(f"capacity vector must be contiguous float64 of shape ({m},)")
+    if seq.size and (seq.min() < 0 or seq.max() >= n):
+        raise IndexError("column index out of range")
+    state = LazyDualState.from_start(start_y, gamma, d)
+    x_sum = np.zeros(n)
+    if lazy:
+        norm_acc = [float(start_y @ start_y)] * 2   # stale squared norm, its maximum
+    else:
+        norm_acc = [float(np.linalg.norm(start_y)), 0.0]  # max norm, unused
+    loop = _python_loop if _kernel.load() is None else _compiled_loop
+    loop(instance, seq, gamma, state, remaining, x_sum, lazy, norm_bound, norm_acc)
+
+    y_final = state.materialize_all(seq.size)
+    if lazy:
+        max_norm = math.sqrt(max(norm_acc[1], 0.0))
+    else:
+        max_norm = max(norm_acc[0], float(np.linalg.norm(y_final)))
+        if norm_bound is not None and max_norm > norm_bound * (1.0 + 1e-9):
+            raise RuntimeError("explicit dual iterate escaped its norm bound at the end")
+    return x_sum, y_final, max_norm
+
+
+def explicit_engine() -> str:
+    """Which engine runs the explicit pass: "compiled", or "python: <why>".
+
+    The first call builds or loads the compiled kernel (see ``_kernel``).
+    """
+    if _kernel.load() is not None:
+        return "compiled"
+    return f"python: {_kernel.reason()}"
+
+
+def _norm_escape(k: int, norm: float, norm_bound: float) -> RuntimeError:
+    return RuntimeError(f"explicit dual iterate escaped its norm bound at step {k}: "
+                        f"{norm:.6g} > {norm_bound:.6g}")
+
+
+def _python_loop(instance, seq, gamma, state, remaining, x_sum, lazy, norm_bound, norm_acc):
+    """The per-column loop of ``_explicit_pass`` in numpy; the reference of
+    the compiled kernel.  Updates its arguments in place."""
     cp, ri, vals_all = instance.col_ptr, instance.row_idx, instance.values
     c = instance.obj
-    state = LazyDualState.from_start(start_y, gamma, d)
     gd = state.step_d
-    x_sum = np.zeros(n)
-
-    if lazy:
-        stale_sq = float(start_y @ start_y)
-        max_norm_sq = stale_sq
-    else:
-        max_norm = float(np.linalg.norm(start_y))
-
     for k, j in enumerate(seq):
         lo, hi = cp[j], cp[j + 1]
         rows = ri[lo:hi]
@@ -426,12 +489,9 @@ def _explicit_pass(instance: LpInstance, seq: np.ndarray, gamma: float,
         else:
             y_full = state.materialize_all(k)
             norm = float(np.linalg.norm(y_full))
-            max_norm = max(max_norm, norm)
+            norm_acc[0] = max(norm_acc[0], norm)
             if norm_bound is not None and norm > norm_bound * (1.0 + 1e-9):
-                raise RuntimeError(
-                    f"explicit dual iterate escaped its norm bound at step {k}: "
-                    f"{norm:.6g} > {norm_bound:.6g}"
-                )
+                raise _norm_escape(k, norm, norm_bound)
             ym = y_full[rows]
         x = 1.0 if c[j] > vals @ ym else 0.0
         if x == 1.0 and remaining is not None and not np.all(remaining[rows] >= vals):
@@ -444,18 +504,42 @@ def _explicit_pass(instance: LpInstance, seq: np.ndarray, gamma: float,
         else:
             new_vals = np.maximum(ym - gd[rows], 0.0)
         if lazy:
-            stale_sq += float(new_vals @ new_vals) - float(state.y_base[rows] @ state.y_base[rows])
-            max_norm_sq = max(max_norm_sq, stale_sq)
+            norm_acc[0] += float(new_vals @ new_vals) - float(state.y_base[rows] @ state.y_base[rows])
+            norm_acc[1] = max(norm_acc[1], norm_acc[0])
         state.commit(rows, k, new_vals)
 
-    y_final = state.materialize_all(seq.size)
-    if lazy:
-        max_norm = math.sqrt(max(max_norm_sq, 0.0))
-    else:
-        max_norm = max(max_norm, float(np.linalg.norm(y_final)))
-        if norm_bound is not None and max_norm > norm_bound * (1.0 + 1e-9):
-            raise RuntimeError("explicit dual iterate escaped its norm bound at the end")
-    return x_sum, y_final, max_norm
+
+def _compiled_loop(instance, seq, gamma, state, remaining, x_sum, lazy, norm_bound, norm_acc):
+    """``_python_loop`` in the compiled kernel (see the module docstring).
+
+    The kernel hands back every step whose accept decision it cannot make
+    exactly as numpy would; that decision is made here with the reference's
+    own expression and the kernel resumes with it.
+    """
+    kernel = _kernel.load()
+    seq = np.ascontiguousarray(seq, dtype=np.int64)
+    acc = np.array(norm_acc)
+    status = ctypes.c_int()
+    c = instance.obj
+    bound = math.inf if norm_bound is None else norm_bound
+
+    def run(k, forced):
+        return kernel(instance.num_rows, instance.col_ptr.ctypes.data,
+                      instance.row_idx.ctypes.data, instance.values.ctypes.data,
+                      c.ctypes.data, state.step_d.ctypes.data, gamma, seq.ctypes.data,
+                      k, seq.size, forced, state.y_base.ctypes.data,
+                      state.last_update.ctypes.data,
+                      None if remaining is None else remaining.ctypes.data,
+                      x_sum.ctypes.data, int(not lazy), bound, acc.ctypes.data,
+                      ctypes.byref(status))
+
+    k = run(0, -1)
+    while status.value != _kernel.DONE:
+        if status.value == _kernel.ESCAPED:
+            raise _norm_escape(k, float(np.linalg.norm(state.materialize_all(k))), norm_bound)
+        rows, vals = instance.column(seq[k])
+        k = run(k, int(c[seq[k]] > vals @ state.materialize(rows, k)))
+    norm_acc[:] = acc.tolist()
 
 
 def _implicit_pass(instance: LpInstance, seq: np.ndarray, gamma: float,
@@ -572,4 +656,5 @@ def solve_online(instance: LpInstance, config: RunConfig) -> OnlineSolution:
         violation=constraint_violation(instance, x_hat),
         max_dual_norm=max_norm,
         elapsed_columns=int(seq.size),
+        gamma=gamma,
     )

@@ -77,6 +77,26 @@ class TestSolve:
         assert a.objective == b.objective
         assert a.violation == b.violation
 
+    def test_echoes_engine_and_records_the_runs_gamma(self, tmp_path, capsys, monkeypatch):
+        import onlinelp.cli as cli_mod
+        import onlinelp.online as online_mod
+        calls = []
+
+        def counted(fn):
+            return lambda *a, **k: calls.append(1) or fn(*a, **k)
+
+        monkeypatch.setattr(cli_mod, "compute_stats", counted(cli_mod.compute_stats))
+        monkeypatch.setattr(online_mod, "compute_stats", counted(online_mod.compute_stats))
+        out = tmp_path / "res.csv"
+        assert run_cli(["solve", "--gen", "m=5,n=60,tau=0.2,seed=9", "--k", "4",
+                        "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        echoed = dict(l[len("resolved "):].split(" = ", 1) for l in lines
+                      if l.startswith("resolved "))
+        assert echoed["engine"] == online_mod.explicit_engine()
+        assert read_results_csv(out)[0].gamma == float(echoed["gamma"])
+        assert len(calls) == 2   # the up-front echo and the pass itself
+
     def test_parse_failure_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.mps"
         bad.write_text("NAME X\nROWS\n")
@@ -115,6 +135,11 @@ class TestSift:
         assert rows[0] == ["round", "working", "priced", "objective", "wall_time_s"]
         assert len(rows) == recs[0].rounds + 1
 
+    def test_echoes_engine(self, capsys):
+        from onlinelp.online import explicit_engine
+        assert run_cli(["sift", "--gen", "m=4,n=120,tau=0.2,seed=6"]) == 0
+        assert f"resolved engine = {explicit_engine()}" in capsys.readouterr().out.splitlines()
+
     def test_alpha_one_same_objective(self, capsys):
         base = ["sift", "--gen", "m=4,n=120,tau=0.2,seed=6"]
         assert run_cli(base + ["--alpha", "1.0"]) == 0
@@ -143,6 +168,17 @@ class TestBench:
         recs = read_results_csv(out)
         assert len(recs) == 2 * 2 * 2 * 1 * 2
         assert all(r.rel_opt is not None for r in recs)
+
+    def test_records_the_runs_gamma(self, tmp_path, capsys):
+        from onlinelp.instances import MkpParams, generate_mkp
+        from onlinelp.online import RunConfig, solve_online
+        out = tmp_path / "one.csv"
+        assert run_cli(["bench", "--sizes", "3x20", "--taus", "0.2", "--ks", "2",
+                        "--methods", "explicit", "--out", str(out)]) == 0
+        capsys.readouterr()
+        inst = generate_mkp(MkpParams(m=3, n=20, tightness=0.2, density=1.0, seed=0))
+        want = solve_online(inst, RunConfig(duplication=2, seed=0)).gamma
+        assert read_results_csv(out)[0].gamma == want
 
     def test_empty_grid_header_only(self, tmp_path, capsys):
         out = tmp_path / "empty.csv"

@@ -52,6 +52,26 @@ class TestLpInstance:
         np.testing.assert_array_equal(sub.to_dense(), [[2.0, 1.0], [4.0, 0.0]])
         np.testing.assert_array_equal(sub.obj, [3.0, 1.0])
 
+    def test_restrict_columns_matches_column_loop(self):
+        rng = np.random.default_rng(0)
+        A = rng.uniform(0.5, 2.0, (6, 40)) * (rng.random((6, 40)) < 0.4)
+        A[:, [3, 17, 29]] = 0.0   # empty columns
+        inst = LpInstance.from_dense(A, np.ones(6), rng.uniform(1, 2, 40))
+        for size in (1, 7, 40):
+            cols = rng.permutation(40)[:size]
+            if size == 7:
+                cols[:2] = [3, 17]
+            sub = inst.restrict_columns(cols)
+            ri, vals = [], []
+            for j in cols:
+                rows, v = inst.column(j)
+                ri.extend(rows.tolist())
+                vals.extend(v.tolist())
+            assert sub.num_cols == size
+            np.testing.assert_array_equal(np.diff(sub.col_ptr), np.diff(inst.col_ptr)[cols])
+            assert sub.row_idx.tobytes() == np.array(ri, dtype=np.int64).tobytes()
+            assert sub.values.tobytes() == np.array(vals, dtype=np.float64).tobytes()
+
 
 class TestComputeStats:
     def test_single_entry(self):

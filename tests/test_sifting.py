@@ -125,7 +125,7 @@ class TestSift:
         x_fake[support] = 1.0
         fake = type(fake)(x_hat=x_fake, y_final=full.y_star,
                           objective=full.obj, violation=0.0,
-                          max_dual_norm=0.0, elapsed_columns=60)
+                          max_dual_norm=0.0, elapsed_columns=60, gamma=fake.gamma)
         result = sift(inst, fake, SiftConfig(init_threshold=0.5))
         assert result.rounds == 1
         assert result.objective == pytest.approx(full.obj, rel=1e-9)
