@@ -284,10 +284,12 @@ def _cmd_sift(args) -> int:
         path = _resolve_out(args.trace_out)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["round", "working", "priced", "objective", "wall_time_s"])
+            writer.writerow(["round", "working", "priced", "objective", "wall_time_s",
+                             "iterations", "warm_started"])
             for r in result.trace:
                 writer.writerow([r.round, r.working_size, r.priced,
-                                 f"{r.objective:.17g}", f"{r.wall_time_s:.17g}"])
+                                 f"{r.objective:.17g}", f"{r.wall_time_s:.17g}",
+                                 r.iterations, int(r.warm_started)])
     if args.out:
         record = ResultRecord(
             instance=label, method=f"sift+{pre_config.method}",
@@ -449,7 +451,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
                    default=RunConfig.stepsize)
     s.add_argument("--run-seed", type=int, default=0)
     s.add_argument("--enforce-feasibility", action="store_true")
-    s.add_argument("--start", choices=("zero", "ones"), default="zero")
+    s.add_argument("--start", choices=("zero", "ones"), default=RunConfig.start)
     s.add_argument("--lazy", action="store_true")
     s.add_argument("--until-eps", type=float, default=None,
                    help="double K until the stopping residual drops below this")
@@ -470,7 +472,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     f.add_argument("--prepass-method", choices=("explicit", "implicit"),
                    default="explicit")
     f.add_argument("--prepass-k", type=int, default=2)
-    f.add_argument("--prepass-start", choices=("zero", "ones"), default="ones")
+    f.add_argument("--prepass-start", choices=("zero", "ones"), default=RunConfig.start)
     f.add_argument("--prepass-lazy", action="store_true")
     f.add_argument("--run-seed", type=int, default=0)
     f.add_argument("--out", help="write a result record CSV")

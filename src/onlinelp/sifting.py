@@ -72,6 +72,8 @@ class SiftRound:
     priced: int
     objective: float
     wall_time_s: float
+    iterations: int                 # simplex pivots of the round's working solve
+    warm_started: bool              # that solve started from the previous basis
 
 
 @dataclass(frozen=True)
@@ -210,7 +212,8 @@ def sift(instance: LpInstance, online_solution: OnlineSolution,
             priced = price(instance, w, y_exact, config.pricing_tolerance, None)
             certified = priced.size == 0
         trace.append(SiftRound(round_no, w.size, priced.size, res.obj,
-                               time.perf_counter() - t0))
+                               time.perf_counter() - t0, res.iterations,
+                               res.warm_started))
         if certified:
             break
         prev_res, prev_w = res, w

@@ -2,10 +2,12 @@
 
 Solves  max <c, x>  s.t.  A x <= b,  0 <= x <= u  exactly by attaching slack
 columns (A x + s = b, s >= 0) and pivoting with nonbasic-at-lower /
-nonbasic-at-upper statuses.  The basis inverse is a dense LU with
-product-form (eta) updates, refactorized periodically; pricing is Dantzig
-with a Bland fallback once the objective stalls.  Negative right-hand sides
-are handled by a standard artificial-variable Phase 1.
+nonbasic-at-upper statuses.  The basis inverse is held explicitly as a dense
+m x m matrix: formed from an LU factorization at each refactorization and
+given a rank-1 row update at each pivot, so ftran and btran are one
+matrix-vector product each.  Pricing is Dantzig with a Bland fallback once
+the objective stalls.  Negative right-hand sides are handled by a standard
+artificial-variable Phase 1.
 
 Working problems produced by sifting are small by construction, so there is
 deliberately no sparse factorization machinery here.
@@ -32,8 +34,8 @@ __all__ = [
 
 FEAS_TOL = 1e-7      # primal feasibility checks
 OPT_TOL = 1e-9       # reduced-cost pricing threshold
-PIVOT_TOL = 1e-10    # smallest acceptable eta pivot
-REFRESH_ETAS = 100   # refactorize after this many eta updates
+PIVOT_TOL = 1e-10    # smallest acceptable pivot element
+REFACTOR_PERIOD = 100  # refactorize after this many rank-1 updates
 STALL_WINDOW = 50    # iterations without progress before Bland's rule
 
 
@@ -59,6 +61,7 @@ class SimplexResult:
     basis: frozenset[int]
     iterations: int
     at_upper: frozenset[int] = frozenset()
+    warm_started: bool = False      # the warm basis was accepted as the start
 
 
 class _Workspace:
@@ -68,7 +71,7 @@ class _Workspace:
         self.inst = instance
         self.m = instance.num_rows
         self.n = instance.num_cols
-        self.A = instance.to_scipy()
+        self.AT = instance.to_scipy().T.tocsr()   # built once, for pricing
         self.b = instance.rhs
         self.art_rows = art_rows                  # rows carrying a -1 artificial
         self.n_art = art_rows.size
@@ -81,8 +84,8 @@ class _Workspace:
         # 0 = nonbasic at lower, 1 = nonbasic at upper, 2 = basic
         self.status = np.zeros(self.n_total, dtype=np.int8)
         self.basis = np.empty(self.m, dtype=np.int64)
-        self.lu = None
-        self.etas: list[tuple[int, np.ndarray, float]] = []
+        self.binv = np.empty((self.m, self.m))   # explicit basis inverse
+        self.updates = 0                          # rank-1 updates since refactorization
 
     def column(self, j: int) -> tuple[np.ndarray, np.ndarray]:
         if j < self.n:
@@ -107,27 +110,23 @@ class _Workspace:
         lu, piv = sla.lu_factor(B, check_finite=False)
         if np.min(np.abs(np.diag(lu))) < PIVOT_TOL * max(1.0, np.max(np.abs(B))):
             raise SingularBasisError("singular basis matrix")
-        self.lu = (lu, piv)
-        self.etas = []
+        self.binv = sla.lu_solve((lu, piv), np.eye(self.m), check_finite=False)
+        self.updates = 0
 
     def ftran(self, g: np.ndarray) -> np.ndarray:
-        w = sla.lu_solve(self.lu, g, check_finite=False)
-        for r, v, vr in self.etas:
-            wr = w[r] / vr
-            w -= wr * v
-            w[r] = wr
-        return w
+        return self.binv @ g
 
     def btran(self, c: np.ndarray) -> np.ndarray:
-        z = c.copy()
-        for r, v, vr in reversed(self.etas):
-            z[r] = (z[r] - (v @ z - vr * z[r])) / vr
-        return sla.lu_solve(self.lu, z, trans=1, check_finite=False)
+        return c @ self.binv
 
-    def push_eta(self, r: int, w: np.ndarray) -> bool:
+    def update(self, r: int, w: np.ndarray) -> bool:
+        """Replace basis position r, whose entering column has ftran w."""
         if abs(w[r]) < PIVOT_TOL:
             return False
-        self.etas.append((r, w.copy(), float(w[r])))
+        row = self.binv[r] / w[r]
+        self.binv -= np.outer(w, row)
+        self.binv[r] = row
+        self.updates += 1
         return True
 
     # -- primal state --------------------------------------------------------
@@ -144,7 +143,7 @@ class _Workspace:
 
     def reduced_costs(self, cost: np.ndarray, y: np.ndarray) -> np.ndarray:
         z = np.empty(self.n_total)
-        z[:self.n] = cost[:self.n] - self.A.T @ y
+        z[:self.n] = cost[:self.n] - self.AT @ y
         z[self.n:self.n + self.m] = cost[self.n:self.n + self.m] - y
         if self.n_art:
             z[self.n + self.m:] = cost[self.n + self.m:] + y[self.art_rows]
@@ -222,7 +221,7 @@ def _pivot_loop(ws: _Workspace, cost: np.ndarray, x_b: np.ndarray,
             ws.status[p] = 1 if inc[leave_pos] else 0
             ws.status[q] = 2
             ws.basis[leave_pos] = q
-            if not ws.push_eta(leave_pos, w) or len(ws.etas) >= REFRESH_ETAS:
+            if not ws.update(leave_pos, w) or ws.updates >= REFACTOR_PERIOD:
                 ws.refactorize()
                 x_b = ws.basic_values()
         improvement = t * abs(z[q])
@@ -245,8 +244,9 @@ def solve_lp(instance: LpInstance, warm_basis=None, max_iter: int | None = None,
     warm_basis : optional
         Either a SimplexResult or a (basis, at_upper) pair of column-id
         collections from a previous solve over the same rows.  Used to seed
-        the starting basis when it is still primal feasible; otherwise the
-        solver silently falls back to a cold start.
+        the starting basis when it is nonsingular and still primal feasible;
+        otherwise the solver starts cold.  The result's ``warm_started``
+        says which happened.
     max_iter : optional iteration cap, default 50 * (m + n).
     dense_limit : guard on the dense basis dimension m.
     """
@@ -310,10 +310,12 @@ def solve_lp(instance: LpInstance, warm_basis=None, max_iter: int | None = None,
 
     if reason == "limit":
         return SimplexResult(SolveStatus.ITERATION_LIMIT, None, None,
-                             float("nan"), frozenset(), iterations)
+                             float("nan"), frozenset(), iterations,
+                             warm_started=warm_ok)
     if reason == "unbounded":
         return SimplexResult(SolveStatus.UNBOUNDED, None, None,
-                             float("inf"), frozenset(), iterations)
+                             float("inf"), frozenset(), iterations,
+                             warm_started=warm_ok)
 
     x_full = np.zeros(ws.n_total)
     up_ids = np.flatnonzero(ws.status == 1)
@@ -329,6 +331,7 @@ def solve_lp(instance: LpInstance, warm_basis=None, max_iter: int | None = None,
         basis=frozenset(int(j) for j in ws.basis),
         iterations=iterations,
         at_upper=frozenset(int(j) for j in up_ids if j < n + m),
+        warm_started=warm_ok,
     )
 
 

@@ -132,8 +132,11 @@ class TestSift:
         assert recs[0].rounds >= 1
         with open(trace) as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["round", "working", "priced", "objective", "wall_time_s"]
+        assert rows[0] == ["round", "working", "priced", "objective", "wall_time_s",
+                           "iterations", "warm_started"]
         assert len(rows) == recs[0].rounds + 1
+        assert rows[1][-1] == "0"  # the first round has no basis to start from
+        assert all(int(r[-2]) >= 0 and r[-1] in ("0", "1") for r in rows[1:])
 
     def test_echoes_engine(self, capsys):
         from onlinelp.online import explicit_engine

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from onlinelp.cli import build_parser
 from onlinelp.instances import MkpParams, generate_mkp
 from onlinelp.model import LpInstance
 from onlinelp.online import RunConfig, solve_online
@@ -187,3 +188,38 @@ class TestSift:
             LpInstance.from_dense([[1.0]], [1.0], [1.0]), RunConfig(seed=0))
         with pytest.raises(ValueError, match="b >= 0"):
             sift(inst, fake_sol)
+
+
+@pytest.fixture(scope="module")
+def cli_default_sifts():
+    """Pre-pass plus sift with ``onlinelp sift``'s parser defaults on the
+    criterion-09 regime (m=100, n=10^4, tau=0.05, sigma=0.1), seeds 0-4."""
+    args = build_parser().parse_args(["sift", "--gen", "m=1,n=1,tau=1"])
+    pre = RunConfig(method=args.prepass_method, duplication=args.prepass_k,
+                    seed=args.run_seed, start=args.prepass_start, lazy=args.prepass_lazy)
+    config = SiftConfig(
+        init_threshold=args.init_threshold, stabilization_alpha=args.alpha,
+        use_online_anchor=not args.no_anchor, pricing_tolerance=args.pricing_tol,
+        max_new_columns_per_round=args.max_new_cols, max_rounds=args.max_rounds)
+    results = []
+    for seed in range(5):
+        inst = generate_mkp(MkpParams(m=100, n=10_000, tightness=0.05,
+                                      density=0.1, seed=seed))
+        results.append((inst, sift(inst, solve_online(inst, pre), config)))
+    return results
+
+
+class TestCliDefaultSift:
+    def test_final_working_set_stays_small(self, cli_default_sifts):
+        for inst, result in cli_default_sifts:
+            assert price(inst, result.final_working_set, result.y).size == 0
+        # test_09's bar on the seed set, applied to the final working set
+        fractions = [r.final_working_set.size / inst.num_cols
+                     for inst, r in cli_default_sifts]
+        assert float(np.median(fractions)) <= 0.2
+
+    def test_every_later_round_is_warm_started(self, cli_default_sifts):
+        for _, result in cli_default_sifts:
+            assert result.rounds >= 2
+            assert not result.trace[0].warm_started
+            assert all(r.warm_started for r in result.trace[1:])

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+from onlinelp import simplex
 from onlinelp.instances import MkpParams, generate_mkp
 from onlinelp.model import LpInstance
+from onlinelp.sifting import _map_warm_basis, price
 from onlinelp.simplex import (
     SolveStatus,
     enumerate_vertices_oracle,
@@ -139,6 +142,89 @@ class TestSolveLp:
             assert res.status is SolveStatus.OPTIMAL
             opt, _ = enumerate_vertices_oracle(inst)
             assert res.obj == pytest.approx(opt, abs=1e-8)
+
+
+def assert_matches_highs(inst, res):
+    """Optimal, within 1e-9 of HiGHS, primal feasible, with a tight weak-duality gap."""
+    assert res.status is SolveStatus.OPTIMAL
+    highs = linprog(-inst.obj, A_ub=inst.to_scipy(), b_ub=inst.rhs,
+                    bounds=np.column_stack([np.zeros(inst.num_cols), inst.upper]),
+                    method="highs")
+    assert highs.status == 0
+    assert abs(res.obj + highs.fun) <= 1e-9 * max(1.0, abs(highs.fun))
+    x = res.x_star
+    scale = 1.0 + float(np.abs(inst.rhs).max())
+    assert np.all(inst.to_scipy() @ x <= inst.rhs + 1e-9 * scale)
+    assert np.all(x >= 0.0) and np.all(x <= inst.upper)
+    y = np.maximum(res.y_star, 0.0)
+    reduced = inst.obj - inst.to_scipy().T @ y
+    dual = float(inst.rhs @ y) + float(inst.upper @ np.maximum(reduced, 0.0))
+    primal = float(inst.obj @ x)
+    assert dual - primal <= 1e-7 * (1.0 + abs(primal))
+
+
+class TestAgainstHighs:
+    """Cross-checks beyond the reach of the vertex oracle."""
+
+    @pytest.mark.parametrize("n", [2000, 10_000])
+    def test_cold_solve(self, n):
+        inst = generate_mkp(MkpParams(m=100, n=n, tightness=0.05, density=0.1, seed=5))
+        res = solve_lp(inst)
+        assert not res.warm_started
+        assert_matches_highs(inst, res)
+
+    def test_warm_starts_as_the_working_set_grows(self):
+        inst = generate_mkp(MkpParams(m=100, n=2000, tightness=0.05, density=0.1, seed=6))
+        w = np.sort(np.random.default_rng(6).choice(2000, size=200, replace=False))
+        prev = solve_lp(inst.restrict_columns(w))
+        assert_matches_highs(inst.restrict_columns(w), prev)
+        grown = 0
+        while True:
+            priced = price(inst, w, prev.y_star)
+            if priced.size == 0:
+                break
+            w_new = np.union1d(w, priced)
+            sub = inst.restrict_columns(w_new)
+            res = solve_lp(sub, warm_basis=_map_warm_basis(prev, w, w_new, inst.num_rows))
+            assert res.warm_started
+            assert_matches_highs(sub, res)
+            prev, w = res, w_new
+            grown += 1
+        assert grown >= 2
+        assert abs(prev.obj - solve_lp(inst).obj) <= 1e-9 * abs(prev.obj)
+
+    def test_negative_rhs_goes_through_phase_one(self):
+        rng = np.random.default_rng(8)
+        m, n = 40, 400
+        A = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.3)
+        u = rng.random(n) + 0.5
+        b = A @ (rng.random(n) * u) + rng.random(m)  # feasible by construction
+        assert np.sum(b < 0) >= 5
+        inst = LpInstance.from_dense(A, b, rng.normal(size=n), upper=u)
+        assert_matches_highs(inst, solve_lp(inst))
+
+    def test_updates_cross_several_refactorizations(self, monkeypatch):
+        updates = 0
+        original = simplex._Workspace.update
+
+        def counting(ws, r, w):
+            nonlocal updates
+            updates += 1
+            return original(ws, r, w)
+
+        monkeypatch.setattr(simplex._Workspace, "update", counting)
+        inst = generate_mkp(MkpParams(m=100, n=2000, tightness=0.05, density=0.1, seed=7))
+        res = solve_lp(inst)
+        assert updates > 3 * simplex.REFACTOR_PERIOD
+        assert_matches_highs(inst, res)
+
+    def test_refused_warm_start_is_reported(self):
+        inst = generate_mkp(MkpParams(m=6, n=60, tightness=0.3, seed=2))
+        # every column at its upper bound overfills the knapsacks
+        res = solve_lp(inst, warm_basis=(range(60, 66), range(60)))
+        assert res.status is SolveStatus.OPTIMAL
+        assert not res.warm_started
+        assert solve_lp(inst, warm_basis=res).warm_started
 
 
 class TestVertexOracle:
