@@ -24,6 +24,8 @@ import scipy.linalg as sla
 
 from .model import LpInstance
 
+_getrf, = sla.get_lapack_funcs(("getrf",), (np.zeros((1, 1)),))
+
 __all__ = [
     "SolveStatus",
     "SimplexResult",
@@ -107,7 +109,9 @@ class _Workspace:
         for pos, j in enumerate(self.basis):
             rows, vals = self.column(j)
             B[rows, pos] = vals
-        lu, piv = sla.lu_factor(B, check_finite=False)
+        # LAPACK's getrf as lu_factor calls it, minus lu_factor's warning on an
+        # exactly singular B: the check below refuses that basis itself
+        lu, piv, _ = _getrf(B)
         if np.min(np.abs(np.diag(lu))) < PIVOT_TOL * max(1.0, np.max(np.abs(B))):
             raise SingularBasisError("singular basis matrix")
         self.binv = sla.lu_solve((lu, piv), np.eye(self.m), check_finite=False)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -225,6 +227,16 @@ class TestAgainstHighs:
         assert res.status is SolveStatus.OPTIMAL
         assert not res.warm_started
         assert solve_lp(inst, warm_basis=res).warm_started
+
+    def test_singular_warm_basis_is_refused_without_a_warning(self):
+        inst = generate_mkp(MkpParams(m=6, n=60, tightness=0.3, seed=2))
+        # slack 61 appears twice, so the basis matrix is exactly singular
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = solve_lp(inst, warm_basis=([61, 61, 62, 63, 64, 65], ()))
+        assert [str(w.message) for w in caught] == []
+        assert res.status is SolveStatus.OPTIMAL
+        assert not res.warm_started
 
 
 class TestVertexOracle:
