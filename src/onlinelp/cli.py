@@ -6,31 +6,34 @@ gen    write a multi-knapsack benchmark instance to an MPS file
 solve  approximate a (generated or parsed) LP with one online pass,
        optionally doubling the duplication factor until a residual target
 sift   online pre-pass followed by the exact sifting solver
-bench  grids of solve runs (built-in presets or a custom grid) to CSV
+bench  one grid of solve runs (sizes x taus x Ks x methods x reps) to CSV
 
-Every run echoes its fully resolved configuration, including the derived
-stepsize, so any emitted CSV row can be replayed from its own fields.
-Relative output paths honor the ONLINELP_OUT_DIR environment variable.
+Every run echoes its fully resolved configuration before solving, and the
+step length gamma each pass used once the pass returns, so any emitted CSV
+row can be replayed from its own fields.  An out-of-range setting is a
+usage error (exit 2) carrying the config's own message.  Relative output
+paths honor the ONLINELP_OUT_DIR environment variable.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
+import contextlib
 import csv
 import itertools
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from .instances import MkpParams, ResultRecord, generate_mkp, netlib_modify, write_results_csv
-from .model import compute_stats, relative_optimality, stopping_residual
+from .model import relative_optimality, stopping_residual
 from .mps import MpsParseError, parse_mps, write_mps
-from .online import RunConfig, default_stepsize, explicit_engine, solve_online, unit_box_rescaled
+from .online import OnlineSolution, RunConfig, explicit_engine, solve_online
 from .sifting import SiftConfig, SiftRoundLimit, basis_metrics, sift
-from .simplex import SolveStatus, solve_lp
+from .simplex import SimplexResult, SolveStatus, solve_lp
 
 EXIT_OK = 0
 EXIT_PARSE = 3
@@ -41,9 +44,9 @@ MAX_K_DEFAULT = 5000
 ACC_REFERENCE_LIMIT = 20_000  # sift reports acc only up to this many columns
 SUPPORT_TOL = 1e-9            # x entries above this count as basic for acc
 
-FIG_SIZES = ((5, 100), (8, 1000), (16, 2000), (32, 4000))
-FIG2_KS = (1, 2, 4, 8, 16, 32)
-CPUTIME_ROWS = ((10, 0.1), (100, 0.1), (1000, 0.1))  # with n = 10^4: nnz ~ 1e4..1e6
+
+class _UsageError(Exception):
+    """A setting out of its config's range; ``main`` reports it as argparse does."""
 
 
 def _resolve_out(path: str | None) -> str | None:
@@ -92,24 +95,13 @@ def _load_instance(args):
     return inst, label
 
 
-def _run_config(args, duplication: int) -> RunConfig:
-    stepsize = args.gamma if args.gamma is not None else args.stepsize
-    return RunConfig(
-        method=args.method,
-        stepsize=stepsize,
-        duplication=duplication,
-        seed=args.run_seed,
-        enforce_feasibility=args.enforce_feasibility,
-        start=args.start,
-        lazy=args.lazy,
-    )
-
-
-def _derived_gamma(instance, config: RunConfig) -> float:
-    scaled, _ = unit_box_rescaled(instance)
-    stats = compute_stats(scaled)
-    return default_stepsize(stats, scaled.num_rows, scaled.num_cols,
-                            config.duplication, config.method, config.stepsize)
+@contextlib.contextmanager
+def _settings_checked():
+    """Make a config's ValueError over a command-line setting a usage error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _engine(method: str) -> str:
@@ -117,7 +109,8 @@ def _engine(method: str) -> str:
     return explicit_engine() if method == "explicit" else "python"
 
 
-def _exact_optimum(instance) -> float | None:
+def _reference_solve(instance) -> SimplexResult | None:
+    """The exact optimum behind rel_opt and acc, or None with a warning."""
     try:
         res = solve_lp(instance)
     except ValueError as exc:
@@ -127,26 +120,43 @@ def _exact_optimum(instance) -> float | None:
         print(f"warning: exact reference solve ended with {res.status.value}",
               file=sys.stderr)
         return None
-    return res.obj
+    return res
+
+
+def _rel_opt(instance, x_hat) -> float | None:
+    ref = _reference_solve(instance)
+    if ref is None or ref.obj == 0.0:
+        return None
+    return relative_optimality(instance, x_hat, ref.obj)
 
 
 def _seed_recall(instance, seed_set) -> float | None:
     """acc: the share of an exact optimum's support that the seed set holds."""
-    full = solve_lp(instance)
-    if full.status is not SolveStatus.OPTIMAL:
+    ref = _reference_solve(instance)
+    if ref is None:
         return None
-    support = np.flatnonzero(full.x_star > SUPPORT_TOL)
+    support = np.flatnonzero(ref.x_star > SUPPORT_TOL)
     if support.size == 0:
         return None
     return basis_metrics(support, seed_set, instance.num_cols)[0]
 
 
+def _record(label: str, config: RunConfig, sol: OnlineSolution, wall: float,
+            **fields) -> ResultRecord:
+    """The CSV row of a run: the pass's settings and results, then ``fields``."""
+    row = dict(instance=label, method=config.method, k=config.duplication,
+               gamma=sol.gamma, seed=config.seed, objective=sol.objective,
+               violation=sol.violation, wall_time_s=wall)
+    return ResultRecord(**{**row, **fields})
+
+
 # -- gen ----------------------------------------------------------------------
 
 def _cmd_gen(args) -> int:
-    params = MkpParams(m=args.m, n=args.n, tightness=args.tau, density=args.sigma,
-                       seed=args.seed, perturb_a3=args.perturb_a3,
-                       b_pre_sparsify=args.b_pre_sparsify)
+    with _settings_checked():
+        params = MkpParams(m=args.m, n=args.n, tightness=args.tau, density=args.sigma,
+                           seed=args.seed, perturb_a3=args.perturb_a3,
+                           b_pre_sparsify=args.b_pre_sparsify)
     _echo("resolved", {"params": params})
     inst = generate_mkp(params)
     out = _resolve_out(args.out)
@@ -159,19 +169,23 @@ def _cmd_gen(args) -> int:
 # -- solve --------------------------------------------------------------------
 
 def _cmd_solve(args) -> int:
+    with _settings_checked():
+        config = RunConfig(
+            method=args.method,
+            stepsize=args.gamma if args.gamma is not None else args.stepsize,
+            duplication=args.k, seed=args.run_seed,
+            enforce_feasibility=args.enforce_feasibility, start=args.start, lazy=args.lazy,
+        )
     try:
         instance, label = _load_instance(args)
     except (MpsParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
-    duplication = args.k
-    config = _run_config(args, duplication)
-    gamma = _derived_gamma(instance, config)
     _echo("resolved", {
-        "instance": label, "method": config.method, "K": duplication,
-        "gamma": gamma, "engine": _engine(config.method), "seed": config.seed,
-        "enforce_feasibility": config.enforce_feasibility,
+        "instance": label, "method": config.method, "K": config.duplication,
+        "stepsize": config.stepsize, "engine": _engine(config.method),
+        "seed": config.seed, "enforce_feasibility": config.enforce_feasibility,
         "start": config.start, "lazy": config.lazy,
         "until_eps": args.until_eps, "max_k": args.max_k,
     })
@@ -179,75 +193,66 @@ def _cmd_solve(args) -> int:
     capped = False
     t0 = time.perf_counter()
     try:
-        sol = solve_online(instance, config)
-        residual = stopping_residual(instance, sol.x_hat,
-                                     np.maximum(sol.y_final, 0.0))
-        while args.until_eps is not None and residual > args.until_eps:
-            if duplication * 2 > args.max_k:
-                capped = True
-                break
-            duplication *= 2
-            config = _run_config(args, duplication)
+        while True:
             sol = solve_online(instance, config)
             residual = stopping_residual(instance, sol.x_hat,
                                          np.maximum(sol.y_final, 0.0))
+            if args.until_eps is None or residual <= args.until_eps:
+                break
+            if config.duplication * 2 > args.max_k:
+                capped = True
+                break
+            config = replace(config, duplication=config.duplication * 2)
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"error: solve failed: {exc}", file=sys.stderr)
         return EXIT_SOLVE
     wall = time.perf_counter() - t0
+    _echo("resolved", {"gamma": sol.gamma})
 
-    rel_opt = None
-    if args.exact:
-        opt = _exact_optimum(instance)
-        if opt not in (None, 0.0):
-            rel_opt = relative_optimality(instance, sol.x_hat, opt)
+    rel_opt = _rel_opt(instance, sol.x_hat) if args.exact else None
 
     print(f"objective   {sol.objective:.10g}")
     print(f"violation   {sol.violation:.10g}")
     print(f"residual    {residual:.6g}")
     if rel_opt is not None:
         print(f"rel_opt     {rel_opt:.6g}")
-    print(f"K           {duplication}")
+    print(f"K           {config.duplication}")
     print(f"time_s      {wall:.6g}")
     if capped:
         print(f"K cap {args.max_k} reached before residual <= {args.until_eps}",
               file=sys.stderr)
 
     if args.out:
-        record = ResultRecord(
-            instance=label, method=config.method, k=duplication, gamma=sol.gamma,
-            seed=config.seed, objective=sol.objective, violation=sol.violation,
-            rel_opt=rel_opt, wall_time_s=wall,
-        )
-        write_results_csv([record], _resolve_out(args.out))
+        write_results_csv([_record(label, config, sol, wall, rel_opt=rel_opt)],
+                          _resolve_out(args.out))
     return EXIT_LIMIT if capped else EXIT_OK
 
 
 # -- sift ---------------------------------------------------------------------
 
 def _cmd_sift(args) -> int:
+    with _settings_checked():
+        pre_config = RunConfig(
+            method=args.prepass_method, duplication=args.prepass_k,
+            seed=args.run_seed, start=args.prepass_start, lazy=args.prepass_lazy,
+        )
+        sift_config = SiftConfig(
+            init_threshold=args.init_threshold,
+            stabilization_alpha=args.alpha,
+            use_online_anchor=not args.no_anchor,
+            pricing_tolerance=args.pricing_tol,
+            max_new_columns_per_round=args.max_new_cols,
+            max_rounds=args.max_rounds,
+        )
     try:
         instance, label = _load_instance(args)
     except (MpsParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
-    pre_config = RunConfig(
-        method=args.prepass_method, duplication=args.prepass_k,
-        seed=args.run_seed, start=args.prepass_start, lazy=args.prepass_lazy,
-    )
-    sift_config = SiftConfig(
-        init_threshold=args.init_threshold,
-        stabilization_alpha=args.alpha,
-        use_online_anchor=not args.no_anchor,
-        pricing_tolerance=args.pricing_tol,
-        max_new_columns_per_round=args.max_new_cols,
-        max_rounds=args.max_rounds,
-    )
-    gamma = _derived_gamma(instance, pre_config)
     _echo("resolved", {
         "instance": label, "prepass_method": pre_config.method,
-        "prepass_K": pre_config.duplication, "gamma": gamma,
+        "prepass_K": pre_config.duplication, "stepsize": pre_config.stepsize,
         "engine": _engine(pre_config.method),
         "seed": pre_config.seed, "alpha": sift_config.stabilization_alpha,
         "anchor": sift_config.use_online_anchor,
@@ -267,6 +272,7 @@ def _cmd_sift(args) -> int:
         print(f"error: sift failed: {exc}", file=sys.stderr)
         return EXIT_SOLVE
     wall = time.perf_counter() - t0
+    _echo("resolved", {"gamma": online_sol.gamma})
     acc = None
     if instance.num_cols <= ACC_REFERENCE_LIMIT:
         acc = _seed_recall(instance, result.initial_working_set)
@@ -291,106 +297,66 @@ def _cmd_sift(args) -> int:
                                  f"{r.objective:.17g}", f"{r.wall_time_s:.17g}",
                                  r.iterations, int(r.warm_started)])
     if args.out:
-        record = ResultRecord(
-            instance=label, method=f"sift+{pre_config.method}",
-            k=pre_config.duplication, gamma=gamma, seed=pre_config.seed,
-            objective=result.objective, violation=0.0, rel_opt=None,
-            acc=acc, rdc=result.rdc, rounds=result.rounds, wall_time_s=wall,
-        )
+        record = _record(label, pre_config, online_sol, wall,
+                         method=f"sift+{pre_config.method}", objective=result.objective,
+                         violation=0.0, acc=acc, rdc=result.rdc, rounds=result.rounds)
         write_results_csv([record], _resolve_out(args.out))
     return EXIT_LIMIT if limited else EXIT_OK
 
 
 # -- bench --------------------------------------------------------------------
 
-def _bench_cells(args) -> list[dict]:
-    cells = []
-    if args.preset == "paper-fig1":
-        taus = np.logspace(-2, 0, 10)
-        grid = itertools.product(FIG_SIZES, taus, (1, 8),
-                                 ("explicit", "implicit"), range(args.reps))
-        for (m, n), tau, k, method, rep in grid:
-            cells.append(dict(m=m, n=n, tau=float(tau), sigma=1.0, k=k,
-                              method=method, rep=rep, enforce=True, exact=True,
-                              lazy=False))
-    elif args.preset == "paper-fig2":
-        grid = itertools.product(FIG_SIZES, FIG2_KS, ("explicit", "implicit"),
-                                 range(args.reps))
-        for (m, n), k, method, rep in grid:
-            cells.append(dict(m=m, n=n, tau=args.tau, sigma=1.0, k=k,
-                              method=method, rep=rep, enforce=True, exact=True,
-                              lazy=False))
-    elif args.preset == "cputime":
-        for (m, sigma), rep in itertools.product(CPUTIME_ROWS, range(args.reps)):
-            cells.append(dict(m=m, n=10_000, tau=0.25, sigma=sigma, k=1,
-                              method="explicit", rep=rep, enforce=False,
-                              exact=False, lazy=True))
-    else:
-        sizes = [tuple(int(t) for t in s.split("x")) for s in args.sizes.split(",")]
-        taus = [float(t) for t in args.taus.split(",")]
-        ks = [int(t) for t in args.ks.split(",")]
-        methods = args.methods.split(",")
-        grid = itertools.product(sizes, taus, ks, methods, range(args.reps))
-        for (m, n), tau, k, method, rep in grid:
-            cells.append(dict(m=m, n=n, tau=tau, sigma=args.sigma, k=k,
-                              method=method, rep=rep, enforce=args.enforce_feasibility,
-                              exact=args.exact, lazy=args.lazy))
-    for cell in cells:
-        cell["seed"] = args.seed + cell["rep"]
-    return cells
+def _grid_axis(convert):
+    """argparse ``type=`` for a comma-separated list, each item read by ``convert``."""
+    def parse(text: str) -> list:
+        try:
+            return [convert(item) for item in text.split(",")]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
 
 
-def _bench_cell(cell: dict) -> ResultRecord:
-    params = MkpParams(m=cell["m"], n=cell["n"], tightness=cell["tau"],
-                       density=cell["sigma"], seed=cell["seed"])
+def _size(text: str) -> tuple[int, int]:
+    m, sep, n = text.partition("x")
+    if not sep:
+        raise ValueError(f"size {text!r} is not MxN")
+    return int(m), int(n)
+
+
+def _bench_cell(args, size, tau, k, method, seed) -> ResultRecord:
+    params = MkpParams(m=size[0], n=size[1], tightness=tau, density=args.sigma, seed=seed)
     instance = generate_mkp(params)
-    config = RunConfig(method=cell["method"], duplication=cell["k"], seed=cell["seed"],
-                       enforce_feasibility=cell["enforce"], lazy=cell["lazy"])
+    config = RunConfig(method=method, duplication=k, seed=seed,
+                       enforce_feasibility=args.enforce_feasibility, lazy=args.lazy)
     t0 = time.perf_counter()
     sol = solve_online(instance, config)
     wall = time.perf_counter() - t0
-    rel_opt = None
-    if cell["exact"]:
-        res = solve_lp(instance)
-        if res.status is SolveStatus.OPTIMAL and res.obj != 0.0:
-            rel_opt = relative_optimality(instance, sol.x_hat, res.obj)
-    return ResultRecord(
-        instance=params.label(), method=cell["method"], k=cell["k"], gamma=sol.gamma,
-        seed=cell["seed"], objective=sol.objective, violation=sol.violation,
-        rel_opt=rel_opt, wall_time_s=wall,
-    )
+    rel_opt = _rel_opt(instance, sol.x_hat) if args.exact else None
+    return _record(params.label(), config, sol, wall, rel_opt=rel_opt)
 
 
 def _cmd_bench(args) -> int:
-    cells = _bench_cells(args)
-    _echo("resolved", {
-        "preset": args.preset or "custom", "cells": len(cells),
-        "reps": args.reps, "seed": args.seed, "workers": args.workers,
-        "engine": explicit_engine(),
-    })
-    records: list[ResultRecord | None] = [None] * len(cells)
+    with _settings_checked():  # the whole grid, before the first cell runs
+        for (m, n), tau in itertools.product(args.sizes, args.taus):
+            MkpParams(m=m, n=n, tightness=tau, density=args.sigma)
+        for k, method in itertools.product(args.ks, args.methods):
+            RunConfig(method=method, duplication=k, lazy=args.lazy)
+    cells = list(itertools.product(args.sizes, args.taus, args.ks, args.methods,
+                                   range(args.reps)))
+    _echo("resolved", {"cells": len(cells), "reps": args.reps, "seed": args.seed,
+                       "engine": explicit_engine()})
+    records = []
     failures = 0
-    if args.workers > 1 and len(cells) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
-            futures = [pool.submit(_bench_cell, cell) for cell in cells]
-            for i, fut in enumerate(futures):
-                try:
-                    records[i] = fut.result()
-                except Exception as exc:  # noqa: BLE001 - cell isolation
-                    failures += 1
-                    print(f"cell {i} failed: {exc}", file=sys.stderr)
-    else:
-        for i, cell in enumerate(cells):
-            try:
-                records[i] = _bench_cell(cell)
-            except Exception as exc:  # noqa: BLE001 - cell isolation
-                failures += 1
-                print(f"cell {i} failed: {exc}", file=sys.stderr)
+    for i, (size, tau, k, method, rep) in enumerate(cells):
+        try:
+            records.append(_bench_cell(args, size, tau, k, method, args.seed + rep))
+        except Exception as exc:  # noqa: BLE001 - cell isolation
+            failures += 1
+            print(f"cell {i} failed: {exc}", file=sys.stderr)
 
-    kept = [r for r in records if r is not None]
     out = _resolve_out(args.out)
-    write_results_csv(kept, out)
-    print(f"wrote {len(kept)} rows to {out}"
+    write_results_csv(records, out)
+    print(f"wrote {len(records)} rows to {out}"
           + (f" ({failures} cells failed)" if failures else ""))
     return EXIT_SOLVE if failures else EXIT_OK
 
@@ -480,19 +446,16 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     f.set_defaults(func=_cmd_sift)
 
     b = sub.add_parser("bench", help="grid of solve runs to CSV")
-    b.add_argument("--preset", choices=("paper-fig1", "paper-fig2", "cputime"))
-    b.add_argument("--sizes", default="5x100", help="custom grid: MxN list")
-    b.add_argument("--taus", default="0.25")
-    b.add_argument("--ks", default="1")
-    b.add_argument("--methods", default="explicit,implicit")
+    b.add_argument("--sizes", type=_grid_axis(_size), default="5x100", help="MxN list")
+    b.add_argument("--taus", type=_grid_axis(float), default="0.25")
+    b.add_argument("--ks", type=_grid_axis(int), default="1")
+    b.add_argument("--methods", type=_grid_axis(str), default="explicit,implicit")
     b.add_argument("--sigma", type=float, default=1.0)
-    b.add_argument("--tau", type=float, default=0.25, help="tau for paper-fig2")
     b.add_argument("--reps", type=int, default=1)
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--enforce-feasibility", action="store_true")
     b.add_argument("--exact", action="store_true")
     b.add_argument("--lazy", action="store_true")
-    b.add_argument("--workers", type=int, default=1)
     b.add_argument("--out", required=True)
     b.set_defaults(func=_cmd_bench)
 
@@ -529,7 +492,7 @@ def _coerce_default(parser: _Parser, action: argparse.Action, value: str):
         converted = value if action.type is None else action.type(value)
         if action.choices is None or converted in action.choices:
             return converted
-    except (KeyError, ValueError):
+    except (KeyError, ValueError, argparse.ArgumentTypeError):
         pass
     parser.error(f"config file: bad value {value!r} for {action.dest}")
 
@@ -544,7 +507,10 @@ def main(argv: list[str] | None = None) -> int:
     if known.config is not None:
         _apply_config_file(parser, commands, known.config)
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _UsageError as exc:
+        commands[args.command].error(str(exc))
 
 
 if __name__ == "__main__":

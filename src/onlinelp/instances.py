@@ -27,6 +27,8 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 15        # column chunk for generation; fixed, part of the stream
+VALUE_RANGE = (1, 1000)  # a_ij drawn uniformly from these integers
+DELTA_RANGE = (1, 500)   # delta_j drawn uniformly from these integers
 _MAX_REDRAWS = 10
 RHS_FLOOR = 1e-3        # netlib_modify: b_i := max(b_i, RHS_FLOOR)
 UPPER_CAP = 100.0       # netlib_modify: u_i := min(u_i, UPPER_CAP)
@@ -37,8 +39,7 @@ class MkpParams:
     """Multi-knapsack generator parameters.
 
     ``tightness`` scales capacities relative to average column mass;
-    ``density`` is the expected fraction of surviving entries.  The value
-    ranges are the benchmark defaults but stay overridable.
+    ``density`` is the expected fraction of surviving entries.
     """
 
     m: int
@@ -48,8 +49,6 @@ class MkpParams:
     seed: int = 0
     perturb_a3: bool = False
     b_pre_sparsify: bool = False
-    value_range: tuple[int, int] = (1, 1000)
-    delta_range: tuple[int, int] = (1, 500)
 
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
@@ -67,7 +66,7 @@ class MkpParams:
 def _draw_mkp(params: MkpParams, attempt: int) -> LpInstance | None:
     rng = np.random.default_rng([params.seed, attempt])
     m, n = params.m, params.n
-    lo, hi = params.value_range
+    lo, hi = VALUE_RANGE
     row_sums_pre = np.zeros(m)
     row_sums_post = np.zeros(m)
     col_sums = np.zeros(n)
@@ -96,8 +95,7 @@ def _draw_mkp(params: MkpParams, attempt: int) -> LpInstance | None:
     if np.any(b <= 0.0):
         return None
 
-    delta = rng.integers(params.delta_range[0], params.delta_range[1] + 1,
-                         size=n).astype(np.float64)
+    delta = rng.integers(DELTA_RANGE[0], DELTA_RANGE[1] + 1, size=n).astype(np.float64)
     c = col_sums / m + delta
     if params.perturb_a3:
         c = c * (1.0 + 1e-9 * rng.random(n))

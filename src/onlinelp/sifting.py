@@ -104,14 +104,15 @@ def price(instance: LpInstance, working_set, y, tol: float = 1e-7,
           max_new: int | None = None) -> np.ndarray:
     """Non-working columns with reduced cost c_j - <a_j, y> above tol.
 
-    One sparse sweep; optionally truncated to the most violated columns.
+    ``working_set`` is an array (or list) of column ids.  One sparse sweep;
+    optionally truncated to the most violated columns.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (instance.num_rows,):
         raise ValueError(f"y must have shape ({instance.num_rows},)")
     reduced = instance.obj - instance.to_scipy().T @ y
     outside = np.ones(instance.num_cols, dtype=bool)
-    outside[np.asarray(list(working_set), dtype=np.int64)] = False
+    outside[np.asarray(working_set, dtype=np.int64)] = False
     violated = np.flatnonzero(outside & (reduced > tol))
     if max_new is not None and violated.size > max_new:
         worst = np.argsort(reduced[violated])[::-1][:max_new]
@@ -144,21 +145,14 @@ def basis_metrics(reference_basis, initial_working_set, n: int) -> tuple[float, 
 
 
 def _map_warm_basis(prev: SimplexResult, w_prev: np.ndarray, w_new: np.ndarray,
-                    m: int) -> tuple[list[int], set[int]]:
-    n_prev, n_new = w_prev.size, w_new.size
-    basis = []
-    for j in prev.basis:
-        if j < n_prev:
-            basis.append(int(np.searchsorted(w_new, w_prev[j])))
-        else:
-            basis.append(n_new + (j - n_prev))
-    at_upper = set()
-    for j in prev.at_upper:
-        if j < n_prev:
-            at_upper.add(int(np.searchsorted(w_new, w_prev[j])))
-        else:
-            at_upper.add(n_new + (j - n_prev))
-    return basis, at_upper
+                    m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The previous basis and at-upper set as column ids of the new working
+    problem: working columns move to their place in w_new, slacks shift."""
+    new_id = np.concatenate([np.searchsorted(w_new, w_prev), w_new.size + np.arange(m)])
+
+    def mapped(ids):
+        return new_id[np.fromiter(ids, dtype=np.int64, count=len(ids))]
+    return mapped(prev.basis), mapped(prev.at_upper)
 
 
 def sift(instance: LpInstance, online_solution: OnlineSolution,

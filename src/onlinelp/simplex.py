@@ -38,6 +38,7 @@ FEAS_TOL = 1e-7      # primal feasibility checks
 OPT_TOL = 1e-9       # reduced-cost pricing threshold
 PIVOT_TOL = 1e-10    # smallest acceptable pivot element
 REFACTOR_PERIOD = 100  # refactorize after this many rank-1 updates
+DENSE_LIMIT = 2000   # largest m whose dense m x m basis inverse is formed
 STALL_WINDOW = 50    # iterations without progress before Bland's rule
 
 
@@ -238,8 +239,8 @@ def _pivot_loop(ws: _Workspace, cost: np.ndarray, x_b: np.ndarray,
             stall = 0
 
 
-def solve_lp(instance: LpInstance, warm_basis=None, max_iter: int | None = None,
-             dense_limit: int = 2000) -> SimplexResult:
+def solve_lp(instance: LpInstance, warm_basis=None,
+             max_iter: int | None = None) -> SimplexResult:
     """Exact bounded-variable simplex solve of an inequality-form LP.
 
     Parameters
@@ -252,11 +253,12 @@ def solve_lp(instance: LpInstance, warm_basis=None, max_iter: int | None = None,
         otherwise the solver starts cold.  The result's ``warm_started``
         says which happened.
     max_iter : optional iteration cap, default 50 * (m + n).
-    dense_limit : guard on the dense basis dimension m.
+
+    Raises ValueError when m exceeds DENSE_LIMIT.
     """
     m, n = instance.num_rows, instance.num_cols
-    if m > dense_limit:
-        raise ValueError(f"m={m} exceeds the dense-solver limit {dense_limit}")
+    if m > DENSE_LIMIT:
+        raise ValueError(f"m={m} exceeds the dense-solver limit {DENSE_LIMIT}")
     if max_iter is None:
         max_iter = 50 * (m + n)
 

@@ -78,14 +78,12 @@ class TestSolve:
         assert a.violation == b.violation
 
     def test_echoes_engine_and_records_the_runs_gamma(self, tmp_path, capsys, monkeypatch):
-        import onlinelp.cli as cli_mod
         import onlinelp.online as online_mod
         calls = []
 
         def counted(fn):
             return lambda *a, **k: calls.append(1) or fn(*a, **k)
 
-        monkeypatch.setattr(cli_mod, "compute_stats", counted(cli_mod.compute_stats))
         monkeypatch.setattr(online_mod, "compute_stats", counted(online_mod.compute_stats))
         out = tmp_path / "res.csv"
         assert run_cli(["solve", "--gen", "m=5,n=60,tau=0.2,seed=9", "--k", "4",
@@ -95,7 +93,19 @@ class TestSolve:
                       if l.startswith("resolved "))
         assert echoed["engine"] == online_mod.explicit_engine()
         assert read_results_csv(out)[0].gamma == float(echoed["gamma"])
-        assert len(calls) == 2   # the up-front echo and the pass itself
+        assert len(calls) == 1   # the pass itself; the echo reads its gamma
+
+    def test_until_eps_echoes_and_records_the_last_pass(self, tmp_path, capsys):
+        out = tmp_path / "res.csv"
+        run_cli(["solve", "--gen", "m=3,n=30,tau=0.5,seed=1", "--until-eps", "1e-9",
+                 "--max-k", "8", "--out", str(out)])
+        lines = capsys.readouterr().out.splitlines()
+        echoed = dict(l[len("resolved "):].split(" = ", 1) for l in lines
+                      if l.startswith("resolved "))
+        printed_k = int(next(l for l in lines if l.startswith("K ")).split()[1])
+        rec = read_results_csv(out)[0]
+        assert echoed["K"] == "1" and printed_k == rec.k == 8
+        assert rec.gamma == float(echoed["gamma"])
 
     def test_parse_failure_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.mps"
@@ -130,6 +140,7 @@ class TestSift:
         assert "rounds" in text and "rdc" in text
         recs = read_results_csv(out)
         assert recs[0].rounds >= 1
+        assert f"resolved gamma = {recs[0].gamma}" in text.splitlines()
         with open(trace) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["round", "working", "priced", "objective", "wall_time_s",
@@ -161,11 +172,13 @@ class TestSift:
 
 
 class TestBench:
-    def test_custom_grid_csv_shape(self, tmp_path, capsys):
+    @pytest.mark.parametrize("extra", [[], ["--lazy", "--sigma", "0.5"]],
+                             ids=["dense", "lazy"])
+    def test_custom_grid_csv_shape(self, tmp_path, capsys, extra):
         out = tmp_path / "grid.csv"
         code = run_cli(["bench", "--sizes", "3x20,4x30", "--taus", "0.2,0.5",
                         "--ks", "1,2", "--methods", "explicit", "--reps", "2",
-                        "--exact", "--enforce-feasibility", "--out", str(out)])
+                        "--exact", "--enforce-feasibility", "--out", str(out), *extra])
         assert code == 0
         capsys.readouterr()
         recs = read_results_csv(out)
@@ -192,12 +205,13 @@ class TestBench:
         capsys.readouterr()
         assert read_results_csv(out) == []
 
-    def test_fig2_preset_shape(self, tmp_path, capsys, monkeypatch):
-        import onlinelp.cli as cli_mod
-        monkeypatch.setattr(cli_mod, "FIG_SIZES", ((3, 24),))
+    def test_fig2_preset_shape(self, tmp_path, capsys):
+        # the README's fig-2 K sweep, on one small size
         out = tmp_path / "fig2.csv"
-        code = run_cli(["bench", "--preset", "paper-fig2", "--tau", "0.3",
-                        "--reps", "2", "--out", str(out)])
+        code = run_cli(["bench", "--sizes", "3x24", "--taus", "0.3",
+                        "--ks", "1,2,4,8,16,32", "--methods", "explicit,implicit",
+                        "--reps", "2", "--enforce-feasibility", "--exact",
+                        "--out", str(out)])
         assert code == 0
         capsys.readouterr()
         recs = read_results_csv(out)
@@ -206,27 +220,14 @@ class TestBench:
         assert {r.k for r in recs} == {1, 2, 4, 8, 16, 32}
         assert all(r.rel_opt is not None for r in recs)
 
-    def test_cputime_preset_small(self, tmp_path, capsys, monkeypatch):
-        import onlinelp.cli as cli_mod
-        monkeypatch.setattr(cli_mod, "CPUTIME_ROWS", ((3, 0.5), (6, 0.5)))
-        out = tmp_path / "cpu.csv"
-        code = run_cli(["bench", "--preset", "cputime", "--out", str(out)])
+    def test_reference_solve_refused_leaves_rel_opt_empty(self, tmp_path, capsys):
+        out = tmp_path / "wide.csv"
+        code = run_cli(["bench", "--sizes", "2001x1", "--methods", "explicit",
+                        "--exact", "--out", str(out)])
         assert code == 0
-        capsys.readouterr()
+        assert "warning: exact reference solve skipped" in capsys.readouterr().err
         recs = read_results_csv(out)
-        assert len(recs) == 2
-        assert all(r.wall_time_s >= 0 for r in recs)
-
-    def test_worker_pool_matches_serial(self, tmp_path, capsys):
-        args = ["bench", "--sizes", "3x20", "--taus", "0.3", "--ks", "1,2",
-                "--methods", "explicit,implicit", "--reps", "2"]
-        out1, out2 = tmp_path / "s.csv", tmp_path / "p.csv"
-        assert run_cli(args + ["--workers", "1", "--out", str(out1)]) == 0
-        assert run_cli(args + ["--workers", "2", "--out", str(out2)]) == 0
-        capsys.readouterr()
-        serial = read_results_csv(out1)
-        parallel = read_results_csv(out2)
-        assert [r.objective for r in serial] == [r.objective for r in parallel]
+        assert len(recs) == 1 and recs[0].rel_opt is None
 
 
 class TestPlumbing:
@@ -264,6 +265,25 @@ class TestPlumbing:
             run_cli(["--config", str(cfg), "solve", "--gen", "m=3,n=20,tau=0.4,seed=0"])
         assert exc.value.code == 2
         assert "no_such_option" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, message", [
+        (["solve", "--k", "0"], "duplication must be >= 1"),
+        (["solve", "--gamma", "-1"], "fixed stepsize must be positive"),
+        (["sift", "--alpha", "2"], "stabilization_alpha must lie in (0, 1]"),
+        (["sift", "--prepass-k", "0"], "duplication must be >= 1"),
+        (["bench", "--sizes", "5"], "size '5' is not MxN"),
+        (["bench", "--sizes", "5x"], "invalid literal for int()"),
+        (["bench", "--taus", "0.2,,0.3"], "could not convert string to float"),
+        (["bench", "--methods", "foo"], "method must be one of"),
+    ])
+    def test_out_of_range_setting_is_usage_error(self, tmp_path, capsys, args, message):
+        target = ["--out", str(tmp_path / "x.csv")] if args[0] == "bench" else \
+            ["--gen", "m=3,n=20,tau=0.4,seed=0"]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(args + target)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
     def test_console_script_help(self):
         proc = subprocess.run(

@@ -51,7 +51,7 @@ class TestPrice:
         inst = generate_mkp(MkpParams(m=6, n=80, tightness=0.2, density=0.5, seed=1))
         y = rng.random(6) * 3
         working = set(rng.choice(80, size=20, replace=False).tolist())
-        got = price(inst, working, y, tol=1e-7)
+        got = price(inst, sorted(working), y, tol=1e-7)
         reduced = inst.obj - inst.to_dense().T @ y
         expected = np.array(sorted(j for j in range(80)
                                    if j not in working and reduced[j] > 1e-7))
