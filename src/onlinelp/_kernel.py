@@ -1,13 +1,18 @@
-"""Build-on-first-use loader of the compiled explicit-pass kernel, ``_kernel.c``.
+"""Build-on-first-use loader of the compiled kernel, ``_kernel.c``.
+
+The kernel holds two loops: the explicit online pass (``explicit_pass``)
+and the simplex pivot loop (``simplex_pivots``).  They are built, cached
+and loaded as one library and resolved as a unit: ``load()`` returns the
+library with both functions, or None with one reason.
 
 The first ``load()`` compiles the C source with the system compiler into
 ``~/.cache/onlinelp``, under a name keyed by a hash of the source, the
 flags and the compiler, and loads it with ctypes.  The library is written
 to a temporary file and renamed into place, so concurrent first uses never
 see a partial file.  Where that directory cannot be written, the library
-is built for this process alone.  When there is no compiler or the build
-fails, ``load()`` returns None, ``reason()`` says why, and the explicit
-engine runs its Python loop.
+is built for this process alone.  When there is no compiler, the build
+fails or a function is missing, ``load()`` returns None, ``reason()`` says
+why, and both engines run their numpy loops.
 """
 
 from __future__ import annotations
@@ -22,22 +27,33 @@ import threading
 from pathlib import Path
 
 SOURCE = Path(__file__).with_name("_kernel.c")
-FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 BUILD_TIMEOUT_S = 120
 
-# the kernel's return status
+# explicit_pass's return status
 DONE, TIE, ESCAPED = 0, 1, 2
+# simplex_pivots's return reason
+OPTIMAL, UNBOUNDED, LIMIT, REFACTOR = 0, 1, 2, 3
 
 _ptr, _i64, _f64, _int = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double, ctypes.c_int
-_ARGTYPES = (
-    _i64, _ptr, _ptr, _ptr, _ptr, _ptr,    # m, col_ptr, row_idx, vals, c, step_d
-    _f64, _ptr, _i64, _i64, _int,          # gamma, seq, k0, T, forced
-    _ptr, _ptr, _ptr, _ptr,                # y_base, last, remaining, x_sum
-    _int, _f64, _ptr, ctypes.POINTER(_int),  # dense, norm_bound, acc, status
-)
+_SIGNATURES = {
+    "explicit_pass": (_i64, (
+        _i64, _ptr, _ptr, _ptr, _ptr, _ptr,    # m, col_ptr, row_idx, vals, c, step_d
+        _f64, _ptr, _i64, _i64, _int,          # gamma, seq, k0, T, forced
+        _ptr, _ptr, _ptr, _ptr,                # y_base, last, remaining, x_sum
+        _int, _f64, _ptr, ctypes.POINTER(_int),  # dense, norm_bound, acc, status
+    )),
+    "simplex_pivots": (_int, (
+        _i64, _i64, _i64, _ptr, _ptr, _ptr, _ptr,  # m, n, n_art, col_ptr, row_idx, vals, art_rows
+        _ptr, _ptr, _ptr, _ptr, _ptr,              # cost, allow, upper, status, basis
+        _ptr, _ptr, _ptr, _i64, _ptr,              # binv, x_b, work, limit, state
+        _f64, _f64,                                # opt_tol, pivot_tol
+        _i64, _i64,                                # refactor_period, stall_window
+    )),
+}
 
 _lock = threading.Lock()
-_state: tuple | None = None   # (kernel function or None, reason); None until tried
+_state: tuple | None = None   # (library or None, reason); None until tried
 
 
 class _Unavailable(Exception):
@@ -91,16 +107,21 @@ def _try_load() -> tuple:
     if cc is None:
         return None, "no C compiler (cc) on PATH"
     try:
-        fn = _open(cc).explicit_pass
+        lib = _open(cc)
     except (_Unavailable, OSError, subprocess.SubprocessError) as exc:
         return None, f"kernel build failed: {exc}"
-    fn.argtypes = _ARGTYPES
-    fn.restype = ctypes.c_int64
-    return fn, ""
+    for name, (restype, argtypes) in _SIGNATURES.items():
+        try:
+            fn = getattr(lib, name)
+        except AttributeError:
+            return None, f"kernel has no function {name}"
+        fn.restype, fn.argtypes = restype, argtypes
+    return lib, ""
 
 
 def load():
-    """The kernel function, or None when it cannot be built or loaded."""
+    """The kernel library, with ``explicit_pass`` and ``simplex_pivots``
+    set up, or None when it cannot be built or loaded."""
     global _state
     with _lock:
         if _state is None:

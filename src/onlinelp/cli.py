@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import itertools
 import os
 import sys
@@ -123,8 +124,8 @@ def _reference_solve(instance) -> SimplexResult | None:
     return res
 
 
-def _rel_opt(instance, x_hat) -> float | None:
-    ref = _reference_solve(instance)
+def _rel_opt(instance, x_hat, ref: SimplexResult | None) -> float | None:
+    """rel_opt of x_hat against the reference solve ``ref``."""
     if ref is None or ref.obj == 0.0:
         return None
     return relative_optimality(instance, x_hat, ref.obj)
@@ -209,7 +210,7 @@ def _cmd_solve(args) -> int:
     wall = time.perf_counter() - t0
     _echo("resolved", {"gamma": sol.gamma})
 
-    rel_opt = _rel_opt(instance, sol.x_hat) if args.exact else None
+    rel_opt = _rel_opt(instance, sol.x_hat, _reference_solve(instance)) if args.exact else None
 
     print(f"objective   {sol.objective:.10g}")
     print(f"violation   {sol.violation:.10g}")
@@ -323,15 +324,22 @@ def _size(text: str) -> tuple[int, int]:
     return int(m), int(n)
 
 
-def _bench_cell(args, size, tau, k, method, seed) -> ResultRecord:
+def _bench_instance(args, size, tau, seed):
+    """The params and instance of one (size, tau, seed) of the grid, and its
+    reference solve under --exact (None otherwise)."""
     params = MkpParams(m=size[0], n=size[1], tightness=tau, density=args.sigma, seed=seed)
     instance = generate_mkp(params)
+    return params, instance, _reference_solve(instance) if args.exact else None
+
+
+def _bench_cell(args, bench_instance, k, method, seed) -> ResultRecord:
+    params, instance, ref = bench_instance
     config = RunConfig(method=method, duplication=k, seed=seed,
                        enforce_feasibility=args.enforce_feasibility, lazy=args.lazy)
     t0 = time.perf_counter()
     sol = solve_online(instance, config)
     wall = time.perf_counter() - t0
-    rel_opt = _rel_opt(instance, sol.x_hat) if args.exact else None
+    rel_opt = _rel_opt(instance, sol.x_hat, ref) if args.exact else None
     return _record(params.label(), config, sol, wall, rel_opt=rel_opt)
 
 
@@ -345,11 +353,16 @@ def _cmd_bench(args) -> int:
                                    range(args.reps)))
     _echo("resolved", {"cells": len(cells), "reps": args.reps, "seed": args.seed,
                        "engine": explicit_engine()})
+    # cells differing only in K or method share an instance and its
+    # reference solve; the reps of one (size, tau) run interleaved
+    instance_of = functools.lru_cache(maxsize=max(args.reps, 1))(
+        functools.partial(_bench_instance, args))
     records = []
     failures = 0
     for i, (size, tau, k, method, rep) in enumerate(cells):
         try:
-            records.append(_bench_cell(args, size, tau, k, method, args.seed + rep))
+            records.append(_bench_cell(args, instance_of(size, tau, args.seed + rep),
+                                       k, method, args.seed + rep))
         except Exception as exc:  # noqa: BLE001 - cell isolation
             failures += 1
             print(f"cell {i} failed: {exc}", file=sys.stderr)

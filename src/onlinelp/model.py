@@ -6,11 +6,13 @@ The package works on inequality-form linear programs
 
 with the constraint matrix held in compressed sparse-column form so that
 single columns can be visited in time proportional to their nonzero count.
-All metric functions here are pure; nothing is cached on the instance.
+All metric functions here are pure.  The one thing an instance caches is
+its scipy matrix (``to_scipy``), which is read-only like the instance.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -143,11 +145,17 @@ class LpInstance:
         return self.row_idx[lo:hi], self.values[lo:hi]
 
     def to_scipy(self) -> sp.csc_matrix:
-        """Fresh scipy CSC view of A (constructed per call, never cached)."""
-        return sp.csc_matrix(
-            (self.values, self.row_idx, self.col_ptr),
-            shape=(self.num_rows, self.num_cols),
-        )
+        """Scipy CSC form of A, built on the first call and kept; every call
+        returns the same matrix, whose arrays are read-only."""
+        return self._csc
+
+    @functools.cached_property
+    def _csc(self) -> sp.csc_matrix:
+        A = sp.csc_matrix((self.values, self.row_idx, self.col_ptr),
+                          shape=(self.num_rows, self.num_cols))
+        for a in (A.data, A.indices, A.indptr):
+            a.flags.writeable = False
+        return A
 
     def to_dense(self) -> np.ndarray:
         return self.to_scipy().toarray()
@@ -165,13 +173,34 @@ class LpInstance:
                           self.rhs, self.obj[cols], self.upper[cols], meta=meta)
 
 
+class _Deferred:
+    """A dataclass field, default None, whose value may be given as a
+    zero-argument callable: the first read calls it and keeps the result."""
+
+    def __set_name__(self, owner, name):
+        self.slot = "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return None
+        value = obj.__dict__[self.slot]
+        if callable(value):
+            value = obj.__dict__[self.slot] = value()
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.slot] = value
+
+
 @dataclass(frozen=True)
 class InstanceStats:
     """Single-pass data summaries used by stepsize rules and dual bounds.
 
     ``f_bar`` bounds the optimum of the finite-sum dual of the online pass,
     F(y) = <d, y> + (1/n) sum_j [c_j - <a_j, y>]_+ over y >= 0, from above;
-    None stands for the trivial bound F(0) <= c_bar.
+    None stands for the trivial bound F(0) <= c_bar.  It may be given as a
+    zero-argument callable, which is called on the first read of ``f_bar``
+    and replaced by its result.
     """
 
     a_bar: float      # max_j ||a_j||_inf
@@ -180,7 +209,7 @@ class InstanceStats:
     d_hi: float       # max_i b_i / n
     nnz: int
     assumptions_ok: bool
-    f_bar: float | None = None   # min_{eta >= 0} F(eta * 1) >= min_y F(y)
+    f_bar: float | None = _Deferred()   # min_{eta >= 0} F(eta * 1) >= min_y F(y)
 
 
 def _uniform_dual_value(instance: LpInstance) -> float:
@@ -215,14 +244,16 @@ def _uniform_dual_value(instance: LpInstance) -> float:
 
 def compute_stats(instance: LpInstance) -> InstanceStats:
     """Exact maxima/minima of the instance data in one sparse traversal,
-    plus the uniform-dual bound ``f_bar`` (one extra sort over the columns)."""
+    plus the uniform-dual bound ``f_bar``.  That one costs a sort over the
+    columns, which runs on the first read of ``f_bar``: a step rule that
+    never reads it never pays for it."""
     a_bar = float(np.max(np.abs(instance.values))) if instance.nnz else 0.0
     c_bar = float(np.max(np.abs(instance.obj)))
     d = instance.rhs / instance.num_cols
     d_lo = float(d.min())
     d_hi = float(d.max())
     return InstanceStats(a_bar, c_bar, d_lo, d_hi, instance.nnz, d_lo > 0.0,
-                         _uniform_dual_value(instance))
+                         functools.partial(_uniform_dual_value, instance))
 
 
 @dataclass(frozen=True)

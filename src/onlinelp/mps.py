@@ -570,36 +570,60 @@ def _assemble(r: _Reader) -> LpInstance:
                       np.where(shifted, up - lo, up)[kept], meta=meta)
 
 
+_WRITE_BLOCK = 1 << 12   # columns per block of the COLUMNS section
+
+
+def _g17(values: np.ndarray) -> np.ndarray:
+    """f"{v:.17g}" of each value, as an object array; each distinct value
+    is formatted once."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return np.array([f"{v:.17g}" for v in distinct.tolist()], dtype=object)[inverse]
+
+
 def write_mps(instance: LpInstance, destination, name: str = "ONLINELP") -> None:
     """Write the instance as free-format MPS (OBJSENSE MAX, all-L rows).
 
     parse_mps(write_mps(inst)) reproduces the instance structurally, which
-    is what the round-trip tests rely on.
+    is what the round-trip tests rely on.  Values are written with
+    ``.17g``, so they read back exactly.  The COLUMNS section is built from
+    whole arrays, a block of columns at a time.
     """
+    m, n = instance.num_rows, instance.num_cols
+    cp, obj, upper = instance.col_ptr, instance.obj, instance.upper
+    xname = np.array([f"    X{j}  " for j in range(n)], dtype=object)
+    rname = np.array([f"R{i}  " for i in range(m)], dtype=object)
+
     def _write(fh):
         w = fh.write
         w(f"NAME          {name}\n")
         w("OBJSENSE\n    MAX\n")
         w("ROWS\n")
         w(" N  OBJ\n")
-        for i in range(instance.num_rows):
-            w(f" L  R{i}\n")
+        w("".join(f" L  R{i}\n" for i in range(m)))
         w("COLUMNS\n")
-        for j in range(instance.num_cols):
-            cname = f"X{j}"
-            if instance.obj[j] != 0.0:
-                w(f"    {cname}  OBJ  {instance.obj[j]:.17g}\n")
-            rows, vals = instance.column(j)
-            for i, v in zip(rows, vals):
-                w(f"    {cname}  R{i}  {v:.17g}\n")
+        for lo in range(0, n, _WRITE_BLOCK):
+            hi = min(lo + _WRITE_BLOCK, n)
+            # each column's OBJ line, when c_j != 0, comes before its
+            # entries, so an entry moves down by the OBJ lines up to its
+            # column, and the OBJ line sits just above the column's first entry
+            has_obj = obj[lo:hi] != 0.0
+            shift = np.cumsum(has_obj)
+            col = np.repeat(np.arange(lo, hi), np.diff(cp[lo:hi + 1]))
+            entries = slice(cp[lo], cp[hi])
+            lines = np.empty(cp[hi] - cp[lo] + shift[-1], dtype=object)
+            lines[np.arange(lines.size - shift[-1]) + shift[col - lo]] = (
+                xname[col] + rname[instance.row_idx[entries]] + _g17(instance.values[entries]))
+            j = np.flatnonzero(has_obj)
+            lines[cp[lo + j] - cp[lo] + shift[j] - 1] = xname[lo + j] + "OBJ  " + _g17(obj[lo + j])
+            if lines.size:
+                w("\n".join(lines.tolist()) + "\n")
         w("RHS\n")
-        for i in range(instance.num_rows):
-            if instance.rhs[i] != 0.0:
-                w(f"    RHS  R{i}  {instance.rhs[i]:.17g}\n")
+        i = np.flatnonzero(instance.rhs != 0.0)
+        w("".join(f"    RHS  R{r}  {v}\n"
+                  for r, v in zip(i.tolist(), _g17(instance.rhs[i]).tolist())))
         w("BOUNDS\n")
-        for j in range(instance.num_cols):
-            if np.isfinite(instance.upper[j]):
-                w(f" UP BND  X{j}  {instance.upper[j]:.17g}\n")
+        j = np.flatnonzero(np.isfinite(upper))
+        w("".join(f" UP BND  X{c}  {v}\n" for c, v in zip(j.tolist(), _g17(upper[j]).tolist())))
         w("ENDATA\n")
 
     if hasattr(destination, "write"):
@@ -610,3 +634,4 @@ def write_mps(instance: LpInstance, destination, name: str = "ONLINELP") -> None
             _write(fh)
     except OSError as exc:
         raise OSError(f"cannot write MPS to {destination!r}: {exc}") from exc
+

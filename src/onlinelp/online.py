@@ -24,9 +24,10 @@ passes share the same per-coordinate arithmetic, so their outputs agree
 bitwise.
 
 Both explicit passes run their per-column loop in a small C kernel
-(``_kernel.c``), built with the system C compiler on first use and loaded
-with ctypes; without a compiler, or when the build fails, the numpy loop
-``_python_loop`` runs instead.  ``explicit_engine()`` says which one runs.
+(``_kernel.c``, which also holds the simplex's pivot loop), built with the
+system C compiler on first use and loaded with ctypes; without a compiler,
+or when the build fails, the numpy loop ``_python_loop`` runs instead.
+``explicit_engine()`` says which one runs.
 The kernel's contract is bitwise equality with that loop, which stays its
 reference:
 
@@ -228,10 +229,12 @@ def default_stepsize(stats: InstanceStats, num_rows: int, num_cols: int,
         return gamma
     simple = 1.0 / math.sqrt(duplication * num_rows * num_cols)
     if mode == "scaled":
-        f_bar = stats.c_bar if stats.f_bar is None else stats.f_bar
         spread = stats.a_bar + stats.d_hi
         capacity = duplication * num_cols * stats.d_lo
-        if capacity < spread or f_bar <= 0:
+        if capacity < spread:   # starved: f_bar is not read, so not computed
+            return simple
+        f_bar = stats.c_bar if stats.f_bar is None else stats.f_bar
+        if f_bar <= 0:
             return simple
         return f_bar / stats.d_lo / math.sqrt(spread * capacity)
     if mode == "simple":
@@ -462,7 +465,8 @@ def _explicit_pass(instance: LpInstance, seq: np.ndarray, gamma: float,
 def explicit_engine() -> str:
     """Which engine runs the explicit pass: "compiled", or "python: <why>".
 
-    The first call builds or loads the compiled kernel (see ``_kernel``).
+    The simplex's pivot loop lives in the same kernel, so this names its
+    engine too.  The first call builds or loads the kernel (see ``_kernel``).
     """
     if _kernel.load() is not None:
         return "compiled"
@@ -516,7 +520,7 @@ def _compiled_loop(instance, seq, gamma, state, remaining, x_sum, lazy, norm_bou
     exactly as numpy would; that decision is made here with the reference's
     own expression and the kernel resumes with it.
     """
-    kernel = _kernel.load()
+    kernel = _kernel.load().explicit_pass
     seq = np.ascontiguousarray(seq, dtype=np.int64)
     acc = np.array(norm_acc)
     status = ctypes.c_int()

@@ -9,12 +9,36 @@ matrix-vector product each.  Pricing is Dantzig with a Bland fallback once
 the objective stalls.  Negative right-hand sides are handled by a standard
 artificial-variable Phase 1.
 
+The pivots run in the compiled kernel (``_kernel.c``, the library that also
+holds the explicit pass; see ``_kernel``) when it is loaded, and otherwise
+in ``_python_pivots``, its numpy reference.  The kernel does btran,
+pricing over the slack-extended columns straight from the CSC arrays,
+ftran of the entering column, the bounded ratio test with bound flips, the
+rank-1 update and the stall count.  It hands control back at each
+refactorization (every REFACTOR_PERIOD updates, or a pivot below
+PIVOT_TOL): Python refactors with LAPACK, recomputes the basic values and
+resumes it.  It also returns at optimality, unboundedness and the
+iteration limit; Phase 1, warm starts and the result stay in Python.
+``explicit_engine()`` in ``onlinelp.online`` names the engine of both.
+
+The two engines agree bit for bit, because the reference fixes the order
+of every sum and the kernel repeats it:
+
+* btran adds c_k B^-1[k] over the basis positions k with c_k != 0, in
+  order (``np.cumsum``, so starting from the first term);
+* ftran adds a_rj B^-1[:, r] over the entering column's nonzeros in stored
+  order, the same way;
+* pricing sums each column's a_ij y_i in stored order, starting from 0.0;
+* the ratio test and the rank-1 update are elementwise, with ties broken
+  by first position as ``np.argmax`` and ``np.argmin`` break them.
+
 Working problems produced by sifting are small by construction, so there is
 deliberately no sparse factorization machinery here.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
@@ -22,9 +46,10 @@ from enum import Enum
 import numpy as np
 import scipy.linalg as sla
 
+from . import _kernel
 from .model import LpInstance
 
-_getrf, = sla.get_lapack_funcs(("getrf",), (np.zeros((1, 1)),))
+_getrf, _getri = sla.get_lapack_funcs(("getrf", "getri"), (np.zeros((1, 1)),))
 
 __all__ = [
     "SolveStatus",
@@ -74,7 +99,6 @@ class _Workspace:
         self.inst = instance
         self.m = instance.num_rows
         self.n = instance.num_cols
-        self.AT = instance.to_scipy().T.tocsr()   # built once, for pricing
         self.b = instance.rhs
         self.art_rows = art_rows                  # rows carrying a -1 artificial
         self.n_art = art_rows.size
@@ -87,42 +111,66 @@ class _Workspace:
         # 0 = nonbasic at lower, 1 = nonbasic at upper, 2 = basic
         self.status = np.zeros(self.n_total, dtype=np.int8)
         self.basis = np.empty(self.m, dtype=np.int64)
-        self.binv = np.empty((self.m, self.m))   # explicit basis inverse
+        self.binv = np.empty((self.m, self.m))   # explicit basis inverse, row-major
         self.updates = 0                          # rank-1 updates since refactorization
+        self.work = np.empty(4 * self.m)          # the kernel's scratch
 
-    def column(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        if j < self.n:
-            return self.inst.column(j)
-        if j < self.n + self.m:
-            return np.array([j - self.n]), np.array([1.0])
-        return np.array([self.art_rows[j - self.n - self.m]]), np.array([-1.0])
-
-    def dense_column(self, j: int) -> np.ndarray:
-        g = np.zeros(self.m)
-        rows, vals = self.column(j)
-        g[rows] = vals
-        return g
+    def entries(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, values, owner) of the nonzeros of columns ``cols`` of
+        [A I -E], column by column in stored order; owner[e] is the place in
+        ``cols`` of the column that entry e belongs to."""
+        cols = np.asarray(cols, dtype=np.int64)
+        cp = self.inst.col_ptr
+        struct_id = np.minimum(cols, self.n - 1)   # a stand-in for slacks, artificials
+        starts = cp[struct_id]
+        counts = np.where(cols < self.n, cp[struct_id + 1] - starts, 1)
+        owner = np.repeat(np.arange(cols.size), counts)
+        first = np.cumsum(counts) - counts
+        at = np.repeat(starts - first, counts) + np.arange(owner.size)
+        rows = np.empty(owner.size, dtype=np.int64)
+        vals = np.empty(owner.size)
+        own = cols[owner]
+        struct = own < self.n
+        rows[struct] = self.inst.row_idx[at[struct]]
+        vals[struct] = self.inst.values[at[struct]]
+        slack = ~struct & (own < self.n + self.m)
+        rows[slack] = own[slack] - self.n
+        vals[slack] = 1.0
+        art = own >= self.n + self.m
+        rows[art] = self.art_rows[own[art] - self.n - self.m]
+        vals[art] = -1.0
+        return rows, vals, owner
 
     # -- factorization -----------------------------------------------------
 
     def refactorize(self):
         B = np.zeros((self.m, self.m))
-        for pos, j in enumerate(self.basis):
-            rows, vals = self.column(j)
-            B[rows, pos] = vals
-        # LAPACK's getrf as lu_factor calls it, minus lu_factor's warning on an
-        # exactly singular B: the check below refuses that basis itself
+        rows, vals, pos = self.entries(self.basis)
+        B[rows, pos] = vals
+        # LAPACK's getrf and getri, without lu_factor's warning on an exactly
+        # singular B: the check below refuses that basis itself
         lu, piv, _ = _getrf(B)
         if np.min(np.abs(np.diag(lu))) < PIVOT_TOL * max(1.0, np.max(np.abs(B))):
             raise SingularBasisError("singular basis matrix")
-        self.binv = sla.lu_solve((lu, piv), np.eye(self.m), check_finite=False)
+        self.binv = np.ascontiguousarray(_getri(lu, piv)[0])
         self.updates = 0
 
     def ftran(self, g: np.ndarray) -> np.ndarray:
         return self.binv @ g
 
+    def ftran_column(self, j: int) -> np.ndarray:
+        """B^-1 a_j, adding the terms of each row in the column's stored order."""
+        rows, vals, _ = self.entries([j])
+        if rows.size == 0:
+            return np.zeros(self.m)
+        return np.cumsum(self.binv[:, rows] * vals, axis=1)[:, -1]
+
     def btran(self, c: np.ndarray) -> np.ndarray:
-        return c @ self.binv
+        """c B^-1, adding the terms of the nonzero costs in basis order."""
+        k = np.flatnonzero(c)
+        if k.size == 0:
+            return np.zeros(self.m)
+        return np.cumsum(c[k, None] * self.binv[k], axis=0)[-1].copy()
 
     def update(self, r: int, w: np.ndarray) -> bool:
         """Replace basis position r, whose entering column has ftran w."""
@@ -131,112 +179,164 @@ class _Workspace:
         row = self.binv[r] / w[r]
         self.binv -= np.outer(w, row)
         self.binv[r] = row
-        self.updates += 1
         return True
 
     # -- primal state --------------------------------------------------------
 
     def effective_rhs(self) -> np.ndarray:
-        rhs = self.b.astype(np.float64).copy()
-        for j in np.flatnonzero(self.status == 1):
-            rows, vals = self.column(j)
-            rhs[rows] -= vals * self.upper[j]
+        rhs = self.b.astype(np.float64)
+        up = np.flatnonzero(self.status == 1)
+        rows, vals, owner = self.entries(up)
+        np.subtract.at(rhs, rows, vals * self.upper[up][owner])   # in column order
         return rhs
 
     def basic_values(self) -> np.ndarray:
         return self.ftran(self.effective_rhs())
 
+    @functools.cached_property
+    def _by_place(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The structural nonzeros grouped by their place in their column.
+
+        Group p holds (columns, rows, values) of the (p+1)-th nonzero of
+        every column that has one, so adding the groups in order sums each
+        column in its stored order.
+        """
+        cp = self.inst.col_ptr
+        col = np.repeat(np.arange(self.n), np.diff(cp))
+        place = np.arange(cp[-1]) - cp[col]
+        order = np.argsort(place, kind="stable")
+        groups = np.split(order, np.cumsum(np.bincount(place))[:-1]) if place.size else []
+        return [(col[g], self.inst.row_idx[g], self.inst.values[g]) for g in groups]
+
     def reduced_costs(self, cost: np.ndarray, y: np.ndarray) -> np.ndarray:
+        dot = np.zeros(self.n)
+        for cols, rows, vals in self._by_place:
+            dot[cols] += vals * y[rows]
         z = np.empty(self.n_total)
-        z[:self.n] = cost[:self.n] - self.AT @ y
+        z[:self.n] = cost[:self.n] - dot
         z[self.n:self.n + self.m] = cost[self.n:self.n + self.m] - y
         if self.n_art:
             z[self.n + self.m:] = cost[self.n + self.m:] + y[self.art_rows]
         return z
 
 
+# the pivot loops' state vector: iterations, stall count, Bland flag, and
+# rank-1 updates since the last refactorization
+_ITERS, _STALL, _BLAND, _UPDATES = range(4)
+
+
 def _pivot_loop(ws: _Workspace, cost: np.ndarray, x_b: np.ndarray,
                 allow_entering: np.ndarray, max_iter: int,
-                iteration_offset: int) -> tuple[str, np.ndarray, int]:
+                iteration_offset: int) -> tuple[int, np.ndarray, int]:
     """Run primal pivots until optimality/unboundedness/limit.
 
-    Returns (reason, x_b, iterations_used); reason in {"optimal",
-    "unbounded", "limit"}.
+    Returns (reason, x_b, iterations_used); reason is one of the kernel's
+    OPTIMAL, UNBOUNDED and LIMIT.  The pivots run in the compiled kernel
+    when it is loaded and in ``_python_pivots``, its reference, otherwise;
+    either hands back here for each refactorization.
+    """
+    pivots = _python_pivots if _kernel.load() is None else _compiled_pivots
+    state = np.zeros(4, dtype=np.int64)
+    while True:
+        state[_UPDATES] = ws.updates
+        reason = pivots(ws, cost, x_b, allow_entering, max_iter - iteration_offset, state)
+        ws.updates = int(state[_UPDATES])
+        if reason != _kernel.REFACTOR:
+            return reason, x_b, int(state[_ITERS])
+        ws.refactorize()
+        x_b = ws.basic_values()
+
+
+def _python_pivots(ws: _Workspace, cost: np.ndarray, x_b: np.ndarray,
+                   allow: np.ndarray, limit: int, state: np.ndarray) -> int:
+    """The pivots of ``_pivot_loop`` in numpy; the reference of the kernel.
+
+    Pivots until optimal, unbounded, ``limit`` iterations, or a due
+    refactorization (returned after the pivot that made it due).  Updates
+    ``ws``, ``x_b`` and ``state`` in place.
     """
     m = ws.m
-    bland = False
-    stall = 0
-    iters = 0
-
     while True:
-        if iteration_offset + iters >= max_iter:
-            return "limit", x_b, iters
+        if state[_ITERS] >= limit:
+            return _kernel.LIMIT
         y = ws.btran(cost[ws.basis])
         z = ws.reduced_costs(cost, y)
-        at_lower = ws.status == 0
-        at_upper = ws.status == 1
         movable = ws.upper > 0  # fixed columns (e.g. retired artificials) never enter
-        eligible = allow_entering & movable & (
-            (at_lower & (z > OPT_TOL)) | (at_upper & (z < -OPT_TOL))
+        eligible = allow & movable & (
+            ((ws.status == 0) & (z > OPT_TOL)) | ((ws.status == 1) & (z < -OPT_TOL))
         )
         idx = np.flatnonzero(eligible)
         if idx.size == 0:
-            return "optimal", x_b, iters
-        if bland:
+            return _kernel.OPTIMAL
+        if state[_BLAND]:
             q = int(idx[0])
         else:
             q = int(idx[np.argmax(np.abs(z[idx]))])
 
         from_lower = ws.status[q] == 0
         sign = 1.0 if from_lower else -1.0
-        w = ws.ftran(ws.dense_column(q))
+        w = ws.ftran_column(q)
 
         # ratio test: x_b moves by -sign * t * w as the entering value moves t
         rate = sign * w
         ub_b = ws.upper[ws.basis]
         cand_t = np.full(m, np.inf)
         dec = rate > PIVOT_TOL
-        inc = rate < -PIVOT_TOL
+        inc = (rate < -PIVOT_TOL) & np.isfinite(ub_b)
         cand_t[dec] = x_b[dec] / rate[dec]
-        inc_finite = inc & np.isfinite(ub_b)
-        cand_t[inc_finite] = (ub_b[inc_finite] - x_b[inc_finite]) / (-rate[inc_finite])
-        np.maximum(cand_t, 0.0, out=cand_t)  # clamp fp dust on degenerate rows
-
-        t_min = float(np.min(cand_t)) if m else np.inf
+        cand_t[inc] = (ub_b[inc] - x_b[inc]) / -rate[inc]
+        cand_t[cand_t < 0.0] = 0.0  # clamp fp dust on degenerate rows
+        leave_pos = int(np.argmin(cand_t))
+        t_min = float(cand_t[leave_pos])
         t_self = float(ws.upper[q])
-        if not np.isfinite(min(t_min, t_self)):
-            return "unbounded", x_b, iters
+        if not (np.isfinite(t_min) or np.isfinite(t_self)):
+            return _kernel.UNBOUNDED
 
-        iters += 1
+        state[_ITERS] += 1
+        refactor = False
         if t_self <= t_min:
             # entering variable runs to its other bound: pure bound flip
             t = t_self
             ws.status[q] = 1 if from_lower else 0
-            x_b = x_b - sign * t * w
+            x_b -= (sign * t) * w
         else:
             t = t_min
-            ties = np.flatnonzero(cand_t == t_min)
-            if bland and ties.size > 1:
+            if state[_BLAND]:
+                ties = np.flatnonzero(cand_t == t_min)
                 leave_pos = int(ties[np.argmin(ws.basis[ties])])
-            else:
-                leave_pos = int(ties[0])
             p = int(ws.basis[leave_pos])
-            x_b = x_b - sign * t * w
+            x_b -= (sign * t) * w
             x_b[leave_pos] = t if from_lower else ws.upper[q] - t
-            ws.status[p] = 1 if inc[leave_pos] else 0
+            ws.status[p] = 1 if rate[leave_pos] < -PIVOT_TOL else 0
             ws.status[q] = 2
             ws.basis[leave_pos] = q
-            if not ws.update(leave_pos, w) or ws.updates >= REFACTOR_PERIOD:
-                ws.refactorize()
-                x_b = ws.basic_values()
-        improvement = t * abs(z[q])
+            if ws.update(leave_pos, w):
+                state[_UPDATES] += 1
+                refactor = state[_UPDATES] >= REFACTOR_PERIOD
+            else:
+                refactor = True
 
-        if improvement <= 1e-12:
-            stall += 1
-            if stall >= STALL_WINDOW:
-                bland = True
+        if t * abs(z[q]) <= 1e-12:
+            state[_STALL] += 1
+            if state[_STALL] >= STALL_WINDOW:
+                state[_BLAND] = 1
         else:
-            stall = 0
+            state[_STALL] = 0
+        if refactor:
+            return _kernel.REFACTOR
+
+
+def _compiled_pivots(ws: _Workspace, cost: np.ndarray, x_b: np.ndarray,
+                     allow: np.ndarray, limit: int, state: np.ndarray) -> int:
+    """``_python_pivots`` in the compiled kernel, which writes in place
+    through the pointers of the same arrays."""
+    inst = ws.inst
+    return _kernel.load().simplex_pivots(
+        ws.m, ws.n, ws.n_art, inst.col_ptr.ctypes.data, inst.row_idx.ctypes.data,
+        inst.values.ctypes.data, ws.art_rows.ctypes.data, cost.ctypes.data,
+        allow.ctypes.data, ws.upper.ctypes.data, ws.status.ctypes.data,
+        ws.basis.ctypes.data, ws.binv.ctypes.data, x_b.ctypes.data, ws.work.ctypes.data,
+        limit, state.ctypes.data, OPT_TOL, PIVOT_TOL, REFACTOR_PERIOD, STALL_WINDOW)
 
 
 def solve_lp(instance: LpInstance, warm_basis=None,
@@ -293,10 +393,10 @@ def solve_lp(instance: LpInstance, warm_basis=None,
             allow[n + m:] = False  # artificials may leave but never re-enter
             reason, x_b, used = _pivot_loop(ws, cost1, x_b, allow, max_iter, 0)
             iterations += used
-            if reason == "limit":
+            if reason == _kernel.LIMIT:
                 return SimplexResult(SolveStatus.ITERATION_LIMIT, None, None,
                                      float("nan"), frozenset(), iterations)
-            if reason == "unbounded":  # phase-1 objective is bounded by zero
+            if reason == _kernel.UNBOUNDED:  # phase-1 objective is bounded by zero
                 raise SingularBasisError("phase 1 diverged; numerical breakdown")
             art_sum = float(np.sum(x_b[np.isin(ws.basis, n + m + np.arange(ws.n_art))]))
             phase1_obj = -art_sum
@@ -314,11 +414,11 @@ def solve_lp(instance: LpInstance, warm_basis=None,
     reason, x_b, used = _pivot_loop(ws, cost2, x_b, allow, max_iter, iterations)
     iterations += used
 
-    if reason == "limit":
+    if reason == _kernel.LIMIT:
         return SimplexResult(SolveStatus.ITERATION_LIMIT, None, None,
                              float("nan"), frozenset(), iterations,
                              warm_started=warm_ok)
-    if reason == "unbounded":
+    if reason == _kernel.UNBOUNDED:
         return SimplexResult(SolveStatus.UNBOUNDED, None, None,
                              float("inf"), frozenset(), iterations,
                              warm_started=warm_ok)

@@ -196,6 +196,40 @@ class TestBench:
         want = solve_online(inst, RunConfig(duplication=2, seed=0)).gamma
         assert read_results_csv(out)[0].gamma == want
 
+    def test_each_instance_is_generated_and_solved_once(self, tmp_path, capsys, monkeypatch):
+        import onlinelp.cli as cli
+        from onlinelp.instances import MkpParams, generate_mkp
+        from onlinelp.model import relative_optimality
+        from onlinelp.online import RunConfig, solve_online
+        from onlinelp.simplex import solve_lp
+        calls = {"generate_mkp": 0, "solve_lp": 0}
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+        out = tmp_path / "grid.csv"
+        assert run_cli(["bench", "--sizes", "3x20", "--taus", "0.25",
+                        "--ks", "1,2,4,8,16,32", "--methods", "explicit,implicit",
+                        "--reps", "2", "--exact", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert calls == {"generate_mkp": 2, "solve_lp": 2}
+        # the rows a cell-by-cell run gives, in its order
+        recs = read_results_csv(out)
+        cells = [(k, method, seed) for k in (1, 2, 4, 8, 16, 32)
+                 for method in ("explicit", "implicit") for seed in (0, 1)]
+        assert [(r.k, r.method, r.seed) for r in recs] == cells
+        for rec, (k, method, seed) in zip(recs, cells):
+            inst = generate_mkp(MkpParams(m=3, n=20, tightness=0.25, seed=seed))
+            sol = solve_online(inst, RunConfig(method=method, duplication=k, seed=seed))
+            assert (rec.gamma, rec.objective, rec.violation) == \
+                (sol.gamma, sol.objective, sol.violation)
+            assert rec.rel_opt == relative_optimality(inst, sol.x_hat, solve_lp(inst).obj)
+
     def test_empty_grid_header_only(self, tmp_path, capsys):
         out = tmp_path / "empty.csv"
         code = run_cli(["bench", "--sizes", "3x20", "--taus", "0.2",

@@ -1,18 +1,22 @@
-"""The compiled explicit-pass kernel against its reference, the Python loop.
+"""The compiled kernel's two loops against their references, the numpy loops.
 
 The reference runs with the loader's handle set to None, which is what the
-explicit engine sees when no kernel could be built.
+explicit engine and the simplex see when no kernel could be built.
 """
 
 import shutil
+import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from onlinelp import _kernel, online
+from onlinelp import _kernel, online, simplex
 from onlinelp.instances import MkpParams, generate_mkp
 from onlinelp.model import LpInstance
 from onlinelp.online import RunConfig, explicit_engine, explicit_step, solve_online
+from onlinelp.sifting import SiftConfig, _map_warm_basis, price, sift
+from onlinelp.simplex import SolveStatus, solve_lp
 
 
 @pytest.fixture
@@ -132,8 +136,24 @@ def test_rejects_what_the_kernel_could_not_index(monkeypatch, engine):
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 def test_kernel_loads_when_a_compiler_exists():
-    assert _kernel.load() is not None, _kernel.reason()
+    # a build without either loop fails here, so a broken kernel cannot skip
+    # the differential tests and leave the suite green
+    lib = _kernel.load()
+    assert lib is not None, _kernel.reason()
+    assert lib.explicit_pass.argtypes and lib.simplex_pivots.argtypes
     assert explicit_engine() == "compiled"
+
+
+def test_a_missing_loop_unloads_both(monkeypatch):
+    def only_explicit(cc):
+        return types.SimpleNamespace(explicit_pass=types.SimpleNamespace())
+
+    monkeypatch.setattr(_kernel, "_compiler", lambda: "cc")
+    monkeypatch.setattr(_kernel, "_open", only_explicit)
+    monkeypatch.setattr(_kernel, "_state", None)
+    assert _kernel.load() is None
+    assert _kernel.reason() == "kernel has no function simplex_pivots"
+    assert explicit_engine() == "python: kernel has no function simplex_pivots"
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
@@ -158,3 +178,147 @@ def test_no_compiler_falls_back_to_python(monkeypatch, compiler, why):
     assert np.array_equal(fallback.x_hat, usual.x_hat)
     assert fallback.y_final.tobytes() == usual.y_final.tobytes()
     assert fallback.objective == usual.objective
+
+
+# -- the simplex pivot loop ---------------------------------------------------
+
+def reference_lp(monkeypatch, *args, **kwargs):
+    with monkeypatch.context() as mp:
+        mp.setattr(_kernel, "_state", (None, "reference run"))
+        return solve_lp(*args, **kwargs)
+
+
+def assert_same_lp(a, b):
+    for name in ("x_star", "y_star"):
+        got, want = getattr(a, name), getattr(b, name)
+        assert (got is None) == (want is None), name
+        if got is not None:
+            assert got.tobytes() == want.tobytes(), name
+    assert np.float64(a.obj).tobytes() == np.float64(b.obj).tobytes()
+    for name in ("status", "basis", "at_upper", "iterations", "warm_started"):
+        assert getattr(a, name) == getattr(b, name), name
+
+
+def solve_both(monkeypatch, instance, **kwargs):
+    got = solve_lp(instance, **kwargs)
+    assert_same_lp(got, reference_lp(monkeypatch, instance, **kwargs))
+    return got
+
+
+@pytest.mark.parametrize("m, n, density", [(8, 300, 1.0), (8, 600, 0.1),
+                                           (100, 400, 1.0), (100, 1200, 0.1)])
+def test_simplex_matches_python_engine(compiled, monkeypatch, m, n, density):
+    refactorizations = 0
+    refactorize = simplex._Workspace.refactorize
+
+    def counting(ws):
+        nonlocal refactorizations
+        refactorizations += 1
+        refactorize(ws)
+
+    monkeypatch.setattr(simplex._Workspace, "refactorize", counting)
+    if m == 8:  # few pivots: refactorize often enough to cross several
+        monkeypatch.setattr(simplex, "REFACTOR_PERIOD", 5)
+    inst = generate_mkp(MkpParams(m=m, n=n, tightness=0.05 if density < 1 else 0.25,
+                                  density=density, seed=1))
+    res = solve_both(monkeypatch, inst)
+    assert res.status is SolveStatus.OPTIMAL
+    assert refactorizations >= 2 * (1 + 3)   # both engines: the start plus three more
+
+
+def test_simplex_phase_one_matches(compiled, monkeypatch):
+    rng = np.random.default_rng(8)
+    m, n = 40, 400
+    A = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.3)
+    u = rng.random(n) + 0.5
+    b = A @ (rng.random(n) * u) + rng.random(m)
+    assert np.sum(b < 0) >= 5
+    res = solve_both(monkeypatch, LpInstance.from_dense(A, b, rng.normal(size=n), upper=u))
+    assert res.status is SolveStatus.OPTIMAL
+
+
+def test_simplex_bound_flips_match(compiled, monkeypatch):
+    # with REFACTOR_PERIOD = 1 the reference hands back after every basis
+    # change, so the iterations beyond the hand-backs are bound flips
+    hand_backs = 0
+    pivots = simplex._python_pivots
+
+    def counting(*args):
+        nonlocal hand_backs
+        reason = pivots(*args)
+        hand_backs += reason == _kernel.REFACTOR
+        return reason
+
+    inst = generate_mkp(MkpParams(m=8, n=200, tightness=0.3, density=0.1, seed=3))
+    upper = np.random.default_rng(3).uniform(0.05, 3.0, inst.num_cols)
+    inst = LpInstance(inst.num_rows, inst.num_cols, inst.col_ptr, inst.row_idx,
+                      inst.values, inst.rhs, inst.obj, upper)
+    monkeypatch.setattr(simplex, "REFACTOR_PERIOD", 1)
+    with monkeypatch.context() as mp:
+        mp.setattr(simplex, "_python_pivots", counting)
+        mp.setattr(_kernel, "_state", (None, "reference run"))
+        want = solve_lp(inst)
+    assert want.status is SolveStatus.OPTIMAL and want.iterations > hand_backs > 0
+    assert_same_lp(solve_lp(inst), want)
+
+
+def test_simplex_degenerate_lps_reach_blands_rule(compiled, monkeypatch):
+    engines = {}
+
+    def recording(name, pivots):
+        def run(ws, cost, x_b, allow, limit, state):
+            reason = pivots(ws, cost, x_b, allow, limit, state)
+            engines[name] = engines.get(name, False) or bool(state[simplex._BLAND])
+            return reason
+        return run
+
+    monkeypatch.setattr(simplex, "_python_pivots", recording("python", simplex._python_pivots))
+    monkeypatch.setattr(simplex, "_compiled_pivots",
+                        recording("compiled", simplex._compiled_pivots))
+    # Bland's rule from the first degenerate pivot on: ties in the ratio
+    # test then go to the smallest basic column id
+    monkeypatch.setattr(simplex, "STALL_WINDOW", 1)
+    rng = np.random.default_rng(77)
+    for _ in range(100):
+        m, n = int(rng.integers(2, 8)), int(rng.integers(2, 9))
+        A = rng.integers(0, 3, size=(m, n)).astype(float)
+        if not np.any(A):
+            continue
+        inst = LpInstance.from_dense(A, rng.integers(0, 3, size=m).astype(float),
+                                     rng.integers(-2, 3, size=n).astype(float))
+        solve_both(monkeypatch, inst)
+    assert engines == {"python": True, "compiled": True}
+
+
+def test_simplex_warm_starts_match(compiled, monkeypatch):
+    inst = generate_mkp(MkpParams(m=100, n=2000, tightness=0.05, density=0.1, seed=6))
+    w = np.sort(np.random.default_rng(6).choice(2000, size=200, replace=False))
+    prev = solve_both(monkeypatch, inst.restrict_columns(w))
+    for _ in range(2):
+        w_new = np.union1d(w, price(inst, w, prev.y_star))
+        warm = _map_warm_basis(prev, w, w_new, inst.num_rows)
+        prev = solve_both(monkeypatch, inst.restrict_columns(w_new), warm_basis=warm)
+        assert prev.warm_started
+        w = w_new
+
+
+@pytest.mark.parametrize("max_iter", [1, 37, 250])
+def test_simplex_iteration_limit_matches(compiled, monkeypatch, max_iter):
+    inst = generate_mkp(MkpParams(m=100, n=600, tightness=0.05, density=0.1, seed=2))
+    res = solve_both(monkeypatch, inst, max_iter=max_iter)
+    assert res.status is SolveStatus.ITERATION_LIMIT and res.iterations == max_iter
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_whole_sift_runs_match(compiled, monkeypatch, seed):
+    inst = generate_mkp(MkpParams(m=100, n=5000, tightness=0.05, density=0.1, seed=seed))
+    pre = solve_online(inst, RunConfig(duplication=2, seed=seed))
+    got = sift(inst, pre, SiftConfig())
+    with monkeypatch.context() as mp:
+        mp.setattr(_kernel, "_state", (None, "reference run"))
+        want = sift(inst, pre, SiftConfig())
+    assert got.rounds >= 2
+    assert got.x.tobytes() == want.x.tobytes() and got.y.tobytes() == want.y.tobytes()
+    assert_same_lp(got.exact, want.exact)
+    assert [replace(r, wall_time_s=0.0) for r in got.trace] == \
+        [replace(r, wall_time_s=0.0) for r in want.trace]

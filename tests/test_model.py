@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from onlinelp import model
 from onlinelp.model import (
     LpInstance,
     compute_stats,
@@ -44,6 +45,19 @@ class TestLpInstance:
         inst = toy_half_lp()
         with pytest.raises(ValueError):
             inst.rhs[0] = 9.0
+
+    def test_scipy_matrix_is_built_once_and_read_only(self):
+        inst = LpInstance.from_dense([[1.0, 0.0, 2.0], [0.0, 3.0, 4.0]],
+                                     [1.0, 1.0], [1.0, 2.0, 3.0])
+        A = inst.to_scipy()
+        assert inst.to_scipy() is A
+        for arr in (A.data, A.indices, A.indptr):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            A[0, 0] = 9.0
+        np.testing.assert_array_equal(inst.to_scipy().toarray(),
+                                      [[1.0, 0.0, 2.0], [0.0, 3.0, 4.0]])
 
     def test_restrict_columns(self):
         inst = LpInstance.from_dense([[1.0, 0.0, 2.0], [0.0, 3.0, 4.0]],
@@ -104,6 +118,22 @@ class TestComputeStats:
             assert s.d_lo == np.min(b) / n
             assert s.d_hi == np.max(b) / n
             assert s.nnz == np.count_nonzero(A)
+
+    def test_f_bar_is_computed_on_first_read(self, monkeypatch):
+        calls = 0
+        original = model._uniform_dual_value
+
+        def counting(instance):
+            nonlocal calls
+            calls += 1
+            return original(instance)
+
+        monkeypatch.setattr(model, "_uniform_dual_value", counting)
+        inst = LpInstance.from_dense([[1.0, 2.0], [3.0, 1.0]], [2.0, 3.0], [1.0, 2.0])
+        stats = compute_stats(inst)
+        assert calls == 0
+        assert stats.f_bar == original(inst) and stats.f_bar == stats.f_bar
+        assert calls == 1
 
     def test_uniform_dual_bound(self):
         # f_bar is the least dual value on the ray eta * 1 (brute force over

@@ -7,6 +7,7 @@ import pytest
 
 from onlinelp import mps
 from onlinelp.instances import MkpParams, generate_mkp
+from onlinelp.model import LpInstance
 from onlinelp.mps import MpsParseError, parse_mps, write_mps
 
 # line numbers: 1 comment, 2 NAME, 3-4 OBJSENSE, 5-7 ROWS, 8-10 COLUMNS,
@@ -221,6 +222,66 @@ ENDATA
             "column_shifts": {"Y": 1.0},
             "fixed_columns": {"W": 0.5},
         }
+
+
+def line_by_line_write_mps(instance, fh, name="ONLINELP"):
+    """The writer that formatted one f-string per line: the reference of
+    write_mps's output."""
+    w = fh.write
+    w(f"NAME          {name}\n")
+    w("OBJSENSE\n    MAX\n")
+    w("ROWS\n")
+    w(" N  OBJ\n")
+    for i in range(instance.num_rows):
+        w(f" L  R{i}\n")
+    w("COLUMNS\n")
+    for j in range(instance.num_cols):
+        cname = f"X{j}"
+        if instance.obj[j] != 0.0:
+            w(f"    {cname}  OBJ  {instance.obj[j]:.17g}\n")
+        rows, vals = instance.column(j)
+        for i, v in zip(rows, vals):
+            w(f"    {cname}  R{i}  {v:.17g}\n")
+    w("RHS\n")
+    for i in range(instance.num_rows):
+        if instance.rhs[i] != 0.0:
+            w(f"    RHS  R{i}  {instance.rhs[i]:.17g}\n")
+    w("BOUNDS\n")
+    for j in range(instance.num_cols):
+        if np.isfinite(instance.upper[j]):
+            w(f" UP BND  X{j}  {instance.upper[j]:.17g}\n")
+    w("ENDATA\n")
+
+
+def with_obj_upper(inst, obj, upper):
+    return LpInstance(inst.num_rows, inst.num_cols, inst.col_ptr, inst.row_idx,
+                      inst.values, inst.rhs, obj, upper)
+
+
+class TestWriter:
+    @pytest.mark.parametrize("case", ["generated", "zero-objective", "infinite-upper",
+                                      "empty-columns", "blocks"])
+    def test_same_bytes_as_line_by_line(self, case, monkeypatch):
+        rng = np.random.default_rng(4)
+        inst = generate_mkp(MkpParams(m=7, n=300, tightness=0.3, density=0.3, seed=4))
+        if case == "zero-objective":
+            obj = inst.obj * (rng.random(300) < 0.5)
+            inst = with_obj_upper(inst, obj, inst.upper)
+        elif case == "infinite-upper":
+            upper = np.where(rng.random(300) < 0.5, np.inf, rng.uniform(0.1, 9.0, 300))
+            inst = with_obj_upper(inst, inst.obj, upper)
+        elif case == "empty-columns":
+            # real-valued data, empty columns, zero costs and rhs entries
+            inst = LpInstance(3, 6, [0, 0, 1, 1, 3, 3, 3], [2, 0, 1], [0.1, -1 / 3, 2e-300],
+                              [0.0, 1.5, 0.0], [0.0, 0.0, -2.5, 1e300, 0.0, 0.0],
+                              [1.0, np.inf, 0.5, 1.0, 1.0, 7.0])
+        elif case == "blocks":
+            monkeypatch.setattr(mps, "_WRITE_BLOCK", 7)
+            inst = with_obj_upper(inst, inst.obj * (rng.random(300) < 0.5), inst.upper)
+        want, got = io.StringIO(), io.StringIO()
+        line_by_line_write_mps(inst, want)
+        write_mps(inst, got)
+        assert got.getvalue() == want.getvalue()
 
 
 class TestChunks:

@@ -356,3 +356,25 @@ class TestGeneralUpperBounds:
         # the single scaled column fits the capacity, so it is taken whole
         assert sol.objective == pytest.approx(3.0)
         assert sol.x_hat[0] <= 3.0
+
+
+def test_uniform_dual_value_runs_only_where_it_sets_gamma(monkeypatch):
+    from onlinelp import model
+    calls = 0
+    original = model._uniform_dual_value
+
+    def counting(instance):
+        nonlocal calls
+        calls += 1
+        return original(instance)
+
+    monkeypatch.setattr(model, "_uniform_dual_value", counting)
+    inst = generate_mkp(MkpParams(m=8, n=60, tightness=0.3, seed=0))
+    # r = K n d_lo / (a_bar + d_hi) is 0.29 at K = 2 (starved) and 4.6 at K = 32
+    for k, mode, want in ((2, "scaled", 0), (32, "simple", 0), (32, "theorem", 0),
+                          (32, 0.01, 0), (32, "scaled", 1)):
+        calls = 0
+        sol = solve_online(inst, RunConfig(duplication=k, stepsize=mode))
+        assert calls == want, (k, mode)
+        eager = replace(compute_stats(inst))   # replace reads f_bar, computing it
+        assert sol.gamma == default_stepsize(eager, 8, 60, k, "explicit", mode)

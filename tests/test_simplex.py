@@ -206,18 +206,21 @@ class TestAgainstHighs:
         assert_matches_highs(inst, solve_lp(inst))
 
     def test_updates_cross_several_refactorizations(self, monkeypatch):
-        updates = 0
-        original = simplex._Workspace.update
+        # the pivot loop, compiled or not, hands back to refactorize after
+        # REFACTOR_PERIOD rank-1 updates (or after a pivot too small to take)
+        refactorizations = 0
+        original = simplex._Workspace.refactorize
 
-        def counting(ws, r, w):
-            nonlocal updates
-            updates += 1
-            return original(ws, r, w)
+        def counting(ws):
+            nonlocal refactorizations
+            refactorizations += 1
+            return original(ws)
 
-        monkeypatch.setattr(simplex._Workspace, "update", counting)
+        monkeypatch.setattr(simplex._Workspace, "refactorize", counting)
         inst = generate_mkp(MkpParams(m=100, n=2000, tightness=0.05, density=0.1, seed=7))
         res = solve_lp(inst)
-        assert updates > 3 * simplex.REFACTOR_PERIOD
+        assert res.iterations > 3 * simplex.REFACTOR_PERIOD
+        assert refactorizations > 1 + 3   # the start, then one per period at least
         assert_matches_highs(inst, res)
 
     def test_refused_warm_start_is_reported(self):
