@@ -5,6 +5,16 @@ and the simplex pivot loop (``simplex_pivots``).  They are built, cached
 and loaded as one library and resolved as a unit: ``load()`` returns the
 library with both functions, or None with one reason.
 
+Both loops keep one contract with their numpy references,
+``online._python_loop`` and ``simplex._python_pivots``: every value is
+computed by the same IEEE operations in the same order, so the engines
+agree bit for bit.  The references fix the order of every sum by adding
+its terms one by one in stored order (``np.cumsum``), and the C loops
+repeat that order; the library is built with ``-ffp-contract=off`` so no
+multiply and add are fused.  A C sum that starts from 0.0 rather than
+from its first term differs only in the sign of a zero sum, which no
+comparison and no square sees.
+
 The first ``load()`` compiles the C source with the system compiler into
 ``~/.cache/onlinelp``, under a name keyed by a hash of the source, the
 flags and the compiler, and loads it with ctypes.  The library is written
@@ -30,8 +40,6 @@ SOURCE = Path(__file__).with_name("_kernel.c")
 FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 BUILD_TIMEOUT_S = 120
 
-# explicit_pass's return status
-DONE, TIE, ESCAPED = 0, 1, 2
 # simplex_pivots's return reason
 OPTIMAL, UNBOUNDED, LIMIT, REFACTOR = 0, 1, 2, 3
 
@@ -39,9 +47,9 @@ _ptr, _i64, _f64, _int = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double, ctype
 _SIGNATURES = {
     "explicit_pass": (_i64, (
         _i64, _ptr, _ptr, _ptr, _ptr, _ptr,    # m, col_ptr, row_idx, vals, c, step_d
-        _f64, _ptr, _i64, _i64, _int,          # gamma, seq, k0, T, forced
+        _f64, _ptr, _i64,                      # gamma, seq, T
         _ptr, _ptr, _ptr, _ptr,                # y_base, last, remaining, x_sum
-        _int, _f64, _ptr, ctypes.POINTER(_int),  # dense, norm_bound, acc, status
+        _int, _f64, _ptr,                      # dense, norm_bound, acc
     )),
     "simplex_pivots": (_int, (
         _i64, _i64, _i64, _ptr, _ptr, _ptr, _ptr,  # m, n, n_art, col_ptr, row_idx, vals, art_rows

@@ -39,7 +39,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LpInstance:
     """Immutable inequality-form LP: max <c,x> s.t. Ax <= b, 0 <= x <= u.
 
@@ -47,6 +47,8 @@ class LpInstance:
     ``row_idx[col_ptr[j]:col_ptr[j+1]]`` / ``values[...]`` with strictly
     increasing row indices and no explicit zeros.  Instances are safe to
     share across threads/processes; the backing arrays are read-only.
+    ``==`` and ``hash`` go by identity, so instances serve as dict keys;
+    to compare two instances by value, compare their arrays.
     """
 
     num_rows: int

@@ -27,28 +27,24 @@ Both explicit passes run their per-column loop in a small C kernel
 (``_kernel.c``, which also holds the simplex's pivot loop), built with the
 system C compiler on first use and loaded with ctypes; without a compiler,
 or when the build fails, the numpy loop ``_python_loop`` runs instead.
-``explicit_engine()`` says which one runs.
-The kernel's contract is bitwise equality with that loop, which stays its
-reference:
+``explicit_engine()`` says which one runs.  That loop is the kernel's
+reference, and the two agree bit for bit under the contract stated in
+``_kernel``.  The pass's sums are added term by term in stored order,
+starting from the first term (``_sum``):
 
-* every stored value (drift, update, capacity draw-down, clamp) is the
-  same IEEE operation in the same order as the numpy expression, built
-  with ``-ffp-contract=off`` so no multiply and add are fused;
-* the one sum whose order is numpy's BLAS's business, <a_j, y>, decides
-  only c_j > <a_j, y>.  The kernel also sums |a_ij y_i|, and whenever
-  |c_j - <a_j, y>| <= 4 (nnz_j + 1) 2^-53 sum_i |a_ij y_i|, twice the
-  widest gap between two summation orders, it hands the step back: the
-  decision is made with the reference's numpy expression and the kernel
-  resumes with it.  Outside that band every summation order agrees;
-* ``max_dual_norm`` is a diagnostic whose sums are ordered differently,
-  so it agrees to about 1e-14 relative rather than bitwise.  A dense pass
-  with ``check_dual_bounds`` stops at the step whose norm escaped, and
-  the error is raised here with the reference's message.
+* the pricing dot product <a_j, y> over the nonzeros of column j, 0.0 for
+  an empty column;
+* the dense pass's squared norm ||y||^2 over the m coordinates, whose
+  square root is the norm the pass reports and checks (``_norm``);
+* the lazy pass's change of its stale squared norm: the sum of the
+  column's new squared values minus the sum of its old ones.
+
+So ``max_dual_norm``, too, is the same on both engines, and a dense pass
+with ``check_dual_bounds`` stops at the same step with the same error.
 """
 
 from __future__ import annotations
 
-import ctypes
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -446,9 +442,9 @@ def _explicit_pass(instance: LpInstance, seq: np.ndarray, gamma: float,
     state = LazyDualState.from_start(start_y, gamma, d)
     x_sum = np.zeros(n)
     if lazy:
-        norm_acc = [float(start_y @ start_y)] * 2   # stale squared norm, its maximum
+        norm_acc = [_sum(start_y * start_y)] * 2   # stale squared norm, its maximum
     else:
-        norm_acc = [float(np.linalg.norm(start_y)), 0.0]  # max norm, unused
+        norm_acc = [_norm(start_y), 0.0]           # max norm, unused
     loop = _python_loop if _kernel.load() is None else _compiled_loop
     loop(instance, seq, gamma, state, remaining, x_sum, lazy, norm_bound, norm_acc)
 
@@ -456,7 +452,7 @@ def _explicit_pass(instance: LpInstance, seq: np.ndarray, gamma: float,
     if lazy:
         max_norm = math.sqrt(max(norm_acc[1], 0.0))
     else:
-        max_norm = max(norm_acc[0], float(np.linalg.norm(y_final)))
+        max_norm = max(norm_acc[0], _norm(y_final))
         if norm_bound is not None and max_norm > norm_bound * (1.0 + 1e-9):
             raise RuntimeError("explicit dual iterate escaped its norm bound at the end")
     return x_sum, y_final, max_norm
@@ -478,6 +474,17 @@ def _norm_escape(k: int, norm: float, norm_bound: float) -> RuntimeError:
                         f"{norm:.6g} > {norm_bound:.6g}")
 
 
+def _sum(terms: np.ndarray) -> float:
+    """The terms added one by one in order, 0.0 when there are none: the
+    order of every sum of the explicit pass, on both engines."""
+    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
+
+
+def _norm(y: np.ndarray) -> float:
+    """||y||, its squares added in order (``_sum``)."""
+    return math.sqrt(_sum(y * y))
+
+
 def _python_loop(instance, seq, gamma, state, remaining, x_sum, lazy, norm_bound, norm_acc):
     """The per-column loop of ``_explicit_pass`` in numpy; the reference of
     the compiled kernel.  Updates its arguments in place."""
@@ -492,12 +499,12 @@ def _python_loop(instance, seq, gamma, state, remaining, x_sum, lazy, norm_bound
             ym = state.materialize(rows, k)
         else:
             y_full = state.materialize_all(k)
-            norm = float(np.linalg.norm(y_full))
+            norm = _norm(y_full)
             norm_acc[0] = max(norm_acc[0], norm)
             if norm_bound is not None and norm > norm_bound * (1.0 + 1e-9):
                 raise _norm_escape(k, norm, norm_bound)
             ym = y_full[rows]
-        x = 1.0 if c[j] > vals @ ym else 0.0
+        x = 1.0 if c[j] > _sum(vals * ym) else 0.0
         if x == 1.0 and remaining is not None and not np.all(remaining[rows] >= vals):
             x = 0.0
         if x == 1.0:
@@ -508,42 +515,26 @@ def _python_loop(instance, seq, gamma, state, remaining, x_sum, lazy, norm_bound
         else:
             new_vals = np.maximum(ym - gd[rows], 0.0)
         if lazy:
-            norm_acc[0] += float(new_vals @ new_vals) - float(state.y_base[rows] @ state.y_base[rows])
+            old_vals = state.y_base[rows]
+            norm_acc[0] += _sum(new_vals * new_vals) - _sum(old_vals * old_vals)
             norm_acc[1] = max(norm_acc[1], norm_acc[0])
         state.commit(rows, k, new_vals)
 
 
 def _compiled_loop(instance, seq, gamma, state, remaining, x_sum, lazy, norm_bound, norm_acc):
-    """``_python_loop`` in the compiled kernel (see the module docstring).
-
-    The kernel hands back every step whose accept decision it cannot make
-    exactly as numpy would; that decision is made here with the reference's
-    own expression and the kernel resumes with it.
-    """
-    kernel = _kernel.load().explicit_pass
+    """``_python_loop`` in one call of the compiled kernel."""
     seq = np.ascontiguousarray(seq, dtype=np.int64)
     acc = np.array(norm_acc)
-    status = ctypes.c_int()
-    c = instance.obj
-    bound = math.inf if norm_bound is None else norm_bound
-
-    def run(k, forced):
-        return kernel(instance.num_rows, instance.col_ptr.ctypes.data,
-                      instance.row_idx.ctypes.data, instance.values.ctypes.data,
-                      c.ctypes.data, state.step_d.ctypes.data, gamma, seq.ctypes.data,
-                      k, seq.size, forced, state.y_base.ctypes.data,
-                      state.last_update.ctypes.data,
-                      None if remaining is None else remaining.ctypes.data,
-                      x_sum.ctypes.data, int(not lazy), bound, acc.ctypes.data,
-                      ctypes.byref(status))
-
-    k = run(0, -1)
-    while status.value != _kernel.DONE:
-        if status.value == _kernel.ESCAPED:
-            raise _norm_escape(k, float(np.linalg.norm(state.materialize_all(k))), norm_bound)
-        rows, vals = instance.column(seq[k])
-        k = run(k, int(c[seq[k]] > vals @ state.materialize(rows, k)))
+    k = _kernel.load().explicit_pass(
+        instance.num_rows, instance.col_ptr.ctypes.data, instance.row_idx.ctypes.data,
+        instance.values.ctypes.data, instance.obj.ctypes.data, state.step_d.ctypes.data,
+        gamma, seq.ctypes.data, seq.size, state.y_base.ctypes.data,
+        state.last_update.ctypes.data, None if remaining is None else remaining.ctypes.data,
+        x_sum.ctypes.data, int(not lazy), math.inf if norm_bound is None else norm_bound,
+        acc.ctypes.data)
     norm_acc[:] = acc.tolist()
+    if k < seq.size:   # the escaped norm is the new maximum
+        raise _norm_escape(k, norm_acc[0], norm_bound)
 
 
 def _implicit_pass(instance: LpInstance, seq: np.ndarray, gamma: float,

@@ -175,13 +175,14 @@ def sift(instance: LpInstance, online_solution: OnlineSolution,
     k_dup = max(1, round(online_solution.elapsed_columns / n))
     threshold = config.init_threshold if config.init_threshold is not None else 1.0 / k_dup
     anchor = np.maximum(online_solution.y_final, 0.0)
+    # without a blend the pricing dual is the exact one, and an empty sweep certifies
+    blend = config.use_online_anchor and config.stabilization_alpha < 1.0
 
     w = init_working_set(x_hat, threshold, m)
     w0 = w.copy()
     prev_res = None
     prev_w = None
     trace: list[SiftRound] = []
-    certified = False
     res = None
 
     for round_no in range(1, config.max_rounds + 1):
@@ -194,17 +195,14 @@ def sift(instance: LpInstance, online_solution: OnlineSolution,
         if res.status is not SolveStatus.OPTIMAL:
             raise RuntimeError(f"working problem solve failed: {res.status.value}")
         y_exact = res.y_star
-        if config.use_online_anchor:
-            y_price = stabilize(y_exact, anchor, config.stabilization_alpha)
-        else:
-            y_price = y_exact
+        y_price = stabilize(y_exact, anchor, config.stabilization_alpha) if blend else y_exact
         priced = price(instance, w, y_price, config.pricing_tolerance,
                        config.max_new_columns_per_round)
-        if priced.size == 0:
+        if priced.size == 0 and blend:
             # a blended dual cannot certify optimality: confirm with the
             # exact working dual over every column before terminating
             priced = price(instance, w, y_exact, config.pricing_tolerance, None)
-            certified = priced.size == 0
+        certified = priced.size == 0
         trace.append(SiftRound(round_no, w.size, priced.size, res.obj,
                                time.perf_counter() - t0, res.iterations,
                                res.warm_started))

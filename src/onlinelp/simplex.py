@@ -21,8 +21,8 @@ resumes it.  It also returns at optimality, unboundedness and the
 iteration limit; Phase 1, warm starts and the result stay in Python.
 ``explicit_engine()`` in ``onlinelp.online`` names the engine of both.
 
-The two engines agree bit for bit, because the reference fixes the order
-of every sum and the kernel repeats it:
+The two engines agree bit for bit under the contract stated in
+``_kernel``; the reference fixes the order of each of its sums:
 
 * btran adds c_k B^-1[k] over the basis positions k with c_k != 0, in
   order (``np.cumsum``, so starting from the first term);

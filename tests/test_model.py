@@ -59,6 +59,15 @@ class TestLpInstance:
         np.testing.assert_array_equal(inst.to_scipy().toarray(),
                                       [[1.0, 0.0, 2.0], [0.0, 3.0, 4.0]])
 
+    def test_equality_is_identity_and_never_raises(self):
+        a = LpInstance.from_dense([[1.0]], [2.0], [3.0])
+        b = LpInstance.from_dense([[1.0]], [2.0], [3.0])
+        assert a == a and not (a != a)
+        assert a != b and not (a == b)
+        inst = toy_half_lp()
+        assert inst != inst.restrict_columns(range(inst.num_cols))
+        assert {a: 1, b: 2, inst: 3}[a] == 1
+
     def test_restrict_columns(self):
         inst = LpInstance.from_dense([[1.0, 0.0, 2.0], [0.0, 3.0, 4.0]],
                                      [1.0, 1.0], [1.0, 2.0, 3.0])

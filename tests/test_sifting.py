@@ -159,6 +159,33 @@ class TestSift:
         assert [t.priced for t in r1.trace] == [t.priced for t in r2.trace]
         assert r1.objective == r2.objective
 
+    @pytest.mark.parametrize("config, blend", [
+        (SiftConfig(use_online_anchor=False), False),
+        (SiftConfig(stabilization_alpha=1.0), False),
+        (SiftConfig(), True),
+    ], ids=["no-anchor", "alpha-one", "blend"])
+    def test_a_sweep_with_the_exact_dual_certifies(self, monkeypatch, config, blend):
+        import onlinelp.sifting as sifting
+
+        found = []   # the size of each sweep's result
+
+        def recording_price(*args, **kwargs):
+            priced = price(*args, **kwargs)
+            found.append(priced.size)
+            return priced
+
+        monkeypatch.setattr(sifting, "price", recording_price)
+        inst = generate_mkp(MkpParams(m=6, n=300, tightness=0.15, seed=1))
+        result = online_then_sift(inst, config, seed=1)
+        assert result.rounds >= 2 and found[-1] == 0
+        if blend:
+            # each empty sweep with the blended dual is priced again with
+            # the exact one, the last of them to certify
+            assert found[-2:] == [0, 0]
+            assert len(found) == result.rounds + found.count(0) - 1
+        else:
+            assert len(found) == result.rounds and found.count(0) == 1
+
     def test_acc_rdc_reported(self):
         inst = generate_mkp(MkpParams(m=5, n=150, tightness=0.25, seed=9))
         result = online_then_sift(inst, seed=9)
