@@ -5,8 +5,12 @@ and the simplex pivot loop (``simplex_pivots``).  They are built, cached
 and loaded as one library and resolved as a unit: ``load()`` returns the
 library with both functions, or None with one reason.
 
-Both loops keep one contract with their numpy references,
-``online._python_loop`` and ``simplex._python_pivots``: every value is
+Each loop keeps one protocol and one contract with its numpy reference,
+``online._python_loop`` or ``simplex._python_pivots``.  The protocol: the
+two take the same arguments, update the same arrays in place and return
+the same value (``explicit_pass`` the number of steps run or the step
+whose dual norm escaped its bound, ``simplex_pivots`` its reason for
+stopping), so their caller picks either.  The contract: every value is
 computed by the same IEEE operations in the same order, so the engines
 agree bit for bit.  The references fix the order of every sum by adding
 its terms one by one in stored order (``np.cumsum``), and the C loops

@@ -32,7 +32,8 @@ import numpy as np
 from .instances import MkpParams, ResultRecord, generate_mkp, netlib_modify, write_results_csv
 from .model import relative_optimality, stopping_residual
 from .mps import MpsParseError, parse_mps, write_mps
-from .online import OnlineSolution, RunConfig, explicit_engine, solve_online
+from .online import (METHODS, STARTS, STEPSIZE_MODES, OnlineSolution, RunConfig,
+                     explicit_engine, solve_online)
 from .sifting import SiftConfig, SiftRoundLimit, basis_metrics, sift
 from .simplex import SimplexResult, SolveStatus, solve_lp
 
@@ -173,8 +174,7 @@ def _cmd_solve(args) -> int:
     with _settings_checked():
         config = RunConfig(
             method=args.method,
-            stepsize=args.gamma if args.gamma is not None else args.stepsize,
-            duplication=args.k, seed=args.run_seed,
+            stepsize=args.stepsize, duplication=args.k, seed=args.run_seed,
             enforce_feasibility=args.enforce_feasibility, start=args.start, lazy=args.lazy,
         )
     try:
@@ -231,20 +231,18 @@ def _cmd_solve(args) -> int:
 
 # -- sift ---------------------------------------------------------------------
 
+def _sift_configs(args) -> tuple[RunConfig, SiftConfig]:
+    """The pre-pass and sifting configs that the ``sift`` flags set."""
+    return (RunConfig(method=args.prepass_method, duplication=args.prepass_k, seed=args.run_seed,
+                      start=args.prepass_start, lazy=args.prepass_lazy),
+            SiftConfig(init_threshold=args.init_threshold, stabilization_alpha=args.alpha,
+                       use_online_anchor=not args.no_anchor, pricing_tolerance=args.pricing_tol,
+                       max_new_columns_per_round=args.max_new_cols, max_rounds=args.max_rounds))
+
+
 def _cmd_sift(args) -> int:
     with _settings_checked():
-        pre_config = RunConfig(
-            method=args.prepass_method, duplication=args.prepass_k,
-            seed=args.run_seed, start=args.prepass_start, lazy=args.prepass_lazy,
-        )
-        sift_config = SiftConfig(
-            init_threshold=args.init_threshold,
-            stabilization_alpha=args.alpha,
-            use_online_anchor=not args.no_anchor,
-            pricing_tolerance=args.pricing_tol,
-            max_new_columns_per_round=args.max_new_cols,
-            max_rounds=args.max_rounds,
-        )
+        pre_config, sift_config = _sift_configs(args)
     try:
         instance, label = _load_instance(args)
     except (MpsParseError, ValueError, OSError) as exc:
@@ -376,6 +374,14 @@ def _cmd_bench(args) -> int:
 
 # -- parser -------------------------------------------------------------------
 
+def _stepsize(text: str) -> float | str:
+    """--stepsize: a fixed step as a float, else a mode name for ``RunConfig`` to check."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
 def _add_instance_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mps", help="read the instance from an MPS file")
     p.add_argument("--gen", help="generate inline: m=..,n=..,tau=..[,sigma=..,seed=..]")
@@ -414,8 +420,8 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     g.add_argument("--m", type=int, required=True)
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--tau", type=float, required=True)
-    g.add_argument("--sigma", type=float, default=1.0)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--sigma", type=float, default=MkpParams.density)
+    g.add_argument("--seed", type=int, default=MkpParams.seed)
     g.add_argument("--perturb-a3", action="store_true")
     g.add_argument("--b-pre-sparsify", action="store_true")
     g.add_argument("--out", required=True)
@@ -423,14 +429,13 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     s = sub.add_parser("solve", help="one online pass (optionally K-doubling)")
     _add_instance_options(s)
-    s.add_argument("--method", choices=("explicit", "implicit"), default="explicit")
-    s.add_argument("--k", type=int, default=1, help="duplication factor K")
-    s.add_argument("--gamma", type=float, default=None, help="fixed stepsize")
-    s.add_argument("--stepsize", choices=("scaled", "simple", "theorem"),
-                   default=RunConfig.stepsize)
-    s.add_argument("--run-seed", type=int, default=0)
+    s.add_argument("--method", choices=METHODS, default=RunConfig.method)
+    s.add_argument("--k", type=int, default=RunConfig.duplication, help="duplication factor K")
+    s.add_argument("--stepsize", type=_stepsize, default=RunConfig.stepsize,
+                   help=f"a mode ({', '.join(STEPSIZE_MODES)}) or a fixed positive float")
+    s.add_argument("--run-seed", type=int, default=RunConfig.seed)
     s.add_argument("--enforce-feasibility", action="store_true")
-    s.add_argument("--start", choices=("zero", "ones"), default=RunConfig.start)
+    s.add_argument("--start", choices=STARTS, default=RunConfig.start)
     s.add_argument("--lazy", action="store_true")
     s.add_argument("--until-eps", type=float, default=None,
                    help="double K until the stopping residual drops below this")
@@ -442,18 +447,17 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     f = sub.add_parser("sift", help="online pre-pass + exact sifting")
     _add_instance_options(f)
-    f.add_argument("--alpha", type=float, default=0.4)
+    f.add_argument("--alpha", type=float, default=SiftConfig.stabilization_alpha)
     f.add_argument("--no-anchor", action="store_true")
-    f.add_argument("--init-threshold", type=float, default=None)
-    f.add_argument("--pricing-tol", type=float, default=1e-7)
-    f.add_argument("--max-rounds", type=int, default=200)
-    f.add_argument("--max-new-cols", type=int, default=None)
-    f.add_argument("--prepass-method", choices=("explicit", "implicit"),
-                   default="explicit")
+    f.add_argument("--init-threshold", type=float, default=SiftConfig.init_threshold)
+    f.add_argument("--pricing-tol", type=float, default=SiftConfig.pricing_tolerance)
+    f.add_argument("--max-rounds", type=int, default=SiftConfig.max_rounds)
+    f.add_argument("--max-new-cols", type=int, default=SiftConfig.max_new_columns_per_round)
+    f.add_argument("--prepass-method", choices=METHODS, default=RunConfig.method)
     f.add_argument("--prepass-k", type=int, default=2)
-    f.add_argument("--prepass-start", choices=("zero", "ones"), default=RunConfig.start)
+    f.add_argument("--prepass-start", choices=STARTS, default=RunConfig.start)
     f.add_argument("--prepass-lazy", action="store_true")
-    f.add_argument("--run-seed", type=int, default=0)
+    f.add_argument("--run-seed", type=int, default=RunConfig.seed)
     f.add_argument("--out", help="write a result record CSV")
     f.add_argument("--trace-out", help="write the per-round trace CSV")
     f.set_defaults(func=_cmd_sift)
@@ -462,8 +466,8 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     b.add_argument("--sizes", type=_grid_axis(_size), default="5x100", help="MxN list")
     b.add_argument("--taus", type=_grid_axis(float), default="0.25")
     b.add_argument("--ks", type=_grid_axis(int), default="1")
-    b.add_argument("--methods", type=_grid_axis(str), default="explicit,implicit")
-    b.add_argument("--sigma", type=float, default=1.0)
+    b.add_argument("--methods", type=_grid_axis(str), default=",".join(METHODS))
+    b.add_argument("--sigma", type=float, default=MkpParams.density)
     b.add_argument("--reps", type=int, default=1)
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--enforce-feasibility", action="store_true")

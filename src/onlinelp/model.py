@@ -112,20 +112,15 @@ class LpInstance:
     @classmethod
     def from_dense(cls, A, b, c, upper=None, meta=None) -> "LpInstance":
         """Build an instance from a dense (m, n) matrix, dropping zeros."""
-        A = np.atleast_2d(np.asarray(A, dtype=np.float64))
-        m, n = A.shape
-        M = sp.csc_matrix(A)
-        M.sort_indices()
-        M.eliminate_zeros()
-        if upper is None:
-            upper = np.ones(n)
-        return cls(m, n, M.indptr.astype(np.int64), M.indices.astype(np.int64),
-                   M.data, b, c, upper, meta=meta)
+        return cls.from_scipy(np.atleast_2d(np.asarray(A, dtype=np.float64)), b, c,
+                              upper, meta)
 
     @classmethod
     def from_scipy(cls, A, b, c, upper=None, meta=None) -> "LpInstance":
-        """Build an instance from any scipy sparse matrix."""
-        M = sp.csc_matrix(A)
+        """Build an instance from any scipy sparse matrix (or a dense 2-d
+        array): indices sorted, duplicates summed, zeros dropped.  ``A``
+        itself is left as it is."""
+        M = sp.csc_matrix(A, copy=True)
         M.sort_indices()
         M.sum_duplicates()
         M.eliminate_zeros()

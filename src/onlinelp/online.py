@@ -28,14 +28,19 @@ Both explicit passes run their per-column loop in a small C kernel
 system C compiler on first use and loaded with ctypes; without a compiler,
 or when the build fails, the numpy loop ``_python_loop`` runs instead.
 ``explicit_engine()`` says which one runs.  That loop is the kernel's
-reference, and the two agree bit for bit under the contract stated in
-``_kernel``.  The pass's sums are added term by term in stored order,
-starting from the first term (``_sum``):
+reference, and the two keep one protocol: they take the same arrays, the
+dual's last values and touch steps, the capacity, the accepted counts and
+a two-slot norm accumulator, update them in place, and return the number
+of steps run or the step whose norm escaped its bound (``_explicit_pass``
+raises that escape).  They agree bit for bit under the sum contract stated
+in ``_kernel``.  Every sum of the pass engines, explicit and implicit, is
+added term by term in stored order, starting from the first term
+(``_sum``):
 
 * the pricing dot product <a_j, y> over the nonzeros of column j, 0.0 for
-  an empty column;
-* the dense pass's squared norm ||y||^2 over the m coordinates, whose
-  square root is the norm the pass reports and checks (``_norm``);
+  an empty column, and the implicit step's sign tests and KKT residual;
+* every squared norm, whose square root is the norm a pass reports and
+  checks (``_norm``);
 * the lazy pass's change of its stale squared norm: the sum of the
   column's new squared values minus the sum of its old ones.
 
@@ -73,9 +78,10 @@ __all__ = [
 
 KKT_TOL = 1e-8
 
-_METHODS = ("explicit", "implicit")
-_STEPSIZE_MODES = ("scaled", "simple", "theorem")
-_STARTS = ("zero", "ones")
+# the choices of RunConfig's string fields
+METHODS = ("explicit", "implicit")
+STEPSIZE_MODES = ("scaled", "simple", "theorem")
+STARTS = ("zero", "ones")
 
 
 class ProxCase(Enum):
@@ -128,17 +134,17 @@ class RunConfig:
     check_dual_bounds: bool = False
 
     def __post_init__(self):
-        if self.method not in _METHODS:
-            raise ValueError(f"method must be one of {_METHODS}")
+        if self.method not in METHODS:
+            raise ValueError(f"method must be one of {METHODS}")
         if isinstance(self.stepsize, str):
-            if self.stepsize not in _STEPSIZE_MODES:
-                raise ValueError(f"stepsize mode must be one of {_STEPSIZE_MODES} or a float")
+            if self.stepsize not in STEPSIZE_MODES:
+                raise ValueError(f"stepsize mode must be one of {STEPSIZE_MODES} or a float")
         elif not (float(self.stepsize) > 0):
             raise ValueError("fixed stepsize must be positive")
         if self.duplication < 1:
             raise ValueError("duplication must be >= 1")
-        if isinstance(self.start, str) and self.start not in _STARTS:
-            raise ValueError(f"start must be one of {_STARTS} or an explicit vector")
+        if isinstance(self.start, str) and self.start not in STARTS:
+            raise ValueError(f"start must be one of {STARTS} or an explicit vector")
         if self.lazy and self.method != "explicit":
             raise ValueError("the lazy pass exists only for the explicit update")
         if self.lazy and self.check_dual_bounds:
@@ -302,7 +308,7 @@ def _kkt_residual(y_plus, z, rows, vals, c_j, gamma, x):
         stat[rows] += (gamma * x) * vals
     np.maximum(stat, 0.0, out=stat)
     stat_res = float(np.max(np.abs(stat - y_plus))) if stat.size else 0.0
-    g = c_j - float(vals @ y_plus[rows]) if rows.size else c_j
+    g = c_j - _sum(vals * y_plus[rows])
     comp_res = (1.0 - x) * max(g, 0.0) + x * max(-g, 0.0)
     scale_y = 1.0 + float(np.max(y_plus)) if y_plus.size else 1.0
     return max(stat_res / scale_y, comp_res / (1.0 + abs(c_j)))
@@ -312,15 +318,14 @@ def _implicit_step_core(y, rows, vals, c_j, gd, gamma) -> ProximalSolution:
     z = y - gd
     # Case 1: kink inactive from above, x = 1
     y1 = z.copy()
-    if rows.size:
-        y1[rows] += gamma * vals
+    y1[rows] += gamma * vals
     np.maximum(y1, 0.0, out=y1)
-    g1 = c_j - float(vals @ y1[rows]) if rows.size else c_j
+    g1 = c_j - _sum(vals * y1[rows])
     if g1 > 0.0:
         return ProximalSolution(y1, 1.0, ProxCase.KINK_INACTIVE_HIGH, 0.0)
     # Case 2: kink inactive from below, x = 0
     y2 = np.maximum(z, 0.0)
-    g2 = c_j - float(vals @ y2[rows]) if rows.size else c_j
+    g2 = c_j - _sum(vals * y2[rows])
     if g2 < 0.0:
         return ProximalSolution(y2, 0.0, ProxCase.KINK_INACTIVE_LOW, 0.0)
     # Case 3: kink active; off-support coordinates keep the case-2 formula,
@@ -372,43 +377,7 @@ def _resolve_start(start, num_rows: int) -> np.ndarray:
 
 def _column_sequence(num_cols: int, duplication: int, seed: int) -> np.ndarray:
     # virtual index t of the K*n copies maps to column t mod n
-    rng = np.random.default_rng(seed)
-    if duplication == 1:
-        return rng.permutation(num_cols)
-    return rng.permutation(num_cols * duplication) % num_cols
-
-
-@dataclass
-class LazyDualState:
-    """Per-coordinate drift bookkeeping for the explicit dual update.
-
-    Between touches coordinate i only loses ``step * d_i`` per iteration
-    (projected at zero), so its dense value at iteration k is recovered on
-    demand as [y_base_i - (k - last_update_i) * step * d_i]_+.  Both the
-    dense and the lazy explicit passes evolve their duals through this one
-    kernel, which is what makes their outputs agree bitwise.
-    """
-
-    y_base: np.ndarray        # value at each coordinate's last touch
-    last_update: np.ndarray   # iteration count at that touch
-    step: float               # gamma
-    d: np.ndarray
-    step_d: np.ndarray        # precomputed gamma * d
-
-    @classmethod
-    def from_start(cls, y0: np.ndarray, gamma: float, d: np.ndarray) -> "LazyDualState":
-        return cls(y0.copy(), np.zeros(d.size, dtype=np.int64), gamma, d, gamma * d)
-
-    def materialize(self, rows: np.ndarray, k: int) -> np.ndarray:
-        return np.maximum(
-            self.y_base[rows] - (k - self.last_update[rows]) * self.step_d[rows], 0.0)
-
-    def materialize_all(self, k: int) -> np.ndarray:
-        return np.maximum(self.y_base - (k - self.last_update) * self.step_d, 0.0)
-
-    def commit(self, rows: np.ndarray, k: int, values: np.ndarray) -> None:
-        self.y_base[rows] = values
-        self.last_update[rows] = k + 1
+    return np.random.default_rng(seed).permutation(num_cols * duplication) % num_cols
 
 
 def _explicit_pass(instance: LpInstance, seq: np.ndarray, gamma: float,
@@ -419,12 +388,23 @@ def _explicit_pass(instance: LpInstance, seq: np.ndarray, gamma: float,
     Visits the columns of ``seq`` in order and returns ``(x_sum, y_final,
     max_norm)``, where x_sum[j] counts the accepted copies of column j.
     A ``remaining`` capacity vector, when given, is drawn down in place and
-    refuses any copy that does not fit.  The dense variant materializes the
-    full dual vector every iteration (O(mn) work, exact norm tracking); the
-    lazy one materializes only the visited column supports (O(nnz) work,
-    norm tracked as an upper bound since stale entries only shrink under
-    the drift).  The loop runs in the compiled kernel when it is loaded
-    and in ``_python_loop``, its reference, otherwise.
+    refuses any copy that does not fit.
+
+    Between touches coordinate i only loses gamma * d_i per step, projected
+    at zero, so the pass keeps each coordinate's value at its last touch,
+    ``y_base``, and the step after that touch, ``last``, and forms the
+    value at step k on demand as [y_base_i - (k - last_i) * gamma * d_i]_+.
+    The dense variant forms the whole vector every step (O(mn) work) and
+    checks its norm against ``norm_bound``; the lazy one forms only the
+    visited column supports (O(nnz) work) and tracks the norm as an upper
+    bound, the stale squared norm, since untouched entries only shrink.
+    ``acc`` holds the dense pass's largest norm in acc[0], or the lazy
+    pass's stale squared norm and its maximum.
+
+    The loop runs in the compiled kernel when it is loaded and in
+    ``_python_loop``, its reference, otherwise.  Either returns the step k
+    whose iterate y^k escaped, or T = len(seq); the escape, y^T's included,
+    is raised here.
     """
     m, n = instance.num_rows, instance.num_cols
     d = instance.rhs / n
@@ -439,22 +419,27 @@ def _explicit_pass(instance: LpInstance, seq: np.ndarray, gamma: float,
         raise ValueError(f"capacity vector must be contiguous float64 of shape ({m},)")
     if seq.size and (seq.min() < 0 or seq.max() >= n):
         raise IndexError("column index out of range")
-    state = LazyDualState.from_start(start_y, gamma, d)
+    seq = np.ascontiguousarray(seq, dtype=np.int64)
+    step_d = gamma * d
+    y_base = start_y.copy()
+    last = np.zeros(m, dtype=np.int64)
     x_sum = np.zeros(n)
     if lazy:
-        norm_acc = [_sum(start_y * start_y)] * 2   # stale squared norm, its maximum
+        acc = np.full(2, _sum(start_y * start_y))   # stale squared norm, its maximum
     else:
-        norm_acc = [_norm(start_y), 0.0]           # max norm, unused
+        acc = np.array([_norm(start_y), 0.0])       # largest norm, unused
+    bound = math.inf if norm_bound is None else norm_bound
     loop = _python_loop if _kernel.load() is None else _compiled_loop
-    loop(instance, seq, gamma, state, remaining, x_sum, lazy, norm_bound, norm_acc)
+    k = loop(instance, seq, gamma, step_d, y_base, last, remaining, x_sum, not lazy,
+             bound, acc)
 
-    y_final = state.materialize_all(seq.size)
+    y_final = np.maximum(y_base - (k - last) * step_d, 0.0)
     if lazy:
-        max_norm = math.sqrt(max(norm_acc[1], 0.0))
-    else:
-        max_norm = max(norm_acc[0], _norm(y_final))
-        if norm_bound is not None and max_norm > norm_bound * (1.0 + 1e-9):
-            raise RuntimeError("explicit dual iterate escaped its norm bound at the end")
+        return x_sum, y_final, math.sqrt(max(acc[1], 0.0))
+    max_norm = max(float(acc[0]), _norm(y_final))
+    if max_norm > bound * (1.0 + 1e-9):   # y^k escaped, midway or at k = T
+        raise RuntimeError(f"explicit dual iterate escaped its norm bound at step {k}: "
+                           f"{max_norm:.6g} > {norm_bound:.6g}")
     return x_sum, y_final, max_norm
 
 
@@ -469,15 +454,11 @@ def explicit_engine() -> str:
     return f"python: {_kernel.reason()}"
 
 
-def _norm_escape(k: int, norm: float, norm_bound: float) -> RuntimeError:
-    return RuntimeError(f"explicit dual iterate escaped its norm bound at step {k}: "
-                        f"{norm:.6g} > {norm_bound:.6g}")
-
-
 def _sum(terms: np.ndarray) -> float:
     """The terms added one by one in order, 0.0 when there are none: the
-    order of every sum of the explicit pass, on both engines."""
-    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
+    order of every sum of the pass engines.  ``np.add.accumulate`` is
+    ``np.cumsum`` without its dispatch, a third of the cost on short sums."""
+    return float(np.add.accumulate(terms)[-1]) if terms.size else 0.0
 
 
 def _norm(y: np.ndarray) -> float:
@@ -485,56 +466,56 @@ def _norm(y: np.ndarray) -> float:
     return math.sqrt(_sum(y * y))
 
 
-def _python_loop(instance, seq, gamma, state, remaining, x_sum, lazy, norm_bound, norm_acc):
+def _python_loop(instance, seq, gamma, step_d, y_base, last, remaining, x_sum, dense,
+                 norm_bound, acc) -> int:
     """The per-column loop of ``_explicit_pass`` in numpy; the reference of
-    the compiled kernel.  Updates its arguments in place."""
+    the compiled kernel.  Updates ``y_base``, ``last``, ``remaining``,
+    ``x_sum`` and ``acc`` in place and returns len(seq), or the step whose
+    dual norm escaped ``norm_bound``."""
     cp, ri, vals_all = instance.col_ptr, instance.row_idx, instance.values
     c = instance.obj
-    gd = state.step_d
     for k, j in enumerate(seq):
         lo, hi = cp[j], cp[j + 1]
         rows = ri[lo:hi]
         vals = vals_all[lo:hi]
-        if lazy:
-            ym = state.materialize(rows, k)
-        else:
-            y_full = state.materialize_all(k)
+        if dense:
+            y_full = np.maximum(y_base - (k - last) * step_d, 0.0)
             norm = _norm(y_full)
-            norm_acc[0] = max(norm_acc[0], norm)
-            if norm_bound is not None and norm > norm_bound * (1.0 + 1e-9):
-                raise _norm_escape(k, norm, norm_bound)
+            acc[0] = max(acc[0], norm)
+            if norm > norm_bound * (1.0 + 1e-9):
+                return k
             ym = y_full[rows]
+        else:
+            ym = np.maximum(y_base[rows] - (k - last[rows]) * step_d[rows], 0.0)
         x = 1.0 if c[j] > _sum(vals * ym) else 0.0
         if x == 1.0 and remaining is not None and not np.all(remaining[rows] >= vals):
             x = 0.0
         if x == 1.0:
-            new_vals = np.maximum(ym + gamma * vals - gd[rows], 0.0)
+            new_vals = np.maximum(ym + gamma * vals - step_d[rows], 0.0)
             if remaining is not None:
                 remaining[rows] -= vals
             x_sum[j] += 1.0
         else:
-            new_vals = np.maximum(ym - gd[rows], 0.0)
-        if lazy:
-            old_vals = state.y_base[rows]
-            norm_acc[0] += _sum(new_vals * new_vals) - _sum(old_vals * old_vals)
-            norm_acc[1] = max(norm_acc[1], norm_acc[0])
-        state.commit(rows, k, new_vals)
+            new_vals = np.maximum(ym - step_d[rows], 0.0)
+        if not dense:
+            old_vals = y_base[rows]
+            acc[0] += _sum(new_vals * new_vals) - _sum(old_vals * old_vals)
+            acc[1] = max(acc[1], acc[0])
+        y_base[rows] = new_vals
+        last[rows] = k + 1
+    return seq.size
 
 
-def _compiled_loop(instance, seq, gamma, state, remaining, x_sum, lazy, norm_bound, norm_acc):
-    """``_python_loop`` in one call of the compiled kernel."""
-    seq = np.ascontiguousarray(seq, dtype=np.int64)
-    acc = np.array(norm_acc)
-    k = _kernel.load().explicit_pass(
+def _compiled_loop(instance, seq, gamma, step_d, y_base, last, remaining, x_sum, dense,
+                   norm_bound, acc) -> int:
+    """``_python_loop`` in one call of the compiled kernel, which writes in
+    place through the pointers of the same arrays."""
+    return _kernel.load().explicit_pass(
         instance.num_rows, instance.col_ptr.ctypes.data, instance.row_idx.ctypes.data,
-        instance.values.ctypes.data, instance.obj.ctypes.data, state.step_d.ctypes.data,
-        gamma, seq.ctypes.data, seq.size, state.y_base.ctypes.data,
-        state.last_update.ctypes.data, None if remaining is None else remaining.ctypes.data,
-        x_sum.ctypes.data, int(not lazy), math.inf if norm_bound is None else norm_bound,
-        acc.ctypes.data)
-    norm_acc[:] = acc.tolist()
-    if k < seq.size:   # the escaped norm is the new maximum
-        raise _norm_escape(k, norm_acc[0], norm_bound)
+        instance.values.ctypes.data, instance.obj.ctypes.data, step_d.ctypes.data,
+        gamma, seq.ctypes.data, seq.size, y_base.ctypes.data, last.ctypes.data,
+        None if remaining is None else remaining.ctypes.data, x_sum.ctypes.data,
+        int(dense), norm_bound, acc.ctypes.data)
 
 
 def _implicit_pass(instance: LpInstance, seq: np.ndarray, gamma: float,
@@ -547,7 +528,7 @@ def _implicit_pass(instance: LpInstance, seq: np.ndarray, gamma: float,
     cp, ri, vals_all = instance.col_ptr, instance.row_idx, instance.values
     y = start_y.copy()
     x_sum = np.zeros(n)
-    max_norm = float(np.linalg.norm(y))
+    max_norm = _norm(y)
 
     for k, j in enumerate(seq):
         lo, hi = cp[j], cp[j + 1]
@@ -555,14 +536,14 @@ def _implicit_pass(instance: LpInstance, seq: np.ndarray, gamma: float,
         vals = vals_all[lo:hi]
         sol = _implicit_step_core(y, rows, vals, float(c[j]), gd, gamma)
         if step_bound is not None:
-            move = float(np.linalg.norm(sol.y_plus - y))
+            move = _norm(sol.y_plus - y)
             if move > step_bound * (1.0 + 1e-9):
                 raise RuntimeError(
                     f"implicit dual move escaped its bound at step {k}: "
                     f"{move:.6g} > {step_bound:.6g}"
                 )
         y = sol.y_plus
-        norm = float(np.linalg.norm(y))
+        norm = _norm(y)
         max_norm = max(max_norm, norm)
         if norm_bound is not None and norm > norm_bound * (1.0 + 1e-9):
             raise RuntimeError(

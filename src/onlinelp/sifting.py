@@ -63,6 +63,8 @@ class SiftConfig:
             raise ValueError("init_threshold must be nonnegative")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
+        if self.max_new_columns_per_round is not None and self.max_new_columns_per_round < 1:
+            raise ValueError("max_new_columns_per_round must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -129,15 +131,17 @@ def stabilize(y_working, y_anchor, alpha: float) -> np.ndarray:
     return alpha * y_working + (1.0 - alpha) * y_anchor
 
 
-def basis_metrics(reference_basis, initial_working_set, n: int) -> tuple[float, float]:
-    """(acc, rdc): basic-column recall of the seed set, and its size over n.
+def basis_metrics(reference_support, initial_working_set, n: int) -> tuple[float, float]:
+    """(acc, rdc): support recall of the seed set, the share of a reference
+    optimum's support (its columns with x > 0) that the set holds, and the
+    set's size over n.
 
-    ``sift`` reports only rdc; acc needs a reference basis, which costs a
+    ``sift`` reports only rdc; acc needs a reference optimum, which costs a
     full exact solve, so callers that want it run that solve themselves.
     """
-    ref = set(int(j) for j in reference_basis)
+    ref = set(int(j) for j in reference_support)
     if not ref:
-        raise ValueError("reference basis is empty")
+        raise ValueError("reference support is empty")
     seed = set(int(j) for j in initial_working_set)
     acc = len(ref & seed) / len(ref)
     rdc = len(seed) / n
@@ -200,8 +204,10 @@ def sift(instance: LpInstance, online_solution: OnlineSolution,
                        config.max_new_columns_per_round)
         if priced.size == 0 and blend:
             # a blended dual cannot certify optimality: confirm with the
-            # exact working dual over every column before terminating
-            priced = price(instance, w, y_exact, config.pricing_tolerance, None)
+            # exact working dual over every column before terminating; a
+            # capped sweep is empty only when the whole sweep is
+            priced = price(instance, w, y_exact, config.pricing_tolerance,
+                           config.max_new_columns_per_round)
         certified = priced.size == 0
         trace.append(SiftRound(round_no, w.size, priced.size, res.obj,
                                time.perf_counter() - t0, res.iterations,

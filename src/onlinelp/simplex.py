@@ -380,10 +380,7 @@ def solve_lp(instance: LpInstance, warm_basis=None,
         basis[neg_rows] = art_ids
         ws.basis = basis
         ws.status[basis] = 2
-        try:
-            ws.refactorize()
-        except SingularBasisError:
-            raise  # slack/artificial basis is diagonal; this cannot happen
+        ws.refactorize()   # a slack/artificial basis is diagonal, never singular
         x_b = ws.basic_values()
 
         if ws.n_art:

@@ -1,4 +1,5 @@
 import csv
+import os
 import subprocess
 import sys
 
@@ -47,12 +48,20 @@ class TestSolve:
             "RHS\n    RHS  CAP  0.5\nBOUNDS\n UP B  X1  1.0\n UP B  X2  1.0\n"
             "ENDATA\n")
         code = run_cli(["solve", "--mps", str(mps), "--method", "implicit",
-                        "--gamma", "0.005", "--enforce-feasibility"])
+                        "--stepsize", "0.005", "--enforce-feasibility"])
         assert code == 0
         out = capsys.readouterr().out
         obj = float(next(l for l in out.splitlines()
                          if l.startswith("objective")).split()[1])
         assert abs(obj - 0.5) <= 1e-9
+
+    def test_a_float_stepsize_is_the_runs_gamma(self, tmp_path, capsys):
+        out = tmp_path / "res.csv"
+        assert run_cli(["solve", "--gen", "m=4,n=40,tau=0.3,seed=2",
+                        "--stepsize", "0.005", "--out", str(out)]) == 0
+        text = capsys.readouterr().out
+        assert "resolved stepsize = 0.005" in text and "resolved gamma = 0.005" in text
+        assert read_results_csv(out)[0].gamma == 0.005
 
     def test_until_eps_terminates_or_caps(self, capsys):
         code = run_cli(["solve", "--gen", "m=3,n=30,tau=0.5,seed=1",
@@ -148,6 +157,14 @@ class TestSift:
         assert len(rows) == recs[0].rounds + 1
         assert rows[1][-1] == "0"  # the first round has no basis to start from
         assert all(int(r[-2]) >= 0 and r[-1] in ("0", "1") for r in rows[1:])
+
+    def test_defaults_are_the_librarys(self):
+        from onlinelp.cli import _sift_configs, build_parser
+        from onlinelp.online import RunConfig
+        from onlinelp.sifting import SiftConfig
+        pre, config = _sift_configs(build_parser().parse_args(["sift", "--gen", "m=1,n=1,tau=1"]))
+        assert config == SiftConfig()
+        assert pre == RunConfig(duplication=2)   # --prepass-k 2 is the command's own
 
     def test_echoes_engine(self, capsys):
         from onlinelp.online import explicit_engine
@@ -302,7 +319,8 @@ class TestPlumbing:
 
     @pytest.mark.parametrize("args, message", [
         (["solve", "--k", "0"], "duplication must be >= 1"),
-        (["solve", "--gamma", "-1"], "fixed stepsize must be positive"),
+        (["solve", "--stepsize", "-1"], "fixed stepsize must be positive"),
+        (["solve", "--stepsize", "fast"], "stepsize mode must be one of"),
         (["sift", "--alpha", "2"], "stabilization_alpha must lie in (0, 1]"),
         (["sift", "--prepass-k", "0"], "duplication must be >= 1"),
         (["bench", "--sizes", "5"], "size '5' is not MxN"),
@@ -320,8 +338,10 @@ class TestPlumbing:
         assert message in err and "Traceback" not in err
 
     def test_console_script_help(self):
+        # the child finds the package as this process does, installed or not
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         proc = subprocess.run(
             [sys.executable, "-m", "onlinelp.cli", "--help"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "gen" in proc.stdout and "bench" in proc.stdout

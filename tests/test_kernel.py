@@ -5,6 +5,7 @@ explicit engine and the simplex see when no kernel could be built.
 """
 
 import ctypes
+import math
 import re
 import shutil
 import subprocess
@@ -128,6 +129,59 @@ def test_bound_escape_raises_the_same_error(compiled, monkeypatch):
     with pytest.raises(RuntimeError) as want:
         reference(monkeypatch, inst, cfg)
     assert str(got.value) == str(want.value)
+
+
+def test_an_escape_of_the_last_iterate_names_step_t(compiled, monkeypatch):
+    # y^0 = 0 passes; the one step takes column 0 to y^1 = 0.1 - 0.05
+    inst = LpInstance.from_dense([[1.0]], [0.5], [5.0])
+    cfg = RunConfig(stepsize=0.1, check_dual_bounds=True)
+    monkeypatch.setattr(online, "explicit_dual_norm_bound", lambda *args: 1e-3)
+    want = "explicit dual iterate escaped its norm bound at step 1: 0.05 > 0.001"
+    with pytest.raises(RuntimeError) as got:
+        solve_online(inst, cfg)
+    assert str(got.value) == want
+    with pytest.raises(RuntimeError) as got:
+        reference(monkeypatch, inst, cfg)
+    assert str(got.value) == want
+
+
+def loop_state(loop, instance, seq, gamma, start, capacity, dense, bound):
+    """What one explicit loop returns and the bytes of every array it
+    updates, run from fresh copies of the same inputs."""
+    step_d = gamma * (instance.rhs / instance.num_cols)
+    y_base = start.copy()
+    last = np.zeros(instance.num_rows, dtype=np.int64)
+    remaining = None if capacity is None else capacity.copy()
+    x_sum = np.zeros(instance.num_cols)
+    if dense:
+        acc = np.array([online._norm(start), 0.0])
+    else:
+        acc = np.full(2, online._sum(start * start))
+    k = loop(instance, seq, gamma, step_d, y_base, last, remaining, x_sum, dense, bound, acc)
+    arrays = {"y_base": y_base, "last": last, "remaining": remaining, "x_sum": x_sum,
+              "acc": acc}
+    return k, {name: None if a is None else a.tobytes() for name, a in arrays.items()}
+
+
+@pytest.mark.parametrize("capacity", [False, True], ids=["free", "capacity"])
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "lazy"])
+def test_both_loops_leave_the_same_state(compiled, dense, capacity):
+    inst = generate_mkp(MkpParams(m=8, n=60, tightness=0.3, density=0.5, seed=9))
+    gamma = solve_online(inst, RunConfig(duplication=4)).gamma
+    seq = np.random.default_rng(9).permutation(4 * 60) % 60
+    start = np.random.default_rng(9).uniform(0.0, 0.1, 8)
+    cap = 4 * inst.rhs if capacity else None
+    k, free = loop_state(online._python_loop, inst, seq, gamma, start, cap, dense, math.inf)
+    assert k == seq.size
+    assert loop_state(online._compiled_loop, inst, seq, gamma, start, cap, dense,
+                      math.inf) == (k, free)
+    # half the largest norm: the dense loops stop midway, the lazy ones never check
+    acc = np.frombuffer(free["acc"])
+    bound = (acc[0] if dense else math.sqrt(acc[1])) / 2
+    k, state = loop_state(online._python_loop, inst, seq, gamma, start, cap, dense, bound)
+    assert 0 < k < seq.size if dense else (k, state) == (seq.size, free)
+    assert loop_state(online._compiled_loop, inst, seq, gamma, start, cap, dense,
+                      bound) == (k, state)
 
 
 @pytest.mark.parametrize("engine", ["compiled", "python"])

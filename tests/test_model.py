@@ -68,6 +68,29 @@ class TestLpInstance:
         assert inst != inst.restrict_columns(range(inst.num_cols))
         assert {a: 1, b: 2, inst: 3}[a] == 1
 
+    def test_from_scipy_makes_canonical_csc(self):
+        import scipy.sparse as sp
+
+        # column 0: rows 2, 0 (unsorted); column 1: row 1 twice (summed) and
+        # a stored zero at row 2 (dropped); column 2: 1 - 1 sums to zero
+        data = np.array([3.0, 1.0, 2.0, 5.0, 0.0, 1.0, -1.0])
+        rows = np.array([2, 0, 1, 1, 2, 0, 0])
+        ptr = np.array([0, 2, 5, 7])
+        csc = sp.csc_matrix((data.copy(), rows.copy(), ptr.copy()), shape=(3, 3))
+        coo = sp.coo_matrix((data, (rows, np.array([0, 0, 1, 1, 1, 2, 2]))), shape=(3, 3))
+        for A in (csc, coo):
+            inst = LpInstance.from_scipy(A, np.ones(3), np.ones(3))
+            assert inst.col_ptr.tolist() == [0, 2, 3, 3]
+            assert inst.row_idx.tolist() == [0, 2, 1]
+            assert inst.values.tolist() == [1.0, 3.0, 7.0]
+            assert inst.upper.tolist() == [1.0, 1.0, 1.0]
+        # the input matrix is left as it was, and writable
+        assert csc.data.tolist() == data.tolist() and csc.indices.tolist() == rows.tolist()
+        assert csc.data.flags.writeable
+        dense = LpInstance.from_dense(csc.toarray(), np.ones(3), np.ones(3))
+        assert dense.row_idx.tobytes() == inst.row_idx.tobytes()
+        assert dense.values.tobytes() == inst.values.tobytes()
+
     def test_restrict_columns(self):
         inst = LpInstance.from_dense([[1.0, 0.0, 2.0], [0.0, 3.0, 4.0]],
                                      [1.0, 1.0], [1.0, 2.0, 3.0])

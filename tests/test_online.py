@@ -184,6 +184,31 @@ class TestImplicitStep:
         assert 0.0 <= sol.x_k <= 1.0
         assert sol.kkt_residual <= 1e-8
 
+    def test_the_stored_order_decides_a_tie(self):
+        """c equals numpy's BLAS <a, y1>, which lies above the sum in stored
+        order: the step adds in stored order, so g1 = c - <a, y1> > 0 and
+        it takes the whole column, where the BLAS sum would give g1 = 0."""
+        rng = np.random.default_rng(7)
+        m, gamma = 12, 0.01
+        for _ in range(10_000):
+            vals = rng.uniform(0.1, 1.0, m)
+            y = rng.uniform(0.1, 1.0, m)
+            # with a cost no dual reaches, the step returns y1 itself
+            high = LpInstance(m, 1, [0, m], np.arange(m), vals, np.ones(m), [1e9], [1.0])
+            y1 = implicit_step(high, y, 0, gamma).y_plus
+            c = float(vals @ y1)
+            in_order = 0.0
+            for t in (vals * y1).tolist():
+                in_order += t
+            if in_order < c:
+                break
+        else:
+            pytest.fail("no data whose tie the summation order decides")
+        inst = LpInstance(m, 1, [0, m], np.arange(m), vals, np.ones(m), [c], [1.0])
+        sol = implicit_step(inst, y, 0, gamma)
+        assert sol.case_tag is ProxCase.KINK_INACTIVE_HIGH and sol.x_k == 1.0
+        assert sol.y_plus.tobytes() == y1.tobytes()
+
     def test_matches_grid_oracle(self):
         rng = np.random.default_rng(11)
         for trial in range(12):

@@ -186,6 +186,21 @@ class TestSift:
         else:
             assert len(found) == result.rounds and found.count(0) == 1
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_the_column_cap_holds_on_every_sweep(self, seed):
+        # the blended dual prices nothing in the first round here, so the
+        # round's columns come from the certifying sweep with the exact dual
+        inst = generate_mkp(MkpParams(m=6, n=300, tightness=0.3, seed=seed))
+        pre = solve_online(inst, RunConfig(duplication=2, seed=seed))
+        result = sift(inst, pre, SiftConfig(max_new_columns_per_round=5))
+        assert all(r.priced <= 5 for r in result.trace)
+        assert result.trace[-1].priced == 0
+        assert result.objective == pytest.approx(solve_lp(inst).obj, rel=1e-9)
+
+    def test_a_cap_below_one_is_refused(self):
+        with pytest.raises(ValueError, match="max_new_columns_per_round"):
+            SiftConfig(max_new_columns_per_round=0)
+
     def test_acc_rdc_reported(self):
         inst = generate_mkp(MkpParams(m=5, n=150, tightness=0.25, seed=9))
         result = online_then_sift(inst, seed=9)
