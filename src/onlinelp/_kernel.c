@@ -1,14 +1,20 @@
-/* The two compiled loops of onlinelp: the per-column loop of the explicit
- * online pass (online._explicit_pass) and the pivot loop of the simplex
- * (simplex._pivot_loop), built and loaded together by _kernel.py.
+/* The three compiled functions of onlinelp, built and loaded together by
+ * _kernel.py: the per-column loop of the explicit online pass
+ * (online._explicit_pass), the pivot loop of the simplex
+ * (simplex._pivot_loop) and the sweep of an MPS file's data sections
+ * (mps._sweep).
  *
- * Both repeat their numpy references bit for bit, under the one contract
- * stated in _kernel.py: the same IEEE operations in the same order, with
- * every sum added term by term in the order the reference fixes.  Build
- * with -ffp-contract=off so that no multiply and add are fused.
+ * All three repeat their numpy references bit for bit, under the one
+ * contract stated in _kernel.py.  The two loops do the same IEEE
+ * operations in the same order, with every sum added term by term in the
+ * order the reference fixes; build with -ffp-contract=off so that no
+ * multiply and add are fused.  The sweep reads each value with strtod,
+ * which rounds as Python's float does.
  */
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 /* np.maximum(v, 0.0), which maps -0.0 to +0.0 */
 static double clamp(double v) { return v > 0.0 ? v : 0.0; }
@@ -233,4 +239,253 @@ int simplex_pivots(int64_t m, int64_t n, int64_t n_art, const int64_t *col_ptr,
         }
         if (refactor) return REFACTOR;
     }
+}
+
+
+/* The sweep of an MPS file's COLUMNS, RHS and BOUNDS bodies, the compiled
+ * front end of mps._Reader (whose numpy front end is its reference).
+ *
+ * Tokens are split at bytes 9-13 and 28-32, the separators of ASCII
+ * str.split(), and lines end at '\n'.  Blank lines and lines whose first
+ * token starts with '*' hold no data.  The sweep never raises and never
+ * reports a line: at a line the numpy front end would refuse, or would
+ * read otherwise (a MARKER line), it stops with a hand-back code, and the
+ * caller sends the whole file through the numpy reader, which raises for
+ * the right line.
+ */
+
+enum { SWEPT = 0, BAD_COUNT = 1, BAD_NUMBER = 2, UNKNOWN_ROW = 3, MARKER = 4,
+       BAD_BOUND = 5, UNKNOWN_COLUMN = 6, NO_MEMORY = 7 };
+enum { UP = 0, LO = 1, FX = 2, FR = 3, MI = 4, PL = 5, BV = 6 };   /* mps._BOUND_TYPES */
+
+static int is_sep(unsigned char ch) { return ch - 9u <= 4u || ch - 28u <= 4u; }
+static int is_digit(unsigned char ch) { return ch - (unsigned)'0' <= 9u; }
+
+typedef struct { const char *s; int64_t n; } Token;
+
+/* The next token of the line at *p, which ends at '\n' or at end; 0 past
+ * the line's last token, with *p left at the line's end. */
+static int next_token(const char **p, const char *end, Token *t)
+{
+    const char *q = *p;
+    while (q < end && *q != '\n' && is_sep((unsigned char)*q)) q++;
+    t->s = q;
+    while (q < end && !is_sep((unsigned char)*q)) q++;
+    t->n = q - t->s;
+    *p = q;
+    return t->n > 0;
+}
+
+/* The start of the line after the one that holds p. */
+static const char *next_line(const char *p, const char *end)
+{
+    const char *nl = memchr(p, '\n', (size_t)(end - p));
+    return nl ? nl + 1 : end;
+}
+
+/* strtod of a token of the grammar [+-]?(d+(.d*)?|.d+)([eE][+-]?d+)?, on
+ * which strtod and Python's float both round correctly and so agree bit
+ * for bit; 0 for any other token (hex floats, inf, nan, 1_0 ...) and when
+ * strtod stops short of the token's end (a locale's decimal comma). */
+static int number(Token t, double *out)
+{
+    const unsigned char *p = (const unsigned char *)t.s, *end = p + t.n, *d;
+    if (p < end && (*p == '+' || *p == '-')) p++;
+    for (d = p; p < end && is_digit(*p); p++) {}
+    int digits = p > d;
+    if (p < end && *p == '.') {
+        for (d = ++p; p < end && is_digit(*p); p++) {}
+        digits |= p > d;
+    }
+    if (!digits) return 0;
+    if (p < end && (*p == 'e' || *p == 'E')) {
+        if (++p < end && (*p == '+' || *p == '-')) p++;
+        for (d = p; p < end && is_digit(*p); p++) {}
+        if (p == d) return 0;
+    }
+    if (p != end) return 0;
+    char *stop;
+    *out = strtod(t.s, &stop);
+    return stop == t.s + t.n;
+}
+
+/* A name table: open addressing on FNV-1a, each slot an id + 1 or 0 when
+ * free; name id is base[span[2 id] .. span[2 id + 1]). */
+typedef struct {
+    int64_t *slot, mask, count;
+    const char *base;
+    const int64_t *span;
+} Names;
+
+static int names_init(Names *t, int64_t count, const char *base, const int64_t *span)
+{
+    int64_t size = 1024;
+    while (size < 2 * count) size *= 2;
+    t->slot = calloc((size_t)size, sizeof(int64_t));
+    t->mask = size - 1;
+    t->count = 0;
+    t->base = base;
+    t->span = span;
+    return t->slot != NULL;
+}
+
+/* The slot that holds the name key, or the free slot it would take. */
+static int64_t *names_find(const Names *t, Token key)
+{
+    uint64_t h = 14695981039346656037ull;
+    for (int64_t i = 0; i < key.n; i++) h = (h ^ (unsigned char)key.s[i]) * 1099511628211ull;
+    for (;; h++) {
+        int64_t *s = t->slot + (h & (uint64_t)t->mask);
+        if (*s == 0) return s;
+        const int64_t *span = t->span + 2 * (*s - 1);
+        if (span[1] - span[0] == key.n && memcmp(t->base + span[0], key.s, (size_t)key.n) == 0)
+            return s;
+    }
+}
+
+/* Gives the next id to the name whose span is already written, at its
+ * free slot; keeps the table at most half full.  0 when out of memory. */
+static int names_add(Names *t, int64_t *slot)
+{
+    *slot = ++t->count;
+    if (2 * t->count <= t->mask + 1) return 1;
+    Names grown = *t;
+    if (!names_init(&grown, t->count, t->base, t->span)) return 0;
+    for (int64_t id = 0; id < t->count; id++) {
+        const int64_t *span = t->span + 2 * id;
+        Token name = {t->base + span[0], span[1] - span[0]};
+        *names_find(&grown, name) = id + 1;
+    }
+    grown.count = t->count;
+    free(t->slot);
+    *t = grown;
+    return 1;
+}
+
+/* Reads the bodies text[spans[0] .. spans[1]) (COLUMNS), [spans[2] ..
+ * spans[3]) (RHS) and [spans[4] .. spans[5]) (BOUNDS) into:
+ * - each constraint entry's column, row and value (ent_*) and each
+ *   objective entry's column and value (obj_*), in file order;
+ * - each RHS pair's row and value (rhs_*), with -1 for the objective;
+ * - each bound's kind, column and value (bnd_*; nan when it has none);
+ * - the [start, stop) span in text of each column's name at its first
+ *   line (col_name), in order of first appearance, which is id order.
+ * Row i's name spans row_text[row_name[2 i] .. row_name[2 i + 1]), and
+ * col_role[i] and rhs_role[i] are its row id in COLUMNS and in RHS: >= 0 for a
+ * constraint row, -1 for the objective, -2 for a free row, whose entries
+ * are dropped.  counts receives the number of constraint entries,
+ * objective entries, RHS pairs, bounds and columns.  Each output holds
+ * one item per pair (or line) its body could hold.  Returns SWEPT, or the
+ * hand-back code of the first line it will not read. */
+int mps_sweep(const char *text, const int64_t *spans, const char *row_text,
+              const int64_t *row_name, const int64_t *col_role, const int64_t *rhs_role,
+              int64_t nrows, int64_t *ent_col, int64_t *ent_row, double *ent_val,
+              int64_t *obj_col, double *obj_val, int64_t *rhs_row, double *rhs_val,
+              int64_t *bnd_kind, int64_t *bnd_col, double *bnd_val, int64_t *col_name,
+              int64_t *counts)
+{
+    enum { ENTRIES, OBJECTIVE, RHS, BOUNDS, COLUMNS };
+    Names rows = {0}, cols = {0};
+    if (!names_init(&rows, nrows, row_text, row_name) || !names_init(&cols, 0, text, col_name)) {
+        free(rows.slot);
+        free(cols.slot);
+        return NO_MEMORY;
+    }
+    for (int64_t i = 0; i < nrows; i++) {   /* sized for nrows: never grows */
+        Token name = {row_text + row_name[2 * i], row_name[2 * i + 1] - row_name[2 * i]};
+        names_add(&rows, names_find(&rows, name));
+    }
+    for (int k = 0; k <= COLUMNS; k++) counts[k] = 0;
+    int code = SWEPT;
+    Token t, row, val;
+    double v;
+
+    /* COLUMNS lines: a column name, then row/value pairs */
+    const char *end = text + spans[1];
+    Token prev = {text, 0};
+    int64_t col = -1;
+    for (const char *p = text + spans[0]; code == SWEPT && p < end; p = next_line(p, end)) {
+        if (!next_token(&p, end, &t) || t.s[0] == '*') continue;
+        if (t.n != prev.n || memcmp(t.s, prev.s, (size_t)t.n) != 0) {
+            int64_t *s = names_find(&cols, t);
+            if (*s == 0) {
+                col_name[2 * cols.count] = t.s - text;
+                col_name[2 * cols.count + 1] = t.s + t.n - text;
+                if (!names_add(&cols, s)) { code = NO_MEMORY; break; }
+                col = cols.count - 1;
+            } else {
+                col = *s - 1;
+            }
+            prev = t;
+        }
+        int pairs = 0;
+        while (code == SWEPT && next_token(&p, end, &row)) {
+            int64_t at = *names_find(&rows, row) - 1;
+            if (row.s[0] == '\'') code = MARKER;
+            else if (!next_token(&p, end, &val)) code = BAD_COUNT;
+            else if (!number(val, &v)) code = BAD_NUMBER;
+            else if (at < 0) code = UNKNOWN_ROW;
+            else if (col_role[at] >= 0) {
+                ent_col[counts[ENTRIES]] = col;
+                ent_row[counts[ENTRIES]] = col_role[at];
+                ent_val[counts[ENTRIES]++] = v;
+            } else if (col_role[at] == -1) {
+                obj_col[counts[OBJECTIVE]] = col;
+                obj_val[counts[OBJECTIVE]++] = v;
+            }
+            pairs = 1;
+        }
+        if (!pairs) code = BAD_COUNT;
+    }
+
+    /* RHS lines: row/value pairs, after a set name when the count is odd */
+    end = text + spans[3];
+    for (const char *p = text + spans[2]; code == SWEPT && p < end; p = next_line(p, end)) {
+        const char *q = p;
+        Token first = {text, 0};
+        int64_t size = 0;
+        for (; next_token(&q, end, &t); size++)
+            if (size == 0) first = t;
+        if (size == 0 || first.s[0] == '*') continue;
+        if (size == 1) { code = BAD_COUNT; break; }
+        p = size % 2 ? first.s + first.n : first.s;
+        while (code == SWEPT && next_token(&p, end, &row) && next_token(&p, end, &val)) {
+            int64_t at = *names_find(&rows, row) - 1;
+            if (!number(val, &v)) code = BAD_NUMBER;
+            else if (at < 0) code = UNKNOWN_ROW;
+            else if (rhs_role[at] >= -1) {
+                rhs_row[counts[RHS]] = rhs_role[at];
+                rhs_val[counts[RHS]++] = v;
+            }
+        }
+    }
+
+    /* BOUNDS lines: a kind, a set name, a column and, for UP, LO and FX,
+     * a value; FR, MI and a negative UP are handed back, as the 0 <= x <= u
+     * model may refuse them */
+    static const char kinds[] = "UPLOFXFRMIPLBV";
+    end = text + spans[5];
+    for (const char *p = text + spans[4]; code == SWEPT && p < end; p = next_line(p, end)) {
+        if (!next_token(&p, end, &t) || t.s[0] == '*') continue;
+        int kind = -1;
+        for (int k = 0; k < 7 && t.n == 2; k++)   /* ASCII letters: & ~0x20 is upper() */
+            if ((t.s[0] & ~0x20) == kinds[2 * k] && (t.s[1] & ~0x20) == kinds[2 * k + 1]) kind = k;
+        int64_t c = -1;
+        v = NAN;
+        if (kind < 0 || kind == FR || kind == MI) code = BAD_BOUND;
+        else if (!next_token(&p, end, &t) || !next_token(&p, end, &t)) code = BAD_COUNT;
+        else if ((c = *names_find(&cols, t) - 1) < 0) code = UNKNOWN_COLUMN;
+        else if (kind <= FX && !next_token(&p, end, &val)) code = BAD_COUNT;
+        else if (kind <= FX && !number(val, &v)) code = BAD_NUMBER;
+        else if (kind == UP && v < 0.0) code = BAD_BOUND;
+        else {
+            bnd_kind[counts[BOUNDS]] = kind;
+            bnd_col[counts[BOUNDS]] = c;
+            bnd_val[counts[BOUNDS]++] = v;
+        }
+    }
+    counts[COLUMNS] = cols.count;
+    free(rows.slot);
+    free(cols.slot);
+    return code;
 }

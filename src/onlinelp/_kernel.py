@@ -1,23 +1,35 @@
 """Build-on-first-use loader of the compiled kernel, ``_kernel.c``.
 
-The kernel holds two loops: the explicit online pass (``explicit_pass``)
-and the simplex pivot loop (``simplex_pivots``).  They are built, cached
-and loaded as one library and resolved as a unit: ``load()`` returns the
-library with both functions, or None with one reason.
+The kernel holds three functions: the explicit online pass
+(``explicit_pass``), the simplex pivot loop (``simplex_pivots``) and the
+sweep of an MPS file's COLUMNS, RHS and BOUNDS sections (``mps_sweep``).
+They are built, cached and loaded as one library and resolved as a unit:
+``load()`` returns the library with all three, or None with one reason.
 
-Each loop keeps one protocol and one contract with its numpy reference,
-``online._python_loop`` or ``simplex._python_pivots``.  The protocol: the
-two take the same arguments, update the same arrays in place and return
-the same value (``explicit_pass`` the number of steps run or the step
-whose dual norm escaped its bound, ``simplex_pivots`` its reason for
-stopping), so their caller picks either.  The contract: every value is
-computed by the same IEEE operations in the same order, so the engines
-agree bit for bit.  The references fix the order of every sum by adding
-its terms one by one in stored order (``np.cumsum``), and the C loops
-repeat that order; the library is built with ``-ffp-contract=off`` so no
-multiply and add are fused.  A C sum that starts from 0.0 rather than
-from its first term differs only in the sign of a zero sum, which no
-comparison and no square sees.
+Each function keeps one protocol and one contract with its numpy
+reference.  The protocol: arrays in, an int out, and never a raise; the
+caller turns the int into an outcome.
+
+- ``explicit_pass`` and ``simplex_pivots`` take the same arguments as
+  their references, ``online._python_loop`` and
+  ``simplex._python_pivots``, update the same arrays in place and return
+  the same value: the number of steps run or the step whose dual norm
+  escaped its bound, and the reason for stopping.  So their callers pick
+  either.
+- ``mps_sweep`` reads the bytes of a file into arrays for the back end
+  that ``mps``'s numpy front end also feeds.  It returns 0, or a nonzero
+  hand-back code at the first line it will not read; the caller then
+  parses the whole file with the numpy reader, which raises any error.
+
+The contract: the outputs agree bit for bit with the reference's.  The
+loops compute every value by the same IEEE operations in the same order.
+The references fix the order of every sum by adding its terms one by one
+in stored order (``np.cumsum``), and the C loops repeat that order; the
+library is built with ``-ffp-contract=off`` so no multiply and add are
+fused.  A C sum that starts from 0.0 rather than from its first term
+differs only in the sign of a zero sum, which no comparison and no square
+sees.  The sweep reads values with ``strtod`` on a strict decimal grammar,
+where ``strtod`` and Python's ``float`` both round correctly.
 
 The first ``load()`` compiles the C source with the system compiler into
 ``~/.cache/onlinelp``, under a name keyed by a hash of the source, the
@@ -26,7 +38,7 @@ to a temporary file and renamed into place, so concurrent first uses never
 see a partial file.  Where that directory cannot be written, the library
 is built for this process alone.  When there is no compiler, the build
 fails or a function is missing, ``load()`` returns None, ``reason()`` says
-why, and both engines run their numpy loops.
+why, and every caller runs its numpy reference.
 """
 
 from __future__ import annotations
@@ -61,6 +73,13 @@ _SIGNATURES = {
         _ptr, _ptr, _ptr, _i64, _ptr,              # binv, x_b, work, limit, state
         _f64, _f64,                                # opt_tol, pivot_tol
         _i64, _i64,                                # refactor_period, stall_window
+    )),
+    "mps_sweep": (_int, (
+        _ptr, _ptr, _ptr, _ptr,                    # text, spans, row_text, row_name
+        _ptr, _ptr, _i64,                          # col_role, rhs_role, nrows
+        _ptr, _ptr, _ptr, _ptr, _ptr,              # ent_col, ent_row, ent_val, obj_col, obj_val
+        _ptr, _ptr, _ptr, _ptr, _ptr,              # rhs_row, rhs_val, bnd_kind, bnd_col, bnd_val
+        _ptr, _ptr,                                # col_name, counts
     )),
 }
 
@@ -132,8 +151,8 @@ def _try_load() -> tuple:
 
 
 def load():
-    """The kernel library, with ``explicit_pass`` and ``simplex_pivots``
-    set up, or None when it cannot be built or loaded."""
+    """The kernel library, with ``explicit_pass``, ``simplex_pivots`` and
+    ``mps_sweep`` set up, or None when it cannot be built or loaded."""
     global _state
     with _lock:
         if _state is None:

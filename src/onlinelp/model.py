@@ -47,6 +47,11 @@ class LpInstance:
     ``row_idx[col_ptr[j]:col_ptr[j+1]]`` / ``values[...]`` with strictly
     increasing row indices and no explicit zeros.  Instances are safe to
     share across threads/processes; the backing arrays are read-only.
+    Construction copies no array that is already contiguous and of the
+    field's dtype (int64 for ``col_ptr`` and ``row_idx``, float64 for the
+    rest): the instance holds the caller's array and makes it read-only in
+    place.  Other inputs (lists, other dtypes, strided views) are
+    converted, and the caller's objects are left as they were.
     ``==`` and ``hash`` go by identity, so instances serve as dict keys;
     to compare two instances by value, compare their arrays.
     """

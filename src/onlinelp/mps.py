@@ -6,23 +6,35 @@ constraint to <= form (G rows are negated, E rows split into opposing
 pairs, RANGES become row intervals) and normalizes the objective to
 maximization.
 
-It reads the whole text and sweeps it one section at a time, so that no
-Python code runs once per line or per token:
+A regex finds the section headers.  Each section body then goes through
+one of two front ends, which turn its tokens into arrays, and one back
+end, ``_Reader``'s ``add_columns``, ``add_entries``, ``set_rhs`` and
+``set_bounds``, which fills the name tables, the rhs and the bounds; the
+CSC matrix is then assembled with numpy (``_assemble``).  Neither front
+end runs Python code once per line or per token.
 
-- one regex finds the section headers;
-- each section body is cut into chunks of about 64 thousand characters
-  that end at a newline; ``str.split`` gives a chunk's tokens, and numpy
-  on the chunk's character codes gives each token's line and its place in
-  the line;
-- one dict per name table (rows, columns) maps names to ids, and values
-  go through Python's ``float``, as a line-by-line reader would convert
-  them;
-- the CSC matrix is assembled with numpy: a stable sort by column and
-  row, ``np.repeat`` for rows that become two, and ``np.subtract.at``
-  for the bound shifts, applied in column order.
-
-A malformed file raises ``MpsParseError`` for its earliest offending
-line, with the message a line-by-line reader would give there.
+- The numpy front end reads every section.  It cuts each body into chunks
+  of about 64 thousand characters that end at a newline; ``str.split``
+  gives a chunk's tokens, numpy on the chunk's character codes gives each
+  token's line and its place in the line, one dict per name table maps
+  names to ids, and values go through Python's ``float``.  A malformed
+  file raises ``MpsParseError`` for its earliest offending line, with the
+  message a line-by-line reader would give there.  It is the reference.
+- The compiled front end, ``mps_sweep`` in ``_kernel.c``, reads the bytes
+  of the COLUMNS, RHS and BOUNDS bodies in one call; the numpy front end
+  reads the sections before them.  It reads values with ``strtod``, and
+  only those of the decimal grammar ``[+-]?(d+(.d*)?|.d+)([eE][+-]?d+)?``,
+  on which ``strtod`` and ``float`` both round correctly.  It never raises.
+  Instead it hands the whole file back to the numpy reader, which then
+  reads it from the start, on any of: a non-ASCII byte; a '\\r' (text
+  mode's universal newlines would move the lines); a layout other than
+  the other sections first, then COLUMNS, RHS and BOUNDS, each at most
+  once and in that order; a RANGES section; a missing ENDATA; a token
+  outside the grammar where a value belongs; an unknown row or column; a
+  MARKER line; a line with a bad token count; an FR or MI bound, an
+  unknown bound type or a negative UP bound; a repeated (column, row)
+  entry.  It runs when ``_kernel.load()`` succeeds, and gives the
+  reference's instance bit for bit.
 
 The 0 <= x <= u variable model is enforced structurally: LO/FX bounds are
 removed by shifting or folding the column (the accumulated objective
@@ -37,6 +49,7 @@ from itertools import compress, count, filterfalse, repeat
 
 import numpy as np
 
+from . import _kernel
 from .model import LpInstance
 
 __all__ = ["parse_mps", "write_mps", "MpsParseError"]
@@ -46,9 +59,16 @@ _SECTIONS = "NAME|OBJSENSE|ROWS|COLUMNS|RHS|RANGES|BOUNDS|ENDATA"
 # lookahead on the first letter lets the scan pass over most lines fast.
 _HEADER = re.compile(rf"(?:{_SECTIONS})(?!\S)", re.I)
 _HEADER_AFTER_NEWLINE = re.compile(rf"\n(?=[NORCBE])(?:{_SECTIONS})(?!\S)", re.I)
+# the same on ASCII bytes, where \S would take bytes 28-31 for non-spaces
+_NOT_SPACE = rb"[^\t-\r\x1c-\x20]"
+_BYTES_HEADER = re.compile(rb"(?:%b)(?!%b)" % (_SECTIONS.encode(), _NOT_SPACE), re.I)
+_BYTES_HEADER_AFTER_NEWLINE = re.compile(
+    rb"\n(?=[NORCBE])(?:%b)(?!%b)" % (_SECTIONS.encode(), _NOT_SPACE), re.I)
+# the sections the compiled front end reads, in the order it takes them
+_SWEPT = ("COLUMNS", "RHS", "BOUNDS")
 
 _ROW_TYPES = {"N": 0, "L": 1, "G": 2, "E": 3}
-_UP, _LO, _FX, _FR, _MI, _PL, _BV = range(7)
+_UP, _LO, _FX, _FR, _MI, _PL, _BV = range(7)   # the kinds of mps_sweep in _kernel.c
 _BOUND_TYPES = {"UP": _UP, "LO": _LO, "FX": _FX, "FR": _FR, "MI": _MI, "PL": _PL, "BV": _BV}
 # ids a row name maps to besides a constraint row's own id (>= 0)
 _OBJ, _FREE, _UNKNOWN = -1, -2, -3
@@ -82,45 +102,135 @@ def parse_mps(source) -> LpInstance:
 
     ``instance.meta`` records the original objective sense, the additive
     objective offset introduced by sign flips / bound shifts, and the
-    row / column name tables for diagnostics.
+    row / column name tables for diagnostics.  The compiled front end
+    reads the file when the kernel is loaded (the first call may build
+    it); a path is then read as bytes, and opened again in text mode only
+    when the file is handed back to the numpy reader.  The bytes are let
+    go before the matrix is assembled.
     """
+    lib = _kernel.load()
     if hasattr(source, "read"):
-        return _parse(source.read())
+        text = source.read()
+        swept = _sweep(lib, text.encode("ascii")) if lib is not None and text.isascii() else None
+        return _parse(text) if swept is None else swept.finish()
+    swept = None if lib is None else _sweep(lib, _read(source, "rb"))
+    return _parse(_read(source, "r")) if swept is None else swept.finish()
+
+
+def _read(path, mode: str):
     try:
-        with open(source, "r") as fh:
-            text = fh.read()
+        with open(path, mode) as fh:
+            return fh.read()
     except OSError as exc:
-        raise OSError(f"cannot read MPS from {source!r}: {exc}") from exc
-    return _parse(text)
+        raise OSError(f"cannot read MPS from {path!r}: {exc}") from exc
+
+
+def _sections(text, header, header_after_newline):
+    """Cut text (str, or ASCII bytes and bytes patterns) at its headers.
+
+    Yields ``(section, tok, start, stop)`` for the text before the first
+    header (section None) and for each header up to ENDATA: the section's
+    name in upper case, the header line's tokens and the body's span.
+    Without ENDATA the last body runs to the end of text.
+    """
+    newline = "\n" if isinstance(text, str) else b"\n"
+    heads = [0] if header.match(text) else []
+    heads += [m.start() + 1 for m in header_after_newline.finditer(text)]
+    section, tok, body = None, [], 0
+    for head in heads:
+        yield section, tok, body, head
+        eol = text.find(newline, head)
+        eol = len(text) if eol < 0 else eol
+        line = text[head:eol]
+        tok = (line if isinstance(line, str) else line.decode("ascii")).split()
+        section = tok[0].upper()
+        if section == "ENDATA":
+            yield section, tok, eol, eol
+            return
+        body = eol + 1
+    yield section, tok, body, len(text)
 
 
 def _parse(text: str) -> LpInstance:
-    heads = [0] if _HEADER.match(text) else []
-    heads += [m.start() + 1 for m in _HEADER_AFTER_NEWLINE.finditer(text)]
+    """The numpy reader: the numpy front end on every section."""
     reader = _Reader()
-    section, body, line_no = None, 0, 1
-    for head in heads:
-        reader.read(section, _chunks(text, body, head, line_no))
-        line_no += text.count("\n", body, head)
-        eol = text.find("\n", head)
-        eol = len(text) if eol < 0 else eol
-        tok = text[head:eol].split()
-        section = tok[0].upper()
+    line_no, counted = 1, 0
+    for section, tok, start, stop in _sections(text, _HEADER, _HEADER_AFTER_NEWLINE):
         if section == "ENDATA":
             break
+        line_no += text.count("\n", counted, start)
+        counted = start
         reader.header(section, tok)
-        body, line_no = eol + 1, line_no + 1
+        reader.read(section, _chunks(text, start, stop, line_no))
     else:
-        reader.read(section, _chunks(text, body, len(text), line_no))
         raise MpsParseError("missing ENDATA")
+    return reader.finish()
 
-    if reader.obj_row is None:
-        raise MpsParseError("no objective (N) row found")
-    if not reader.row_id:
-        raise MpsParseError("no constraint rows found")
-    if not reader.col_id:
-        raise MpsParseError("no columns found")
-    return _assemble(reader)
+
+def _sweep(lib, data: bytes) -> _Reader | None:
+    """The compiled front end on the COLUMNS, RHS and BOUNDS bodies of
+    data, the numpy one on the sections before them: the filled reader, or
+    None where the file goes back to the numpy reader (see the module
+    docstring)."""
+    if not data.isascii() or b"\r" in data:
+        return None
+    reader = _Reader()
+    spans = {}
+    for section, tok, start, stop in _sections(data, _BYTES_HEADER,
+                                               _BYTES_HEADER_AFTER_NEWLINE):
+        if section == "ENDATA":
+            break
+        if section in spans or (spans and section not in _SWEPT) or section == "RANGES":
+            return None
+        reader.header(section, tok)
+        if section in _SWEPT:
+            spans[section] = (start, stop)
+        else:   # a section before the swept ones: few lines
+            reader.read(section, _chunks(data[start:stop].decode("ascii"), 0, stop - start,
+                                         1 + data.count(b"\n", 0, start)))
+    else:
+        return None
+    if list(spans) != [s for s in _SWEPT if s in spans]:
+        return None
+
+    roles = reader.roles("COLUMNS")
+    names = list(roles)
+    size = np.fromiter(map(len, names), np.int64, len(names))
+    row_name = np.stack([np.cumsum(size) - size, np.cumsum(size)], axis=1)
+    col_role = np.fromiter(roles.values(), np.int64, len(names))
+    rhs_role = _lookup(reader.roles("RHS"), names, _UNKNOWN)
+    span = np.array([spans.get(s, (0, 0)) for s in _SWEPT], np.int64)
+    # room for every pair, or line, a body could hold: a pair takes two
+    # tokens and a bound or column three, each followed by a separator (but
+    # the last); np.empty leaves the pages no item reaches untouched
+    pairs, rhs_pairs, bound_lines = (span[:, 1] - span[:, 0] + 1) // [4, 4, 6] + 1
+    ent_col, ent_row, obj_col = np.empty((3, pairs), np.int64)
+    ent_val, obj_val = np.empty((2, pairs))
+    rhs_row, rhs_val = np.empty(rhs_pairs, np.int64), np.empty(rhs_pairs)
+    bnd_kind, bnd_col = np.empty((2, bound_lines), np.int64)
+    bnd_val = np.empty(bound_lines)
+    col_name = np.empty(((span[0, 1] - span[0, 0] + 1) // 6 + 1, 2), np.int64)
+    counts = np.zeros(5, np.int64)
+    code = lib.mps_sweep(
+        data, span.ctypes.data, "".join(names).encode("ascii"), row_name.ctypes.data,
+        col_role.ctypes.data, rhs_role.ctypes.data, len(names), ent_col.ctypes.data,
+        ent_row.ctypes.data, ent_val.ctypes.data, obj_col.ctypes.data, obj_val.ctypes.data,
+        rhs_row.ctypes.data, rhs_val.ctypes.data, bnd_kind.ctypes.data, bnd_col.ctypes.data,
+        bnd_val.ctypes.data, col_name.ctypes.data, counts.ctypes.data)
+    if code:
+        return None
+    entries, objective, rhs, bounds, columns = counts.tolist()
+    # a name is followed by a separator on its line: gather each name with
+    # the byte after it, and split the lot
+    start, size = col_name[:columns, 0], np.diff(col_name[:columns]).ravel() + 1
+    at = np.repeat(start - (np.cumsum(size) - size), size) + np.arange(size.sum())
+    reader.add_columns(np.frombuffer(data, np.uint8)[at].tobytes().decode("ascii").split())
+    if reader.add_entries(ent_col[:entries], ent_row[:entries], ent_val[:entries],
+                          obj_col[:objective], obj_val[:objective]) >= 0:
+        return None
+    reader.set_rhs(True, rhs_row[:rhs], rhs_val[:rhs])
+    reader.set_bounds(bnd_kind[:bounds], bnd_col[:bounds], bnd_val[:bounds])
+    return reader
 
 
 def _chunks(text: str, start: int, stop: int, line_no: int):
@@ -241,7 +351,12 @@ def _read_pairs(tok, first, npair, line, roles: dict, unknown: str, errors: list
 
 
 class _Reader:
-    """The tables a sweep fills, section by section, in file order."""
+    """The tables a sweep fills, section by section, in file order.
+
+    ``rows`` and the methods named after the other sections are the numpy
+    front end; ``add_columns``, ``add_entries``, ``set_rhs`` and
+    ``set_bounds`` are the back end both front ends share.
+    """
 
     def __init__(self):
         self.name = ""
@@ -263,7 +378,7 @@ class _Reader:
         self.lo: dict[int, float] = {}       # bounds set in BOUNDS, by column id
         self.up: dict[int, float] = {}
 
-    def header(self, section: str, tok: list) -> None:
+    def header(self, section: str | None, tok: list) -> None:
         self.pending_objsense = False
         if section == "NAME":
             self.name = tok[1] if len(tok) > 1 else ""
@@ -284,6 +399,29 @@ class _Reader:
             self.bounds(chunks)
         else:
             self.no_data(section, chunks)
+
+    def finish(self) -> LpInstance:
+        if self.obj_row is None:
+            raise MpsParseError("no objective (N) row found")
+        if not self.row_id:
+            raise MpsParseError("no constraint rows found")
+        if not self.col_id:
+            raise MpsParseError("no columns found")
+        return _assemble(self)
+
+    def roles(self, section: str) -> dict:
+        """Each row name's role in COLUMNS, RHS or RANGES: its constraint
+        row id, _OBJ or _FREE, set in the order a line-by-line reader tests
+        them."""
+        if section == "RANGES":
+            return dict(self.row_id)
+        free = dict.fromkeys(self.free_rows, _FREE)
+        roles = {**self.row_id, **free} if section == "COLUMNS" else {**free, **self.row_id}
+        if self.obj_row is not None:
+            roles[self.obj_row] = _OBJ
+        return roles
+
+    # -- the numpy front end -------------------------------------------------
 
     def no_data(self, section, chunks) -> None:
         """NAME, OBJSENSE and the text before the first header hold no data
@@ -332,12 +470,10 @@ class _Reader:
             self.row_kind += kind[is_con].tolist()
 
     def columns(self, chunks) -> None:
-        # a row's role, in the order a line-by-line reader tests them
-        roles = dict(self.row_id)
-        roles.update(dict.fromkeys(self.free_rows, _FREE))
-        if self.obj_row is not None:
-            roles[self.obj_row] = _OBJ
-        errors, entries, where = [], [], []
+        roles = self.roles("COLUMNS")
+        errors, where = [], []
+        entries = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
+        objective = [(np.empty(0, np.int64), np.empty(0))]
         for tok, first, size, line, lead in chunks:
             # integrality markers: the columns are treated as continuous
             marker = (size >= 3) & (lead[np.minimum(first + 1, len(lead) - 1)] == _QUOTE)
@@ -356,8 +492,7 @@ class _Reader:
             head[1:] = names[1:] != names[:-1]
             run = np.flatnonzero(head)
             names = names[run].tolist()
-            fresh = list(filterfalse(self.col_id.__contains__, dict.fromkeys(names)))
-            self.col_id.update(zip(fresh, count(len(self.col_id))))
+            self.add_columns(list(filterfalse(self.col_id.__contains__, dict.fromkeys(names))))
             cols = np.fromiter(map(self.col_id.__getitem__, names), np.int64, len(names))
             cols = np.repeat(cols, np.diff(run, append=len(first)))
 
@@ -365,44 +500,24 @@ class _Reader:
                 tok, first + 1, (size[ok] - 1) // 2, line, roles, "unknown row", errors)
             cols = cols[pline]
             is_obj, is_con = role == _OBJ, role >= 0
-            self.obj_entries.append((cols[is_obj], values[is_obj]))
+            objective.append((cols[is_obj], values[is_obj]))
             entries.append((cols[is_con], role[is_con], values[is_con]))
             where.append((line[pline[is_con]], pair[is_con]))
             if errors:
                 break  # later chunks hold only later lines
-        self._add_entries(entries, where, errors)
-        _raise_first(errors)
-
-    def _add_entries(self, entries: list, where: list, errors: list) -> None:
-        """Append a COLUMNS section's constraint entries, sort all entries by
-        (column, row) and report the first entry that repeats a pair.
-
-        Earlier sections hold no repeat among themselves, so the later entry
-        of a repeated pair lies in this section; ``where`` gives the line
-        and pair index of each of its entries.
-        """
-        start = len(self.value)
-        cols, rows, values = zip(*entries) if entries else ((), (), ())
-        self.col = np.concatenate([self.col, *cols])
-        self.row = np.concatenate([self.row, *rows])
-        self.value = np.concatenate([self.value, *values])
-        key = self.col * max(len(self.row_id), 1) + self.row
-        self.order = np.argsort(key, kind="stable")
-        again = self.order[1:][np.diff(key[self.order]) == 0]
-        if again.size:
-            p = int(again.min())
+        col, row, value = map(np.concatenate, zip(*entries))
+        p = self.add_entries(col, row, value, *map(np.concatenate, zip(*objective)))
+        if p >= 0:
+            # the later entry of a repeated pair lies in this section
             line, pair = (np.concatenate(a) for a in zip(*where))
-            cname, rname = list(self.col_id)[self.col[p]], list(self.row_id)[self.row[p]]
-            errors.append((int(line[p - start]), int(pair[p - start]), 1,
+            cname, rname = list(self.col_id)[col[p]], list(self.row_id)[row[p]]
+            errors.append((int(line[p]), int(pair[p]), 1,
                            f"duplicate entry for column {cname!r}, row {rname!r}"))
+        _raise_first(errors)
 
     def rhs_or_ranges(self, section: str, chunks) -> None:
         is_rhs = section == "RHS"
-        # a row's role, in the order a line-by-line reader tests them
-        roles = dict.fromkeys(self.free_rows, _FREE) if is_rhs else {}
-        roles.update(self.row_id)
-        if is_rhs and self.obj_row is not None:
-            roles[self.obj_row] = _OBJ
+        roles = self.roles(section)
         for tok, first, size, line, _ in chunks:
             errors = []
             bad = _first(size == 1)
@@ -414,13 +529,7 @@ class _Reader:
                 tok, first[ok] + size[ok] % 2, size[ok] // 2, line[ok], roles,
                 "unknown row" if is_rhs else "RANGES on unknown row", errors)
             _raise_first(errors)
-
-            is_con = role >= 0
-            (self.rhs if is_rhs else self.ranges).update(
-                zip(role[is_con].tolist(), values[is_con].tolist()))
-            is_obj = role == _OBJ
-            if is_obj.any():
-                self.obj_rhs = float(values[is_obj][-1])
+            self.set_rhs(is_rhs, role, values)
 
     def bounds(self, chunks) -> None:
         for tok, first, size, line, _ in chunks:
@@ -450,11 +559,10 @@ class _Reader:
             if i >= 0:
                 errors.append((int(line[at[i]]), -1, 0,
                                f"expected a number, got {tok[first[at[i]] + 3]!r}"))
-            sets_lo = ok & ((kind == _LO) | (kind == _FX) | (kind == _BV))
-            lo = np.where(kind == _BV, 0.0, value)
+            sets_lo, lo, _, _ = _bound_ends(kind, value)
             negative_up = ok & (kind == _UP) & (value < 0)
             if negative_up.any():
-                negative_up &= self._lo_before(col, sets_lo, lo) == 0.0
+                negative_up &= self._lo_before(col, ok & sets_lo, lo) == 0.0
             i = _first(negative_up)
             if i >= 0:
                 errors.append((int(line[i]), -1, 0,
@@ -466,11 +574,7 @@ class _Reader:
                                f"{kinds[i]} bounds (free below) are unsupported by the "
                                "0 <= x <= u model"))
             _raise_first(errors)
-
-            self.lo.update(zip(col[sets_lo].tolist(), lo[sets_lo].tolist()))
-            sets_up = ok & (kind != _LO)
-            up = np.select([kind == _BV, kind == _PL], [1.0, np.inf], value)
-            self.up.update(zip(col[sets_up].tolist(), up[sets_up].tolist()))
+            self.set_bounds(kind[ok], col[ok], value[ok])
 
     def _lo_before(self, col, sets_lo, lo) -> np.ndarray:
         """The lower bound each line's column holds just before that line."""
@@ -484,6 +588,55 @@ class _Reader:
         out = np.empty(len(c))
         out[order] = np.where(prev >= group, lo[order][prev], held)
         return out
+
+    # -- the back end ----------------------------------------------------------
+
+    def add_columns(self, names: list) -> None:
+        """Give the next column ids to names, none of them known."""
+        self.col_id.update(zip(names, count(len(self.col_id))))
+
+    def add_entries(self, col, row, value, obj_col, obj_value) -> int:
+        """Append a COLUMNS section's constraint and objective entries and
+        sort the constraint entries by (column, row).
+
+        Returns the index in ``col`` of the first entry that repeats an
+        earlier (column, row) pair, or -1.  Earlier sections hold no repeat
+        among themselves, so the later entry of a repeat lies in this one.
+        """
+        self.obj_entries.append((obj_col, obj_value))
+        start = len(self.value)
+        if start:
+            col, row, value = (np.concatenate(a) for a in
+                               ((self.col, col), (self.row, row), (self.value, value)))
+        self.col, self.row, self.value = col, row, value
+        key = col * max(len(self.row_id), 1) + row
+        self.order = np.argsort(key, kind="stable")
+        again = self.order[1:][np.diff(key[self.order]) == 0]
+        return int(again.min()) - start if again.size else -1
+
+    def set_rhs(self, is_rhs: bool, role, values) -> None:
+        """Set the rhs (or range) of each constraint row in role, and the
+        objective's constant from its last entry."""
+        is_con = role >= 0
+        (self.rhs if is_rhs else self.ranges).update(
+            zip(role[is_con].tolist(), values[is_con].tolist()))
+        is_obj = role == _OBJ
+        if is_obj.any():
+            self.obj_rhs = float(values[is_obj][-1])
+
+    def set_bounds(self, kind, col, value) -> None:
+        """Set the bounds of the given kinds, columns and values, in order."""
+        sets_lo, lo, sets_up, up = _bound_ends(kind, value)
+        self.lo.update(zip(col[sets_lo].tolist(), lo[sets_lo].tolist()))
+        self.up.update(zip(col[sets_up].tolist(), up[sets_up].tolist()))
+
+
+def _bound_ends(kind, value):
+    """Which bounds set their column's lower end and to what, and which
+    set its upper end and to what."""
+    lo = np.where(kind == _BV, 0.0, value)
+    up = np.select([kind == _BV, kind == _PL], [1.0, np.inf], value)
+    return (kind == _LO) | (kind == _FX) | (kind == _BV), lo, kind != _LO, up
 
 
 def _assemble(r: _Reader) -> LpInstance:

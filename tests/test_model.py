@@ -46,6 +46,22 @@ class TestLpInstance:
         with pytest.raises(ValueError):
             inst.rhs[0] = 9.0
 
+    def test_construction_freezes_the_callers_arrays(self):
+        # arrays of the fields' dtypes are held, not copied, and frozen in
+        # place; anything else is converted and left writable
+        col_ptr, row_idx = np.array([0, 1, 2]), np.array([0, 0])
+        values, rhs = np.array([1.0, 2.0]), np.array([0.5])
+        obj, upper = np.array([1.0, 1.0]), np.array([1.0, 2.0])
+        int_rhs, strided_obj = np.array([3]), np.array([1.0, 0.0, 1.0])[::2]
+        inst = LpInstance(1, 2, col_ptr, row_idx, values, rhs, obj, upper)
+        for name, a in (("col_ptr", col_ptr), ("row_idx", row_idx), ("values", values),
+                        ("rhs", rhs), ("obj", obj), ("upper", upper)):
+            assert getattr(inst, name) is a and not a.flags.writeable, name
+        other = LpInstance(1, 2, [0, 1, 2], row_idx, values, int_rhs, strided_obj, upper)
+        assert other.rhs is not int_rhs and int_rhs.flags.writeable
+        assert other.obj is not strided_obj and strided_obj.flags.writeable
+        assert other.rhs.tolist() == [3.0] and other.obj.tolist() == [1.0, 1.0]
+
     def test_scipy_matrix_is_built_once_and_read_only(self):
         inst = LpInstance.from_dense([[1.0, 0.0, 2.0], [0.0, 3.0, 4.0]],
                                      [1.0, 1.0], [1.0, 2.0, 3.0])
