@@ -6,8 +6,8 @@ sweep of an MPS file's COLUMNS, RHS and BOUNDS sections (``mps_sweep``).
 They are built, cached and loaded as one library and resolved as a unit:
 ``load()`` returns the library with all three, or None with one reason.
 
-Each function keeps one protocol and one contract with its numpy
-reference.  The protocol: arrays in, an int out, and never a raise; the
+Each function keeps one protocol and one contract with its reference.
+The protocol: arrays in, an int out, and never a raise; the
 caller turns the int into an outcome.
 
 - ``explicit_pass`` and ``simplex_pivots`` take the same arguments as
@@ -17,9 +17,9 @@ caller turns the int into an outcome.
   escaped its bound, and the reason for stopping.  So their callers pick
   either.
 - ``mps_sweep`` reads the bytes of a file into arrays for the back end
-  that ``mps``'s numpy front end also feeds.  It returns 0, or a nonzero
-  hand-back code at the first line it will not read; the caller then
-  parses the whole file with the numpy reader, which raises any error.
+  that ``mps``'s line reader, its reference, also feeds.  It returns 0, or
+  a nonzero hand-back code at the first line it will not read; the caller
+  then parses the whole file with the line reader, which raises any error.
 
 The contract: the outputs agree bit for bit with the reference's.  The
 loops compute every value by the same IEEE operations in the same order.
@@ -38,7 +38,7 @@ to a temporary file and renamed into place, so concurrent first uses never
 see a partial file.  Where that directory cannot be written, the library
 is built for this process alone.  When there is no compiler, the build
 fails or a function is missing, ``load()`` returns None, ``reason()`` says
-why, and every caller runs its numpy reference.
+why, and every caller runs its reference.
 """
 
 from __future__ import annotations

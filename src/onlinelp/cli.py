@@ -34,7 +34,7 @@ from .model import relative_optimality, stopping_residual
 from .mps import MpsParseError, parse_mps, write_mps
 from .online import (METHODS, STARTS, STEPSIZE_MODES, OnlineSolution, RunConfig,
                      explicit_engine, solve_online)
-from .sifting import SiftConfig, SiftRoundLimit, basis_metrics, sift
+from .sifting import SiftConfig, SiftResult, SiftRoundLimit, basis_metrics, sift
 from .simplex import SimplexResult, SolveStatus, solve_lp
 
 EXIT_OK = 0
@@ -43,7 +43,6 @@ EXIT_SOLVE = 4
 EXIT_LIMIT = 5
 
 MAX_K_DEFAULT = 5000
-ACC_REFERENCE_LIMIT = 20_000  # sift reports acc only up to this many columns
 SUPPORT_TOL = 1e-9            # x entries above this count as basic for acc
 
 
@@ -112,7 +111,7 @@ def _engine(method: str) -> str:
 
 
 def _reference_solve(instance) -> SimplexResult | None:
-    """The exact optimum behind rel_opt and acc, or None with a warning."""
+    """The exact optimum behind rel_opt, or None with a warning."""
     try:
         res = solve_lp(instance)
     except ValueError as exc:
@@ -132,15 +131,13 @@ def _rel_opt(instance, x_hat, ref: SimplexResult | None) -> float | None:
     return relative_optimality(instance, x_hat, ref.obj)
 
 
-def _seed_recall(instance, seed_set) -> float | None:
-    """acc: the share of an exact optimum's support that the seed set holds."""
-    ref = _reference_solve(instance)
-    if ref is None:
-        return None
-    support = np.flatnonzero(ref.x_star > SUPPORT_TOL)
+def _seed_recall(instance, result: SiftResult) -> float | None:
+    """acc: the share of sift's certified optimum's support that its seed
+    set holds."""
+    support = np.flatnonzero(result.x > SUPPORT_TOL)
     if support.size == 0:
         return None
-    return basis_metrics(support, seed_set, instance.num_cols)[0]
+    return basis_metrics(support, result.initial_working_set, instance.num_cols)[0]
 
 
 def _record(label: str, config: RunConfig, sol: OnlineSolution, wall: float,
@@ -272,9 +269,8 @@ def _cmd_sift(args) -> int:
         return EXIT_SOLVE
     wall = time.perf_counter() - t0
     _echo("resolved", {"gamma": online_sol.gamma})
-    acc = None
-    if instance.num_cols <= ACC_REFERENCE_LIMIT:
-        acc = _seed_recall(instance, result.initial_working_set)
+    # a round-limited result is not an optimum
+    acc = None if limited else _seed_recall(instance, result)
 
     print(f"objective   {result.objective:.10g}")
     print(f"rounds      {result.rounds}")

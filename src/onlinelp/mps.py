@@ -7,32 +7,30 @@ pairs, RANGES become row intervals) and normalizes the objective to
 maximization.
 
 A regex finds the section headers.  Each section body then goes through
-one of two front ends, which turn its tokens into arrays, and one back
-end, ``_Reader``'s ``add_columns``, ``add_entries``, ``set_rhs`` and
+one of two front ends, which turn its lines into ids and values, and one
+back end, ``_Reader``'s ``add_columns``, ``add_entries``, ``set_rhs`` and
 ``set_bounds``, which fills the name tables, the rhs and the bounds; the
-CSC matrix is then assembled with numpy (``_assemble``).  Neither front
-end runs Python code once per line or per token.
+CSC matrix is then assembled with numpy (``_assemble``).
 
-- The numpy front end reads every section.  It cuts each body into chunks
-  of about 64 thousand characters that end at a newline; ``str.split``
-  gives a chunk's tokens, numpy on the chunk's character codes gives each
-  token's line and its place in the line, one dict per name table maps
-  names to ids, and values go through Python's ``float``.  A malformed
-  file raises ``MpsParseError`` for its earliest offending line, with the
-  message a line-by-line reader would give there.  It is the reference.
+- The line reader, ``_parse``, is the reference.  It reads every section
+  one line at a time: lines end at '\\n' only, blank lines and lines whose
+  first token starts with '*' (comments) are skipped, and values go
+  through Python's ``float``.  A malformed file raises ``MpsParseError``
+  for its earliest offending line.
 - The compiled front end, ``mps_sweep`` in ``_kernel.c``, reads the bytes
-  of the COLUMNS, RHS and BOUNDS bodies in one call; the numpy front end
+  of the COLUMNS, RHS and BOUNDS bodies in one call; the line reader
   reads the sections before them.  It reads values with ``strtod``, and
   only those of the decimal grammar ``[+-]?(d+(.d*)?|.d+)([eE][+-]?d+)?``,
   on which ``strtod`` and ``float`` both round correctly.  It never raises.
-  Instead it hands the whole file back to the numpy reader, which then
-  reads it from the start, on any of: a non-ASCII byte; a '\\r' (text
-  mode's universal newlines would move the lines); a layout other than
-  the other sections first, then COLUMNS, RHS and BOUNDS, each at most
-  once and in that order; a RANGES section; a missing ENDATA; a token
-  outside the grammar where a value belongs; an unknown row or column; a
-  MARKER line; a line with a bad token count; an FR or MI bound, an
-  unknown bound type or a negative UP bound; a repeated (column, row)
+  Instead it hands the whole file back to the line reader, which then
+  reads it from the start, on any of: a non-ASCII byte; a '\\r' not
+  followed by '\\n' (text mode's universal newlines would move the lines;
+  a '\\r\\n' is a separator and a line end to both readers); a layout
+  other than the other sections first, then COLUMNS, RHS and BOUNDS, each
+  at most once and in that order; a RANGES section; a missing ENDATA; a
+  token outside the grammar where a value belongs; an unknown row or
+  column; a MARKER line; a line with a bad token count; an FR or MI bound,
+  an unknown bound type or a negative UP bound; a repeated (column, row)
   entry.  It runs when ``_kernel.load()`` succeeds, and gives the
   reference's instance bit for bit.
 
@@ -45,7 +43,8 @@ raise a parse error.
 from __future__ import annotations
 
 import re
-from itertools import compress, count, filterfalse, repeat
+from array import array
+from itertools import compress, count, repeat
 
 import numpy as np
 
@@ -73,15 +72,6 @@ _BOUND_TYPES = {"UP": _UP, "LO": _LO, "FX": _FX, "FR": _FR, "MI": _MI, "PL": _PL
 # ids a row name maps to besides a constraint row's own id (>= 0)
 _OBJ, _FREE, _UNKNOWN = -1, -2, -3
 
-# Characters per chunk.  The passes over a chunk's tokens run while they
-# are still in the CPU cache: a COLUMNS sweep in 1 MB chunks took about
-# 20% longer.
-_CHUNK = 1 << 16
-# str.isspace for every code point up to U+3000, the last space; the
-# extra False entry stands for every code point above
-_SPACE = np.array([chr(c).isspace() for c in range(0x3001)] + [False])
-_STAR, _QUOTE, _NEWLINE = ord("*"), ord("'"), ord("\n")
-
 
 class MpsParseError(ValueError):
     """Malformed MPS input; carries the 1-based source line number."""
@@ -105,7 +95,7 @@ def parse_mps(source) -> LpInstance:
     row / column name tables for diagnostics.  The compiled front end
     reads the file when the kernel is loaded (the first call may build
     it); a path is then read as bytes, and opened again in text mode only
-    when the file is handed back to the numpy reader.  The bytes are let
+    when the file is handed back to the line reader.  The bytes are let
     go before the matrix is assembled.
     """
     lib = _kernel.load()
@@ -152,7 +142,7 @@ def _sections(text, header, header_after_newline):
 
 
 def _parse(text: str) -> LpInstance:
-    """The numpy reader: the numpy front end on every section."""
+    """The line reader on every section: the reference."""
     reader = _Reader()
     line_no, counted = 1, 0
     for section, tok, start, stop in _sections(text, _HEADER, _HEADER_AFTER_NEWLINE):
@@ -161,7 +151,7 @@ def _parse(text: str) -> LpInstance:
         line_no += text.count("\n", counted, start)
         counted = start
         reader.header(section, tok)
-        reader.read(section, _chunks(text, start, stop, line_no))
+        reader.read(section, _lines(text[start:stop], line_no))
     else:
         raise MpsParseError("missing ENDATA")
     return reader.finish()
@@ -169,10 +159,10 @@ def _parse(text: str) -> LpInstance:
 
 def _sweep(lib, data: bytes) -> _Reader | None:
     """The compiled front end on the COLUMNS, RHS and BOUNDS bodies of
-    data, the numpy one on the sections before them: the filled reader, or
-    None where the file goes back to the numpy reader (see the module
+    data, the line reader on the sections before them: the filled reader,
+    or None where the file goes back to the line reader (see the module
     docstring)."""
-    if not data.isascii() or b"\r" in data:
+    if not data.isascii() or (b"\r" in data and data.count(b"\r") != data.count(b"\r\n")):
         return None
     reader = _Reader()
     spans = {}
@@ -186,8 +176,8 @@ def _sweep(lib, data: bytes) -> _Reader | None:
         if section in _SWEPT:
             spans[section] = (start, stop)
         else:   # a section before the swept ones: few lines
-            reader.read(section, _chunks(data[start:stop].decode("ascii"), 0, stop - start,
-                                         1 + data.count(b"\n", 0, start)))
+            reader.read(section, _lines(data[start:stop].decode("ascii"),
+                                        1 + data.count(b"\n", 0, start)))
     else:
         return None
     if list(spans) != [s for s in _SWEPT if s in spans]:
@@ -233,79 +223,21 @@ def _sweep(lib, data: bytes) -> _Reader | None:
     return reader
 
 
-def _chunks(text: str, start: int, stop: int, line_no: int):
-    """Yield the data lines of ``text[start:stop]``, a chunk of lines at a time.
-
-    A chunk is ``(tok, first, size, line, lead)``: an object array of its
-    tokens and, for each line that holds data, the index of its first
-    token, its token count and its 1-based line number; ``lead`` is the
-    code of each token's first character.  Blank lines and lines whose
-    first token starts with '*' (comments) are dropped.
-    """
-    while start < stop:
-        end = min(start + _CHUNK, stop)
-        if end < stop:
-            nl = text.rfind("\n", start, end)
-            if nl < 0:  # a line longer than a chunk
-                nl = text.find("\n", end, stop)
-            end = stop if nl < 0 else nl + 1
-        chunk = text[start:end]
-        if chunk.isascii():
-            codes = np.frombuffer(chunk.encode("ascii"), np.uint8)
-        else:
-            codes = np.frombuffer(chunk.encode("utf-32-le", "surrogatepass"), np.uint32)
-        # a token starts where a space (or the chunk's start) meets a non-space
-        space = np.concatenate(([True], _is_space(codes)))
-        starts = np.flatnonzero(space[:-1] > space[1:])
-        tokens = np.fromiter(chunk.split(), object, len(starts))
-        # line i holds the tokens from bound[i] up to bound[i + 1]
-        eol = np.flatnonzero(codes == _NEWLINE)
-        if codes[-1] != _NEWLINE:
-            eol = np.append(eol, len(codes))
-        bound = np.concatenate(([0], np.searchsorted(starts, eol)))
-        size = np.diff(bound)
-        lead = codes[starts]
-        data = size > 0
-        data[data] = lead[bound[:-1][data]] != _STAR
-        first, size, line = bound[:-1][data], size[data], line_no + np.flatnonzero(data)
-        if size.sum() < len(tokens):  # drop the tokens of comment lines
-            keep = np.repeat(first, size) + _pairs(size)[1]  # data lines' tokens
-            tokens, lead = tokens[keep], lead[keep]
-            first = np.cumsum(size) - size
-        yield tokens, first, size, line, lead
-        line_no += chunk.count("\n")
-        start = end
+def _lines(body: str, first: int):
+    """Yield ``(line number, tokens)`` of each data line of a section body
+    that starts on line first.  Lines end at '\\n' only; blank lines and
+    lines whose first token starts with '*' (comments) are skipped."""
+    for line_no, line in enumerate(body.split("\n"), first):
+        tok = line.split()
+        if tok and tok[0][0] != "*":
+            yield line_no, tok
 
 
-def _is_space(codes: np.ndarray) -> np.ndarray:
-    """str.isspace of each character code."""
-    if codes.dtype == np.uint8:
-        # ASCII spaces are 9-13 and 28-32; uint8 subtraction wraps below 0
-        return ((codes - 9) <= 4) | ((codes - 28) <= 4)
-    return _SPACE[np.minimum(codes, _SPACE.size - 1)]
-
-
-def _pairs(npair: np.ndarray):
-    """For pairs laid out npair[i] to line i: each pair's line and index in it."""
-    pline = np.repeat(np.arange(len(npair)), npair)
-    return pline, np.arange(len(pline)) - np.repeat(np.cumsum(npair) - npair, npair)
-
-
-def _floats(tokens: list):
-    """float() of every token, and the index of the first that is no number.
-
-    The index is -1 when all are numbers; otherwise the values past it are nan.
-    """
+def _number(token: str, line_no: int) -> float:
     try:
-        return np.fromiter(map(float, tokens), np.float64, len(tokens)), -1
+        return float(token)
     except ValueError:
-        values = np.full(len(tokens), np.nan)
-        for i, token in enumerate(tokens):
-            try:
-                values[i] = float(token)
-            except ValueError:
-                return values, i
-        raise
+        raise MpsParseError(f"expected a number, got {token!r}", line_no) from None
 
 
 def _lookup(table: dict, names: list, missing: int) -> np.ndarray:
@@ -318,43 +250,11 @@ def _first(mask: np.ndarray) -> int:
     return int(mask.argmax()) if mask.any() else -1
 
 
-def _raise_first(errors: list) -> None:
-    """Raise the error of the smallest (line, pair, rank) key, if any.
-
-    pair is the index of a row/value pair in its line (-1 for an error of
-    the whole line); rank orders the checks made on one pair.
-    """
-    if errors:
-        line, _, _, message = min(errors)
-        raise MpsParseError(message, line)
-
-
-def _read_pairs(tok, first, npair, line, roles: dict, unknown: str, errors: list):
-    """Read npair[i] row/value pairs from token first[i] on, on line line[i].
-
-    Returns each pair's line index, its index in the line, its row's role
-    and its value; appends the first bad number and the first unknown row
-    to errors.
-    """
-    pline, pair = _pairs(npair)
-    at = first[pline] + 2 * pair
-    rows = tok[at].tolist()
-    values, bad = _floats(tok[at + 1].tolist())
-    if bad >= 0:
-        errors.append((int(line[pline[bad]]), int(pair[bad]), 0,
-                       f"expected a number, got {tok[at[bad] + 1]!r}"))
-    role = _lookup(roles, rows, _UNKNOWN)
-    bad = _first(role == _UNKNOWN)
-    if bad >= 0:
-        errors.append((int(line[pline[bad]]), int(pair[bad]), 1, f"{unknown} {rows[bad]!r}"))
-    return pline, pair, role, values
-
-
 class _Reader:
     """The tables a sweep fills, section by section, in file order.
 
-    ``rows`` and the methods named after the other sections are the numpy
-    front end; ``add_columns``, ``add_entries``, ``set_rhs`` and
+    ``rows`` and the methods named after the other sections are the line
+    reader; ``add_columns``, ``add_entries``, ``set_rhs`` and
     ``set_bounds`` are the back end both front ends share.
     """
 
@@ -371,7 +271,7 @@ class _Reader:
         self.obj_rhs = 0.0
         self.col_id: dict[str, int] = {}     # columns, in order of first entry
         # constraint entries in file order, and the order that sorts them
-        # by (column, row); objective entries as (column, value) chunks
+        # by (column, row); objective entries as (column, value) arrays
         self.col = self.row = self.order = np.empty(0, np.int64)
         self.value = np.empty(0)
         self.obj_entries = [(np.empty(0, np.int64), np.empty(0))]
@@ -388,17 +288,17 @@ class _Reader:
             else:
                 self.pending_objsense = True
 
-    def read(self, section, chunks) -> None:
+    def read(self, section, lines) -> None:
         if section == "ROWS":
-            self.rows(chunks)
+            self.rows(lines)
         elif section == "COLUMNS":
-            self.columns(chunks)
+            self.columns(lines)
         elif section in ("RHS", "RANGES"):
-            self.rhs_or_ranges(section, chunks)
+            self.rhs_or_ranges(section, lines)
         elif section == "BOUNDS":
-            self.bounds(chunks)
+            self.bounds(lines)
         else:
-            self.no_data(section, chunks)
+            self.no_data(section, lines)
 
     def finish(self) -> LpInstance:
         if self.obj_row is None:
@@ -421,173 +321,126 @@ class _Reader:
             roles[self.obj_row] = _OBJ
         return roles
 
-    # -- the numpy front end -------------------------------------------------
+    # -- the line reader -------------------------------------------------------
 
-    def no_data(self, section, chunks) -> None:
+    def no_data(self, section, lines) -> None:
         """NAME, OBJSENSE and the text before the first header hold no data
         lines, except the one line that names a pending objective sense."""
-        for tok, first, _, line, _ in chunks:
-            bad = 0
-            if len(first) and self.pending_objsense:
-                self.objsense = tok[first[0]].upper()
-                self.pending_objsense = False
-                bad = 1
-            if len(first) > bad:
+        for line_no, tok in lines:
+            if not self.pending_objsense:
                 raise MpsParseError(
                     "data before any section header" if section is None
-                    else f"unexpected data in section {section}", int(line[bad]))
+                    else f"unexpected data in section {section}", line_no)
+            self.objsense = tok[0].upper()
+            self.pending_objsense = False
 
-    def rows(self, chunks) -> None:
-        for tok, first, size, line, _ in chunks:
-            errors = []
-            bad = _first(size != 2)
-            if bad >= 0:
-                errors.append((int(line[bad]), -1, 0, "ROWS entries need a type and a name"))
-            kinds = list(map(str.upper, tok[first].tolist()))
-            kind = _lookup(_ROW_TYPES, kinds, -1)
-            bad = _first((size == 2) & (kind < 0))
-            if bad >= 0:
-                errors.append((int(line[bad]), -1, 1, f"unknown row type {kinds[bad]!r}"))
-            ok = (size == 2) & (kind >= 0)
-            names = tok[first[ok] + 1].tolist()
-            kind, line = kind[ok], line[ok]
-            is_con = kind > 0
-            con = list(compress(names, is_con.tolist()))
-            seen: dict[str, int] = {}
-            again = np.fromiter(map(seen.setdefault, con, count()), np.int64, len(con))
-            again = (again != np.arange(len(con))) | np.fromiter(
-                map(self.row_id.__contains__, con), bool, len(con))
-            bad = _first(again)
-            if bad >= 0:
-                errors.append((int(line[is_con][bad]), -1, 2, f"duplicate row {con[bad]!r}"))
-            _raise_first(errors)
+    def rows(self, lines) -> None:
+        for line_no, tok in lines:
+            if len(tok) != 2:
+                raise MpsParseError("ROWS entries need a type and a name", line_no)
+            kind, name = _ROW_TYPES.get(tok[0].upper(), -1), tok[1]
+            if kind < 0:
+                raise MpsParseError(f"unknown row type {tok[0].upper()!r}", line_no)
+            if kind > 0:
+                if name in self.row_id:
+                    raise MpsParseError(f"duplicate row {name!r}", line_no)
+                self.row_id[name] = len(self.row_id)
+                self.row_kind.append(kind)
+            elif self.obj_row is None:
+                self.obj_row = name
+            else:
+                self.free_rows.add(name)
 
-            free = list(compress(names, (~is_con).tolist()))
-            if free and self.obj_row is None:
-                self.obj_row = free.pop(0)
-            self.free_rows.update(free)
-            self.row_id.update(zip(con, count(len(self.row_id))))
-            self.row_kind += kind[is_con].tolist()
-
-    def columns(self, chunks) -> None:
+    def columns(self, lines) -> None:
         roles = self.roles("COLUMNS")
-        errors, where = [], []
-        entries = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
-        objective = [(np.empty(0, np.int64), np.empty(0))]
-        for tok, first, size, line, lead in chunks:
-            # integrality markers: the columns are treated as continuous
-            marker = (size >= 3) & (lead[np.minimum(first + 1, len(lead) - 1)] == _QUOTE)
-            if marker.any():
-                at = np.flatnonzero(marker)
-                marker[at] = [t.upper() == "'MARKER'" for t in tok[first[at] + 1].tolist()]
-            bad = ~marker & ((size < 3) | (size % 2 == 0))
-            if bad.any():
-                errors.append((int(line[_first(bad)]), -1, 0,
-                               "COLUMNS entries need name + row/value pairs"))
-            ok = ~(marker | bad)
-            first, line = first[ok], line[ok]
-            # a column's lines usually follow each other: look up each run once
-            names = tok[first]
-            head = np.ones(len(names), bool)
-            head[1:] = names[1:] != names[:-1]
-            run = np.flatnonzero(head)
-            names = names[run].tolist()
-            self.add_columns(list(filterfalse(self.col_id.__contains__, dict.fromkeys(names))))
-            cols = np.fromiter(map(self.col_id.__getitem__, names), np.int64, len(names))
-            cols = np.repeat(cols, np.diff(run, append=len(first)))
+        col, row, entry_line, obj_col = array("q"), array("q"), array("q"), array("q")
+        value, obj_value = array("d"), array("d")
 
-            pline, pair, role, values = _read_pairs(
-                tok, first + 1, (size[ok] - 1) // 2, line, roles, "unknown row", errors)
-            cols = cols[pline]
-            is_obj, is_con = role == _OBJ, role >= 0
-            objective.append((cols[is_obj], values[is_obj]))
-            entries.append((cols[is_con], role[is_con], values[is_con]))
-            where.append((line[pline[is_con]], pair[is_con]))
-            if errors:
-                break  # later chunks hold only later lines
-        col, row, value = map(np.concatenate, zip(*entries))
-        p = self.add_entries(col, row, value, *map(np.concatenate, zip(*objective)))
-        if p >= 0:
-            # the later entry of a repeated pair lies in this section
-            line, pair = (np.concatenate(a) for a in zip(*where))
-            cname, rname = list(self.col_id)[col[p]], list(self.row_id)[row[p]]
-            errors.append((int(line[p]), int(pair[p]), 1,
-                           f"duplicate entry for column {cname!r}, row {rname!r}"))
-        _raise_first(errors)
+        def flush() -> None:
+            """Hand the entries read so far to the back end; raise at the
+            later entry of a repeated (column, row) pair."""
+            p = self.add_entries(np.frombuffer(col, np.int64), np.frombuffer(row, np.int64),
+                                 np.frombuffer(value), np.frombuffer(obj_col, np.int64),
+                                 np.frombuffer(obj_value))
+            if p >= 0:
+                cname, rname = list(self.col_id)[col[p]], list(self.row_id)[row[p]]
+                raise MpsParseError(f"duplicate entry for column {cname!r}, row {rname!r}",
+                                    entry_line[p]) from None
 
-    def rhs_or_ranges(self, section: str, chunks) -> None:
+        try:
+            for line_no, tok in lines:
+                if len(tok) >= 3 and tok[1].upper() == "'MARKER'":
+                    continue   # integrality markers: the columns are treated as continuous
+                if len(tok) < 3 or len(tok) % 2 == 0:
+                    raise MpsParseError("COLUMNS entries need name + row/value pairs", line_no)
+                c = self.col_id.get(tok[0])
+                if c is None:
+                    c = len(self.col_id)
+                    self.add_columns([tok[0]])
+                for i in range(1, len(tok), 2):
+                    v = _number(tok[i + 1], line_no)
+                    r = roles.get(tok[i], _UNKNOWN)
+                    if r >= 0:
+                        col.append(c)
+                        row.append(r)
+                        value.append(v)
+                        entry_line.append(line_no)
+                    elif r == _OBJ:
+                        obj_col.append(c)
+                        obj_value.append(v)
+                    elif r == _UNKNOWN:
+                        raise MpsParseError(f"unknown row {tok[i]!r}", line_no)
+        except MpsParseError:
+            flush()   # a repeat read before the error is the earlier fault
+            raise
+        flush()
+
+    def rhs_or_ranges(self, section: str, lines) -> None:
         is_rhs = section == "RHS"
         roles = self.roles(section)
-        for tok, first, size, line, _ in chunks:
-            errors = []
-            bad = _first(size == 1)
-            if bad >= 0:
-                errors.append((int(line[bad]), -1, 0, f"{section} entries need row/value pairs"))
+        unknown = "unknown row" if is_rhs else "RANGES on unknown row"
+        role, value = array("q"), array("d")
+        for line_no, tok in lines:
+            if len(tok) == 1:
+                raise MpsParseError(f"{section} entries need row/value pairs", line_no)
             # an odd count leads with the set name, which is ignored
-            ok = size > 1
-            _, _, role, values = _read_pairs(
-                tok, first[ok] + size[ok] % 2, size[ok] // 2, line[ok], roles,
-                "unknown row" if is_rhs else "RANGES on unknown row", errors)
-            _raise_first(errors)
-            self.set_rhs(is_rhs, role, values)
+            for i in range(len(tok) % 2, len(tok), 2):
+                v = _number(tok[i + 1], line_no)
+                r = roles.get(tok[i], _UNKNOWN)
+                if r == _UNKNOWN:
+                    raise MpsParseError(f"{unknown} {tok[i]!r}", line_no)
+                role.append(r)
+                value.append(v)
+        self.set_rhs(is_rhs, np.frombuffer(role, np.int64), np.frombuffer(value))
 
-    def bounds(self, chunks) -> None:
-        for tok, first, size, line, _ in chunks:
-            errors = []
-            kinds = list(map(str.upper, tok[first].tolist()))
-            kind = _lookup(_BOUND_TYPES, kinds, -1)
-            bad = kind < 0
-            i = _first(bad)
-            if i >= 0:
-                errors.append((int(line[i]), -1, 0, f"unknown bound type {kinds[i]!r}"))
+    def bounds(self, lines) -> None:
+        kinds, cols, values = array("q"), array("q"), array("d")
+        lo = dict(self.lo)   # each column's lower bound so far
+        for line_no, tok in lines:
+            name = tok[0].upper()
+            kind = _BOUND_TYPES.get(name, -1)
+            if kind < 0:
+                raise MpsParseError(f"unknown bound type {name!r}", line_no)
             needs_value = kind <= _FX
-            short = ~bad & (size < np.where(needs_value, 4, 3))
-            i = _first(short)
-            if i >= 0:
-                errors.append((int(line[i]), -1, 0, "short BOUNDS entry"))
-            ok = np.flatnonzero(~(bad | short))
-            names = tok[first[ok] + 2].tolist()
-            col = np.full(len(first), -1)
-            col[ok] = _lookup(self.col_id, names, -1)
-            i = _first(col[ok] < 0)
-            if i >= 0:
-                errors.append((int(line[ok[i]]), -1, 0, f"bound on unknown column {names[i]!r}"))
-            ok = col >= 0
-            at = np.flatnonzero(ok & needs_value)
-            value = np.full(len(first), np.nan)
-            value[at], i = _floats(tok[first[at] + 3].tolist())
-            if i >= 0:
-                errors.append((int(line[at[i]]), -1, 0,
-                               f"expected a number, got {tok[first[at[i]] + 3]!r}"))
-            sets_lo, lo, _, _ = _bound_ends(kind, value)
-            negative_up = ok & (kind == _UP) & (value < 0)
-            if negative_up.any():
-                negative_up &= self._lo_before(col, ok & sets_lo, lo) == 0.0
-            i = _first(negative_up)
-            if i >= 0:
-                errors.append((int(line[i]), -1, 0,
-                               "UP with a negative value implies a free lower bound, "
-                               "which the 0 <= x <= u model cannot represent"))
-            i = _first(ok & ((kind == _FR) | (kind == _MI)))
-            if i >= 0:
-                errors.append((int(line[i]), -1, 0,
-                               f"{kinds[i]} bounds (free below) are unsupported by the "
-                               "0 <= x <= u model"))
-            _raise_first(errors)
-            self.set_bounds(kind[ok], col[ok], value[ok])
-
-    def _lo_before(self, col, sets_lo, lo) -> np.ndarray:
-        """The lower bound each line's column holds just before that line."""
-        order = np.argsort(col, kind="stable")
-        c = col[order]
-        idx = np.arange(len(c))
-        last = np.maximum.accumulate(np.where(sets_lo[order], idx, -1))
-        prev = np.concatenate(([-1], last[:-1]))
-        group = np.maximum.accumulate(np.where(np.diff(c, prepend=-2) != 0, idx, 0))
-        held = np.fromiter(map(self.lo.get, c.tolist(), repeat(0.0)), np.float64, len(c))
-        out = np.empty(len(c))
-        out[order] = np.where(prev >= group, lo[order][prev], held)
-        return out
+            if len(tok) < (4 if needs_value else 3):
+                raise MpsParseError("short BOUNDS entry", line_no)
+            c = self.col_id.get(tok[2], -1)
+            if c < 0:
+                raise MpsParseError(f"bound on unknown column {tok[2]!r}", line_no)
+            v = _number(tok[3], line_no) if needs_value else np.nan
+            if kind == _UP and v < 0 and lo.get(c, 0.0) == 0.0:
+                raise MpsParseError("UP with a negative value implies a free lower bound, "
+                                    "which the 0 <= x <= u model cannot represent", line_no)
+            if kind in (_FR, _MI):
+                raise MpsParseError(f"{name} bounds (free below) are unsupported by the "
+                                    "0 <= x <= u model", line_no)
+            if kind in (_LO, _FX, _BV):
+                lo[c] = 0.0 if kind == _BV else v
+            kinds.append(kind)
+            cols.append(c)
+            values.append(v)
+        self.set_bounds(np.frombuffer(kinds, np.int64), np.frombuffer(cols, np.int64),
+                        np.frombuffer(values))
 
     # -- the back end ----------------------------------------------------------
 

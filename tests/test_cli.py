@@ -181,6 +181,42 @@ class TestSift:
         obj2 = next(l for l in out2.splitlines() if l.startswith("objective"))
         assert obj1 == obj2
 
+    @pytest.fixture
+    def sifts(self, monkeypatch):
+        """The results of the command's sift calls; its own solve_lp raises."""
+        import onlinelp.cli as cli
+        results, sift = [], cli.sift
+
+        def recording(*args, **kwargs):
+            try:
+                results.append(sift(*args, **kwargs))
+            except cli.SiftRoundLimit as exc:
+                results.append(exc.partial)
+                raise
+            return results[-1]
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("onlinelp sift ran a solve of its own")
+
+        monkeypatch.setattr(cli, "sift", recording)
+        monkeypatch.setattr(cli, "solve_lp", no_solve)
+        return results
+
+    def test_acc_comes_from_sifts_own_optimum(self, capsys, sifts):
+        import numpy as np
+        from onlinelp.cli import SUPPORT_TOL
+        from onlinelp.sifting import basis_metrics
+        assert run_cli(["sift", "--gen", "m=3,n=20001,tau=0.2,seed=1"]) == 0
+        (result,) = sifts
+        support = np.flatnonzero(result.x > SUPPORT_TOL)
+        acc = basis_metrics(support, result.initial_working_set, 20001)[0]
+        assert f"acc         {acc:.4f}" in capsys.readouterr().out.splitlines()
+
+    def test_a_round_limited_run_has_no_acc(self, capsys, sifts):
+        assert run_cli(["sift", "--gen", "m=4,n=120,tau=0.2,seed=6", "--max-rounds", "1"]) == 5
+        assert len(sifts) == 1
+        assert "acc         n/a" in capsys.readouterr().out.splitlines()
+
     def test_threshold_too_high_uses_fallback(self, capsys):
         code = run_cli(["sift", "--gen", "m=4,n=80,tau=0.3,seed=2",
                         "--init-threshold", "2.0"])

@@ -107,6 +107,16 @@ class TestErrorLines:
         # within a line, the pairs are taken in order
         (toy((9, "    X1  NOPE  1.0  COST  x")), "line 9: unknown row 'NOPE'"),
         (toy((9, "    X1  COST  x  NOPE  1.0")), "line 9: expected a number, got 'x'"),
+        # a repeat read before a bad number is reported, on the line before
+        # it and on the same line
+        (toy((9, ["", "* c", "    X1  COST  1.0  CAP  1.0", "", "   * d"]),
+             (10, ["    X2  COST  1.0  CAP  1.0", "    X1  CAP  3.0", "    X1  CAP  x"])),
+         "line 15: duplicate entry for column 'X1', row 'CAP'"),
+        (toy((10, "    X1  CAP  2.0  COST  x")),
+         "line 10: duplicate entry for column 'X1', row 'CAP'"),
+        # an unknown row after blank and comment lines names its own line
+        (toy((10, ["", "* c", "", "   * d", "    X2  NOPE  1.0"])),
+         "line 14: unknown row 'NOPE'"),
     ])
     def test_earliest_line_and_message(self, text, message):
         with pytest.raises(MpsParseError) as err:
@@ -119,6 +129,17 @@ class TestErrorLines:
         with pytest.raises(MpsParseError,
                            match=r"^column 'X2' has empty bound interval \[2.0, 1.0\]$"):
             parse(toy((15, [" LO BND  X2  2.0", " UP BND  X2  1.0"])))
+
+
+    def test_a_negative_up_needs_the_lower_bound_held_before_it(self):
+        inst = parse(toy((15, [" LO BND  X2  -2.0", " UP BND  X2  -1.0"])))
+        assert inst.meta["column_shifts"] == {"X2": -2.0}
+        assert inst.upper.tolist() == [1.0, 1.0]
+        for lines, line in (([" UP BND  X2  -1.0", " LO BND  X2  -2.0"], 15),
+                            ([" LO BND  X2  -2.0", " BV BND  X2", " UP BND  X2  -1.0"], 17),
+                            ([" LO BND  X1  -2.0", " UP BND  X2  -1.0"], 16)):
+            with pytest.raises(MpsParseError, match=f"^line {line}: UP with a negative value"):
+                parse(toy((15, lines)))
 
 
 class TestFormats:
@@ -282,47 +303,3 @@ class TestWriter:
         line_by_line_write_mps(inst, want)
         write_mps(inst, got)
         assert got.getvalue() == want.getvalue()
-
-
-class TestChunks:
-    """Small chunks put chunk boundaries everywhere; nothing may change."""
-
-    @pytest.fixture(params=[1, 7, 64])
-    def small_chunks(self, request, monkeypatch):
-        monkeypatch.setattr(mps, "_CHUNK", request.param)
-
-    def _generated(self):
-        inst = generate_mkp(MkpParams(m=5, n=40, tightness=0.25, density=0.5, seed=9))
-        buf = io.StringIO()
-        write_mps(inst, buf)
-        return buf.getvalue()
-
-    def test_same_instance(self, small_chunks):
-        text = self._generated()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(mps, "_CHUNK", 1 << 20)
-            expected = parse(text)
-        assert_same_instance(parse(text), expected)
-        assert_same_instance(parse(toy((10, ["", "* c", "    X2  COST  1.0  CAP  1.0"]))),
-                             parse(toy()))
-
-    def test_same_error_line(self, small_chunks):
-        lines = self._generated().splitlines()
-        top = lines.index("COLUMNS") + 1
-        repeat = next(ln for ln in lines[top:] if ln.split()[1][0] == "R")
-        lines[top:top] = ["", "* comment", "", "", "  * another"]
-        at = lines.index("RHS")
-        with pytest.raises(MpsParseError) as err:
-            parse("\n".join(lines[:at] + [repeat, "    X0  R0  x"] + lines[at:]))
-        assert str(err.value).startswith(f"line {at + 1}: duplicate entry")
-        with pytest.raises(MpsParseError) as err:
-            parse("\n".join(lines[:at] + ["    X0  NOPE  1"] + lines[at:]))
-        assert str(err.value) == f"line {at + 1}: unknown row 'NOPE'"
-
-
-@pytest.mark.parametrize("wide", [False, True])
-def test_space_codes_match_str_isspace(wide):
-    top = 0x110000 if wide else 0x80
-    codes = np.arange(top, dtype=np.uint32 if wide else np.uint8)
-    expected = [chr(c).isspace() for c in range(top)]
-    assert mps._is_space(codes).tolist() == expected

@@ -1,11 +1,12 @@
-"""The compiled MPS front end (``mps_sweep``) against the numpy reader.
+"""The compiled MPS front end (``mps_sweep``) against the line reader.
 
-The reference runs with the kernel handle set to None, which is what
-``parse_mps`` sees when no kernel could be built.  Every case must give
-byte-equal arrays and equal ``meta`` reprs, or the same exception type and
-message.  A hand-back reruns the numpy reader, so a sweep that handed back
-every file would pass these comparisons too: the counts of hand-backs
-below show that the compiled front end reads what it should.
+The reference, ``mps._parse``, reads the file line by line; it runs with
+the kernel handle set to None, which is what ``parse_mps`` sees when no
+kernel could be built.  Every case must give byte-equal arrays and equal
+``meta`` reprs, or the same exception type and message.  A hand-back
+reruns the line reader, so a sweep that handed back every file would pass
+these comparisons too: the counts of hand-backs below show that the
+compiled front end reads what it should.
 """
 
 import io
@@ -109,7 +110,7 @@ def compiled():
 
 @pytest.fixture
 def hand_backs(monkeypatch):
-    """The texts the numpy reader was handed, by parse_mps or a hand-back."""
+    """The texts the line reader was handed, by parse_mps or a hand-back."""
     texts = []
     parse = mps._parse
 
@@ -334,8 +335,7 @@ def test_no_hand_back_on_written_files(compiled, monkeypatch, tmp_path, hand_bac
 HAND_BACKS = {
     "non-ascii name": toy().replace("X1", "Xé"),
     "non-ascii separator": toy().replace("COST  1.0", "COST\xa01.0"),
-    "crlf": toy().replace("\n", "\r\n"),
-    "lone cr": toy((12, "    RHS  CAP  0.5\r")),
+    "lone cr": toy((12, "    RHS  CAP\r0.5")),
     "hex float": toy((9, "    X1  COST  0x1p0  CAP  1.0")),
     "underscore": toy((10, "    X2  COST  1_0  CAP  1.0")),
     "inf": toy((12, "    RHS  CAP  inf")),
@@ -345,7 +345,7 @@ HAND_BACKS = {
     "unknown rhs row": toy((12, "    RHS  NOPE  0.5")),
     "unknown column": toy((15, " UP BND  X9  1.0")),
     "marker": toy((9, ["    M1  'MARKER'  'INTORG'", "    X1  COST  1.0  CAP  1.0"])),
-    # the numpy front end skips this line as a marker, not as an entry
+    # the line reader skips this line as a marker, not as an entry
     "marker naming a row": toy((7, [" L  CAP", " L  'MARKER'"]),
                                (10, ["    X2  COST  1.0  CAP  1.0", "    X2  'MARKER'  1.0"])),
     "ranges": toy((13, ["RANGES", "    RNG  CAP  0.25", "BOUNDS"])),
@@ -375,16 +375,25 @@ def test_each_trigger_hands_back(compiled, monkeypatch, tmp_path, hand_backs, te
 
 
 def test_a_file_handed_back_is_read_in_text_mode(compiled, tmp_path, hand_backs):
-    # universal newlines: the reader sees the file a text-mode read gives
+    # universal newlines: the reader sees the file a text-mode read gives,
+    # where the lone '\r' after line 1 ends that line
+    path = tmp_path / "lone_cr.mps"
+    path.write_bytes(toy().replace("\n", "\r\n").replace("\r\n", "\r", 1).encode())
+    assert_same_instance(parse_mps(path), parse_mps(io.StringIO(toy())))
+    assert hand_backs == [toy()]
+
+
+def test_a_crlf_file_is_swept(compiled, tmp_path, hand_backs):
     path = tmp_path / "crlf.mps"
     path.write_bytes(toy().replace("\n", "\r\n").encode())
     assert_same_instance(parse_mps(path), parse_mps(io.StringIO(toy())))
-    assert hand_backs == [toy()]
+    assert hand_backs == []
 
 
 def test_untouched_toy_lines_are_swept(compiled, hand_backs):
     # spellings of the toy file that read as the toy itself
     for text in (toy().rstrip("\n"), toy().replace("  ", "\t"),
+                 toy().replace("\n", "\r\n"), toy((12, "    RHS  CAP  0.5\r")),
                  toy((10, ["    X2  COST  1.0  CAP  1.0", "", "* c", "  *c"]),
                      (12, ["* c", "    RHS  CAP  0.5", "", "   *"]),
                      (15, [" up BND  X2  1.0", "* c", "", " *  x"])),

@@ -1,0 +1,47 @@
+"""The benchmark harness's hooks into the package, checked without a run.
+
+``perfbench/run.py`` builds ``onlinelp sift``'s configs from the command's
+own parser, and its traced run wraps package functions by name.  Loading
+the script here makes a renamed flag, config field or traced function fail
+this suite rather than a benchmark run.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from onlinelp.cli import _sift_configs, build_parser
+
+RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+
+
+@pytest.fixture(scope="module")
+def run():
+    """perfbench/run.py as a module; the sys.path entries and BLAS thread
+    settings it makes on import are undone afterwards."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "path", list(sys.path))
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            mp.delenv(var, raising=False)
+        spec = importlib.util.spec_from_file_location("perfbench_run", RUN)
+        module = importlib.util.module_from_spec(spec)
+        mp.setitem(sys.modules, spec.name, module)   # its dataclasses look it up
+        spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("flags", [[], ["--prepass-lazy"]], ids=["defaults", "lazy"])
+def test_sift_settings_are_the_commands(run, flags):
+    pre, config = run.sift_settings(*flags)
+    assert pre.lazy is bool(flags)
+    assert (pre, config) == _sift_configs(
+        build_parser().parse_args(["sift", "--gen", "m=1,n=1,tau=1", *flags]))
+
+
+def test_the_tracer_wraps_each_entry_point_and_restores_it(run):
+    entry_points = dict(vars(run.api))
+    with run.Tracer().installed(run.api):
+        assert all(getattr(run.api, name) is not fn for name, fn in entry_points.items())
+    assert vars(run.api) == entry_points
