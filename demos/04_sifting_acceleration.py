@@ -3,8 +3,9 @@
 For n >> m, most columns never enter the optimal basis.  Sifting solves a
 small working problem exactly, prices the remaining columns against its
 dual, and grows the working set until nothing prices in.  The online pass
-supplies both the initial working set (columns with a high estimate) and a
-fixed dual anchor that damps pricing oscillation.
+supplies only its final dual: it picks the initial working set (the m
+columns with the largest reduced cost against it, as many as a basis
+holds) and serves as a fixed dual anchor that damps pricing oscillation.
 """
 
 import numpy as np

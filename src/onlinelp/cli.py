@@ -252,7 +252,6 @@ def _cmd_sift(args) -> int:
         "engine": _engine(pre_config.method),
         "seed": pre_config.seed, "alpha": sift_config.stabilization_alpha,
         "anchor": sift_config.use_online_anchor,
-        "init_threshold": sift_config.init_threshold,
         "pricing_tol": sift_config.pricing_tolerance,
     })
 
@@ -445,7 +444,9 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     _add_instance_options(f)
     f.add_argument("--alpha", type=float, default=SiftConfig.stabilization_alpha)
     f.add_argument("--no-anchor", action="store_true")
-    f.add_argument("--init-threshold", type=float, default=SiftConfig.init_threshold)
+    # retired: any value is refused; kept, hidden, until the next benchmark change
+    f.add_argument("--init-threshold", type=float, default=SiftConfig.init_threshold,
+                   help=argparse.SUPPRESS)
     f.add_argument("--pricing-tol", type=float, default=SiftConfig.pricing_tolerance)
     f.add_argument("--max-rounds", type=int, default=SiftConfig.max_rounds)
     f.add_argument("--max-new-cols", type=int, default=SiftConfig.max_new_columns_per_round)

@@ -1,11 +1,12 @@
 """Sifting: column generation for n >> m LPs, seeded by an online pass.
 
-The working problem restricted to a column set W is solved exactly, its
-dual is blended with the online pass's final dual (the "anchor") for
-pricing only, dual-infeasible columns are added to W, and the loop repeats
-until a full pricing sweep with the *exact* working dual certifies global
-optimality.  Columns are never removed, so the working objective is
-nondecreasing across rounds.
+The pass gives its final dual y, clipped at zero (the "anchor").  The
+first working set W is the m columns with the largest c_j - <a_j, y>.
+The working problem on W is solved exactly, its dual is blended with the
+anchor for pricing only, dual-infeasible columns are added to W, and the
+loop repeats until a full pricing sweep with the *exact* working dual
+certifies global optimality.  Columns are never removed, so the working
+objective is nondecreasing across rounds.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import LpInstance
+from .model import LpInstance, _check_y
 from .online import OnlineSolution
 from .simplex import SimplexResult, SolveStatus, solve_lp
 
@@ -43,10 +44,10 @@ class SiftRoundLimit(RuntimeError):
 class SiftConfig:
     """Knobs of the sifting loop.
 
-    ``init_threshold`` of None resolves to 1/K, where K is the duplication
-    factor recovered from the online solution.  ``stabilization_alpha`` is
-    the weight on the exact working dual in the pricing blend; 1.0 turns
-    stabilization off.
+    ``stabilization_alpha`` is the weight on the exact working dual in the
+    pricing blend; 1.0 turns stabilization off.  ``init_threshold`` is
+    retired and accepts only None; it goes with the next benchmark change,
+    whose config builder still passes it (see ``init_working_set``).
     """
 
     init_threshold: float | None = None
@@ -59,8 +60,9 @@ class SiftConfig:
     def __post_init__(self):
         if not (0.0 < self.stabilization_alpha <= 1.0):
             raise ValueError("stabilization_alpha must lie in (0, 1]")
-        if self.init_threshold is not None and self.init_threshold < 0:
-            raise ValueError("init_threshold must be nonnegative")
+        if self.init_threshold is not None:
+            raise ValueError("init_threshold is retired: sift seeds the m columns with the "
+                             "largest reduced cost against the pre-pass dual")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
         if self.max_new_columns_per_round is not None and self.max_new_columns_per_round < 1:
@@ -91,15 +93,29 @@ class SiftResult:
     trace: tuple[SiftRound, ...] = ()
 
 
-def init_working_set(x_hat, threshold: float, fallback_count: int) -> np.ndarray:
-    """Columns scored at or above the threshold; top-k fallback when empty."""
-    x_hat = np.asarray(x_hat, dtype=np.float64)
-    picked = np.flatnonzero(x_hat >= threshold)
-    if picked.size == 0:
-        k = min(fallback_count, x_hat.size)
-        order = np.lexsort((np.arange(x_hat.size), -x_hat))  # value desc, index asc
-        picked = np.sort(order[:k])
-    return picked.astype(np.int64)
+def _top(scores: np.ndarray, k: int) -> np.ndarray:
+    """Sorted positions of the k largest scores, ties to the lower one; O(n)."""
+    if k >= scores.size:
+        return np.arange(scores.size, dtype=np.int64)
+    if k <= 0:
+        return np.empty(0, dtype=np.int64)
+    kth = np.partition(scores, scores.size - k)[scores.size - k]
+    picked = scores > kth
+    ties = np.flatnonzero(scores == kth)
+    picked[ties[:k - np.count_nonzero(picked)]] = True
+    return np.flatnonzero(picked).astype(np.int64)
+
+
+def _reduced_costs(instance: LpInstance, y) -> np.ndarray:
+    """c_j - <a_j, y> for every column, in one sparse sweep."""
+    return instance.obj - instance.to_scipy().T @ _check_y(instance, y)
+
+
+def init_working_set(instance: LpInstance, y, count: int) -> np.ndarray:
+    """The ``count`` columns with the largest reduced cost c_j - <a_j, y>,
+    ties to the lower index, as a sorted int64 array; every column when
+    count >= n."""
+    return _top(_reduced_costs(instance, y), count)
 
 
 def price(instance: LpInstance, working_set, y, tol: float = 1e-7,
@@ -107,18 +123,15 @@ def price(instance: LpInstance, working_set, y, tol: float = 1e-7,
     """Non-working columns with reduced cost c_j - <a_j, y> above tol.
 
     ``working_set`` is an array (or list) of column ids.  One sparse sweep;
-    optionally truncated to the most violated columns.
+    optionally truncated to the ``max_new`` most violated columns, ties to
+    the lower index.
     """
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (instance.num_rows,):
-        raise ValueError(f"y must have shape ({instance.num_rows},)")
-    reduced = instance.obj - instance.to_scipy().T @ y
+    reduced = _reduced_costs(instance, y)
     outside = np.ones(instance.num_cols, dtype=bool)
     outside[np.asarray(working_set, dtype=np.int64)] = False
     violated = np.flatnonzero(outside & (reduced > tol))
-    if max_new is not None and violated.size > max_new:
-        worst = np.argsort(reduced[violated])[::-1][:max_new]
-        violated = np.sort(violated[worst])
+    if max_new is not None:
+        violated = violated[_top(reduced[violated], max_new)]
     return violated.astype(np.int64)
 
 
@@ -163,11 +176,11 @@ def sift(instance: LpInstance, online_solution: OnlineSolution,
          config: SiftConfig | None = None) -> SiftResult:
     """Run the sifting loop from an online warm start.
 
-    The initial working set keeps columns whose online estimate clears the
-    threshold; the online final dual serves as a fixed pricing anchor for
-    the whole run.  Terminates only with a global pricing certificate (no
-    column anywhere has reduced cost above the tolerance against the exact
-    working dual) or raises SiftRoundLimit.
+    The pass's final dual, clipped at zero, picks the initial working set
+    and serves as a fixed pricing anchor for the whole run.  Terminates only
+    with a global pricing certificate (no column anywhere has reduced cost
+    above the tolerance against the exact working dual) or raises
+    SiftRoundLimit, whose partial result is the last working problem solved.
     """
     if config is None:
         config = SiftConfig()
@@ -175,27 +188,23 @@ def sift(instance: LpInstance, online_solution: OnlineSolution,
     if np.any(instance.rhs < 0):
         raise ValueError("sifting requires b >= 0 (all-slack start must be feasible)")
 
-    x_hat = online_solution.x_hat
-    k_dup = max(1, round(online_solution.elapsed_columns / n))
-    threshold = config.init_threshold if config.init_threshold is not None else 1.0 / k_dup
     anchor = np.maximum(online_solution.y_final, 0.0)
     # without a blend the pricing dual is the exact one, and an empty sweep certifies
     blend = config.use_online_anchor and config.stabilization_alpha < 1.0
 
-    w = init_working_set(x_hat, threshold, m)
+    w = init_working_set(instance, anchor, m)
     w0 = w.copy()
-    prev_res = None
-    prev_w = None
     trace: list[SiftRound] = []
     res = None
 
     for round_no in range(1, config.max_rounds + 1):
         t0 = time.perf_counter()
-        sub = instance.restrict_columns(w)
         warm = None
-        if prev_res is not None:
-            warm = _map_warm_basis(prev_res, prev_w, w, m)
-        res = solve_lp(sub, warm_basis=warm)
+        if res is not None:
+            # grown only here, so the result describes the last set solved
+            w_prev, w = w, np.union1d(w, priced)
+            warm = _map_warm_basis(res, w_prev, w, m)
+        res = solve_lp(instance.restrict_columns(w), warm_basis=warm)
         if res.status is not SolveStatus.OPTIMAL:
             raise RuntimeError(f"working problem solve failed: {res.status.value}")
         y_exact = res.y_star
@@ -214,24 +223,12 @@ def sift(instance: LpInstance, online_solution: OnlineSolution,
                                res.warm_started))
         if certified:
             break
-        prev_res, prev_w = res, w
-        w = np.union1d(w, priced)
 
     x = np.zeros(n)
     x[w] = res.x_star
-    result = SiftResult(
-        final_working_set=w,
-        exact=res,
-        x=x,
-        y=res.y_star,
-        objective=res.obj,
-        rounds=len(trace),
-        rdc=w0.size / n,
-        initial_working_set=w0,
-        trace=tuple(trace),
-    )
+    result = SiftResult(final_working_set=w, exact=res, x=x, y=res.y_star, objective=res.obj,
+                        rounds=len(trace), rdc=w0.size / n, initial_working_set=w0,
+                        trace=tuple(trace))
     if not certified:
-        raise SiftRoundLimit(
-            f"no certificate after {config.max_rounds} rounds", result
-        )
+        raise SiftRoundLimit(f"no certificate after {config.max_rounds} rounds", result)
     return result

@@ -217,11 +217,12 @@ class TestSift:
         assert len(sifts) == 1
         assert "acc         n/a" in capsys.readouterr().out.splitlines()
 
-    def test_threshold_too_high_uses_fallback(self, capsys):
-        code = run_cli(["sift", "--gen", "m=4,n=80,tau=0.3,seed=2",
-                        "--init-threshold", "2.0"])
-        capsys.readouterr()
-        assert code == 0
+    def test_a_threshold_is_a_usage_error(self, capsys):
+        # the threshold is retired: any value is refused
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["sift", "--gen", "m=4,n=80,tau=0.3,seed=2", "--init-threshold", "2.0"])
+        assert exc.value.code == 2
+        assert "init_threshold is retired" in capsys.readouterr().err
 
 
 class TestBench:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from onlinelp.model import LpInstance
 from onlinelp.online import RunConfig, solve_online
 from onlinelp.sifting import (
     SiftConfig,
+    SiftRoundLimit,
     basis_metrics,
     init_working_set,
     price,
@@ -17,17 +20,43 @@ from onlinelp.simplex import enumerate_vertices_oracle, solve_lp
 
 
 class TestInitWorkingSet:
-    def test_threshold_selection(self):
-        w = init_working_set([1.0, 0.0, 0.5], 0.5, fallback_count=2)
-        np.testing.assert_array_equal(w, [0, 2])
+    # reduced costs against y = (1, 1): 4 - 2, 1 - 1, 6 - 3, 2 - 1, 5 - 1 = [2, 0, 3, 1, 4]
+    INST = LpInstance.from_dense([[1.0, 1.0, 2.0, 1.0, 0.0], [1.0, 0.0, 1.0, 0.0, 1.0]],
+                                 [1.0, 1.0], [4.0, 1.0, 6.0, 2.0, 5.0])
 
-    def test_empty_falls_back_to_top_m(self):
-        w = init_working_set([0.0, 0.0, 0.0], 0.5, fallback_count=2)
-        np.testing.assert_array_equal(w, [0, 1])
+    def test_top_count_by_reduced_cost(self):
+        w = init_working_set(self.INST, [1.0, 1.0], 2)
+        np.testing.assert_array_equal(w, [2, 4])
+        np.testing.assert_array_equal(init_working_set(self.INST, [1.0, 1.0], 3), [0, 2, 4])
 
-    def test_fallback_picks_largest_scores(self):
-        w = init_working_set([0.1, 0.4, 0.2, 0.4], 1.5, fallback_count=2)
-        np.testing.assert_array_equal(w, [1, 3])
+    def test_ties_go_to_the_lower_index(self):
+        inst = LpInstance.from_dense([[1.0] * 6], [1.0], [1.0, 3.0, 2.0, 3.0, 2.0, 2.0])
+        np.testing.assert_array_equal(init_working_set(inst, [0.0], 2), [1, 3])
+        np.testing.assert_array_equal(init_working_set(inst, [0.0], 3), [1, 2, 3])
+        np.testing.assert_array_equal(init_working_set(inst, [0.0], 4), [1, 2, 3, 4])
+
+    def test_a_count_of_n_or_more_takes_every_column(self):
+        for count in (5, 6, 100):
+            np.testing.assert_array_equal(init_working_set(self.INST, [1.0, 1.0], count),
+                                          np.arange(5))
+
+    def test_a_zero_dual_ranks_by_cost(self):
+        rng = np.random.default_rng(4)
+        inst = generate_mkp(MkpParams(m=3, n=40, tightness=0.3, seed=4))
+        for count in (1, 3, 10):
+            want = np.sort(np.lexsort((np.arange(40), -inst.obj))[:count])
+            np.testing.assert_array_equal(init_working_set(inst, np.zeros(3), count), want)
+        y = rng.random(3)
+        reduced = inst.obj - inst.to_dense().T @ y
+        want = np.sort(np.lexsort((np.arange(40), -reduced))[:7])
+        np.testing.assert_array_equal(init_working_set(inst, y, 7), want)
+
+    def test_a_sorted_int64_array(self):
+        rng = np.random.default_rng(5)
+        inst = generate_mkp(MkpParams(m=4, n=200, tightness=0.2, seed=5))
+        w = init_working_set(inst, rng.random(4), 4)
+        assert w.dtype == np.int64 and w.size == 4
+        assert np.all(np.diff(w) > 0)
 
 
 class TestPrice:
@@ -61,6 +90,13 @@ class TestPrice:
         inst = LpInstance.from_dense([[1.0, 1.0, 1.0]], [1.0], [3.0, 1.0, 2.0])
         got = price(inst, [], np.zeros(1), tol=1e-7, max_new=2)
         np.testing.assert_array_equal(got, [0, 2])
+
+    def test_truncation_breaks_ties_to_the_lower_index(self):
+        inst = LpInstance.from_dense([[1.0] * 6], [1.0], [2.0, 1.0, 2.0, 3.0, 2.0, 2.0])
+        np.testing.assert_array_equal(price(inst, [], np.zeros(1), max_new=2), [0, 3])
+        np.testing.assert_array_equal(price(inst, [], np.zeros(1), max_new=3), [0, 2, 3])
+        # the working set is skipped before the cut
+        np.testing.assert_array_equal(price(inst, [0, 3], np.zeros(1), max_new=2), [2, 4])
 
 
 class TestStabilize:
@@ -127,7 +163,7 @@ class TestSift:
         fake = type(fake)(x_hat=x_fake, y_final=full.y_star,
                           objective=full.obj, violation=0.0,
                           max_dual_norm=0.0, elapsed_columns=60, gamma=fake.gamma)
-        result = sift(inst, fake, SiftConfig(init_threshold=0.5))
+        result = sift(inst, fake)
         assert result.rounds == 1
         assert result.objective == pytest.approx(full.obj, rel=1e-9)
 
@@ -197,6 +233,38 @@ class TestSift:
         assert result.trace[-1].priced == 0
         assert result.objective == pytest.approx(solve_lp(inst).obj, rel=1e-9)
 
+    def test_the_pass_gives_only_its_dual(self):
+        inst = generate_mkp(MkpParams(m=6, n=300, tightness=0.15, seed=3))
+        pre = solve_online(inst, RunConfig(duplication=2, seed=3))
+        blind = replace(pre, x_hat=np.zeros(300))
+        a, b = sift(inst, pre), sift(inst, blind)
+        for name in ("final_working_set", "initial_working_set", "x", "y"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        assert (a.objective, a.rounds, a.rdc) == (b.objective, b.rounds, b.rdc)
+        assert a.exact.x_star.tobytes() == b.exact.x_star.tobytes()
+        assert a.exact.y_star.tobytes() == b.exact.y_star.tobytes()
+        assert ([replace(r, wall_time_s=0.0) for r in a.trace]
+                == [replace(r, wall_time_s=0.0) for r in b.trace])
+
+    def test_a_round_limited_result_is_the_last_solved_problem(self):
+        inst = generate_mkp(MkpParams(m=4, n=120, tightness=0.2, seed=6))
+        pre = solve_online(inst, RunConfig(duplication=2))
+        with pytest.raises(SiftRoundLimit) as exc:
+            sift(inst, pre, SiftConfig(max_rounds=1))
+        partial = exc.value.partial
+        assert partial.final_working_set.size == partial.exact.x_star.size
+        outside = np.ones(inst.num_cols, dtype=bool)
+        outside[partial.final_working_set] = False
+        assert not np.any(partial.x[outside])
+        assert float(inst.obj @ partial.x) == pytest.approx(partial.objective, rel=1e-12)
+        assert np.all(partial.x >= 0) and np.all(partial.x <= inst.upper)
+        viol = inst.to_scipy() @ partial.x - inst.rhs
+        assert float(np.max(viol)) <= 1e-9 * (1 + float(np.max(inst.rhs)))
+
+    def test_a_threshold_is_refused(self):
+        with pytest.raises(ValueError, match="init_threshold is retired"):
+            SiftConfig(init_threshold=0.5)
+
     def test_a_cap_below_one_is_refused(self):
         with pytest.raises(ValueError, match="max_new_columns_per_round"):
             SiftConfig(max_new_columns_per_round=0)
@@ -259,6 +327,10 @@ class TestCliDefaultSift:
         fractions = [r.final_working_set.size / inst.num_cols
                      for inst, r in cli_default_sifts]
         assert float(np.median(fractions)) <= 0.2
+
+    def test_each_seed_holds_m_columns(self, cli_default_sifts):
+        for inst, result in cli_default_sifts:
+            assert result.initial_working_set.size == inst.num_rows
 
     def test_every_later_round_is_warm_started(self, cli_default_sifts):
         for _, result in cli_default_sifts:
