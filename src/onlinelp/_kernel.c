@@ -4,12 +4,13 @@
  * (simplex._pivot_loop) and the sweep of an MPS file's data sections
  * (mps._sweep).
  *
- * All three repeat their numpy references bit for bit, under the one
- * contract stated in _kernel.py.  The two loops do the same IEEE
- * operations in the same order, with every sum added term by term in the
- * order the reference fixes; build with -ffp-contract=off so that no
- * multiply and add are fused.  The sweep reads each value with strtod,
- * which rounds as Python's float does.
+ * All three repeat their references bit for bit, under the one contract
+ * stated in _kernel.py: the two loops their numpy loops, the sweep mps's
+ * line reader.  The two loops do the same IEEE operations in the same
+ * order, with every sum added term by term in the order the reference
+ * fixes; build with -ffp-contract=off so that no multiply and add are
+ * fused.  The sweep reads each value with strtod, which rounds as
+ * Python's float does.
  */
 #include <math.h>
 #include <stdint.h>
@@ -19,11 +20,31 @@
 /* np.maximum(v, 0.0), which maps -0.0 to +0.0 */
 static double clamp(double v) { return v > 0.0 ? v : 0.0; }
 
+/* A hint to fetch the cache line at addr for reading.  It reads no value
+ * and never faults; a compiler without the builtin builds it as a no-op. */
+#if defined(__GNUC__) || defined(__clang__)
+#define PREFETCH(addr) __builtin_prefetch(addr)
+#else
+#define PREFETCH(addr) ((void)(addr))
+#endif
+
+/* How many steps the explicit pass reads ahead in seq. */
+enum { AHEAD = 8 };
+
 /* Runs steps 0 .. T-1 of seq.  Updates y_base, last, remaining (may be
  * NULL), x_sum and acc in place.  acc holds the dense pass's max norm in
  * acc[0], or the lazy pass's stale squared norm and its maximum in acc[0],
  * acc[1].  Returns T, or the step whose dual norm escaped norm_bound; that
- * norm is then the new maximum in acc[0]. */
+ * norm is then the new maximum in acc[0].
+ *
+ * seq visits the columns in a random order, so at large n each step would
+ * wait on cache misses for col_ptr[j], the column's entries and c[j].
+ * Step k therefore hints the col_ptr entry of step k + 2 AHEAD and,
+ * reading the col_ptr entries of step k + AHEAD that an earlier hint
+ * fetched, the first and last entries of that column and its c.  (The
+ * write to x_sum[j] needs no hint: a store does not hold up the step.)
+ * The last 2 AHEAD steps take no hints.  The hints read only values a
+ * later step reads anyway and change no arithmetic. */
 int64_t explicit_pass(int64_t m, const int64_t *col_ptr, const int64_t *row_idx,
                       const double *vals, const double *c, const double *step_d,
                       double gamma, const int64_t *seq, int64_t T, double *y_base,
@@ -31,6 +52,17 @@ int64_t explicit_pass(int64_t m, const int64_t *col_ptr, const int64_t *row_idx,
                       double norm_bound, double *acc)
 {
     for (int64_t k = 0; k < T; k++) {
+        if (k + 2 * AHEAD < T) {
+            PREFETCH(col_ptr + seq[k + 2 * AHEAD]);
+            int64_t ja = seq[k + AHEAD], alo = col_ptr[ja], ahi = col_ptr[ja + 1];
+            if (alo < ahi) {
+                PREFETCH(row_idx + alo);
+                PREFETCH(row_idx + ahi - 1);
+                PREFETCH(vals + alo);
+                PREFETCH(vals + ahi - 1);
+            }
+            PREFETCH(c + ja);
+        }
         int64_t j = seq[k], lo = col_ptr[j], hi = col_ptr[j + 1];
         if (dense) {
             double sq = 0.0;
@@ -243,14 +275,14 @@ int simplex_pivots(int64_t m, int64_t n, int64_t n_art, const int64_t *col_ptr,
 
 
 /* The sweep of an MPS file's COLUMNS, RHS and BOUNDS bodies, the compiled
- * front end of mps._Reader (whose numpy front end is its reference).
+ * front end of mps._Reader (whose reference is the line reader, mps._parse).
  *
  * Tokens are split at bytes 9-13 and 28-32, the separators of ASCII
  * str.split(), and lines end at '\n'.  Blank lines and lines whose first
  * token starts with '*' hold no data.  The sweep never raises and never
- * reports a line: at a line the numpy front end would refuse, or would
- * read otherwise (a MARKER line), it stops with a hand-back code, and the
- * caller sends the whole file through the numpy reader, which raises for
+ * reports a line: at a line the line reader would refuse, or would read
+ * otherwise (a MARKER line), it stops with a hand-back code, and the
+ * caller sends the whole file through the line reader, which raises for
  * the right line.
  */
 

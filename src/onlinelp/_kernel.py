@@ -28,8 +28,10 @@ in stored order (``np.cumsum``), and the C loops repeat that order; the
 library is built with ``-ffp-contract=off`` so no multiply and add are
 fused.  A C sum that starts from 0.0 rather than from its first term
 differs only in the sign of a zero sum, which no comparison and no square
-sees.  The sweep reads values with ``strtod`` on a strict decimal grammar,
-where ``strtod`` and Python's ``float`` both round correctly.
+sees.  The explicit loop prefetches ahead in ``seq``; it reads no value
+the reference does not read, and changes no order.  The sweep reads
+values with ``strtod`` on a strict decimal grammar, where ``strtod`` and
+Python's ``float`` both round correctly.
 
 The first ``load()`` compiles the C source with the system compiler into
 ``~/.cache/onlinelp``, under a name keyed by a hash of the source, the

@@ -149,8 +149,9 @@ def basis_metrics(reference_support, initial_working_set, n: int) -> tuple[float
     optimum's support (its columns with x > 0) that the set holds, and the
     set's size over n.
 
-    ``sift`` reports only rdc; acc needs a reference optimum, which costs a
-    full exact solve, so callers that want it run that solve themselves.
+    ``sift`` reports only rdc.  acc needs a reference optimum: ``onlinelp
+    sift`` takes the support of ``sift``'s own certified optimum, so no
+    extra solve is needed.
     """
     ref = set(int(j) for j in reference_support)
     if not ref:

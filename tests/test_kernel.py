@@ -184,6 +184,75 @@ def test_both_loops_leave_the_same_state(compiled, dense, capacity):
                       bound) == (k, state)
 
 
+# -- the explicit loop's lookahead ---------------------------------------------
+# The compiled loop reads ahead in seq by AHEAD and 2 AHEAD steps; these runs
+# put the ends of the stream, its empty columns and an early escape inside
+# that distance.
+
+AHEAD = int(re.search(r"\bAHEAD = (\d+)", _kernel.SOURCE.read_text()).group(1))
+
+
+@pytest.mark.parametrize("lazy", [False, True], ids=["dense", "lazy"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_streams_shorter_than_the_lookahead_match(compiled, monkeypatch, n, lazy):
+    inst = generate_mkp(MkpParams(m=6, n=n, tightness=0.5, seed=n))
+    # K = 1 ends the stream within AHEAD steps, K = 4 within 2 AHEAD
+    assert 3 < AHEAD and 4 * 3 < 2 * AHEAD
+    for k in (1, 4):
+        for enforce in (False, True):
+            cfg = RunConfig(duplication=k, seed=n, enforce_feasibility=enforce, lazy=lazy)
+            assert_same(solve_online(inst, cfg), reference(monkeypatch, inst, cfg))
+
+
+@pytest.mark.parametrize("lazy", [False, True], ids=["dense", "lazy"])
+def test_empty_first_and_last_columns_match(compiled, monkeypatch, lazy):
+    # reading ahead to the last column reads col_ptr[n]
+    base = generate_mkp(MkpParams(m=8, n=40, tightness=0.3, density=0.5, seed=11))
+    nnz = base.col_ptr[-1]
+    col_ptr = np.concatenate([[0], base.col_ptr, [nnz]])
+    inst = LpInstance(8, 42, col_ptr, base.row_idx, base.values, base.rhs,
+                      np.concatenate([[1.0], base.obj, [2.0]]), np.ones(42))
+    assert inst.col_ptr[1] == 0 and inst.col_ptr[-2] == nnz
+    for enforce in (False, True):
+        cfg = RunConfig(duplication=4, seed=11, enforce_feasibility=enforce, lazy=lazy)
+        sol = solve_online(inst, cfg)
+        assert sol.x_hat[0] == sol.x_hat[-1] == 1.0
+        assert_same(sol, reference(monkeypatch, inst, cfg))
+
+
+def test_an_escape_within_the_lookahead_matches(compiled, monkeypatch):
+    inst = generate_mkp(MkpParams(m=8, n=60, tightness=0.3, seed=2))
+    gamma = solve_online(inst, RunConfig(duplication=4)).gamma
+    seq = np.random.default_rng(2).permutation(4 * 60) % 60
+    start = np.zeros(8)
+    # half the largest norm of y^0 .. y^3: y^0 = 0 passes, and one of the
+    # next three escapes, long before the stream's end
+    _, early = loop_state(online._python_loop, inst, seq[:4], gamma, start, None, True,
+                          math.inf)
+    bound = np.frombuffer(early["acc"])[0] / 2
+    k, state = loop_state(online._python_loop, inst, seq, gamma, start, None, True, bound)
+    assert 0 < k < 4 < AHEAD
+    assert loop_state(online._compiled_loop, inst, seq, gamma, start, None, True,
+                      bound) == (k, state)
+    # and through the pass, under check_dual_bounds
+    cfg = RunConfig(duplication=4, check_dual_bounds=True)
+    monkeypatch.setattr(online, "explicit_dual_norm_bound", lambda *args: 1e-9)
+    with pytest.raises(RuntimeError) as got:
+        solve_online(inst, cfg)
+    with pytest.raises(RuntimeError) as want:
+        reference(monkeypatch, inst, cfg)
+    assert str(got.value) == str(want.value)
+    assert int(re.search(r"at step (\d+)", str(got.value)).group(1)) < AHEAD
+
+
+@pytest.mark.parametrize("enforce", [False, True], ids=["free", "capacity"])
+@pytest.mark.parametrize("lazy", [False, True], ids=["dense", "lazy"])
+def test_a_long_stream_matches(compiled, monkeypatch, lazy, enforce):
+    inst = generate_mkp(MkpParams(m=50, n=3000, tightness=0.05, density=0.1, seed=12))
+    cfg = RunConfig(duplication=2, seed=12, enforce_feasibility=enforce, lazy=lazy)
+    assert_same(solve_online(inst, cfg), reference(monkeypatch, inst, cfg))
+
+
 @pytest.mark.parametrize("engine", ["compiled", "python"])
 def test_rejects_what_the_kernel_could_not_index(monkeypatch, engine):
     if engine == "python":
