@@ -3,15 +3,20 @@
 For n >> m, most columns never enter the optimal basis.  Sifting solves a
 small working problem exactly, prices the remaining columns against its
 dual, and grows the working set until nothing prices in.  The online pass
-supplies only its final dual: it picks the initial working set (the m
-columns with the largest reduced cost against it, as many as a basis
-holds) and serves as a fixed dual anchor that damps pricing oscillation.
+supplies only its final dual, clipped at zero.  It picks the initial
+working set (the m columns with the largest reduced cost against it, as
+many as a basis holds), and it steadies pricing: each round prices the
+other columns by the fixed blend 0.4 * r_working + 0.6 * r_pass of the
+reduced costs against the working dual and against the pass's dual, in
+one sweep of A.  The blend stays because it pays: on this instance,
+pricing by the working dual alone grows the final working set from 267 to
+5,868 columns and makes sift about ten times slower.
 """
 
 import numpy as np
 
-from onlinelp import (MkpParams, RunConfig, SiftConfig, basis_metrics, generate_mkp,
-                      sift, solve_lp, solve_online)
+from onlinelp import (MkpParams, RunConfig, basis_metrics, generate_mkp, sift, solve_lp,
+                      solve_online)
 
 params = MkpParams(m=50, n=20_000, tightness=0.05, density=0.1, seed=12)
 instance = generate_mkp(params)
@@ -26,21 +31,16 @@ prepass = solve_online(instance, RunConfig(method="explicit", duplication=2,
 direct = solve_lp(instance)
 support = np.flatnonzero(direct.x_star > 1e-9)
 
-for label, config in (
-    ("anchored (alpha = 0.4)", SiftConfig(stabilization_alpha=0.4)),
-    ("no anchor", SiftConfig(use_online_anchor=False)),
-):
-    result = sift(instance, prepass, config)
-    acc, _ = basis_metrics(support, result.initial_working_set, instance.num_cols)
-    print(f"\nsift, {label}:")
-    print(f"  rounds {result.rounds}, final working set "
-          f"{result.final_working_set.size} of {instance.num_cols} columns")
-    print(f"  initial set kept {result.rdc:.2%} of columns "
-          f"(acc vs exact basis: {acc:.2%})")
-    print(f"  objective {result.objective:.4f}")
-    for r in result.trace:
-        print(f"    round {r.round}: |W| = {r.working_size:>5}, "
-              f"priced in {r.priced:>4}, objective {r.objective:.4f}")
+result = sift(instance, prepass)
+acc, _ = basis_metrics(support, result.initial_working_set, instance.num_cols)
+print(f"\nsift: {result.rounds} rounds, final working set "
+      f"{result.final_working_set.size} of {instance.num_cols} columns")
+print(f"  initial set kept {result.rdc:.2%} of columns "
+      f"(acc vs exact basis: {acc:.2%})")
+print(f"  objective {result.objective:.4f}")
+for r in result.trace:
+    print(f"    round {r.round}: |W| = {r.working_size:>5}, "
+          f"priced in {r.priced:>4}, objective {r.objective:.4f}")
 
 print(f"\ndirect simplex on all columns: {direct.obj:.4f} "
       f"({direct.iterations} pivots). Sifting reaches the same optimum "

@@ -3,9 +3,9 @@
 The package covers the full pipeline: sparse inequality-form LP instances
 (`model`), the one-pass explicit/implicit online solver `solve_online`
 with variable duplication (`online`), a bounded-variable revised simplex
-(`simplex`), a sifting column-generation loop initialized and stabilized
-by the online output (`sifting`), and multi-knapsack generation plus
-MPS/CSV I/O (`instances`, `mps`).
+(`simplex`), a sifting column-generation loop that the online pass's dual
+seeds and steadies, with one pricing sweep of A per round (`sifting`),
+and multi-knapsack generation plus MPS/CSV I/O (`instances`, `mps`).
 """
 
 from .model import (
@@ -43,7 +43,6 @@ from .sifting import (
     SiftResult,
     init_working_set,
     price,
-    stabilize,
     sift,
     basis_metrics,
 )

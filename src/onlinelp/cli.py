@@ -250,9 +250,7 @@ def _cmd_sift(args) -> int:
         "instance": label, "prepass_method": pre_config.method,
         "prepass_K": pre_config.duplication, "stepsize": pre_config.stepsize,
         "engine": _engine(pre_config.method),
-        "seed": pre_config.seed, "alpha": sift_config.stabilization_alpha,
-        "anchor": sift_config.use_online_anchor,
-        "pricing_tol": sift_config.pricing_tolerance,
+        "seed": pre_config.seed, "pricing_tol": sift_config.pricing_tolerance,
     })
 
     t0 = time.perf_counter()
@@ -442,11 +440,12 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     f = sub.add_parser("sift", help="online pre-pass + exact sifting")
     _add_instance_options(f)
-    f.add_argument("--alpha", type=float, default=SiftConfig.stabilization_alpha)
-    f.add_argument("--no-anchor", action="store_true")
-    # retired: any value is refused; kept, hidden, until the next benchmark change
+    # retired: only the default is accepted; hidden, kept until the next benchmark change
     f.add_argument("--init-threshold", type=float, default=SiftConfig.init_threshold,
                    help=argparse.SUPPRESS)
+    f.add_argument("--alpha", type=float, default=SiftConfig.stabilization_alpha,
+                   help=argparse.SUPPRESS)
+    f.add_argument("--no-anchor", action="store_true", help=argparse.SUPPRESS)
     f.add_argument("--pricing-tol", type=float, default=SiftConfig.pricing_tolerance)
     f.add_argument("--max-rounds", type=int, default=SiftConfig.max_rounds)
     f.add_argument("--max-new-cols", type=int, default=SiftConfig.max_new_columns_per_round)

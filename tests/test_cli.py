@@ -171,16 +171,6 @@ class TestSift:
         assert run_cli(["sift", "--gen", "m=4,n=120,tau=0.2,seed=6"]) == 0
         assert f"resolved engine = {explicit_engine()}" in capsys.readouterr().out.splitlines()
 
-    def test_alpha_one_same_objective(self, capsys):
-        base = ["sift", "--gen", "m=4,n=120,tau=0.2,seed=6"]
-        assert run_cli(base + ["--alpha", "1.0"]) == 0
-        out1 = capsys.readouterr().out
-        assert run_cli(base + ["--no-anchor"]) == 0
-        out2 = capsys.readouterr().out
-        obj1 = next(l for l in out1.splitlines() if l.startswith("objective"))
-        obj2 = next(l for l in out2.splitlines() if l.startswith("objective"))
-        assert obj1 == obj2
-
     @pytest.fixture
     def sifts(self, monkeypatch):
         """The results of the command's sift calls; its own solve_lp raises."""
@@ -217,12 +207,18 @@ class TestSift:
         assert len(sifts) == 1
         assert "acc         n/a" in capsys.readouterr().out.splitlines()
 
-    def test_a_threshold_is_a_usage_error(self, capsys):
-        # the threshold is retired: any value is refused
+    @pytest.mark.parametrize("flag, field", [
+        (["--init-threshold", "2.0"], "init_threshold"),
+        (["--alpha", "1.0"], "stabilization_alpha"),
+        (["--no-anchor"], "use_online_anchor"),
+    ])
+    def test_a_threshold_is_a_usage_error(self, capsys, flag, field):
+        # retired settings: any value but the default is refused
         with pytest.raises(SystemExit) as exc:
-            run_cli(["sift", "--gen", "m=4,n=80,tau=0.3,seed=2", "--init-threshold", "2.0"])
+            run_cli(["sift", "--gen", "m=4,n=80,tau=0.3,seed=2", *flag])
         assert exc.value.code == 2
-        assert "init_threshold is retired" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert field in err and "retired" in err
 
 
 class TestBench:
@@ -358,7 +354,7 @@ class TestPlumbing:
         (["solve", "--k", "0"], "duplication must be >= 1"),
         (["solve", "--stepsize", "-1"], "fixed stepsize must be positive"),
         (["solve", "--stepsize", "fast"], "stepsize mode must be one of"),
-        (["sift", "--alpha", "2"], "stabilization_alpha must lie in (0, 1]"),
+        (["sift", "--alpha", "2"], "stabilization_alpha and use_online_anchor are retired"),
         (["sift", "--prepass-k", "0"], "duplication must be >= 1"),
         (["bench", "--sizes", "5"], "size '5' is not MxN"),
         (["bench", "--sizes", "5x"], "invalid literal for int()"),

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import onlinelp.sifting as sifting
 from onlinelp.cli import build_parser
 from onlinelp.instances import MkpParams, generate_mkp
 from onlinelp.model import LpInstance
@@ -14,7 +15,6 @@ from onlinelp.sifting import (
     init_working_set,
     price,
     sift,
-    stabilize,
 )
 from onlinelp.simplex import enumerate_vertices_oracle, solve_lp
 
@@ -99,20 +99,6 @@ class TestPrice:
         np.testing.assert_array_equal(price(inst, [0, 3], np.zeros(1), max_new=2), [2, 4])
 
 
-class TestStabilize:
-    def test_alpha_one_identity(self):
-        y = np.array([1.0, 2.0])
-        np.testing.assert_array_equal(stabilize(y, np.zeros(2), 1.0), y)
-
-    def test_paper_blend(self):
-        out = stabilize([1.0, 0.0], [0.0, 1.0], 0.4)
-        np.testing.assert_allclose(out, [0.4, 0.6])
-
-    def test_anchor_equal_identity(self):
-        y = np.array([0.3, 0.7])
-        np.testing.assert_allclose(stabilize(y, y, 0.123), y)
-
-
 class TestBasisMetrics:
     def test_full_overlap(self):
         acc, rdc = basis_metrics({1, 2, 3}, {1, 2, 3}, 10)
@@ -187,22 +173,7 @@ class TestSift:
         objs = [r.objective for r in result.trace]
         assert all(b >= a - 1e-9 for a, b in zip(objs, objs[1:]))
 
-    def test_alpha_one_trace_matches_no_anchor(self):
-        inst = generate_mkp(MkpParams(m=6, n=200, tightness=0.2, seed=7))
-        r1 = online_then_sift(inst, SiftConfig(stabilization_alpha=1.0), seed=7)
-        r2 = online_then_sift(inst, SiftConfig(use_online_anchor=False), seed=7)
-        assert [t.working_size for t in r1.trace] == [t.working_size for t in r2.trace]
-        assert [t.priced for t in r1.trace] == [t.priced for t in r2.trace]
-        assert r1.objective == r2.objective
-
-    @pytest.mark.parametrize("config, blend", [
-        (SiftConfig(use_online_anchor=False), False),
-        (SiftConfig(stabilization_alpha=1.0), False),
-        (SiftConfig(), True),
-    ], ids=["no-anchor", "alpha-one", "blend"])
-    def test_a_sweep_with_the_exact_dual_certifies(self, monkeypatch, config, blend):
-        import onlinelp.sifting as sifting
-
+    def test_a_sweep_with_the_exact_dual_certifies(self, monkeypatch):
         found = []   # the size of each sweep's result
 
         def recording_price(*args, **kwargs):
@@ -212,15 +183,10 @@ class TestSift:
 
         monkeypatch.setattr(sifting, "price", recording_price)
         inst = generate_mkp(MkpParams(m=6, n=300, tightness=0.15, seed=1))
-        result = online_then_sift(inst, config, seed=1)
-        assert result.rounds >= 2 and found[-1] == 0
-        if blend:
-            # each empty sweep with the blended dual is priced again with
-            # the exact one, the last of them to certify
-            assert found[-2:] == [0, 0]
-            assert len(found) == result.rounds + found.count(0) - 1
-        else:
-            assert len(found) == result.rounds and found.count(0) == 1
+        result = online_then_sift(inst, seed=1)
+        assert result.rounds >= 2
+        assert len(found) == result.rounds
+        assert found.count(0) == 1 and found[-1] == 0
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_the_column_cap_holds_on_every_sweep(self, seed):
@@ -261,9 +227,12 @@ class TestSift:
         viol = inst.to_scipy() @ partial.x - inst.rhs
         assert float(np.max(viol)) <= 1e-9 * (1 + float(np.max(inst.rhs)))
 
-    def test_a_threshold_is_refused(self):
-        with pytest.raises(ValueError, match="init_threshold is retired"):
-            SiftConfig(init_threshold=0.5)
+    @pytest.mark.parametrize("field, value", [
+        ("init_threshold", 0.5), ("stabilization_alpha", 1.0), ("use_online_anchor", False),
+    ])
+    def test_a_threshold_is_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"{field}.* retired"):
+            SiftConfig(**{field: value})
 
     def test_a_cap_below_one_is_refused(self):
         with pytest.raises(ValueError, match="max_new_columns_per_round"):
@@ -298,6 +267,48 @@ class TestSift:
             LpInstance.from_dense([[1.0]], [1.0], [1.0]), RunConfig(seed=0))
         with pytest.raises(ValueError, match="b >= 0"):
             sift(inst, fake_sol)
+
+
+def blended_dual_price(anchor, alpha=0.4):
+    """The former pricing rule, as a reference for ``price``'s one sweep:
+    price against the blended dual alpha * y + (1 - alpha) * anchor, and
+    sweep again with the exact dual y when the blend prices nothing."""
+    def reference(instance, working_set, y, tol, max_new, anchor_reduced):
+        priced = price(instance, working_set, alpha * y + (1.0 - alpha) * anchor, tol, max_new)
+        return priced if priced.size else price(instance, working_set, y, tol, max_new)
+    return reference
+
+
+def differs_from_the_blended_dual(inst, pre) -> bool:
+    """Whether sift's rounds, final working set or objective change when
+    ``price`` is replaced by the former rule."""
+    new = sift(inst, pre)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sifting, "price", blended_dual_price(np.maximum(pre.y_final, 0.0)))
+        old = sift(inst, pre)
+    return ([(r.working_size, r.priced) for r in new.trace]
+            != [(r.working_size, r.priced) for r in old.trace]
+            or new.final_working_set.tobytes() != old.final_working_set.tobytes()
+            or new.objective != old.objective)
+
+
+class TestBlendedDualReference:
+    def test_criterion_08_grid(self):
+        differs = []
+        for seed in range(30):
+            inst = generate_mkp(MkpParams(m=20, n=2000, tightness=0.25, seed=seed))
+            pre = solve_online(inst, RunConfig(method="explicit", duplication=2,
+                                               seed=seed, start="ones"))
+            if differs_from_the_blended_dual(inst, pre):
+                differs.append(seed)
+        assert differs == []
+
+    def test_demo_04_instance(self):
+        inst = generate_mkp(MkpParams(m=50, n=20_000, tightness=0.05, density=0.1, seed=12))
+        pre = solve_online(inst, RunConfig(method="explicit", duplication=2, seed=12,
+                                           start="ones", lazy=True))
+        assert not differs_from_the_blended_dual(inst, pre)
+        assert sift(inst, pre).final_working_set.size == 267
 
 
 @pytest.fixture(scope="module")
