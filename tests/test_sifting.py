@@ -98,6 +98,39 @@ class TestPrice:
         # the working set is skipped before the cut
         np.testing.assert_array_equal(price(inst, [0, 3], np.zeros(1), max_new=2), [2, 4])
 
+    def test_the_anchor_blend_prices_as_the_blended_dual(self):
+        rng = np.random.default_rng(3)
+        inst = generate_mkp(MkpParams(m=6, n=80, tightness=0.2, density=0.5, seed=2))
+        y, anchor = rng.random(6) * 3, rng.random(6)
+        working = np.sort(rng.choice(80, size=20, replace=False))
+        anchor_reduced = inst.obj - inst.to_dense().T @ anchor
+        got = price(inst, working, y, tol=1e-7, anchor_reduced=anchor_reduced)
+        blended = inst.obj - inst.to_dense().T @ (sifting.ALPHA * y + (1 - sifting.ALPHA) * anchor)
+        expected = np.setdiff1d(np.flatnonzero(blended > 1e-7), working)
+        assert expected.size > 0
+        np.testing.assert_array_equal(got, expected)
+
+    def test_an_empty_blend_falls_back_to_the_working_dual(self):
+        # reduced costs against y = 0 are the costs [3, 1, 2]
+        inst = LpInstance.from_dense([[1.0, 1.0, 1.0]], [1.0], [3.0, 1.0, 2.0])
+        anchor_reduced = np.array([-10.0, 5.0, -10.0])
+        # the blend [-4.8, 3.4, -5.2] prices column 1 only
+        np.testing.assert_array_equal(
+            price(inst, [], np.zeros(1), anchor_reduced=anchor_reduced), [1])
+        # with column 1 working the blend prices nothing outside W, so r_W does
+        np.testing.assert_array_equal(
+            price(inst, [1], np.zeros(1), anchor_reduced=anchor_reduced), [0, 2])
+        np.testing.assert_array_equal(
+            price(inst, [], np.zeros(1), anchor_reduced=np.full(3, -10.0)), [0, 1, 2])
+
+    def test_truncation_ranks_by_the_blend(self):
+        inst = LpInstance.from_dense([[1.0, 1.0, 1.0]], [1.0], [3.0, 1.0, 2.0])
+        # the blend is [1.2, 4.0, 1.4], where the costs alone rank 0 and 2 first
+        anchor_reduced = np.array([0.0, 6.0, 1.0])
+        np.testing.assert_array_equal(
+            price(inst, [], np.zeros(1), max_new=2, anchor_reduced=anchor_reduced), [1, 2])
+        np.testing.assert_array_equal(price(inst, [], np.zeros(1), max_new=2), [0, 2])
+
 
 class TestBasisMetrics:
     def test_full_overlap(self):
