@@ -9,9 +9,10 @@
  * line reader.  The two loops do the same IEEE operations in the same
  * order, with every sum added term by term in the order the reference
  * fixes; build with -ffp-contract=off so that no multiply and add are
- * fused.  The sweep reads each value with strtod, which rounds as
- * Python's float does.
+ * fused.  The sweep reads each value by one correctly rounded division
+ * (Clinger's fast path) or with strtod; both round as Python's float does.
  */
+#include <float.h>
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -274,21 +275,27 @@ int simplex_pivots(int64_t m, int64_t n, int64_t n_art, const int64_t *col_ptr,
 }
 
 
-/* The sweep of an MPS file's COLUMNS, RHS and BOUNDS bodies, the compiled
- * front end of mps._Reader (whose reference is the line reader, mps._parse).
+/* The sweep of an MPS file from its first COLUMNS, RHS, BOUNDS or ENDATA
+ * header to its ENDATA line, the compiled front end of mps._Reader (whose
+ * reference is the line reader, mps._parse).
  *
  * Tokens are split at bytes 9-13 and 28-32, the separators of ASCII
- * str.split(), and lines end at '\n'.  Blank lines and lines whose first
+ * str.split(), and lines end at '\n'.  A header is a line that starts with
+ * a section name, in any case, followed by a separator or the end of the
+ * text: the rule of mps's header regex.  Blank lines and lines whose first
  * token starts with '*' hold no data.  The sweep never raises and never
  * reports a line: at a line the line reader would refuse, or would read
- * otherwise (a MARKER line), it stops with a hand-back code, and the
- * caller sends the whole file through the line reader, which raises for
- * the right line.
+ * otherwise (a MARKER line, a RANGES header), it stops with a hand-back
+ * code, and the caller sends the whole file through the line reader, which
+ * raises for the right line.
  */
 
 enum { SWEPT = 0, BAD_COUNT = 1, BAD_NUMBER = 2, UNKNOWN_ROW = 3, MARKER = 4,
-       BAD_BOUND = 5, UNKNOWN_COLUMN = 6, NO_MEMORY = 7 };
+       BAD_BOUND = 5, UNKNOWN_COLUMN = 6, NO_MEMORY = 7, BAD_LAYOUT = 8, NO_ENDATA = 9 };
 enum { UP = 0, LO = 1, FX = 2, FR = 3, MI = 4, PL = 5, BV = 6 };   /* mps._BOUND_TYPES */
+/* the headers of the sections the sweep reads, in their order, then of
+ * the end of the data and of the sections it hands back at */
+enum { IN_COLUMNS = 0, IN_RHS = 1, IN_BOUNDS = 2, AT_ENDATA = 3, UNSWEPT = 4 };
 
 static int is_sep(unsigned char ch) { return ch - 9u <= 4u || ch - 28u <= 4u; }
 static int is_digit(unsigned char ch) { return ch - (unsigned)'0' <= 9u; }
@@ -315,27 +322,88 @@ static const char *next_line(const char *p, const char *end)
     return nl ? nl + 1 : end;
 }
 
-/* strtod of a token of the grammar [+-]?(d+(.d*)?|.d+)([eE][+-]?d+)?, on
- * which strtod and Python's float both round correctly and so agree bit
- * for bit; 0 for any other token (hex floats, inf, nan, 1_0 ...) and when
- * strtod stops short of the token's end (a locale's decimal comma). */
+/* The section whose header is the line at p (IN_COLUMNS .. UNSWEPT), or
+ * -1 for any other line.  The line starts unindented with a section name
+ * of mps._SECTIONS in any case, and a separator or the end follows it. */
+static int header(const char *p, const char *end)
+{
+    static const char *const names[] = {"COLUMNS", "RHS", "BOUNDS", "ENDATA",
+                                         "NAME", "OBJSENSE", "ROWS", "RANGES"};
+    Token t;
+    if (p == end || is_sep((unsigned char)*p) || !next_token(&p, end, &t)) return -1;
+    for (int k = 0; k < 8; k++) {   /* ASCII: & ~0x20 is upper() on letters alone */
+        int64_t i = 0;
+        while (i < t.n && names[k][i] && (t.s[i] & ~0x20) == names[k][i]) i++;
+        if (i == t.n && !names[k][i]) return k < UNSWEPT ? k : UNSWEPT;
+    }
+    return -1;
+}
+
+/* Moves *p to the start of the next line: 1 when that is a data line of
+ * the section being read, 0 at the end of the text or at a header line,
+ * whose section then goes to *opens. */
+static int next_data_line(const char **p, const char *end, int *opens)
+{
+    *p = next_line(*p, end);
+    int section = *p < end ? header(*p, end) : -1;
+    if (section >= 0) *opens = section;
+    return *p < end && section < 0;
+}
+
+/* Whether double arithmetic rounds to double at each operation (no wider
+ * intermediates), so that one division rounds once. */
+enum { ONE_ROUNDING = FLT_EVAL_METHOD == 0 };
+
+/* 10^0 .. 10^22: the powers of ten that a double holds exactly. */
+static const double exact_tens[] = {1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+                                    1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19,
+                                    1e20, 1e21, 1e22};
+
+/* Counts a digit of a decimal as significant when a nonzero digit comes
+ * at or before it, and appends it to mantissa while at most 15 are. */
+static void add_digit(unsigned char ch, uint64_t *mantissa, int64_t *significant)
+{
+    if (*significant == 0 && ch == '0') return;
+    if (++*significant <= 15) *mantissa = *mantissa * 10 + (ch - '0');
+}
+
+/* The value of a token of the grammar [+-]?(d+(.d*)?|.d+)([eE][+-]?d+)?,
+ * rounded correctly, so that it equals Python's float bit for bit; 0 for
+ * any other token (hex floats, inf, nan, 1_0 ...) and when strtod stops
+ * short of the token's end (a locale's decimal comma).
+ *
+ * A token with no exponent, at most 15 significant digits and at most 22
+ * digits after the point takes Clinger's fast path: its digits as an
+ * integer, below 10^15 and so exact, divided by an exact power of ten.
+ * That is one correctly rounded operation.  Every other token goes to
+ * strtod, which rounds correctly too. */
 static int number(Token t, double *out)
 {
     const unsigned char *p = (const unsigned char *)t.s, *end = p + t.n, *d;
+    int negative = p < end && *p == '-';
+    uint64_t mantissa = 0;
+    int64_t significant = 0, fraction = 0;
     if (p < end && (*p == '+' || *p == '-')) p++;
-    for (d = p; p < end && is_digit(*p); p++) {}
+    for (d = p; p < end && is_digit(*p); p++) add_digit(*p, &mantissa, &significant);
     int digits = p > d;
     if (p < end && *p == '.') {
-        for (d = ++p; p < end && is_digit(*p); p++) {}
-        digits |= p > d;
+        for (d = ++p; p < end && is_digit(*p); p++) add_digit(*p, &mantissa, &significant);
+        fraction = p - d;
+        digits |= fraction > 0;
     }
     if (!digits) return 0;
-    if (p < end && (*p == 'e' || *p == 'E')) {
+    int exponent = p < end && (*p == 'e' || *p == 'E');
+    if (exponent) {
         if (++p < end && (*p == '+' || *p == '-')) p++;
         for (d = p; p < end && is_digit(*p); p++) {}
         if (p == d) return 0;
     }
     if (p != end) return 0;
+    if (ONE_ROUNDING && !exponent && significant <= 15 && fraction <= 22) {
+        double v = (double)mantissa / exact_tens[fraction];
+        *out = negative ? -v : v;
+        return 1;
+    }
     char *stop;
     *out = strtod(t.s, &stop);
     return stop == t.s + t.n;
@@ -394,31 +462,36 @@ static int names_add(Names *t, int64_t *slot)
     return 1;
 }
 
-/* Reads the bodies text[spans[0] .. spans[1]) (COLUMNS), [spans[2] ..
- * spans[3]) (RHS) and [spans[4] .. spans[5]) (BOUNDS) into:
+/* Reads text[start .. size), which starts with the header line of
+ * COLUMNS, RHS, BOUNDS or ENDATA, up to the ENDATA line.  It takes those
+ * sections in that order, each at most once, and hands back at any other
+ * header and when ENDATA is missing.  Their data go into:
  * - each constraint entry's column, row and value (ent_*) and each
  *   objective entry's column and value (obj_*), in file order;
  * - each RHS pair's row and value (rhs_*), with -1 for the objective;
  * - each bound's kind, column and value (bnd_*; nan when it has none);
- * - the [start, stop) span in text of each column's name at its first
- *   line (col_name), in order of first appearance, which is id order.
+ * - each column's name and a '\n' (col_text) and the name's [start, stop)
+ *   span in col_text (col_name), in order of first appearance, which is
+ *   id order.
  * Row i's name spans row_text[row_name[2 i] .. row_name[2 i + 1]), and
  * col_role[i] and rhs_role[i] are its row id in COLUMNS and in RHS: >= 0 for a
  * constraint row, -1 for the objective, -2 for a free row, whose entries
  * are dropped.  counts receives the number of constraint entries,
- * objective entries, RHS pairs, bounds and columns.  Each output holds
- * one item per pair (or line) its body could hold.  Returns SWEPT, or the
- * hand-back code of the first line it will not read. */
-int mps_sweep(const char *text, const int64_t *spans, const char *row_text,
+ * objective entries, RHS pairs and bounds, and the length of col_text.
+ * Each output holds one item per pair, line or byte the text could hold.
+ * Returns SWEPT, or the hand-back code of the first line it will not
+ * read. */
+int mps_sweep(const char *text, int64_t start, int64_t size, const char *row_text,
               const int64_t *row_name, const int64_t *col_role, const int64_t *rhs_role,
               int64_t nrows, int64_t *ent_col, int64_t *ent_row, double *ent_val,
               int64_t *obj_col, double *obj_val, int64_t *rhs_row, double *rhs_val,
-              int64_t *bnd_kind, int64_t *bnd_col, double *bnd_val, int64_t *col_name,
-              int64_t *counts)
+              int64_t *bnd_kind, int64_t *bnd_col, double *bnd_val, char *col_text,
+              int64_t *col_name, int64_t *counts)
 {
-    enum { ENTRIES, OBJECTIVE, RHS, BOUNDS, COLUMNS };
+    enum { ENTRIES, OBJECTIVE, RHS, BOUNDS, NAME_BYTES };
     Names rows = {0}, cols = {0};
-    if (!names_init(&rows, nrows, row_text, row_name) || !names_init(&cols, 0, text, col_name)) {
+    if (!names_init(&rows, nrows, row_text, row_name)
+        || !names_init(&cols, 0, col_text, col_name)) {
         free(rows.slot);
         free(cols.slot);
         return NO_MEMORY;
@@ -427,22 +500,27 @@ int mps_sweep(const char *text, const int64_t *spans, const char *row_text,
         Token name = {row_text + row_name[2 * i], row_name[2 * i + 1] - row_name[2 * i]};
         names_add(&rows, names_find(&rows, name));
     }
-    for (int k = 0; k <= COLUMNS; k++) counts[k] = 0;
+    for (int k = 0; k <= NAME_BYTES; k++) counts[k] = 0;
     int code = SWEPT;
     Token t, row, val;
     double v;
+    const char *end = text + size, *p = text + start;
+    int opens = header(p, end);
 
     /* COLUMNS lines: a column name, then row/value pairs */
-    const char *end = text + spans[1];
     Token prev = {text, 0};
     int64_t col = -1;
-    for (const char *p = text + spans[0]; code == SWEPT && p < end; p = next_line(p, end)) {
+    while (opens == IN_COLUMNS && code == SWEPT && next_data_line(&p, end, &opens)) {
         if (!next_token(&p, end, &t) || t.s[0] == '*') continue;
         if (t.n != prev.n || memcmp(t.s, prev.s, (size_t)t.n) != 0) {
             int64_t *s = names_find(&cols, t);
             if (*s == 0) {
-                col_name[2 * cols.count] = t.s - text;
-                col_name[2 * cols.count + 1] = t.s + t.n - text;
+                int64_t at = counts[NAME_BYTES];
+                memcpy(col_text + at, t.s, (size_t)t.n);
+                col_text[at + t.n] = '\n';
+                col_name[2 * cols.count] = at;
+                col_name[2 * cols.count + 1] = at + t.n;
+                counts[NAME_BYTES] = at + t.n + 1;
                 if (!names_add(&cols, s)) { code = NO_MEMORY; break; }
                 col = cols.count - 1;
             } else {
@@ -471,16 +549,15 @@ int mps_sweep(const char *text, const int64_t *spans, const char *row_text,
     }
 
     /* RHS lines: row/value pairs, after a set name when the count is odd */
-    end = text + spans[3];
-    for (const char *p = text + spans[2]; code == SWEPT && p < end; p = next_line(p, end)) {
+    while (opens == IN_RHS && code == SWEPT && next_data_line(&p, end, &opens)) {
         const char *q = p;
         Token first = {text, 0};
-        int64_t size = 0;
-        for (; next_token(&q, end, &t); size++)
-            if (size == 0) first = t;
-        if (size == 0 || first.s[0] == '*') continue;
-        if (size == 1) { code = BAD_COUNT; break; }
-        p = size % 2 ? first.s + first.n : first.s;
+        int64_t tokens = 0;
+        for (; next_token(&q, end, &t); tokens++)
+            if (tokens == 0) first = t;
+        if (tokens == 0 || first.s[0] == '*') continue;
+        if (tokens == 1) { code = BAD_COUNT; break; }
+        p = tokens % 2 ? first.s + first.n : first.s;
         while (code == SWEPT && next_token(&p, end, &row) && next_token(&p, end, &val)) {
             int64_t at = *names_find(&rows, row) - 1;
             if (!number(val, &v)) code = BAD_NUMBER;
@@ -496,8 +573,7 @@ int mps_sweep(const char *text, const int64_t *spans, const char *row_text,
      * a value; FR, MI and a negative UP are handed back, as the 0 <= x <= u
      * model may refuse them */
     static const char kinds[] = "UPLOFXFRMIPLBV";
-    end = text + spans[5];
-    for (const char *p = text + spans[4]; code == SWEPT && p < end; p = next_line(p, end)) {
+    while (opens == IN_BOUNDS && code == SWEPT && next_data_line(&p, end, &opens)) {
         if (!next_token(&p, end, &t) || t.s[0] == '*') continue;
         int kind = -1;
         for (int k = 0; k < 7 && t.n == 2; k++)   /* ASCII letters: & ~0x20 is upper() */
@@ -516,7 +592,10 @@ int mps_sweep(const char *text, const int64_t *spans, const char *row_text,
             bnd_val[counts[BOUNDS]++] = v;
         }
     }
-    counts[COLUMNS] = cols.count;
+
+    /* what stopped the last section: ENDATA, the end of the text, or a
+     * header out of order or of a section the sweep does not read */
+    if (code == SWEPT && opens != AT_ENDATA) code = p < end ? BAD_LAYOUT : NO_ENDATA;
     free(rows.slot);
     free(cols.slot);
     return code;

@@ -2,7 +2,7 @@
 
 The kernel holds three functions: the explicit online pass
 (``explicit_pass``), the simplex pivot loop (``simplex_pivots``) and the
-sweep of an MPS file's COLUMNS, RHS and BOUNDS sections (``mps_sweep``).
+sweep of an MPS file from its COLUMNS header to its ENDATA (``mps_sweep``).
 They are built, cached and loaded as one library and resolved as a unit:
 ``load()`` returns the library with all three, or None with one reason.
 
@@ -30,8 +30,12 @@ fused.  A C sum that starts from 0.0 rather than from its first term
 differs only in the sign of a zero sum, which no comparison and no square
 sees.  The explicit loop prefetches ahead in ``seq``; it reads no value
 the reference does not read, and changes no order.  The sweep reads
-values with ``strtod`` on a strict decimal grammar, where ``strtod`` and
-Python's ``float`` both round correctly.
+values only of a strict decimal grammar, on which Python's ``float``
+rounds correctly.  A value with no exponent, at most 15 significant
+digits and at most 22 after the point takes Clinger's fast path: its
+digits as an exact integer over an exact power of ten, one correctly
+rounded division.  ``strtod``, which also rounds correctly, reads the
+rest.  Both give ``float``'s double.
 
 The first ``load()`` compiles the C source with the system compiler into
 ``~/.cache/onlinelp``, under a name keyed by a hash of the source, the
@@ -77,11 +81,11 @@ _SIGNATURES = {
         _i64, _i64,                                # refactor_period, stall_window
     )),
     "mps_sweep": (_int, (
-        _ptr, _ptr, _ptr, _ptr,                    # text, spans, row_text, row_name
+        _ptr, _i64, _i64, _ptr, _ptr,              # text, start, size, row_text, row_name
         _ptr, _ptr, _i64,                          # col_role, rhs_role, nrows
         _ptr, _ptr, _ptr, _ptr, _ptr,              # ent_col, ent_row, ent_val, obj_col, obj_val
         _ptr, _ptr, _ptr, _ptr, _ptr,              # rhs_row, rhs_val, bnd_kind, bnd_col, bnd_val
-        _ptr, _ptr,                                # col_name, counts
+        _ptr, _ptr, _ptr,                          # col_text, col_name, counts
     )),
 }
 

@@ -6,22 +6,29 @@ constraint to <= form (G rows are negated, E rows split into opposing
 pairs, RANGES become row intervals) and normalizes the objective to
 maximization.
 
-A regex finds the section headers.  Each section body then goes through
-one of two front ends, which turn its lines into ids and values, and one
-back end, ``_Reader``'s ``add_columns``, ``add_entries``, ``set_rhs`` and
-``set_bounds``, which fills the name tables, the rhs and the bounds; the
-CSC matrix is then assembled with numpy (``_assemble``).
+A header is an unindented line that starts with a section name, in any
+case, followed by a separator or the end of the text.  Section bodies go
+through one of two front ends, which turn their lines into ids and
+values, and one back end, ``_Reader``'s ``add_columns``, ``add_entries``,
+``set_rhs`` and ``set_bounds``, which fills the name tables, the rhs and
+the bounds; the CSC matrix is then assembled with numpy (``_assemble``),
+which skips each gather or filter that would change nothing.
 
-- The line reader, ``_parse``, is the reference.  It reads every section
-  one line at a time: lines end at '\\n' only, blank lines and lines whose
-  first token starts with '*' (comments) are skipped, and values go
-  through Python's ``float``.  A malformed file raises ``MpsParseError``
-  for its earliest offending line.
+- The line reader, ``_parse``, is the reference.  A regex finds every
+  header, and the reader reads every section one line at a time: lines
+  end at '\\n' only, blank lines and lines whose first token starts with
+  '*' (comments) are skipped, and values go through Python's ``float``.
+  A malformed file raises ``MpsParseError`` for its earliest offending
+  line.
 - The compiled front end, ``mps_sweep`` in ``_kernel.c``, reads the bytes
-  of the COLUMNS, RHS and BOUNDS bodies in one call; the line reader
-  reads the sections before them.  It reads values with ``strtod``, and
-  only those of the decimal grammar ``[+-]?(d+(.d*)?|.d+)([eE][+-]?d+)?``,
-  on which ``strtod`` and ``float`` both round correctly.  It never raises.
+  from the first COLUMNS, RHS, BOUNDS or ENDATA header to the end in one
+  call, and finds the headers in them itself, by the regex's rule; the
+  regex finds the headers up to that first one, and the line reader reads
+  the sections before it.  The sweep reads values only of the decimal
+  grammar ``[+-]?(d+(.d*)?|.d+)([eE][+-]?d+)?``: those with no exponent,
+  at most 15 significant digits and at most 22 after the point by one
+  correctly rounded division (Clinger's fast path), the rest with
+  ``strtod``.  Both round as ``float`` does.  It never raises.
   Instead it hands the whole file back to the line reader, which then
   reads it from the start, on any of: a non-ASCII byte; a '\\r' not
   followed by '\\n' (text mode's universal newlines would move the lines;
@@ -44,7 +51,7 @@ from __future__ import annotations
 
 import re
 from array import array
-from itertools import compress, count, repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -63,8 +70,9 @@ _NOT_SPACE = rb"[^\t-\r\x1c-\x20]"
 _BYTES_HEADER = re.compile(rb"(?:%b)(?!%b)" % (_SECTIONS.encode(), _NOT_SPACE), re.I)
 _BYTES_HEADER_AFTER_NEWLINE = re.compile(
     rb"\n(?=[NORCBE])(?:%b)(?!%b)" % (_SECTIONS.encode(), _NOT_SPACE), re.I)
-# the sections the compiled front end reads, in the order it takes them
-_SWEPT = ("COLUMNS", "RHS", "BOUNDS")
+# the headers the compiled front end takes, in its order: the sections it
+# reads, then the end of the data
+_SWEPT = ("COLUMNS", "RHS", "BOUNDS", "ENDATA")
 
 _ROW_TYPES = {"N": 0, "L": 1, "G": 2, "E": 3}
 _UP, _LO, _FX, _FR, _MI, _PL, _BV = range(7)   # the kinds of mps_sweep in _kernel.c
@@ -115,17 +123,19 @@ def _read(path, mode: str):
         raise OSError(f"cannot read MPS from {path!r}: {exc}") from exc
 
 
-def _sections(text, header, header_after_newline):
+def _sections(text, header, header_after_newline, last=("ENDATA",)):
     """Cut text (str, or ASCII bytes and bytes patterns) at its headers.
 
     Yields ``(section, tok, start, stop)`` for the text before the first
-    header (section None) and for each header up to ENDATA: the section's
-    name in upper case, the header line's tokens and the body's span.
-    Without ENDATA the last body runs to the end of text.
+    header (section None) and for each header up to the first one named in
+    last: the section's name in upper case, the header line's tokens and
+    the body's span.  That last header's span is its own line, and the
+    search for headers stops at it.  Without one, the last body runs to
+    the end of text.
     """
     newline = "\n" if isinstance(text, str) else b"\n"
-    heads = [0] if header.match(text) else []
-    heads += [m.start() + 1 for m in header_after_newline.finditer(text)]
+    heads = chain([0] if header.match(text) else [],
+                  (m.start() + 1 for m in header_after_newline.finditer(text)))
     section, tok, body = None, [], 0
     for head in heads:
         yield section, tok, body, head
@@ -134,8 +144,8 @@ def _sections(text, header, header_after_newline):
         line = text[head:eol]
         tok = (line if isinstance(line, str) else line.decode("ascii")).split()
         section = tok[0].upper()
-        if section == "ENDATA":
-            yield section, tok, eol, eol
+        if section in last:
+            yield section, tok, head, eol
             return
         body = eol + 1
     yield section, tok, body, len(text)
@@ -158,29 +168,23 @@ def _parse(text: str) -> LpInstance:
 
 
 def _sweep(lib, data: bytes) -> _Reader | None:
-    """The compiled front end on the COLUMNS, RHS and BOUNDS bodies of
-    data, the line reader on the sections before them: the filled reader,
-    or None where the file goes back to the line reader (see the module
-    docstring)."""
+    """The line reader on the sections of data before its first COLUMNS,
+    RHS, BOUNDS or ENDATA header, the compiled front end from that header
+    on: the filled reader, or None where the file goes back to the line
+    reader (see the module docstring)."""
     if not data.isascii() or (b"\r" in data and data.count(b"\r") != data.count(b"\r\n")):
         return None
     reader = _Reader()
-    spans = {}
     for section, tok, start, stop in _sections(data, _BYTES_HEADER,
-                                               _BYTES_HEADER_AFTER_NEWLINE):
-        if section == "ENDATA":
-            break
-        if section in spans or (spans and section not in _SWEPT) or section == "RANGES":
+                                               _BYTES_HEADER_AFTER_NEWLINE, _SWEPT):
+        if section in _SWEPT:
+            break   # start is where its header line starts
+        if section == "RANGES":
             return None
         reader.header(section, tok)
-        if section in _SWEPT:
-            spans[section] = (start, stop)
-        else:   # a section before the swept ones: few lines
-            reader.read(section, _lines(data[start:stop].decode("ascii"),
-                                        1 + data.count(b"\n", 0, start)))
+        reader.read(section, _lines(data[start:stop].decode("ascii"),
+                                    1 + data.count(b"\n", 0, start)))
     else:
-        return None
-    if list(spans) != [s for s in _SWEPT if s in spans]:
         return None
 
     roles = reader.roles("COLUMNS")
@@ -189,32 +193,29 @@ def _sweep(lib, data: bytes) -> _Reader | None:
     row_name = np.stack([np.cumsum(size) - size, np.cumsum(size)], axis=1)
     col_role = np.fromiter(roles.values(), np.int64, len(names))
     rhs_role = _lookup(reader.roles("RHS"), names, _UNKNOWN)
-    span = np.array([spans.get(s, (0, 0)) for s in _SWEPT], np.int64)
-    # room for every pair, or line, a body could hold: a pair takes two
-    # tokens and a bound or column three, each followed by a separator (but
-    # the last); np.empty leaves the pages no item reaches untouched
-    pairs, rhs_pairs, bound_lines = (span[:, 1] - span[:, 0] + 1) // [4, 4, 6] + 1
-    ent_col, ent_row, obj_col = np.empty((3, pairs), np.int64)
-    ent_val, obj_val = np.empty((2, pairs))
-    rhs_row, rhs_val = np.empty(rhs_pairs, np.int64), np.empty(rhs_pairs)
-    bnd_kind, bnd_col = np.empty((2, bound_lines), np.int64)
-    bnd_val = np.empty(bound_lines)
-    col_name = np.empty(((span[0, 1] - span[0, 0] + 1) // 6 + 1, 2), np.int64)
+    # room for every pair, line or name byte the rest of data could hold: a
+    # pair takes two tokens and a bound or column line three, each followed
+    # by a separator (but the last); np.empty leaves the pages no item
+    # reaches untouched.  Each array is its own allocation, so the instance
+    # can hold the entries' rows and values without the rest.
+    room = len(data) - start + 1
+    pairs, lines = room // 4 + 1, room // 6 + 1
+    ent_col, ent_row, obj_col, rhs_row = (np.empty(pairs, np.int64) for _ in range(4))
+    ent_val, obj_val, rhs_val = (np.empty(pairs) for _ in range(3))
+    bnd_kind, bnd_col = np.empty(lines, np.int64), np.empty(lines, np.int64)
+    bnd_val = np.empty(lines)
+    col_text, col_name = np.empty(room, np.uint8), np.empty((lines, 2), np.int64)
     counts = np.zeros(5, np.int64)
     code = lib.mps_sweep(
-        data, span.ctypes.data, "".join(names).encode("ascii"), row_name.ctypes.data,
+        data, start, len(data), "".join(names).encode("ascii"), row_name.ctypes.data,
         col_role.ctypes.data, rhs_role.ctypes.data, len(names), ent_col.ctypes.data,
         ent_row.ctypes.data, ent_val.ctypes.data, obj_col.ctypes.data, obj_val.ctypes.data,
         rhs_row.ctypes.data, rhs_val.ctypes.data, bnd_kind.ctypes.data, bnd_col.ctypes.data,
-        bnd_val.ctypes.data, col_name.ctypes.data, counts.ctypes.data)
+        bnd_val.ctypes.data, col_text.ctypes.data, col_name.ctypes.data, counts.ctypes.data)
     if code:
         return None
-    entries, objective, rhs, bounds, columns = counts.tolist()
-    # a name is followed by a separator on its line: gather each name with
-    # the byte after it, and split the lot
-    start, size = col_name[:columns, 0], np.diff(col_name[:columns]).ravel() + 1
-    at = np.repeat(start - (np.cumsum(size) - size), size) + np.arange(size.sum())
-    reader.add_columns(np.frombuffer(data, np.uint8)[at].tobytes().decode("ascii").split())
+    entries, objective, rhs, bounds, name_bytes = counts.tolist()
+    reader.add_columns(col_text[:name_bytes].tobytes().decode("ascii").split())
     if reader.add_entries(ent_col[:entries], ent_row[:entries], ent_val[:entries],
                           obj_col[:objective], obj_val[:objective]) >= 0:
         return None
@@ -269,14 +270,17 @@ class _Reader:
         self.rhs: dict[int, float] = {}
         self.ranges: dict[int, float] = {}
         self.obj_rhs = 0.0
-        self.col_id: dict[str, int] = {}     # columns, in order of first entry
+        self.col_names: list[str] = []       # columns, in order of first entry
+        self.col_id: dict[str, int] = {}     # the line reader's ids of them
         # constraint entries in file order, and the order that sorts them
-        # by (column, row); objective entries as (column, value) arrays
-        self.col = self.row = self.order = np.empty(0, np.int64)
+        # by (column, row), or None when they are sorted; objective entries
+        # as (column, value) arrays
+        self.col = self.row = np.empty(0, np.int64)
         self.value = np.empty(0)
+        self.order = None
         self.obj_entries = [(np.empty(0, np.int64), np.empty(0))]
-        self.lo: dict[int, float] = {}       # bounds set in BOUNDS, by column id
-        self.up: dict[int, float] = {}
+        # the bounds of each BOUNDS section as (kind, column, value) arrays
+        self.bound_sets = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
 
     def header(self, section: str | None, tok: list) -> None:
         self.pending_objsense = False
@@ -305,7 +309,7 @@ class _Reader:
             raise MpsParseError("no objective (N) row found")
         if not self.row_id:
             raise MpsParseError("no constraint rows found")
-        if not self.col_id:
+        if not self.col_names:
             raise MpsParseError("no columns found")
         return _assemble(self)
 
@@ -363,7 +367,7 @@ class _Reader:
                                  np.frombuffer(value), np.frombuffer(obj_col, np.int64),
                                  np.frombuffer(obj_value))
             if p >= 0:
-                cname, rname = list(self.col_id)[col[p]], list(self.row_id)[row[p]]
+                cname, rname = self.col_names[col[p]], list(self.row_id)[row[p]]
                 raise MpsParseError(f"duplicate entry for column {cname!r}, row {rname!r}",
                                     entry_line[p]) from None
 
@@ -375,7 +379,7 @@ class _Reader:
                     raise MpsParseError("COLUMNS entries need name + row/value pairs", line_no)
                 c = self.col_id.get(tok[0])
                 if c is None:
-                    c = len(self.col_id)
+                    c = self.col_id[tok[0]] = len(self.col_names)
                     self.add_columns([tok[0]])
                 for i in range(1, len(tok), 2):
                     v = _number(tok[i + 1], line_no)
@@ -415,7 +419,10 @@ class _Reader:
 
     def bounds(self, lines) -> None:
         kinds, cols, values = array("q"), array("q"), array("d")
-        lo = dict(self.lo)   # each column's lower bound so far
+        lo = {}   # each column's lower bound so far
+        for set_kind, set_col, set_value in self.bound_sets:
+            sets_lo, lo_value, _, _ = _bound_ends(set_kind, set_value)
+            lo.update(zip(set_col[sets_lo].tolist(), lo_value[sets_lo].tolist()))
         for line_no, tok in lines:
             name = tok[0].upper()
             kind = _BOUND_TYPES.get(name, -1)
@@ -446,7 +453,7 @@ class _Reader:
 
     def add_columns(self, names: list) -> None:
         """Give the next column ids to names, none of them known."""
-        self.col_id.update(zip(names, count(len(self.col_id))))
+        self.col_names += names
 
     def add_entries(self, col, row, value, obj_col, obj_value) -> int:
         """Append a COLUMNS section's constraint and objective entries and
@@ -463,6 +470,9 @@ class _Reader:
                                ((self.col, col), (self.row, row), (self.value, value)))
         self.col, self.row, self.value = col, row, value
         key = col * max(len(self.row_id), 1) + row
+        if (key[1:] > key[:-1]).all():   # sorted, with no repeat: a written file
+            self.order = None
+            return -1
         self.order = np.argsort(key, kind="stable")
         again = self.order[1:][np.diff(key[self.order]) == 0]
         return int(again.min()) - start if again.size else -1
@@ -479,9 +489,7 @@ class _Reader:
 
     def set_bounds(self, kind, col, value) -> None:
         """Set the bounds of the given kinds, columns and values, in order."""
-        sets_lo, lo, sets_up, up = _bound_ends(kind, value)
-        self.lo.update(zip(col[sets_lo].tolist(), lo[sets_lo].tolist()))
-        self.up.update(zip(col[sets_up].tolist(), up[sets_up].tolist()))
+        self.bound_sets.append((kind, col, value))
 
 
 def _bound_ends(kind, value):
@@ -492,12 +500,27 @@ def _bound_ends(kind, value):
     return (kind == _LO) | (kind == _FX) | (kind == _BV), lo, kind != _LO, up
 
 
+def _set_last(target: np.ndarray, index: np.ndarray, values: np.ndarray) -> None:
+    """target[index] = values, where the last value given an index wins."""
+    if not (index[1:] > index[:-1]).all():
+        last = index.size - 1 - np.unique(index[::-1], return_index=True)[1]
+        index, values = index[last], values[last]
+    target[index] = values
+
+
+def _by_name(names: list, at: np.ndarray) -> list:
+    """The names at the indices at."""
+    return [names[j] for j in at.tolist()]
+
+
 def _assemble(r: _Reader) -> LpInstance:
     flip = r.objsense != "MAX"
-    n, nrows = len(r.col_id), len(r.row_id)
-    col_names = list(r.col_id)
+    n, nrows = len(r.col_names), len(r.row_id)
     col, row, value = r.col, r.row, r.value
+    if r.order is not None:
+        col, row, value = col[r.order], row[r.order], value[r.order]
     ocol, oval = map(np.concatenate, zip(*r.obj_entries))
+    bound_kind, bound_col, bound_value = map(np.concatenate, zip(*r.bound_sets))
 
     # inf and nan propagate silently, as in Python float arithmetic
     with np.errstate(all="ignore"):
@@ -506,11 +529,12 @@ def _assemble(r: _Reader) -> LpInstance:
         c = -obj if flip else obj
 
         lo, up = np.zeros(n), np.full(n, np.inf)
-        lo[list(r.lo)] = list(r.lo.values())
-        up[list(r.up)] = list(r.up.values())
+        sets_lo, lo_value, sets_up, up_value = _bound_ends(bound_kind, bound_value)
+        _set_last(lo, bound_col[sets_lo], lo_value[sets_lo])
+        _set_last(up, bound_col[sets_up], up_value[sets_up])
         j = _first(up < lo)
         if j >= 0:
-            raise MpsParseError(f"column {col_names[j]!r} has empty bound interval "
+            raise MpsParseError(f"column {r.col_names[j]!r} has empty bound interval "
                                 f"[{float(lo[j])}, {float(up[j])}]")
 
         # bound normalization: fold fixed columns into the rhs, shift nonzero lowers
@@ -521,9 +545,9 @@ def _assemble(r: _Reader) -> LpInstance:
         offset = float(np.cumsum(np.concatenate(([offset], c[moved] * lo[moved])))[-1])
         b = np.zeros(nrows)
         b[list(r.rhs)] = list(r.rhs.values())
-        col, row, value = col[r.order], row[r.order], value[r.order]
-        at = moved[col]
-        np.subtract.at(b, row[at], value[at] * lo[col[at]])
+        if moved.any():
+            at = moved[col]
+            np.subtract.at(b, row[at], value[at] * lo[col[at]])
 
         kept = ~fixed
         if not kept.any():
@@ -552,27 +576,39 @@ def _assemble(r: _Reader) -> LpInstance:
         start = np.cumsum(width) - width
 
         # CSC: the entries are sorted by (column, row), and a row's output
-        # rows are adjacent and ascending, so repeating keeps the order
-        at = kept[col]
-        col, row, value = col[at], row[at], value[at]
-        rep = width[row]
-        out_row = np.repeat(start[row] - (np.cumsum(rep) - rep), rep) + np.arange(rep.sum())
-        out_val = np.repeat(value, rep) * sign[out_row]
+        # rows are adjacent and ascending, so repeating keeps the order.
+        # Each step is skipped where it would change nothing: no column
+        # fixed, one output row per row, every sign +1, no zero product.
+        if fixed.any():
+            at = kept[col]
+            col, row, value = col[at], row[at], value[at]
+        if (width == 1).all():
+            out_row, out_col = row, col
+            out_val = value if (sign == 1.0).all() else value * sign[row]
+        else:
+            rep = width[row]
+            out_row = np.repeat(start[row] - (np.cumsum(rep) - rep), rep) + np.arange(rep.sum())
+            out_col = np.repeat(col, rep)
+            out_val = np.repeat(value, rep) * sign[out_row]
         nz = out_val != 0.0
+        if not nz.all():
+            out_row, out_col, out_val = out_row[nz], out_col[nz], out_val[nz]
         k = int(kept.sum())
-        per_col = np.bincount((np.cumsum(kept) - 1)[np.repeat(col, rep)[nz]], minlength=k)
-        col_ptr = np.concatenate(([0], np.cumsum(per_col)))
+        if k < n:
+            out_col = (np.cumsum(kept) - 1)[out_col]
+        col_ptr = np.concatenate(([0], np.cumsum(np.bincount(out_col, minlength=k))))
 
+    kept_at, shifted_at, fixed_at = map(np.flatnonzero, (kept, shifted, fixed))
     meta = {
         "name": r.name,
         "objective_sense": "min" if flip else "max",
         "objective_offset": offset,
         "row_names": tuple(out_names.tolist()),
-        "col_names": tuple(compress(col_names, kept.tolist())),
-        "column_shifts": dict(zip(compress(col_names, shifted.tolist()), lo[shifted].tolist())),
-        "fixed_columns": dict(zip(compress(col_names, fixed.tolist()), lo[fixed].tolist())),
+        "col_names": tuple(r.col_names if k == n else _by_name(r.col_names, kept_at)),
+        "column_shifts": dict(zip(_by_name(r.col_names, shifted_at), lo[shifted_at].tolist())),
+        "fixed_columns": dict(zip(_by_name(r.col_names, fixed_at), lo[fixed_at].tolist())),
     }
-    return LpInstance(len(rhs), k, col_ptr, out_row[nz], out_val[nz], rhs, c[kept],
+    return LpInstance(len(rhs), k, col_ptr, out_row, out_val, rhs, c[kept],
                       np.where(shifted, up - lo, up)[kept], meta=meta)
 
 

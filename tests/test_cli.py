@@ -164,7 +164,17 @@ class TestSift:
         from onlinelp.sifting import SiftConfig
         pre, config = _sift_configs(build_parser().parse_args(["sift", "--gen", "m=1,n=1,tau=1"]))
         assert config == SiftConfig()
-        assert pre == RunConfig(duplication=2)   # --prepass-k 2 is the command's own
+        # --prepass-k 2 and the lazy explicit pass are the command's own
+        assert pre == RunConfig(duplication=2, lazy=True)
+
+    def test_an_implicit_prepass_runs_dense(self):
+        # the lazy default applies to the explicit update alone
+        from onlinelp.cli import _sift_configs, build_parser
+        args = build_parser().parse_args(["sift", "--gen", "m=1,n=1,tau=1",
+                                          "--prepass-method", "implicit"])
+        assert not _sift_configs(args)[0].lazy
+        assert run_cli(["sift", "--gen", "m=4,n=120,tau=0.2,seed=6",
+                        "--prepass-method", "implicit"]) == 0
 
     def test_echoes_engine(self, capsys):
         from onlinelp.online import explicit_engine

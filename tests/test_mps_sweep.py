@@ -317,6 +317,90 @@ def test_decimals_read_as_python_floats(compiled, monkeypatch, hand_backs):
     check(monkeypatch, text)
 
 
+# decimals at the edges of the sweep's fast path (no exponent, at most 15
+# significant digits, at most 22 after the point), each beside its first
+# spelling past the edge, which goes to strtod
+FAST_PATH_EDGES = [
+    # 15 and 16 significant digits
+    "123456789012345", "1234567890123456", "999999999999999", "9999999999999999",
+    "0.123456789012345", "0.1234567890123456", "98765.4321098765", "98765.43210987654",
+    "-1.23456789012345", "-1.234567890123456", "100000000000000.0", "0.3000000000000000",
+    # 22 and 23 digits after the point
+    "0." + "0" * 21 + "1", "0." + "0" * 22 + "1", "0." + "0" * 7 + "123456789012345",
+    "0." + "0" * 8 + "123456789012345", "7." + "0" * 21, "7." + "0" * 22,
+    # leading zeros
+    "0000.5", "-000.25", "0" * 30 + "1.5", "00012345678901234.5", "0." + "0" * 20 + "01",
+    # signed zeros
+    "-0", "+0.0", "-0.", "0", "0.0", "-0.000", ".0", "-.0", "+.0",
+    # integers up to 2^53
+    "1", "-7", "562949953421312", "1125899906842624", "4503599627370496",
+    "9007199254740991", "9007199254740992",
+]
+
+
+def test_fast_path_edges_read_as_python_floats(compiled, monkeypatch, hand_backs):
+    """Each edge token, as a matrix value and as a rhs, must read as
+    float's double, zeros and their signs included, with no hand-back."""
+    lines = ["NAME D", "ROWS", " N  OBJ", *(f" L  R{i}" for i in range(len(FAST_PATH_EDGES))),
+             "COLUMNS"]
+    lines += [f"    X0  R{i}  {t}" for i, t in enumerate(FAST_PATH_EDGES)]
+    lines += ["    X0  OBJ  1", "RHS"]
+    lines += [f"    RHS  R{i}  {t}" for i, t in enumerate(FAST_PATH_EDGES)]
+    lines += ["BOUNDS", "ENDATA"]
+    text = "\n".join(lines) + "\n"
+    got = parse_mps(io.StringIO(text))
+    assert hand_backs == []
+    want = np.array([float(t) for t in FAST_PATH_EDGES])
+    assert got.rhs.tobytes() == want.tobytes()
+    assert got.values.tobytes() == want[want != 0.0].tobytes()
+    check(monkeypatch, text)
+
+
+# -- the compiled header scan -----------------------------------------------------
+
+# files whose headers mps_sweep finds as the header regex does, and reads
+SWEPT_HEADERS = {
+    "lowercase headers": toy((11, "rhs"), (13, "bounds"), (16, "endata")),
+    "mixed-case headers": toy((11, "Rhs  SET"), (13, "bOuNdS"), (16, "EnDaTa")),
+    "unindented column RHSX": toy((10, ["    X2  COST  1.0  CAP  1.0", "RHSX  CAP  2.0"])),
+    "unindented columns": toy((9, "X1  COST  1.0  CAP  1.0"), (10, "X2 COST 1.0 CAP 1.0")),
+    "header then x1c": toy((11, "RHS\x1c"), (13, "BOUNDS\x1cBND")),
+    "header then tab": toy((11, "RHS\t"), (13, "BOUNDS\tBND"), (16, "ENDATA\t")),
+    "endata without a newline": toy().rstrip("\n"),
+    "text after endata": toy((16, ["ENDATA", "NAME  AFTER", "    X9  NOPE  x"])),
+    "no rhs": toy((11, []), (12, [])),
+    "no bounds": toy((13, []), (14, []), (15, [])),
+    "only columns": toy((11, []), (12, []), (13, []), (14, []), (15, [])),
+}
+# (the headers it hands back at are among HAND_BACKS below)
+
+
+@pytest.mark.parametrize("text", SWEPT_HEADERS.values(), ids=SWEPT_HEADERS.keys())
+def test_compiled_headers_match_the_reference(compiled, monkeypatch, tmp_path, hand_backs, text):
+    outcome(io.StringIO(text))
+    assert hand_backs == []
+    check(monkeypatch, text, tmp_path / "headers.mps")
+
+
+def test_the_header_regex_stops_at_columns(compiled, monkeypatch, hand_backs):
+    """On the swept path the regex finds the headers before COLUMNS and
+    COLUMNS itself, and searches no further: mps_sweep finds the rest."""
+    text = generated_text(4, 40, seed=2)
+    pattern, found = mps._BYTES_HEADER_AFTER_NEWLINE, []
+
+    class Recording:
+        def finditer(self, data):
+            for match in pattern.finditer(data):
+                found.append(match.start())
+                yield match
+
+    monkeypatch.setattr(mps, "_BYTES_HEADER_AFTER_NEWLINE", Recording())
+    got = parse_mps(io.StringIO(text))
+    assert hand_backs == []
+    assert found[-1] == text.index("\nCOLUMNS") < text.index("\nRHS")
+    assert_same_instance(got, reference(monkeypatch, lambda: io.StringIO(text)))
+
+
 # -- hand-backs -------------------------------------------------------------------
 
 def test_no_hand_back_on_written_files(compiled, monkeypatch, tmp_path, hand_backs):
@@ -364,6 +448,14 @@ HAND_BACKS = {
                                    "RHS", "    RHS  CAP  0.5"]), (13, []), (14, []), (15, [])),
     "two columns sections": toy((11, ["COLUMNS", "    X3  CAP  1.0", "RHS"])),
     "header after the data": toy((16, ["NAME  AGAIN", "ENDATA"])),
+    # headers that mps_sweep finds itself, past the COLUMNS header
+    "name after columns": toy((11, ["NAME  AGAIN", "RHS"])),
+    "ranges after columns": toy((11, ["RANGES", "    RNG  CAP  0.25", "RHS"])),
+    "lowercase ranges": toy((13, ["ranges", "    RNG  CAP  0.25", "BOUNDS"])),
+    "rows after rhs": toy((13, ["ROWS", " L  MORE", "BOUNDS"])),
+    "objsense after bounds": toy((16, ["OBJSENSE", "    MIN", "ENDATA"])),
+    "rhs twice": toy((13, ["RHS", "    RHS  CAP  0.25", "BOUNDS"])),
+    "endatax is no endata": toy((16, "endatax")),
 }
 
 

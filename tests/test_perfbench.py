@@ -35,7 +35,7 @@ def run():
 @pytest.mark.parametrize("flags", [[], ["--prepass-lazy"]], ids=["defaults", "lazy"])
 def test_sift_settings_are_the_commands(run, flags):
     pre, config = run.sift_settings(*flags)
-    assert pre.lazy is bool(flags)
+    assert pre.lazy is True   # lazy is the default; the flag is still accepted
     assert (pre, config) == _sift_configs(
         build_parser().parse_args(["sift", "--gen", "m=1,n=1,tau=1", *flags]))
 
