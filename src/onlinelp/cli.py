@@ -13,6 +13,9 @@ step length gamma each pass used once the pass returns, so any emitted CSV
 row can be replayed from its own fields.  An out-of-range setting is a
 usage error (exit 2) carrying the config's own message.  Relative output
 paths honor the ONLINELP_OUT_DIR environment variable.
+
+Every flag that --help lists changes a result or an output.  The engine is no
+flag: an explicit pass is always lazy, equal to the dense one in all it reports.
 """
 
 from __future__ import annotations
@@ -105,6 +108,12 @@ def _settings_checked():
         raise _UsageError(str(exc)) from None
 
 
+def _run_config(method: str, **fields) -> RunConfig:
+    """A command's pass config, lazy exactly when the update is explicit: the
+    engines differ only in max_dual_norm, which no command reports."""
+    return RunConfig(method=method, lazy=method == "explicit", **fields)
+
+
 def _engine(method: str) -> str:
     # the implicit update has only the Python engine
     return explicit_engine() if method == "explicit" else "python"
@@ -169,11 +178,9 @@ def _cmd_gen(args) -> int:
 
 def _cmd_solve(args) -> int:
     with _settings_checked():
-        config = RunConfig(
-            method=args.method,
-            stepsize=args.stepsize, duplication=args.k, seed=args.run_seed,
-            enforce_feasibility=args.enforce_feasibility, start=args.start, lazy=args.lazy,
-        )
+        config = _run_config(args.method, stepsize=args.stepsize, duplication=args.k,
+                             seed=args.run_seed, enforce_feasibility=args.enforce_feasibility,
+                             start=args.start)
     try:
         instance, label = _load_instance(args)
     except (MpsParseError, ValueError, OSError) as exc:
@@ -184,7 +191,7 @@ def _cmd_solve(args) -> int:
         "instance": label, "method": config.method, "K": config.duplication,
         "stepsize": config.stepsize, "engine": _engine(config.method),
         "seed": config.seed, "enforce_feasibility": config.enforce_feasibility,
-        "start": config.start, "lazy": config.lazy,
+        "start": config.start,
         "until_eps": args.until_eps, "max_k": args.max_k,
     })
 
@@ -230,12 +237,9 @@ def _cmd_solve(args) -> int:
 
 def _sift_configs(args) -> tuple[RunConfig, SiftConfig]:
     """The pre-pass and sifting configs that the ``sift`` flags set."""
-    # the lazy engine exists for the explicit update alone
-    lazy = args.prepass_lazy and args.prepass_method == "explicit"
-    return (RunConfig(method=args.prepass_method, duplication=args.prepass_k, seed=args.run_seed,
-                      start=args.prepass_start, lazy=lazy),
-            SiftConfig(init_threshold=args.init_threshold, stabilization_alpha=args.alpha,
-                       use_online_anchor=not args.no_anchor, pricing_tolerance=args.pricing_tol,
+    return (_run_config(args.prepass_method, duplication=args.prepass_k, seed=args.run_seed,
+                        start=args.prepass_start),
+            SiftConfig(pricing_tolerance=args.pricing_tol,
                        max_new_columns_per_round=args.max_new_cols, max_rounds=args.max_rounds))
 
 
@@ -327,8 +331,8 @@ def _bench_instance(args, size, tau, seed):
 
 def _bench_cell(args, bench_instance, k, method, seed) -> ResultRecord:
     params, instance, ref = bench_instance
-    config = RunConfig(method=method, duplication=k, seed=seed,
-                       enforce_feasibility=args.enforce_feasibility, lazy=args.lazy)
+    config = _run_config(method, duplication=k, seed=seed,
+                         enforce_feasibility=args.enforce_feasibility)
     t0 = time.perf_counter()
     sol = solve_online(instance, config)
     wall = time.perf_counter() - t0
@@ -341,7 +345,7 @@ def _cmd_bench(args) -> int:
         for (m, n), tau in itertools.product(args.sizes, args.taus):
             MkpParams(m=m, n=n, tightness=tau, density=args.sigma)
         for k, method in itertools.product(args.ks, args.methods):
-            RunConfig(method=method, duplication=k, lazy=args.lazy)
+            _run_config(method, duplication=k)
     cells = list(itertools.product(args.sizes, args.taus, args.ks, args.methods,
                                    range(args.reps)))
     _echo("resolved", {"cells": len(cells), "reps": args.reps, "seed": args.seed,
@@ -393,7 +397,8 @@ class _Parser(argparse.ArgumentParser):
 
     def add_argument(self, *args, **kwargs):
         action = super().add_argument(*args, **kwargs)
-        if action.default is not argparse.SUPPRESS:  # -h/--help is no option
+        # -h/--help is no option, and a hidden flag is no --config key
+        if argparse.SUPPRESS not in (action.default, action.help):
             self.options[action.dest] = action
         return action
 
@@ -431,7 +436,6 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     s.add_argument("--run-seed", type=int, default=RunConfig.seed)
     s.add_argument("--enforce-feasibility", action="store_true")
     s.add_argument("--start", choices=STARTS, default=RunConfig.start)
-    s.add_argument("--lazy", action="store_true")
     s.add_argument("--until-eps", type=float, default=None,
                    help="double K until the stopping residual drops below this")
     s.add_argument("--max-k", type=int, default=MAX_K_DEFAULT)
@@ -442,25 +446,20 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     f = sub.add_parser("sift", help="online pre-pass + exact sifting")
     _add_instance_options(f)
-    # retired: only the default is accepted; hidden, kept until the next benchmark change
-    f.add_argument("--init-threshold", type=float, default=SiftConfig.init_threshold,
-                   help=argparse.SUPPRESS)
-    f.add_argument("--alpha", type=float, default=SiftConfig.stabilization_alpha,
-                   help=argparse.SUPPRESS)
-    f.add_argument("--no-anchor", action="store_true", help=argparse.SUPPRESS)
     f.add_argument("--pricing-tol", type=float, default=SiftConfig.pricing_tolerance)
     f.add_argument("--max-rounds", type=int, default=SiftConfig.max_rounds)
     f.add_argument("--max-new-cols", type=int, default=SiftConfig.max_new_columns_per_round)
     f.add_argument("--prepass-method", choices=METHODS, default=RunConfig.method)
     f.add_argument("--prepass-k", type=int, default=2)
     f.add_argument("--prepass-start", choices=STARTS, default=RunConfig.start)
-    # an explicit pre-pass is always lazy: bitwise-equal to the dense pass and never
-    # slower; the flag stays accepted, hidden, until the next benchmark change
+    # accepted and ignored (an explicit pre-pass is always lazy): a benchmark workload passes it
     f.add_argument("--prepass-lazy", action="store_true", default=True, help=argparse.SUPPRESS)
     f.add_argument("--run-seed", type=int, default=RunConfig.seed)
     f.add_argument("--out", help="write a result record CSV")
     f.add_argument("--trace-out", help="write the per-round trace CSV")
-    f.set_defaults(func=_cmd_sift)
+    # not flags: perfbench reads them until the next benchmark change deletes them (ROADMAP)
+    f.set_defaults(func=_cmd_sift, init_threshold=SiftConfig.init_threshold,
+                   alpha=SiftConfig.stabilization_alpha, no_anchor=False)
 
     b = sub.add_parser("bench", help="grid of solve runs to CSV")
     b.add_argument("--sizes", type=_grid_axis(_size), default="5x100", help="MxN list")
@@ -472,7 +471,6 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--enforce-feasibility", action="store_true")
     b.add_argument("--exact", action="store_true")
-    b.add_argument("--lazy", action="store_true")
     b.add_argument("--out", required=True)
     b.set_defaults(func=_cmd_bench)
 

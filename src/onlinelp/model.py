@@ -87,12 +87,12 @@ class LpInstance:
             raise ValueError("row_idx and values must have equal length")
         if ri.size and (ri.min() < 0 or ri.max() >= m):
             raise ValueError("row indices out of range")
-        # strictly increasing rows within each column (canonical CSC)
+        # strictly increasing rows within each column, not across a column start
         if ri.size > 1:
-            interior = np.ones(ri.size, dtype=bool)
+            bad = np.diff(ri) <= 0
             starts = cp[1:-1]
-            interior[starts[starts < ri.size]] = False  # column starts are unconstrained
-            if np.any(np.diff(ri)[interior[1:]] <= 0):
+            bad[starts[(starts > 0) & (starts < ri.size)] - 1] = False
+            if np.any(bad):
                 raise ValueError("row indices must be strictly increasing within a column")
         if np.any(vals == 0.0):
             raise ValueError("explicit zeros are not allowed; drop them before construction")

@@ -136,13 +136,13 @@ def price(instance: LpInstance, working_set, y, tol: float = 1e-7,
     alone when that prices none, so an empty result still certifies y.
     """
     reduced = _reduced_costs(instance, y)
-    outside = np.ones(instance.num_cols, dtype=bool)
-    outside[np.asarray(working_set, dtype=np.int64)] = False
+    reduced[np.asarray(working_set, dtype=np.int64)] = -np.inf   # and so in the blend
     if anchor_reduced is not None:
-        blended = ALPHA * reduced + (1.0 - ALPHA) * anchor_reduced
-        if np.any(outside & (blended > tol)):
+        blended = ALPHA * reduced
+        blended += (1.0 - ALPHA) * anchor_reduced
+        if np.any(blended > tol):
             reduced = blended
-    violated = np.flatnonzero(outside & (reduced > tol))
+    violated = np.flatnonzero(reduced > tol)
     if max_new is not None:
         violated = violated[_top(reduced[violated], max_new)]
     return violated.astype(np.int64)

@@ -443,7 +443,7 @@ def _unpack_warm(warm) -> tuple[list[int], frozenset[int]]:
         return sorted(warm.basis), warm.at_upper
     if isinstance(warm, tuple) and len(warm) == 2:
         return sorted(warm[0]), frozenset(warm[1])
-    return sorted(warm), frozenset()
+    raise TypeError("warm_basis must be a SimplexResult or a (basis, at_upper) pair")
 
 
 def _try_warm_start(ws: _Workspace, basis, at_upper) -> bool:

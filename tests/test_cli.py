@@ -1,16 +1,58 @@
+import argparse
 import csv
+import io
 import os
 import subprocess
 import sys
 
 import pytest
 
-from onlinelp.cli import main
-from onlinelp.instances import read_results_csv
+from onlinelp.cli import _build_parser, _run_config, main
+from onlinelp.instances import (MkpParams, ResultRecord, generate_mkp, read_results_csv,
+                                write_results_csv)
+from onlinelp.model import relative_optimality
+from onlinelp.online import RunConfig, solve_online
+from onlinelp.simplex import solve_lp
 
 
 def run_cli(args):
     return main(list(args))
+
+
+def csv_fields(source) -> list[dict]:
+    """The rows of a results CSV as written, every field but wall_time_s."""
+    if not hasattr(source, "read"):
+        source = open(source, newline="")
+    with source:
+        rows = list(csv.DictReader(source))
+    for row in rows:
+        del row["wall_time_s"]
+    return rows
+
+
+def dense_rows(cells) -> list[dict]:
+    """csv_fields of the rows that the library's dense pass gives for
+    ``cells`` of (params, method, K, run seed, enforce), each with its
+    rel_opt against an exact solve."""
+    records = []
+    for params, method, k, seed, enforce in cells:
+        inst = generate_mkp(params)
+        config = RunConfig(method=method, duplication=k, seed=seed,
+                           enforce_feasibility=enforce)
+        assert not config.lazy
+        sol = solve_online(inst, config)
+        records.append(ResultRecord(
+            params.label(), method, k, sol.gamma, seed, sol.objective, sol.violation,
+            rel_opt=relative_optimality(inst, sol.x_hat, solve_lp(inst).obj)))
+    buf = io.StringIO(newline="")
+    write_results_csv(records, buf)
+    buf.seek(0)
+    return csv_fields(buf)
+
+
+def test_an_explicit_pass_of_the_cli_is_lazy():
+    assert _run_config("explicit").lazy
+    assert not _run_config("implicit").lazy
 
 
 class TestGen:
@@ -116,6 +158,15 @@ class TestSolve:
         assert echoed["K"] == "1" and printed_k == rec.k == 8
         assert rec.gamma == float(echoed["gamma"])
 
+    def test_explicit_row_matches_the_dense_pass(self, tmp_path, capsys):
+        out = tmp_path / "res.csv"
+        assert run_cli(["solve", "--gen", "m=5,n=60,tau=0.2,seed=9", "--method", "explicit",
+                        "--k", "4", "--run-seed", "3", "--enforce-feasibility", "--exact",
+                        "--out", str(out)]) == 0
+        capsys.readouterr()
+        params = MkpParams(m=5, n=60, tightness=0.2, seed=9)
+        assert csv_fields(out) == dense_rows([(params, "explicit", 4, 3, True)])
+
     def test_parse_failure_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.mps"
         bad.write_text("NAME X\nROWS\n")
@@ -160,7 +211,6 @@ class TestSift:
 
     def test_defaults_are_the_librarys(self):
         from onlinelp.cli import _sift_configs, build_parser
-        from onlinelp.online import RunConfig
         from onlinelp.sifting import SiftConfig
         pre, config = _sift_configs(build_parser().parse_args(["sift", "--gen", "m=1,n=1,tau=1"]))
         assert config == SiftConfig()
@@ -217,23 +267,9 @@ class TestSift:
         assert len(sifts) == 1
         assert "acc         n/a" in capsys.readouterr().out.splitlines()
 
-    @pytest.mark.parametrize("flag, field", [
-        (["--init-threshold", "2.0"], "init_threshold"),
-        (["--alpha", "1.0"], "stabilization_alpha"),
-        (["--no-anchor"], "use_online_anchor"),
-    ])
-    def test_a_threshold_is_a_usage_error(self, capsys, flag, field):
-        # retired settings: any value but the default is refused
-        with pytest.raises(SystemExit) as exc:
-            run_cli(["sift", "--gen", "m=4,n=80,tau=0.3,seed=2", *flag])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert field in err and "retired" in err
-
 
 class TestBench:
-    @pytest.mark.parametrize("extra", [[], ["--lazy", "--sigma", "0.5"]],
-                             ids=["dense", "lazy"])
+    @pytest.mark.parametrize("extra", [[], ["--sigma", "0.5"]], ids=["dense", "sparse"])
     def test_custom_grid_csv_shape(self, tmp_path, capsys, extra):
         out = tmp_path / "grid.csv"
         code = run_cli(["bench", "--sizes", "3x20,4x30", "--taus", "0.2,0.5",
@@ -245,9 +281,20 @@ class TestBench:
         assert len(recs) == 2 * 2 * 2 * 1 * 2
         assert all(r.rel_opt is not None for r in recs)
 
+    def test_explicit_rows_match_the_dense_pass(self, tmp_path, capsys):
+        out = tmp_path / "grid.csv"
+        assert run_cli(["bench", "--sizes", "3x24,5x60", "--taus", "0.3,0.05",
+                        "--ks", "1,4", "--methods", "explicit", "--reps", "2", "--seed", "4",
+                        "--sigma", "0.5", "--exact", "--enforce-feasibility",
+                        "--out", str(out)]) == 0
+        capsys.readouterr()
+        cells = [(MkpParams(m=m, n=n, tightness=tau, density=0.5, seed=4 + rep),
+                  "explicit", k, 4 + rep, True)
+                 for m, n in ((3, 24), (5, 60)) for tau in (0.3, 0.05) for k in (1, 4)
+                 for rep in range(2)]
+        assert csv_fields(out) == dense_rows(cells)
+
     def test_records_the_runs_gamma(self, tmp_path, capsys):
-        from onlinelp.instances import MkpParams, generate_mkp
-        from onlinelp.online import RunConfig, solve_online
         out = tmp_path / "one.csv"
         assert run_cli(["bench", "--sizes", "3x20", "--taus", "0.2", "--ks", "2",
                         "--methods", "explicit", "--out", str(out)]) == 0
@@ -258,10 +305,6 @@ class TestBench:
 
     def test_each_instance_is_generated_and_solved_once(self, tmp_path, capsys, monkeypatch):
         import onlinelp.cli as cli
-        from onlinelp.instances import MkpParams, generate_mkp
-        from onlinelp.model import relative_optimality
-        from onlinelp.online import RunConfig, solve_online
-        from onlinelp.simplex import solve_lp
         calls = {"generate_mkp": 0, "solve_lp": 0}
 
         def counting(name, fn):
@@ -360,11 +403,40 @@ class TestPlumbing:
         assert exc.value.code == 2
         assert "no_such_option" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["lazy", "alpha", "prepass_lazy"])
+    def test_config_file_key_of_no_flag_is_usage_error(self, tmp_path, capsys, key):
+        # deleted flags, and the one hidden flag, take no --config key either
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"{key} = true\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["--config", str(cfg), "sift", "--gen", "m=3,n=20,tau=0.4,seed=0"])
+        assert exc.value.code == 2
+        assert f"no subcommand has option(s) {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["solve", "--lazy"], ["bench", "--lazy"],
+        # the retired sift settings, even at their old defaults
+        ["sift", "--init-threshold", "2.0"], ["sift", "--alpha", "0.4"], ["sift", "--no-anchor"],
+    ], ids=["solve-lazy", "bench-lazy", "sift-init_threshold", "sift-alpha", "sift-no_anchor"])
+    def test_a_deleted_flag_is_unrecognized(self, tmp_path, capsys, args):
+        target = ["--out", str(tmp_path / "x.csv")] if args[0] == "bench" else \
+            ["--gen", "m=3,n=20,tau=0.4,seed=0"]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(args + target)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(args[1:])}" in capsys.readouterr().err
+
+    def test_the_one_hidden_flag_is_prepass_lazy(self):
+        parser, commands = _build_parser()
+        hidden = [(name, action.option_strings)
+                  for name, command in [("onlinelp", parser), *commands.items()]
+                  for action in command._actions if action.help is argparse.SUPPRESS]
+        assert hidden == [("sift", ["--prepass-lazy"])]
+
     @pytest.mark.parametrize("args, message", [
         (["solve", "--k", "0"], "duplication must be >= 1"),
         (["solve", "--stepsize", "-1"], "fixed stepsize must be positive"),
         (["solve", "--stepsize", "fast"], "stepsize mode must be one of"),
-        (["sift", "--alpha", "2"], "stabilization_alpha and use_online_anchor are retired"),
         (["sift", "--prepass-k", "0"], "duplication must be >= 1"),
         (["bench", "--sizes", "5"], "size '5' is not MxN"),
         (["bench", "--sizes", "5x"], "invalid literal for int()"),

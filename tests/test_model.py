@@ -37,6 +37,25 @@ class TestLpInstance:
         with pytest.raises(ValueError):
             LpInstance(3, 1, [0, 2], [2, 0], [1.0, 1.0], [1.0] * 3, [1.0], [1.0])
 
+    def test_accepts_empty_leading_and_trailing_columns(self):
+        # columns 0, 1, 4 and 5 are empty: starts at 0 and at nnz
+        inst = LpInstance(3, 6, [0, 0, 0, 2, 3, 3, 3], [0, 2, 1], [1.0, 2.0, 3.0],
+                          [1.0] * 3, [1.0] * 6, [1.0] * 6)
+        assert inst.nnz == 3
+
+    def test_a_row_may_drop_across_a_column_boundary(self):
+        inst = LpInstance(3, 3, [0, 2, 3, 5], [1, 2, 0, 0, 1], [1.0] * 5,
+                          [1.0] * 3, [1.0] * 3, [1.0] * 3)
+        assert inst.nnz == 5
+
+    @pytest.mark.parametrize("row_idx", [[0, 1, 1, 2, 2], [0, 1, 1, 2, 1]],
+                             ids=["repeated", "decreasing"])
+    def test_rejects_a_bad_row_order_in_the_last_column(self, row_idx):
+        # behind an empty first column, whose start at 0 must clear nothing
+        with pytest.raises(ValueError, match="strictly increasing within a column"):
+            LpInstance(3, 4, [0, 0, 2, 3, 5], row_idx, [1.0] * 5,
+                       [1.0] * 3, [1.0] * 4, [1.0] * 4)
+
     def test_rejects_nonpositive_upper(self):
         with pytest.raises(ValueError):
             LpInstance.from_dense([[1.0]], [1.0], [1.0], upper=[0.0])

@@ -32,12 +32,13 @@ def run():
     return module
 
 
-@pytest.mark.parametrize("flags", [[], ["--prepass-lazy"]], ids=["defaults", "lazy"])
-def test_sift_settings_are_the_commands(run, flags):
-    pre, config = run.sift_settings(*flags)
-    assert pre.lazy is True   # lazy is the default; the flag is still accepted
-    assert (pre, config) == _sift_configs(
-        build_parser().parse_args(["sift", "--gen", "m=1,n=1,tau=1", *flags]))
+def test_sift_settings_are_the_commands(run):
+    # the flags each workload passes, so none of them can go unnoticed
+    for name, workload in run.WORKLOADS.items():
+        pre, config = run.sift_settings(*workload.sift_flags)
+        assert pre.lazy is True, name   # an explicit pre-pass is always lazy
+        assert (pre, config) == _sift_configs(build_parser().parse_args(
+            ["sift", "--gen", "m=1,n=1,tau=1", *workload.sift_flags])), name
 
 
 def test_the_tracer_wraps_each_entry_point_and_restores_it(run):

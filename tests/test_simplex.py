@@ -241,6 +241,14 @@ class TestAgainstHighs:
         assert res.status is SolveStatus.OPTIMAL
         assert not res.warm_started
 
+    @pytest.mark.parametrize("warm", [[0, 1], (0, 1, 2), {0, 1}, np.array([0, 1])],
+                             ids=["list", "triple", "set", "array"])
+    def test_a_bare_basis_is_a_type_error(self, warm):
+        # with m = 2 a bare pair of ids would read as (basis, at_upper)
+        inst = generate_mkp(MkpParams(m=2, n=10, tightness=0.3, seed=0))
+        with pytest.raises(TypeError, match=r"SimplexResult or a \(basis, at_upper\) pair"):
+            solve_lp(inst, warm_basis=warm)
+
 
 class TestVertexOracle:
     def test_toy_half(self):
