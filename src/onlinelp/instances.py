@@ -5,6 +5,14 @@ a_ij drawn uniformly from {1..1000}, entries zeroed independently with
 probability 1 - density, capacities b_i = (tightness / n) * sum_j a_ij and
 profits c_j = (1/m) * sum_i a_ij + delta_j with delta_j uniform in
 {1..500}.  Everything is deterministic in (params, seed).
+
+The random stream is fixed: for each chunk of ``_CHUNK`` columns, the m x
+width weights, then the m x width uniforms that decide which entries stay
+(both row-major); then delta; then the optional a3 perturbation.  The
+generator holds the kept entries and, for one chunk at a time, the int32
+weights and the keep mask: O(nnz) memory plus about 6 * m * _CHUNK bytes.
+Its row and column sums add integers and are exact in float64 whatever
+their order.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 15        # column chunk for generation; fixed, part of the stream
+_UNIFORM_BLOCK = 1 << 16  # uniforms per `random` call; any size gives the same stream
 VALUE_RANGE = (1, 1000)  # a_ij drawn uniformly from these integers
 DELTA_RANGE = (1, 500)   # delta_j drawn uniformly from these integers
 _MAX_REDRAWS = 10
@@ -63,34 +72,58 @@ class MkpParams:
                 f"-sigma{self.density:g}-seed{self.seed}")
 
 
+def _draw_chunk(rng, m: int, width: int, density: float, pre_sparsify: bool):
+    """Draw one chunk of columns.
+
+    Returns its CSC rows and kept weights (float64), its column counts and
+    column sums, and its row sums: of the drawn weights if ``pre_sparsify``,
+    else of the kept ones.
+    """
+    lo, hi = VALUE_RANGE
+    vals = rng.integers(lo, hi + 1, size=(m, width), dtype=np.int32)
+    if density >= 1.0:
+        rows = np.tile(np.arange(m, dtype=np.int64), width)
+        kept = vals.T.astype(np.float64, order="C").reshape(-1)
+        return (rows, kept, np.full(width, m), vals.sum(axis=0, dtype=np.int64),
+                vals.sum(axis=1, dtype=np.int64))
+    keep = np.empty((m, width), dtype=bool)
+    flat = keep.reshape(-1)
+    for s in range(0, flat.size, _UNIFORM_BLOCK):
+        block = flat[s:s + _UNIFORM_BLOCK]
+        np.less(rng.random(block.size), density, out=block)
+    pos = np.flatnonzero(np.ascontiguousarray(keep.T))  # column-major: CSC order
+    del keep, flat
+    cols = pos // m
+    rows = pos - cols * m
+    kept = np.take(vals.reshape(-1), rows * width + cols).astype(np.float64)
+    row_sums = (vals.sum(axis=1, dtype=np.int64) if pre_sparsify
+                else np.bincount(rows, weights=kept, minlength=m))
+    return (rows, kept, np.bincount(cols, minlength=width),
+            np.bincount(cols, weights=kept, minlength=width), row_sums)
+
+
 def _draw_mkp(params: MkpParams, attempt: int) -> LpInstance | None:
+    # Every row and column sum adds integers of at most 1000 and stays below
+    # 2**53, so float64 holds it exactly in any order: rhs and obj are the
+    # same bit for bit however the sums are formed (here from the kept
+    # entries; in the tests' dense reference from whole chunks).
     rng = np.random.default_rng([params.seed, attempt])
     m, n = params.m, params.n
-    lo, hi = VALUE_RANGE
-    row_sums_pre = np.zeros(m)
-    row_sums_post = np.zeros(m)
-    col_sums = np.zeros(n)
-    counts = np.zeros(n, dtype=np.int64)
-    idx_parts: list[np.ndarray] = []
+    row_sums = np.zeros(m)
+    col_sums = np.empty(n)
+    counts = np.empty(n, dtype=np.int64)
+    row_parts: list[np.ndarray] = []
     val_parts: list[np.ndarray] = []
-
     for start in range(0, n, _CHUNK):
         width = min(_CHUNK, n - start)
-        vals = rng.integers(lo, hi + 1, size=(m, width)).astype(np.float64)
-        if params.density < 1.0:
-            keep = rng.random(size=(m, width)) < params.density
-        else:
-            keep = np.ones((m, width), dtype=bool)
-        kept = np.where(keep, vals, 0.0)
-        row_sums_pre += vals.sum(axis=1)
-        row_sums_post += kept.sum(axis=1)
-        col_sums[start:start + width] = kept.sum(axis=0)
-        counts[start:start + width] = keep.sum(axis=0)
-        keep_t = keep.T  # row-major scan of the transpose yields CSC order
-        idx_parts.append(np.nonzero(keep_t)[1].astype(np.int64))
-        val_parts.append(vals.T[keep_t])
+        rows, kept, cnt, csum, rsum = _draw_chunk(rng, m, width, params.density,
+                                                  params.b_pre_sparsify)
+        row_parts.append(rows)
+        val_parts.append(kept)
+        counts[start:start + width] = cnt
+        col_sums[start:start + width] = csum
+        row_sums += rsum
 
-    row_sums = row_sums_pre if params.b_pre_sparsify else row_sums_post
     b = (params.tightness / n) * row_sums
     if np.any(b <= 0.0):
         return None
@@ -102,10 +135,8 @@ def _draw_mkp(params: MkpParams, attempt: int) -> LpInstance | None:
 
     col_ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=col_ptr[1:])
-    row_idx = np.concatenate(idx_parts) if idx_parts else np.empty(0, dtype=np.int64)
-    values = np.concatenate(val_parts) if val_parts else np.empty(0)
     return LpInstance(
-        m, n, col_ptr, row_idx, values, b, c, np.ones(n),
+        m, n, col_ptr, np.concatenate(row_parts), np.concatenate(val_parts), b, c, np.ones(n),
         meta={"generator": asdict(params), "attempt": attempt, "label": params.label()},
     )
 

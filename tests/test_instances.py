@@ -1,4 +1,7 @@
 import io
+import itertools
+import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ import pytest
 from onlinelp.instances import (
     MkpParams,
     ResultRecord,
+    _draw_mkp,
     generate_mkp,
     netlib_modify,
     read_results_csv,
@@ -86,12 +90,125 @@ class TestGenerateMkp:
         except ValueError as exc:
             assert "b > 0" in str(exc)
 
+    def test_an_empty_row_is_redrawn(self):
+        # attempt 0 leaves a row empty; attempt 1 does not
+        params = MkpParams(m=4, n=5, tightness=0.5, density=0.3, seed=0)
+        assert _draw_mkp(params, 0) is None
+        inst = generate_mkp(params)
+        assert inst.meta["attempt"] == 1
+        assert np.all(inst.rhs > 0)
+
+    def test_every_attempt_empty_raises(self):
+        params = MkpParams(m=40, n=3, tightness=0.5, density=0.05, seed=0)
+        with pytest.raises(ValueError, match="b > 0"):
+            generate_mkp(params)
+
     def test_pre_sparsify_flag_changes_b(self):
         post = generate_mkp(MkpParams(m=5, n=50, tightness=0.3, density=0.5, seed=2))
         pre = generate_mkp(MkpParams(m=5, n=50, tightness=0.3, density=0.5, seed=2,
                                      b_pre_sparsify=True))
         assert np.all(pre.rhs >= post.rhs)
         assert np.any(pre.rhs > post.rhs)
+
+
+def _dense_draw_mkp(params, attempt):
+    """The reference generator: every chunk held dense, in float64.  Its
+    constants are its own, so it also pins the chunk width and the ranges."""
+    rng = np.random.default_rng([params.seed, attempt])
+    m, n = params.m, params.n
+    chunk, (lo, hi) = 1 << 15, (1, 1000)
+    row_sums_pre = np.zeros(m)
+    row_sums_post = np.zeros(m)
+    col_sums = np.zeros(n)
+    counts = np.zeros(n, dtype=np.int64)
+    idx_parts, val_parts = [], []
+    for start in range(0, n, chunk):
+        width = min(chunk, n - start)
+        vals = rng.integers(lo, hi + 1, size=(m, width)).astype(np.float64)
+        if params.density < 1.0:
+            keep = rng.random(size=(m, width)) < params.density
+        else:
+            keep = np.ones((m, width), dtype=bool)
+        kept = np.where(keep, vals, 0.0)
+        row_sums_pre += vals.sum(axis=1)
+        row_sums_post += kept.sum(axis=1)
+        col_sums[start:start + width] = kept.sum(axis=0)
+        counts[start:start + width] = keep.sum(axis=0)
+        keep_t = keep.T
+        idx_parts.append(np.nonzero(keep_t)[1].astype(np.int64))
+        val_parts.append(vals.T[keep_t])
+    row_sums = row_sums_pre if params.b_pre_sparsify else row_sums_post
+    b = (params.tightness / n) * row_sums
+    if np.any(b <= 0.0):
+        return None
+    delta = rng.integers(1, 501, size=n).astype(np.float64)
+    c = col_sums / m + delta
+    if params.perturb_a3:
+        c = c * (1.0 + 1e-9 * rng.random(n))
+    col_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=col_ptr[1:])
+    return LpInstance(
+        m, n, col_ptr, np.concatenate(idx_parts), np.concatenate(val_parts), b, c,
+        np.ones(n),
+        meta={"generator": asdict(params), "attempt": attempt, "label": params.label()},
+    )
+
+
+def _dense_generate_mkp(params):
+    for attempt in range(10):
+        inst = _dense_draw_mkp(params, attempt)
+        if inst is not None:
+            return inst
+    return None
+
+
+def _assert_same_instance(got, want):
+    if want is None:
+        assert got is None
+        return
+    for name in ("col_ptr", "row_idx", "values", "rhs", "obj", "upper"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+    assert repr(got.meta) == repr(want.meta)
+
+
+class TestGeneratorMatchesDenseReference:
+    """The generator keeps only the kept entries and one chunk's integer
+    draws; it must still draw the dense reference's instance, byte for byte."""
+
+    @pytest.mark.parametrize("m,n", [
+        (m, n) for m in (1, 7, 100) for n in (1, 50, 32_768, 32_769, 70_000)
+        if m <= 7 or n <= 50])
+    def test_byte_equal(self, m, n):
+        nones = 0
+        for density, perturb_a3, pre, attempt in itertools.product(
+                (0.05, 0.3, 1.0), (False, True), (False, True), (0, 1)):
+            params = MkpParams(m=m, n=n, tightness=0.3, density=density, seed=m + n,
+                               perturb_a3=perturb_a3, b_pre_sparsify=pre)
+            want = _dense_draw_mkp(params, attempt)
+            nones += want is None
+            _assert_same_instance(_draw_mkp(params, attempt), want)
+            if attempt == 0:
+                want = _dense_generate_mkp(params)
+                try:
+                    got = generate_mkp(params)
+                except ValueError:
+                    got = None
+                _assert_same_instance(got, want)
+        if n == 1:
+            assert nones > 0   # the grid covers a draw that leaves a row empty
+
+    def test_memory_is_that_of_the_kept_entries(self):
+        # nnz = 4e5 (6.4 MB as row_idx and values); one chunk's dense
+        # int64 and float64 temporaries would be 26 MB each
+        tracemalloc.start()
+        try:
+            generate_mkp(MkpParams(m=100, n=40_000, tightness=0.05, density=0.1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
 
 
 class TestNetlibModify:

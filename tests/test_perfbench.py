@@ -3,10 +3,13 @@
 ``perfbench/run.py`` builds ``onlinelp sift``'s configs from the command's
 own parser, and its traced run wraps package functions by name.  Loading
 the script here makes a renamed flag, config field or traced function fail
-this suite rather than a benchmark run.
+this suite rather than a benchmark run.  Each committed ``BENCH_*.json``
+must name a workload of ``BENCHMARK.json`` and the command that runs it.
 """
 
 import importlib.util
+import json
+import shlex
 import sys
 from pathlib import Path
 
@@ -14,7 +17,8 @@ import pytest
 
 from onlinelp.cli import _sift_configs, build_parser
 
-RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+ROOT = Path(__file__).resolve().parents[1]
+RUN = ROOT / "perfbench" / "run.py"
 
 
 @pytest.fixture(scope="module")
@@ -46,3 +50,13 @@ def test_the_tracer_wraps_each_entry_point_and_restores_it(run):
     with run.Tracer().installed(run.api):
         assert all(getattr(run.api, name) is not fn for name, fn in entry_points.items())
     assert vars(run.api) == entry_points
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
+def test_a_bench_file_names_a_workload_and_the_command_that_runs_it(path):
+    bench = json.loads(path.read_text())
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert bench["workload"] in {w["name"] for w in benchmark["workloads"]}
+    argv = shlex.split(bench["command"])
+    assert argv[:len(benchmark["command"])] == benchmark["command"]
+    assert argv[argv.index("--workload") + 1] == bench["workload"]
