@@ -25,7 +25,7 @@ print(f"instance {params.label()}: {instance.num_rows} rows, "
 
 # online pre-pass per the sifting recipe: explicit update, two copies
 prepass = solve_online(instance, RunConfig(method="explicit", duplication=2,
-                                           seed=12, start="ones", lazy=True))
+                                           seed=12, start="ones"))
 
 # the direct solve's support is the exact basis that acc measures the seed against
 direct = solve_lp(instance)

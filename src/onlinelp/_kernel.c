@@ -32,11 +32,13 @@ static double clamp(double v) { return v > 0.0 ? v : 0.0; }
 /* How many steps the explicit pass reads ahead in seq. */
 enum { AHEAD = 8 };
 
-/* Runs steps 0 .. T-1 of seq.  Updates y_base, last, remaining (may be
- * NULL), x_sum and acc in place.  acc holds the dense pass's max norm in
- * acc[0], or the lazy pass's stale squared norm and its maximum in acc[0],
- * acc[1].  Returns T, or the step whose dual norm escaped norm_bound; that
- * norm is then the new maximum in acc[0].
+/* Runs steps 0 .. T-1 of seq, forming only the visited column's entries
+ * of y: O(nnz) work.  Updates y_base, last, remaining (may be NULL), x_sum
+ * and max_norm in place.  max_norm is NULL for an unchecked pass;
+ * otherwise the pass raises it, from the caller's 0, to the largest
+ * ||y^k|| of y^0 and of each iterate after an accepted step, the only
+ * iterates that can set a new largest norm when d > 0.  Returns T, or
+ * the step whose iterate escaped norm_bound.
  *
  * seq visits the columns in a random order, so at large n each step would
  * wait on cache misses for col_ptr[j], the column's entries and c[j].
@@ -49,10 +51,22 @@ enum { AHEAD = 8 };
 int64_t explicit_pass(int64_t m, const int64_t *col_ptr, const int64_t *row_idx,
                       const double *vals, const double *c, const double *step_d,
                       double gamma, const int64_t *seq, int64_t T, double *y_base,
-                      int64_t *last, double *remaining, double *x_sum, int dense,
-                      double norm_bound, double *acc)
+                      int64_t *last, double *remaining, double *x_sum,
+                      double norm_bound, double *max_norm)
 {
-    for (int64_t k = 0; k < T; k++) {
+    int measure = max_norm != NULL;   /* at y^0, then after each accepted step */
+    for (int64_t k = 0;; k++) {
+        if (measure) {
+            double sq = 0.0;
+            for (int64_t i = 0; i < m; i++) {
+                double v = clamp(y_base[i] - (double)(k - last[i]) * step_d[i]);
+                sq += v * v;
+            }
+            double norm = sqrt(sq);
+            if (norm > *max_norm) *max_norm = norm;
+            if (norm > norm_bound * (1.0 + 1e-9)) return k;
+        }
+        if (k == T) return T;
         if (k + 2 * AHEAD < T) {
             PREFETCH(col_ptr + seq[k + 2 * AHEAD]);
             int64_t ja = seq[k + AHEAD], alo = col_ptr[ja], ahi = col_ptr[ja + 1];
@@ -65,16 +79,6 @@ int64_t explicit_pass(int64_t m, const int64_t *col_ptr, const int64_t *row_idx,
             PREFETCH(c + ja);
         }
         int64_t j = seq[k], lo = col_ptr[j], hi = col_ptr[j + 1];
-        if (dense) {
-            double sq = 0.0;
-            for (int64_t i = 0; i < m; i++) {
-                double v = clamp(y_base[i] - (double)(k - last[i]) * step_d[i]);
-                sq += v * v;
-            }
-            double norm = sqrt(sq);
-            if (norm > acc[0]) acc[0] = norm;
-            if (norm > norm_bound * (1.0 + 1e-9)) return k;
-        }
         double dot = 0.0;
         for (int64_t p = lo; p < hi; p++) {
             int64_t r = row_idx[p];
@@ -83,24 +87,16 @@ int64_t explicit_pass(int64_t m, const int64_t *col_ptr, const int64_t *row_idx,
         int x = c[j] > dot;
         for (int64_t p = lo; x && remaining && p < hi; p++)
             if (!(remaining[row_idx[p]] >= vals[p])) x = 0;
-        double new_sq = 0.0, old_sq = 0.0;
         for (int64_t p = lo; p < hi; p++) {
             int64_t r = row_idx[p];
             double ym = clamp(y_base[r] - (double)(k - last[r]) * step_d[r]);
-            double v = x ? clamp((ym + gamma * vals[p]) - step_d[r]) : clamp(ym - step_d[r]);
             if (x && remaining) remaining[r] -= vals[p];
-            new_sq += v * v;
-            old_sq += y_base[r] * y_base[r];
-            y_base[r] = v;
+            y_base[r] = x ? clamp((ym + gamma * vals[p]) - step_d[r]) : clamp(ym - step_d[r]);
             last[r] = k + 1;
         }
         if (x) x_sum[j] += 1.0;
-        if (!dense) {
-            acc[0] += new_sq - old_sq;
-            if (acc[0] > acc[1]) acc[1] = acc[0];
-        }
+        measure = x && max_norm;
     }
-    return T;
 }
 
 

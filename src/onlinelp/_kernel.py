@@ -15,7 +15,8 @@ caller turns the int into an outcome.
   ``simplex._python_pivots``, update the same arrays in place and return
   the same value: the number of steps run or the step whose dual norm
   escaped its bound, and the reason for stopping.  So their callers pick
-  either.
+  either.  The explicit loop measures the dual norm only when its caller
+  hands it a slot for the largest one.
 - ``mps_sweep`` reads the bytes of a file into arrays for the back end
   that ``mps``'s line reader, its reference, also feeds.  It returns 0, or
   a nonzero hand-back code at the first line it will not read; the caller
@@ -71,7 +72,7 @@ _SIGNATURES = {
         _i64, _ptr, _ptr, _ptr, _ptr, _ptr,    # m, col_ptr, row_idx, vals, c, step_d
         _f64, _ptr, _i64,                      # gamma, seq, T
         _ptr, _ptr, _ptr, _ptr,                # y_base, last, remaining, x_sum
-        _int, _f64, _ptr,                      # dense, norm_bound, acc
+        _f64, _ptr,                            # norm_bound, max_norm (NULL: unchecked)
     )),
     "simplex_pivots": (_int, (
         _i64, _i64, _i64, _ptr, _ptr, _ptr, _ptr,  # m, n, n_art, col_ptr, row_idx, vals, art_rows

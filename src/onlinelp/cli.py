@@ -15,7 +15,7 @@ usage error (exit 2) carrying the config's own message.  Relative output
 paths honor the ONLINELP_OUT_DIR environment variable.
 
 Every flag that --help lists changes a result or an output.  The engine is no
-flag: an explicit pass is always lazy, equal to the dense one in all it reports.
+flag: each update has one engine, the one the library runs.
 """
 
 from __future__ import annotations
@@ -108,12 +108,6 @@ def _settings_checked():
         raise _UsageError(str(exc)) from None
 
 
-def _run_config(method: str, **fields) -> RunConfig:
-    """A command's pass config, lazy exactly when the update is explicit: the
-    engines differ only in max_dual_norm, which no command reports."""
-    return RunConfig(method=method, lazy=method == "explicit", **fields)
-
-
 def _engine(method: str) -> str:
     # the implicit update has only the Python engine
     return explicit_engine() if method == "explicit" else "python"
@@ -178,9 +172,9 @@ def _cmd_gen(args) -> int:
 
 def _cmd_solve(args) -> int:
     with _settings_checked():
-        config = _run_config(args.method, stepsize=args.stepsize, duplication=args.k,
-                             seed=args.run_seed, enforce_feasibility=args.enforce_feasibility,
-                             start=args.start)
+        config = RunConfig(method=args.method, stepsize=args.stepsize, duplication=args.k,
+                           seed=args.run_seed, enforce_feasibility=args.enforce_feasibility,
+                           start=args.start)
     try:
         instance, label = _load_instance(args)
     except (MpsParseError, ValueError, OSError) as exc:
@@ -237,8 +231,8 @@ def _cmd_solve(args) -> int:
 
 def _sift_configs(args) -> tuple[RunConfig, SiftConfig]:
     """The pre-pass and sifting configs that the ``sift`` flags set."""
-    return (_run_config(args.prepass_method, duplication=args.prepass_k, seed=args.run_seed,
-                        start=args.prepass_start),
+    return (RunConfig(method=args.prepass_method, duplication=args.prepass_k,
+                      seed=args.run_seed, start=args.prepass_start),
             SiftConfig(pricing_tolerance=args.pricing_tol,
                        max_new_columns_per_round=args.max_new_cols, max_rounds=args.max_rounds))
 
@@ -255,8 +249,10 @@ def _cmd_sift(args) -> int:
     _echo("resolved", {
         "instance": label, "prepass_method": pre_config.method,
         "prepass_K": pre_config.duplication, "stepsize": pre_config.stepsize,
-        "engine": _engine(pre_config.method),
+        "engine": _engine(pre_config.method), "prepass_start": pre_config.start,
         "seed": pre_config.seed, "pricing_tol": sift_config.pricing_tolerance,
+        "max_rounds": sift_config.max_rounds,
+        "max_new_cols": sift_config.max_new_columns_per_round,
     })
 
     t0 = time.perf_counter()
@@ -331,8 +327,8 @@ def _bench_instance(args, size, tau, seed):
 
 def _bench_cell(args, bench_instance, k, method, seed) -> ResultRecord:
     params, instance, ref = bench_instance
-    config = _run_config(method, duplication=k, seed=seed,
-                         enforce_feasibility=args.enforce_feasibility)
+    config = RunConfig(method=method, duplication=k, seed=seed,
+                       enforce_feasibility=args.enforce_feasibility)
     t0 = time.perf_counter()
     sol = solve_online(instance, config)
     wall = time.perf_counter() - t0
@@ -345,7 +341,7 @@ def _cmd_bench(args) -> int:
         for (m, n), tau in itertools.product(args.sizes, args.taus):
             MkpParams(m=m, n=n, tightness=tau, density=args.sigma)
         for k, method in itertools.product(args.ks, args.methods):
-            _run_config(method, duplication=k)
+            RunConfig(method=method, duplication=k)
     cells = list(itertools.product(args.sizes, args.taus, args.ks, args.methods,
                                    range(args.reps)))
     _echo("resolved", {"cells": len(cells), "reps": args.reps, "seed": args.seed,
@@ -452,7 +448,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     f.add_argument("--prepass-method", choices=METHODS, default=RunConfig.method)
     f.add_argument("--prepass-k", type=int, default=2)
     f.add_argument("--prepass-start", choices=STARTS, default=RunConfig.start)
-    # accepted and ignored (an explicit pre-pass is always lazy): a benchmark workload passes it
+    # accepted and ignored (the explicit update has one engine): a benchmark workload passes it
     f.add_argument("--prepass-lazy", action="store_true", default=True, help=argparse.SUPPRESS)
     f.add_argument("--run-seed", type=int, default=RunConfig.seed)
     f.add_argument("--out", help="write a result record CSV")

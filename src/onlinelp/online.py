@@ -16,36 +16,38 @@ random order.  With duplication factor K it visits K virtual copies of each
 column against capacity K*b and averages the K estimates, which tightens
 both the optimality gap and the constraint violation by roughly sqrt(K).
 
-The explicit pass also comes in a lazy O(nnz(A)) variant (``RunConfig.lazy``):
-between touches a coordinate only drifts by -gamma*d_i per iteration, so its
-value after k untouched iterations is [y_i - k*gamma*d_i]_+ and never needs
-to be formed until the column support demands it.  The dense and lazy
-passes share the same per-coordinate arithmetic, so their outputs agree
-bitwise.
+The explicit pass does O(nnz(A)) work: between touches a coordinate only
+drifts by -gamma*d_i per iteration, so its value after k untouched
+iterations is [y_i - k*gamma*d_i]_+ and is formed only when a column's
+support needs it, as the lazy weights of truncated gradient are (Langford,
+Li & Zhang, "Sparse Online Learning via Truncated Gradient", JMLR 2009).
 
-Both explicit passes run their per-column loop in a small C kernel
+The explicit pass runs its per-column loop in a small C kernel
 (``_kernel.c``, which also holds the simplex's pivot loop), built with the
 system C compiler on first use and loaded with ctypes; without a compiler,
 or when the build fails, the numpy loop ``_python_loop`` runs instead.
 ``explicit_engine()`` says which one runs.  That loop is the kernel's
 reference, and the two keep one protocol: they take the same arrays, the
-dual's last values and touch steps, the capacity, the accepted counts and
-a two-slot norm accumulator, update them in place, and return the number
-of steps run or the step whose norm escaped its bound (``_explicit_pass``
-raises that escape).  They agree bit for bit under the sum contract stated
-in ``_kernel``.  Every sum of the pass engines, explicit and implicit, is
-added term by term in stored order, starting from the first term
-(``_sum``):
+dual's last values and touch steps, the capacity, the accepted counts and,
+for a checked pass, a one-slot norm maximum, update them in place, and
+return the number of steps run or the step whose norm escaped its bound
+(``_explicit_pass`` raises that escape).  They agree bit for bit under the
+sum contract stated in ``_kernel``.  Every sum of the pass engines,
+explicit and implicit, is added term by term in stored order, starting
+from the first term (``_sum``):
 
 * the pricing dot product <a_j, y> over the nonzeros of column j, 0.0 for
   an empty column, and the implicit step's sign tests and KKT residual;
-* every squared norm, whose square root is the norm a pass reports and
-  checks (``_norm``);
-* the lazy pass's change of its stale squared norm: the sum of the
-  column's new squared values minus the sum of its old ones.
+* every squared norm, whose square root is the norm a pass checks and
+  reports (``_norm``).
 
-So ``max_dual_norm``, too, is the same on both engines, and a dense pass
-with ``check_dual_bounds`` stops at the same step with the same error.
+A pass measures the dual norm only under ``check_dual_bounds``; otherwise
+``max_dual_norm`` is None.  The check needs d > 0, and then a refused
+step or a drift never raises a coordinate, so only y^0 and the iterate
+after each accepted step can set a new largest norm or first escape the
+bound.  The explicit pass measures exactly those, forming the whole
+vector, and so finds the largest norm and the escape step of a pass that
+measured every iterate.
 """
 
 from __future__ import annotations
@@ -119,8 +121,9 @@ class RunConfig:
     bounds.  Every mode resolves to one constant, so a run is replayed
     bitwise from its float.
 
-    ``lazy`` selects the O(nnz) explicit engine.  It tracks the dual norm
-    only as an upper bound, so it cannot run ``check_dual_bounds``.
+    ``lazy`` is retired and accepts only True: the explicit update has one
+    engine.  It goes with the next benchmark change, whose config builder
+    still passes it.
     """
 
     method: str = "explicit"
@@ -129,7 +132,7 @@ class RunConfig:
     seed: int = 0
     enforce_feasibility: bool = False
     start: str | np.ndarray = "zero"
-    lazy: bool = False
+    lazy: bool = True
     check_assumptions: bool = True
     check_dual_bounds: bool = False
 
@@ -145,21 +148,23 @@ class RunConfig:
             raise ValueError("duplication must be >= 1")
         if isinstance(self.start, str) and self.start not in STARTS:
             raise ValueError(f"start must be one of {STARTS} or an explicit vector")
-        if self.lazy and self.method != "explicit":
-            raise ValueError("the lazy pass exists only for the explicit update")
-        if self.lazy and self.check_dual_bounds:
-            raise ValueError("per-iterate bound checks need the dense pass")
+        if self.lazy is not True:
+            raise ValueError("lazy is retired: the explicit update has one O(nnz) engine")
 
 
 @dataclass(frozen=True)
 class OnlineSolution:
-    """Output of one online pass: primal estimate, final dual, diagnostics."""
+    """Output of one online pass: primal estimate, final dual, diagnostics.
+
+    ``max_dual_norm`` is the largest ||y^k|| of the pass when it ran with
+    ``check_dual_bounds``, and None otherwise.
+    """
 
     x_hat: np.ndarray
     y_final: np.ndarray
     objective: float
     violation: float
-    max_dual_norm: float
+    max_dual_norm: float | None
     elapsed_columns: int
     gamma: float              # the step length the pass resolved and used
 
@@ -297,7 +302,7 @@ def explicit_step(instance: LpInstance, y, j: int, gamma: float,
                  else np.array(remaining_capacity, dtype=np.float64))
     x_sum, y_next, _ = _explicit_pass(instance, np.array([j]), gamma,
                                       np.asarray(y, dtype=np.float64), remaining,
-                                      lazy=False, norm_bound=None)
+                                      norm_bound=None)
     return y_next, float(x_sum[j])
 
 
@@ -382,8 +387,8 @@ def _column_sequence(num_cols: int, duplication: int, seed: int) -> np.ndarray:
 
 def _explicit_pass(instance: LpInstance, seq: np.ndarray, gamma: float,
                    start_y: np.ndarray, remaining: np.ndarray | None,
-                   lazy: bool, norm_bound: float | None):
-    """The explicit engine: dense and lazy variants of one update.
+                   norm_bound: float | None):
+    """The explicit engine, O(nnz) work per pass.
 
     Visits the columns of ``seq`` in order and returns ``(x_sum, y_final,
     max_norm)``, where x_sum[j] counts the accepted copies of column j.
@@ -393,23 +398,18 @@ def _explicit_pass(instance: LpInstance, seq: np.ndarray, gamma: float,
     Between touches coordinate i only loses gamma * d_i per step, projected
     at zero, so the pass keeps each coordinate's value at its last touch,
     ``y_base``, and the step after that touch, ``last``, and forms the
-    value at step k on demand as [y_base_i - (k - last_i) * gamma * d_i]_+.
-    The dense variant forms the whole vector every step (O(mn) work) and
-    checks its norm against ``norm_bound``; the lazy one forms only the
-    visited column supports (O(nnz) work) and tracks the norm as an upper
-    bound, the stale squared norm, since untouched entries only shrink.
-    ``acc`` holds the dense pass's largest norm in acc[0], or the lazy
-    pass's stale squared norm and its maximum.
+    value at step k on demand as [y_base_i - (k - last_i) * gamma * d_i]_+,
+    only on the visited column's support.
 
-    The loop runs in the compiled kernel when it is loaded and in
-    ``_python_loop``, its reference, otherwise.  Either returns the step k
-    whose iterate y^k escaped, or T = len(seq); the escape, y^T's included,
-    is raised here.
+    With a ``norm_bound`` the pass also forms the whole vector for y^0 and
+    for the iterate after each accepted step, keeps their largest norm in
+    ``max_norm`` and stops at the first that escapes the bound; max_norm is
+    None without one.  The loop runs in the compiled kernel when it is
+    loaded and in ``_python_loop``, its reference, otherwise.  Either
+    returns the step k whose iterate y^k escaped, or T = len(seq); the
+    escape, y^T's included, is raised here.
     """
     m, n = instance.num_rows, instance.num_cols
-    d = instance.rhs / n
-    if lazy and np.any(d < 0):
-        raise ValueError("lazy explicit pass requires b >= 0")
     # the compiled loop writes through raw pointers: y_base is a fresh copy
     # of start_y, but the capacity vector is drawn down where it lies
     if start_y.shape != (m,) or start_y.dtype != np.float64:
@@ -420,27 +420,21 @@ def _explicit_pass(instance: LpInstance, seq: np.ndarray, gamma: float,
     if seq.size and (seq.min() < 0 or seq.max() >= n):
         raise IndexError("column index out of range")
     seq = np.ascontiguousarray(seq, dtype=np.int64)
-    step_d = gamma * d
+    step_d = gamma * (instance.rhs / n)
     y_base = start_y.copy()
     last = np.zeros(m, dtype=np.int64)
     x_sum = np.zeros(n)
-    if lazy:
-        acc = np.full(2, _sum(start_y * start_y))   # stale squared norm, its maximum
-    else:
-        acc = np.array([_norm(start_y), 0.0])       # largest norm, unused
-    bound = math.inf if norm_bound is None else norm_bound
+    max_norm = None if norm_bound is None else np.zeros(1)
     loop = _python_loop if _kernel.load() is None else _compiled_loop
-    k = loop(instance, seq, gamma, step_d, y_base, last, remaining, x_sum, not lazy,
-             bound, acc)
+    k = loop(instance, seq, gamma, step_d, y_base, last, remaining, x_sum, norm_bound, max_norm)
 
     y_final = np.maximum(y_base - (k - last) * step_d, 0.0)
-    if lazy:
-        return x_sum, y_final, math.sqrt(max(acc[1], 0.0))
-    max_norm = max(float(acc[0]), _norm(y_final))
-    if max_norm > bound * (1.0 + 1e-9):   # y^k escaped, midway or at k = T
+    if max_norm is None:
+        return x_sum, y_final, None
+    if max_norm[0] > norm_bound * (1.0 + 1e-9):   # y^k escaped, midway or at k = T
         raise RuntimeError(f"explicit dual iterate escaped its norm bound at step {k}: "
-                           f"{max_norm:.6g} > {norm_bound:.6g}")
-    return x_sum, y_final, max_norm
+                           f"{max_norm[0]:.6g} > {norm_bound:.6g}")
+    return x_sum, y_final, float(max_norm[0])
 
 
 def explicit_engine() -> str:
@@ -466,48 +460,45 @@ def _norm(y: np.ndarray) -> float:
     return math.sqrt(_sum(y * y))
 
 
-def _python_loop(instance, seq, gamma, step_d, y_base, last, remaining, x_sum, dense,
-                 norm_bound, acc) -> int:
+def _python_loop(instance, seq, gamma, step_d, y_base, last, remaining, x_sum, norm_bound,
+                 max_norm) -> int:
     """The per-column loop of ``_explicit_pass`` in numpy; the reference of
     the compiled kernel.  Updates ``y_base``, ``last``, ``remaining``,
-    ``x_sum`` and ``acc`` in place and returns len(seq), or the step whose
-    dual norm escaped ``norm_bound``."""
+    ``x_sum`` and ``max_norm`` (None for an unchecked pass, else 0 on
+    entry) in place and returns len(seq), or the step whose dual norm
+    escaped ``norm_bound``."""
     cp, ri, vals_all = instance.col_ptr, instance.row_idx, instance.values
     c = instance.obj
-    for k, j in enumerate(seq):
+    measure = max_norm is not None
+    for k in range(seq.size + 1):
+        if measure:   # y^0, or the iterate after an accepted step
+            norm = _norm(np.maximum(y_base - (k - last) * step_d, 0.0))
+            max_norm[0] = max(max_norm[0], norm)
+            if norm > norm_bound * (1.0 + 1e-9):
+                return k
+        if k == seq.size:
+            return k
+        j = seq[k]
         lo, hi = cp[j], cp[j + 1]
         rows = ri[lo:hi]
         vals = vals_all[lo:hi]
-        if dense:
-            y_full = np.maximum(y_base - (k - last) * step_d, 0.0)
-            norm = _norm(y_full)
-            acc[0] = max(acc[0], norm)
-            if norm > norm_bound * (1.0 + 1e-9):
-                return k
-            ym = y_full[rows]
-        else:
-            ym = np.maximum(y_base[rows] - (k - last[rows]) * step_d[rows], 0.0)
+        ym = np.maximum(y_base[rows] - (k - last[rows]) * step_d[rows], 0.0)
         x = 1.0 if c[j] > _sum(vals * ym) else 0.0
         if x == 1.0 and remaining is not None and not np.all(remaining[rows] >= vals):
             x = 0.0
         if x == 1.0:
-            new_vals = np.maximum(ym + gamma * vals - step_d[rows], 0.0)
+            y_base[rows] = np.maximum(ym + gamma * vals - step_d[rows], 0.0)
             if remaining is not None:
                 remaining[rows] -= vals
             x_sum[j] += 1.0
         else:
-            new_vals = np.maximum(ym - step_d[rows], 0.0)
-        if not dense:
-            old_vals = y_base[rows]
-            acc[0] += _sum(new_vals * new_vals) - _sum(old_vals * old_vals)
-            acc[1] = max(acc[1], acc[0])
-        y_base[rows] = new_vals
+            y_base[rows] = np.maximum(ym - step_d[rows], 0.0)
         last[rows] = k + 1
-    return seq.size
+        measure = x == 1.0 and max_norm is not None
 
 
-def _compiled_loop(instance, seq, gamma, step_d, y_base, last, remaining, x_sum, dense,
-                   norm_bound, acc) -> int:
+def _compiled_loop(instance, seq, gamma, step_d, y_base, last, remaining, x_sum, norm_bound,
+                   max_norm) -> int:
     """``_python_loop`` in one call of the compiled kernel, which writes in
     place through the pointers of the same arrays."""
     return _kernel.load().explicit_pass(
@@ -515,7 +506,8 @@ def _compiled_loop(instance, seq, gamma, step_d, y_base, last, remaining, x_sum,
         instance.values.ctypes.data, instance.obj.ctypes.data, step_d.ctypes.data,
         gamma, seq.ctypes.data, seq.size, y_base.ctypes.data, last.ctypes.data,
         None if remaining is None else remaining.ctypes.data, x_sum.ctypes.data,
-        int(dense), norm_bound, acc.ctypes.data)
+        math.inf if norm_bound is None else norm_bound,
+        None if max_norm is None else max_norm.ctypes.data)
 
 
 def _implicit_pass(instance: LpInstance, seq: np.ndarray, gamma: float,
@@ -528,7 +520,7 @@ def _implicit_pass(instance: LpInstance, seq: np.ndarray, gamma: float,
     cp, ri, vals_all = instance.col_ptr, instance.row_idx, instance.values
     y = start_y.copy()
     x_sum = np.zeros(n)
-    max_norm = _norm(y)
+    max_norm = None if norm_bound is None else _norm(y)
 
     for k, j in enumerate(seq):
         lo, hi = cp[j], cp[j + 1]
@@ -543,13 +535,14 @@ def _implicit_pass(instance: LpInstance, seq: np.ndarray, gamma: float,
                     f"{move:.6g} > {step_bound:.6g}"
                 )
         y = sol.y_plus
-        norm = _norm(y)
-        max_norm = max(max_norm, norm)
-        if norm_bound is not None and norm > norm_bound * (1.0 + 1e-9):
-            raise RuntimeError(
-                f"implicit dual iterate escaped its norm bound at step {k}: "
-                f"{norm:.6g} > {norm_bound:.6g}"
-            )
+        if norm_bound is not None:
+            norm = _norm(y)
+            max_norm = max(max_norm, norm)
+            if norm > norm_bound * (1.0 + 1e-9):
+                raise RuntimeError(
+                    f"implicit dual iterate escaped its norm bound at step {k}: "
+                    f"{norm:.6g} > {norm_bound:.6g}"
+                )
         x = sol.x_k
         if remaining is not None and x > 0.0:
             pos = vals > 0
@@ -618,7 +611,7 @@ def solve_online(instance: LpInstance, config: RunConfig) -> OnlineSolution:
 
     if config.method == "explicit":
         x_sum, y_final, max_norm = _explicit_pass(scaled, seq, gamma, start_y, remaining,
-                                                  config.lazy, norm_bound)
+                                                  norm_bound)
     else:
         x_sum, y_final, max_norm = _implicit_pass(scaled, seq, gamma, start_y, remaining,
                                                   norm_bound, step_bound)

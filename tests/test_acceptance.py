@@ -6,11 +6,11 @@ runtime caps are asserted alongside the numeric tolerances.
 
 import re
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from test_kernel import dense_loop, reference
 from test_projection import brute_force_projection
 
 from onlinelp.instances import (
@@ -78,7 +78,7 @@ def test_02_toy_lp_recovery():
           f"implicit {imp.objective!r}, explicit {exp.objective!r}")
 
 
-def test_03_lazy_equals_dense_and_scales():
+def test_03_lazy_equals_dense_and_scales(monkeypatch):
     rng = np.random.default_rng(33)
     t0 = time.perf_counter()
     mismatches = 0
@@ -89,8 +89,8 @@ def test_03_lazy_equals_dense_and_scales():
         inst = generate_mkp(MkpParams(m=m, n=n, tightness=0.3, density=sigma,
                                       seed=trial))
         cfg = RunConfig(method="explicit", seed=trial)
-        dense = solve_online(inst, cfg)
-        lazy = solve_online(inst, replace(cfg, lazy=True))
+        dense = reference(monkeypatch, inst, cfg, dense_loop)   # forms all of y^k each step
+        lazy = solve_online(inst, cfg)
         if not (np.array_equal(dense.x_hat, lazy.x_hat)
                 and np.array_equal(dense.y_final, lazy.y_final)):
             mismatches += 1
@@ -101,7 +101,7 @@ def test_03_lazy_equals_dense_and_scales():
     for m, sigma in ((10, 0.1), (100, 0.1), (1000, 0.1)):
         inst = generate_mkp(MkpParams(m=m, n=n, tightness=0.25, density=sigma, seed=7))
         t1 = time.perf_counter()
-        solve_online(inst, RunConfig(method="explicit", seed=7, lazy=True))
+        solve_online(inst, RunConfig(method="explicit", seed=7))
         times.append(time.perf_counter() - t1)
         nnzs.append(inst.nnz)
     # per-iteration bookkeeping gives cost ~ (nnz + n); growth must stay
@@ -246,7 +246,7 @@ def test_09_basis_prediction_quality():
         inst = generate_mkp(MkpParams(m=100, n=10_000, tightness=0.05,
                                       density=0.1, seed=seed))
         pre = solve_online(inst, RunConfig(method="explicit", duplication=2,
-                                           seed=seed, start="ones", lazy=True))
+                                           seed=seed, start="ones"))
         result = sift(inst, pre)
         rdcs.append(result.rdc)
         reference = solve_lp(inst)

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from onlinelp.cli import _build_parser, _run_config, main
+from onlinelp.cli import _build_parser, build_parser, main
 from onlinelp.instances import (MkpParams, ResultRecord, generate_mkp, read_results_csv,
                                 write_results_csv)
 from onlinelp.model import relative_optimality
@@ -30,16 +30,15 @@ def csv_fields(source) -> list[dict]:
     return rows
 
 
-def dense_rows(cells) -> list[dict]:
-    """csv_fields of the rows that the library's dense pass gives for
-    ``cells`` of (params, method, K, run seed, enforce), each with its
-    rel_opt against an exact solve."""
+def library_rows(cells) -> list[dict]:
+    """csv_fields of the rows that the library's pass gives for ``cells``
+    of (params, method, K, run seed, enforce), each with its rel_opt
+    against an exact solve."""
     records = []
     for params, method, k, seed, enforce in cells:
         inst = generate_mkp(params)
         config = RunConfig(method=method, duplication=k, seed=seed,
                            enforce_feasibility=enforce)
-        assert not config.lazy
         sol = solve_online(inst, config)
         records.append(ResultRecord(
             params.label(), method, k, sol.gamma, seed, sol.objective, sol.violation,
@@ -48,11 +47,6 @@ def dense_rows(cells) -> list[dict]:
     write_results_csv(records, buf)
     buf.seek(0)
     return csv_fields(buf)
-
-
-def test_an_explicit_pass_of_the_cli_is_lazy():
-    assert _run_config("explicit").lazy
-    assert not _run_config("implicit").lazy
 
 
 class TestGen:
@@ -158,14 +152,14 @@ class TestSolve:
         assert echoed["K"] == "1" and printed_k == rec.k == 8
         assert rec.gamma == float(echoed["gamma"])
 
-    def test_explicit_row_matches_the_dense_pass(self, tmp_path, capsys):
+    def test_explicit_row_matches_the_library_pass(self, tmp_path, capsys):
         out = tmp_path / "res.csv"
         assert run_cli(["solve", "--gen", "m=5,n=60,tau=0.2,seed=9", "--method", "explicit",
                         "--k", "4", "--run-seed", "3", "--enforce-feasibility", "--exact",
                         "--out", str(out)]) == 0
         capsys.readouterr()
         params = MkpParams(m=5, n=60, tightness=0.2, seed=9)
-        assert csv_fields(out) == dense_rows([(params, "explicit", 4, 3, True)])
+        assert csv_fields(out) == library_rows([(params, "explicit", 4, 3, True)])
 
     def test_parse_failure_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.mps"
@@ -210,21 +204,32 @@ class TestSift:
         assert all(int(r[-2]) >= 0 and r[-1] in ("0", "1") for r in rows[1:])
 
     def test_defaults_are_the_librarys(self):
-        from onlinelp.cli import _sift_configs, build_parser
+        from onlinelp.cli import _sift_configs
         from onlinelp.sifting import SiftConfig
         pre, config = _sift_configs(build_parser().parse_args(["sift", "--gen", "m=1,n=1,tau=1"]))
         assert config == SiftConfig()
-        # --prepass-k 2 and the lazy explicit pass are the command's own
-        assert pre == RunConfig(duplication=2, lazy=True)
+        # --prepass-k 2 is the command's own
+        assert pre == RunConfig(duplication=2)
 
-    def test_an_implicit_prepass_runs_dense(self):
-        # the lazy default applies to the explicit update alone
-        from onlinelp.cli import _sift_configs, build_parser
+    def test_an_implicit_prepass_runs(self):
+        from onlinelp.cli import _sift_configs
         args = build_parser().parse_args(["sift", "--gen", "m=1,n=1,tau=1",
                                           "--prepass-method", "implicit"])
-        assert not _sift_configs(args)[0].lazy
+        assert _sift_configs(args)[0].method == "implicit"
         assert run_cli(["sift", "--gen", "m=4,n=120,tau=0.2,seed=6",
                         "--prepass-method", "implicit"]) == 0
+
+    def test_echoes_every_setting_that_changes_its_result(self, capsys):
+        argv = ["sift", "--gen", "m=4,n=120,tau=0.2,seed=6", "--prepass-start", "ones",
+                "--max-rounds", "7", "--max-new-cols", "13"]
+        args = build_parser().parse_args(argv)
+        assert run_cli(argv) == 0
+        echoed = dict(line[len("resolved "):].split(" = ", 1)
+                      for line in capsys.readouterr().out.splitlines()
+                      if line.startswith("resolved "))
+        assert echoed["prepass_start"] == args.prepass_start == "ones"
+        assert echoed["max_rounds"] == str(args.max_rounds) == "7"
+        assert echoed["max_new_cols"] == str(args.max_new_cols) == "13"
 
     def test_echoes_engine(self, capsys):
         from onlinelp.online import explicit_engine
@@ -281,7 +286,7 @@ class TestBench:
         assert len(recs) == 2 * 2 * 2 * 1 * 2
         assert all(r.rel_opt is not None for r in recs)
 
-    def test_explicit_rows_match_the_dense_pass(self, tmp_path, capsys):
+    def test_explicit_rows_match_the_library_pass(self, tmp_path, capsys):
         out = tmp_path / "grid.csv"
         assert run_cli(["bench", "--sizes", "3x24,5x60", "--taus", "0.3,0.05",
                         "--ks", "1,4", "--methods", "explicit", "--reps", "2", "--seed", "4",
@@ -292,7 +297,7 @@ class TestBench:
                   "explicit", k, 4 + rep, True)
                  for m, n in ((3, 24), (5, 60)) for tau in (0.3, 0.05) for k in (1, 4)
                  for rep in range(2)]
-        assert csv_fields(out) == dense_rows(cells)
+        assert csv_fields(out) == library_rows(cells)
 
     def test_records_the_runs_gamma(self, tmp_path, capsys):
         out = tmp_path / "one.csv"

@@ -29,16 +29,56 @@ def compiled():
         pytest.skip(f"no compiled kernel: {_kernel.reason()}")
 
 
-def reference(monkeypatch, instance, config):
+def dense_loop(instance, seq, gamma, step_d, y_base, last, remaining, x_sum, norm_bound,
+               max_norm) -> int:
+    """``online._python_loop``'s protocol, with the whole y^k formed every
+    step: the reference of the one engine's O(nnz) loop and of its checked
+    norm.  Under a bound it measures every iterate, y^T included, so its
+    largest norm and escape step need no argument about which iterates can
+    set them.  Like ``_python_loop`` it prices column j against y^k and
+    adds every sum in stored order."""
+    cp, ri, vals_all = instance.col_ptr, instance.row_idx, instance.values
+    for k in range(seq.size + 1):
+        y_full = np.maximum(y_base - (k - last) * step_d, 0.0)
+        if max_norm is not None:
+            norm = online._norm(y_full)
+            max_norm[0] = max(max_norm[0], norm)
+            if norm > norm_bound * (1.0 + 1e-9):
+                return k
+        if k == seq.size:
+            return k
+        j = seq[k]
+        rows, vals = ri[cp[j]:cp[j + 1]], vals_all[cp[j]:cp[j + 1]]
+        ym = y_full[rows]
+        x = instance.obj[j] > online._sum(vals * ym)
+        if x and remaining is not None and not np.all(remaining[rows] >= vals):
+            x = False
+        if x:
+            y_base[rows] = np.maximum(ym + gamma * vals - step_d[rows], 0.0)
+            if remaining is not None:
+                remaining[rows] -= vals
+            x_sum[j] += 1.0
+        else:
+            y_base[rows] = np.maximum(ym - step_d[rows], 0.0)
+        last[rows] = k + 1
+
+
+def reference(monkeypatch, instance, config, loop=online._python_loop):
+    """``solve_online`` without the kernel, its explicit pass on ``loop``."""
     with monkeypatch.context() as mp:
         mp.setattr(_kernel, "_state", (None, "reference run"))
+        mp.setattr(online, "_python_loop", loop)
         assert explicit_engine().startswith("python")
         return solve_online(instance, config)
 
 
 def assert_same(a, b):
-    for name in ("x_hat", "y_final", "objective", "violation", "gamma", "max_dual_norm"):
+    for name in ("x_hat", "y_final", "objective", "violation", "gamma"):
         assert np.float64(getattr(a, name)).tobytes() == np.float64(getattr(b, name)).tobytes(), name
+    if a.max_dual_norm is None or b.max_dual_norm is None:
+        assert a.max_dual_norm is b.max_dual_norm is None
+    else:
+        assert np.float64(a.max_dual_norm).tobytes() == np.float64(b.max_dual_norm).tobytes()
     assert a.elapsed_columns == b.elapsed_columns
 
 
@@ -47,9 +87,8 @@ def with_upper(instance, upper):
                       instance.row_idx, instance.values, instance.rhs, instance.obj, upper)
 
 
-@pytest.mark.parametrize("lazy", [False, True], ids=["dense", "lazy"])
 @pytest.mark.parametrize("m, n", [(8, 60), (100, 40)])
-def test_matches_python_engine(compiled, monkeypatch, m, n, lazy):
+def test_matches_python_engine(compiled, monkeypatch, m, n):
     # density 1.0 gives supports of m entries: at m = 100 the BLAS dot
     # product of the reference takes its blocked path
     for seed, density in ((0, 1.0), (1, 0.3)):
@@ -59,20 +98,18 @@ def test_matches_python_engine(compiled, monkeypatch, m, n, lazy):
             for enforce in (False, True):
                 for start in ("zero", "ones", vector):
                     cfg = RunConfig(duplication=k, seed=seed, enforce_feasibility=enforce,
-                                    start=start, lazy=lazy)
+                                    start=start)
                     assert_same(solve_online(inst, cfg), reference(monkeypatch, inst, cfg))
 
 
-@pytest.mark.parametrize("lazy", [False, True], ids=["dense", "lazy"])
-def test_matches_python_engine_non_unit_upper(compiled, monkeypatch, lazy):
+def test_matches_python_engine_non_unit_upper(compiled, monkeypatch):
     inst = generate_mkp(MkpParams(m=8, n=60, tightness=0.5, seed=3))
     inst = with_upper(inst, np.random.default_rng(3).uniform(0.5, 3.0, inst.num_cols))
-    cfg = RunConfig(duplication=8, seed=3, enforce_feasibility=True, lazy=lazy)
+    cfg = RunConfig(duplication=8, seed=3, enforce_feasibility=True)
     assert_same(solve_online(inst, cfg), reference(monkeypatch, inst, cfg))
 
 
-@pytest.mark.parametrize("lazy", [False, True], ids=["dense", "lazy"])
-def test_negative_zero_start_matches(compiled, monkeypatch, lazy):
+def test_negative_zero_start_matches(compiled, monkeypatch):
     # a zero capacity row keeps -0.0 - k * 0.0 = -0.0 up to the clamp; the
     # sign of a clamped zero never reaches an output, so this checks only
     # that such starts run and agree
@@ -83,7 +120,7 @@ def test_negative_zero_start_matches(compiled, monkeypatch, lazy):
                       inst.values, rhs, inst.obj, inst.upper)
     start = np.full(8, -0.0)
     start[3] = 1.0
-    cfg = RunConfig(duplication=4, seed=4, start=start, lazy=lazy, check_assumptions=False)
+    cfg = RunConfig(duplication=4, seed=4, start=start, check_assumptions=False)
     assert_same(solve_online(inst, cfg), reference(monkeypatch, inst, cfg))
 
 
@@ -111,11 +148,10 @@ def test_the_stored_order_decides_a_tie(compiled, monkeypatch):
     else:
         pytest.fail("no data whose tie the summation order decides")
     inst = LpInstance(m, 1, [0, m], np.arange(m), vals, np.ones(m), [c0], [1.0])
-    for lazy in (False, True):
-        cfg = RunConfig(stepsize=0.01, start=y0, lazy=lazy)
-        sol = solve_online(inst, cfg)
-        assert sol.x_hat[0] == 1.0
-        assert_same(sol, reference(monkeypatch, inst, cfg))
+    cfg = RunConfig(stepsize=0.01, start=y0)
+    sol = solve_online(inst, cfg)
+    assert sol.x_hat[0] == 1.0
+    assert_same(sol, reference(monkeypatch, inst, cfg))
 
 
 def test_bound_escape_raises_the_same_error(compiled, monkeypatch):
@@ -145,42 +181,105 @@ def test_an_escape_of_the_last_iterate_names_step_t(compiled, monkeypatch):
     assert str(got.value) == want
 
 
-def loop_state(loop, instance, seq, gamma, start, capacity, dense, bound):
+def run_on(engine, monkeypatch, instance, config):
+    """``solve_online`` on the compiled kernel, or on its numpy reference."""
+    if engine == "python":
+        return reference(monkeypatch, instance, config)
+    if _kernel.load() is None:
+        pytest.skip(f"no compiled kernel: {_kernel.reason()}")
+    return solve_online(instance, config)
+
+
+def outcome(run):
+    """What a pass returns, or the text of the error it raises."""
+    try:
+        return run()
+    except RuntimeError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("engine", ["compiled", "python"])
+@pytest.mark.parametrize("k", [1, 4, 32])
+@pytest.mark.parametrize("m", [8, 100])
+def test_the_checked_norm_matches_the_dense_reference(monkeypatch, engine, m, k):
+    # the engines measure y^0 and the iterate after each accepted step, the
+    # reference every iterate: the largest norm, the escape step and the
+    # error text must still agree bit for bit
+    inst = generate_mkp(MkpParams(m=m, n=40, tightness=0.3, density=0.5, seed=m))
+    vector = np.random.default_rng(m).uniform(0.0, 2.0, m)
+    for enforce in (False, True):
+        for start in ("zero", "ones", vector):
+            cfg = RunConfig(duplication=k, seed=m, enforce_feasibility=enforce,
+                            start=start, check_dual_bounds=True)
+            want = reference(monkeypatch, inst, cfg, dense_loop)
+            assert_same(run_on(engine, monkeypatch, inst, cfg), want)
+            # bounds the pass crosses at y^0 (for a nonzero start), midway,
+            # and at its largest iterate; at K = 1 with enforcement from
+            # zero no copy fits, and y stays 0
+            for share in (1e-3, 0.5, 0.999) if want.max_dual_norm > 0 else ():
+                with monkeypatch.context() as mp:
+                    mp.setattr(online, "explicit_dual_norm_bound",
+                               lambda *args: share * want.max_dual_norm)
+                    escape = outcome(lambda: reference(mp, inst, cfg, dense_loop))
+                    assert "escaped its norm bound at step" in escape
+                    assert outcome(lambda: run_on(engine, mp, inst, cfg)) == escape
+
+
+@pytest.mark.parametrize("enforce", [False, True], ids=["free", "capacity"])
+def test_a_negative_rhs_runs_on_the_one_engine(monkeypatch, enforce):
+    # a row with b_i < 0 climbs by -gamma * d_i every step and is never
+    # clamped; past check_assumptions the pass still matches both references
+    base = generate_mkp(MkpParams(m=8, n=60, tightness=0.3, seed=6))
+    rhs = base.rhs.copy()
+    rhs[[1, 4]] *= -1.0
+    inst = LpInstance(8, 60, base.col_ptr, base.row_idx, base.values, rhs, base.obj,
+                      base.upper)
+    with pytest.raises(ValueError, match="check_assumptions"):
+        solve_online(inst, RunConfig(duplication=4, seed=6))
+    cfg = RunConfig(duplication=4, seed=6, enforce_feasibility=enforce,
+                    check_assumptions=False)
+    sol = solve_online(inst, cfg)
+    assert sol.y_final[1] > 0.0 and sol.y_final[4] > 0.0
+    assert_same(sol, reference(monkeypatch, inst, cfg))
+    assert_same(sol, reference(monkeypatch, inst, cfg, dense_loop))
+
+
+def loop_state(loop, instance, seq, gamma, start, capacity, bound):
     """What one explicit loop returns and the bytes of every array it
-    updates, run from fresh copies of the same inputs."""
+    updates, run from fresh copies of the same inputs; a ``bound`` of None
+    runs the loop unchecked."""
     step_d = gamma * (instance.rhs / instance.num_cols)
     y_base = start.copy()
     last = np.zeros(instance.num_rows, dtype=np.int64)
     remaining = None if capacity is None else capacity.copy()
     x_sum = np.zeros(instance.num_cols)
-    if dense:
-        acc = np.array([online._norm(start), 0.0])
-    else:
-        acc = np.full(2, online._sum(start * start))
-    k = loop(instance, seq, gamma, step_d, y_base, last, remaining, x_sum, dense, bound, acc)
+    max_norm = None if bound is None else np.zeros(1)
+    k = loop(instance, seq, gamma, step_d, y_base, last, remaining, x_sum, bound, max_norm)
     arrays = {"y_base": y_base, "last": last, "remaining": remaining, "x_sum": x_sum,
-              "acc": acc}
+              "max_norm": max_norm}
     return k, {name: None if a is None else a.tobytes() for name, a in arrays.items()}
 
 
 @pytest.mark.parametrize("capacity", [False, True], ids=["free", "capacity"])
-@pytest.mark.parametrize("dense", [True, False], ids=["dense", "lazy"])
-def test_both_loops_leave_the_same_state(compiled, dense, capacity):
+def test_both_loops_leave_the_same_state(compiled, capacity):
     inst = generate_mkp(MkpParams(m=8, n=60, tightness=0.3, density=0.5, seed=9))
     gamma = solve_online(inst, RunConfig(duplication=4)).gamma
     seq = np.random.default_rng(9).permutation(4 * 60) % 60
     start = np.random.default_rng(9).uniform(0.0, 0.1, 8)
     cap = 4 * inst.rhs if capacity else None
-    k, free = loop_state(online._python_loop, inst, seq, gamma, start, cap, dense, math.inf)
+    k, free = loop_state(online._python_loop, inst, seq, gamma, start, cap, None)
     assert k == seq.size
-    assert loop_state(online._compiled_loop, inst, seq, gamma, start, cap, dense,
-                      math.inf) == (k, free)
-    # half the largest norm: the dense loops stop midway, the lazy ones never check
-    acc = np.frombuffer(free["acc"])
-    bound = (acc[0] if dense else math.sqrt(acc[1])) / 2
-    k, state = loop_state(online._python_loop, inst, seq, gamma, start, cap, dense, bound)
-    assert 0 < k < seq.size if dense else (k, state) == (seq.size, free)
-    assert loop_state(online._compiled_loop, inst, seq, gamma, start, cap, dense,
+    assert loop_state(online._compiled_loop, inst, seq, gamma, start, cap, None) == (k, free)
+    # a check that never fires changes no state but the norm it keeps
+    k, checked = loop_state(online._python_loop, inst, seq, gamma, start, cap, math.inf)
+    assert (k, {**checked, "max_norm": None}) == (seq.size, free)
+    assert loop_state(online._compiled_loop, inst, seq, gamma, start, cap,
+                      math.inf) == (k, checked)
+    # half the largest norm: both loops stop midway
+    bound = np.frombuffer(checked["max_norm"])[0] / 2
+    k, state = loop_state(online._python_loop, inst, seq, gamma, start, cap, bound)
+    assert 0 < k < seq.size
+    assert loop_state(online._compiled_loop, inst, seq, gamma, start, cap,
                       bound) == (k, state)
 
 
@@ -192,20 +291,18 @@ def test_both_loops_leave_the_same_state(compiled, dense, capacity):
 AHEAD = int(re.search(r"\bAHEAD = (\d+)", _kernel.SOURCE.read_text()).group(1))
 
 
-@pytest.mark.parametrize("lazy", [False, True], ids=["dense", "lazy"])
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_streams_shorter_than_the_lookahead_match(compiled, monkeypatch, n, lazy):
+def test_streams_shorter_than_the_lookahead_match(compiled, monkeypatch, n):
     inst = generate_mkp(MkpParams(m=6, n=n, tightness=0.5, seed=n))
     # K = 1 ends the stream within AHEAD steps, K = 4 within 2 AHEAD
     assert 3 < AHEAD and 4 * 3 < 2 * AHEAD
     for k in (1, 4):
         for enforce in (False, True):
-            cfg = RunConfig(duplication=k, seed=n, enforce_feasibility=enforce, lazy=lazy)
+            cfg = RunConfig(duplication=k, seed=n, enforce_feasibility=enforce)
             assert_same(solve_online(inst, cfg), reference(monkeypatch, inst, cfg))
 
 
-@pytest.mark.parametrize("lazy", [False, True], ids=["dense", "lazy"])
-def test_empty_first_and_last_columns_match(compiled, monkeypatch, lazy):
+def test_empty_first_and_last_columns_match(compiled, monkeypatch):
     # reading ahead to the last column reads col_ptr[n]
     base = generate_mkp(MkpParams(m=8, n=40, tightness=0.3, density=0.5, seed=11))
     nnz = base.col_ptr[-1]
@@ -214,7 +311,7 @@ def test_empty_first_and_last_columns_match(compiled, monkeypatch, lazy):
                       np.concatenate([[1.0], base.obj, [2.0]]), np.ones(42))
     assert inst.col_ptr[1] == 0 and inst.col_ptr[-2] == nnz
     for enforce in (False, True):
-        cfg = RunConfig(duplication=4, seed=11, enforce_feasibility=enforce, lazy=lazy)
+        cfg = RunConfig(duplication=4, seed=11, enforce_feasibility=enforce)
         sol = solve_online(inst, cfg)
         assert sol.x_hat[0] == sol.x_hat[-1] == 1.0
         assert_same(sol, reference(monkeypatch, inst, cfg))
@@ -225,14 +322,13 @@ def test_an_escape_within_the_lookahead_matches(compiled, monkeypatch):
     gamma = solve_online(inst, RunConfig(duplication=4)).gamma
     seq = np.random.default_rng(2).permutation(4 * 60) % 60
     start = np.zeros(8)
-    # half the largest norm of y^0 .. y^3: y^0 = 0 passes, and one of the
-    # next three escapes, long before the stream's end
-    _, early = loop_state(online._python_loop, inst, seq[:4], gamma, start, None, True,
-                          math.inf)
-    bound = np.frombuffer(early["acc"])[0] / 2
-    k, state = loop_state(online._python_loop, inst, seq, gamma, start, None, True, bound)
-    assert 0 < k < 4 < AHEAD
-    assert loop_state(online._compiled_loop, inst, seq, gamma, start, None, True,
+    # half the largest norm of y^0 .. y^4: y^0 = 0 passes, and one of the
+    # next four escapes, long before the stream's end
+    _, early = loop_state(online._python_loop, inst, seq[:4], gamma, start, None, math.inf)
+    bound = np.frombuffer(early["max_norm"])[0] / 2
+    k, state = loop_state(online._python_loop, inst, seq, gamma, start, None, bound)
+    assert 0 < k <= 4 < AHEAD
+    assert loop_state(online._compiled_loop, inst, seq, gamma, start, None,
                       bound) == (k, state)
     # and through the pass, under check_dual_bounds
     cfg = RunConfig(duplication=4, check_dual_bounds=True)
@@ -246,10 +342,9 @@ def test_an_escape_within_the_lookahead_matches(compiled, monkeypatch):
 
 
 @pytest.mark.parametrize("enforce", [False, True], ids=["free", "capacity"])
-@pytest.mark.parametrize("lazy", [False, True], ids=["dense", "lazy"])
-def test_a_long_stream_matches(compiled, monkeypatch, lazy, enforce):
+def test_a_long_stream_matches(compiled, monkeypatch, enforce):
     inst = generate_mkp(MkpParams(m=50, n=3000, tightness=0.05, density=0.1, seed=12))
-    cfg = RunConfig(duplication=2, seed=12, enforce_feasibility=enforce, lazy=lazy)
+    cfg = RunConfig(duplication=2, seed=12, enforce_feasibility=enforce)
     assert_same(solve_online(inst, cfg), reference(monkeypatch, inst, cfg))
 
 

@@ -3,7 +3,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from test_kernel import dense_loop, reference
 
+from onlinelp import online
 from onlinelp.instances import MkpParams, generate_mkp
 from onlinelp.model import InstanceStats, LpInstance, compute_stats
 from onlinelp.online import (
@@ -291,36 +293,49 @@ class TestRunPass:
         assert exp.objective == 0.0
 
 
-class TestLazyPass:
-    def test_matches_dense_bitwise(self):
+class TestExplicitEngine:
+    """The one O(nnz) explicit engine against a pass that forms the whole
+    dual every step (``test_kernel.dense_loop``)."""
+
+    def test_matches_dense_bitwise(self, monkeypatch):
         for seed, sigma in ((0, 0.2), (1, 0.6), (2, 1.0)):
             inst = generate_mkp(MkpParams(m=15, n=300, tightness=0.3,
                                           density=sigma, seed=seed))
             cfg = RunConfig(method="explicit", seed=seed)
-            dense = solve_online(inst, cfg)
-            lazy = solve_online(inst, replace(cfg, lazy=True))
-            assert np.array_equal(dense.x_hat, lazy.x_hat)
-            assert np.array_equal(dense.y_final, lazy.y_final)
+            dense = reference(monkeypatch, inst, cfg, dense_loop)
+            sol = solve_online(inst, cfg)
+            assert np.array_equal(dense.x_hat, sol.x_hat)
+            assert np.array_equal(dense.y_final, sol.y_final)
 
-    def test_matches_dense_with_enforcement_and_k(self):
+    def test_matches_dense_with_enforcement_and_k(self, monkeypatch):
         inst = generate_mkp(MkpParams(m=8, n=120, tightness=0.15, density=0.4, seed=5))
         cfg = RunConfig(method="explicit", seed=7, duplication=4,
                         enforce_feasibility=True)
-        dense = solve_online(inst, cfg)
-        lazy = solve_online(inst, RunConfig(method="explicit", seed=7,
-                                            duplication=4, lazy=True,
-                                            enforce_feasibility=True))
-        assert np.array_equal(dense.x_hat, lazy.x_hat)
-        assert np.array_equal(dense.y_final, lazy.y_final)
+        dense = reference(monkeypatch, inst, cfg, dense_loop)
+        sol = solve_online(inst, cfg)
+        assert np.array_equal(dense.x_hat, sol.x_hat)
+        assert np.array_equal(dense.y_final, sol.y_final)
 
-    def test_lazy_rejects_implicit(self):
-        with pytest.raises(ValueError):
-            RunConfig(method="implicit", lazy=True)
+    def test_lazy_is_retired(self):
+        assert RunConfig().lazy is True
+        with pytest.raises(ValueError, match="lazy is retired"):
+            RunConfig(lazy=False)
 
-    def test_lazy_rejects_bound_checks(self):
-        # the lazy engine tracks only an upper bound on the dual norm
-        with pytest.raises(ValueError, match="dense pass"):
-            RunConfig(lazy=True, check_dual_bounds=True)
+    def test_both_updates_take_bound_checks(self):
+        for method in ("explicit", "implicit"):
+            assert RunConfig(method=method, check_dual_bounds=True).check_dual_bounds
+
+    def test_an_unchecked_pass_measures_no_norm(self):
+        inst = generate_mkp(MkpParams(m=6, n=50, tightness=0.3, seed=2))
+        for method in ("explicit", "implicit"):
+            for enforce in (False, True):
+                cfg = RunConfig(method=method, duplication=2, enforce_feasibility=enforce)
+                sol = solve_online(inst, cfg)
+                assert sol.max_dual_norm is None
+                checked = solve_online(inst, replace(cfg, check_dual_bounds=True))
+                assert checked.max_dual_norm >= online._norm(checked.y_final)
+                assert np.array_equal(checked.x_hat, sol.x_hat)
+                assert np.array_equal(checked.y_final, sol.y_final)
 
 
 class TestDuplication:

@@ -339,7 +339,7 @@ class TestBlendedDualReference:
     def test_demo_04_instance(self):
         inst = generate_mkp(MkpParams(m=50, n=20_000, tightness=0.05, density=0.1, seed=12))
         pre = solve_online(inst, RunConfig(method="explicit", duplication=2, seed=12,
-                                           start="ones", lazy=True))
+                                           start="ones"))
         assert not differs_from_the_blended_dual(inst, pre)
         assert sift(inst, pre).final_working_set.size == 267
 
