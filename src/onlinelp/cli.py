@@ -11,8 +11,9 @@ bench  one grid of solve runs (sizes x taus x Ks x methods x reps) to CSV
 Every run echoes its fully resolved configuration before solving, and the
 step length gamma each pass used once the pass returns, so any emitted CSV
 row can be replayed from its own fields.  An out-of-range setting is a
-usage error (exit 2) carrying the config's own message.  Relative output
-paths honor the ONLINELP_OUT_DIR environment variable.
+usage error (exit 2) carrying the config's own message.  A file that cannot
+be read, parsed or written ends the run with one line on stderr (exit 3).
+Relative output paths honor the ONLINELP_OUT_DIR environment variable.
 
 Every flag that --help lists changes a result or an output.  The engine is no
 flag: each update has one engine, the one the library runs.
@@ -41,7 +42,7 @@ from .sifting import SiftConfig, SiftResult, SiftRoundLimit, basis_metrics, sift
 from .simplex import SimplexResult, SolveStatus, solve_lp
 
 EXIT_OK = 0
-EXIT_PARSE = 3
+EXIT_FILE = 3
 EXIT_SOLVE = 4
 EXIT_LIMIT = 5
 
@@ -67,18 +68,25 @@ def _echo(prefix: str, pairs: dict) -> None:
         print(f"{prefix} {k} = {v}")
 
 
+_GEN_KEYS = ("m", "n", "tau", "sigma", "seed", "perturb")
+_PERTURB = {"0": False, "false": False, "1": True, "true": True}
+
+
 def _parse_gen_spec(spec: str) -> MkpParams:
-    fields = {}
-    for part in spec.split(","):
-        if not part:
-            continue
-        key, _, value = part.partition("=")
-        fields[key.strip()] = value.strip()
+    fields = {key.strip(): value.strip()
+              for key, _, value in (part.partition("=") for part in spec.split(",") if part)}
+    unknown = [k for k in fields if k not in _GEN_KEYS]
+    if unknown:
+        raise ValueError(f"--gen spec has unknown key(s) {', '.join(unknown)} "
+                         f"(keys: {', '.join(_GEN_KEYS)})")
+    perturb = fields.get("perturb", "0")
+    if perturb not in _PERTURB:
+        raise ValueError(f"--gen spec key perturb takes 0, 1, true or false, not {perturb!r}")
     try:
         return MkpParams(
             m=int(fields["m"]), n=int(fields["n"]), tightness=float(fields["tau"]),
             density=float(fields.get("sigma", 1.0)), seed=int(fields.get("seed", 0)),
-            perturb_a3=fields.get("perturb", "0") in ("1", "true"),
+            perturb_a3=_PERTURB[perturb],
         )
     except KeyError as exc:
         raise ValueError(f"--gen spec needs m=, n=, tau= (missing {exc})") from exc
@@ -179,7 +187,7 @@ def _cmd_solve(args) -> int:
         instance, label = _load_instance(args)
     except (MpsParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return EXIT_FILE
 
     _echo("resolved", {
         "instance": label, "method": config.method, "K": config.duplication,
@@ -244,7 +252,7 @@ def _cmd_sift(args) -> int:
         instance, label = _load_instance(args)
     except (MpsParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return EXIT_FILE
 
     _echo("resolved", {
         "instance": label, "prepass_method": pre_config.method,
@@ -282,14 +290,17 @@ def _cmd_sift(args) -> int:
 
     if args.trace_out:
         path = _resolve_out(args.trace_out)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["round", "working", "priced", "objective", "wall_time_s",
-                             "iterations", "warm_started"])
-            for r in result.trace:
-                writer.writerow([r.round, r.working_size, r.priced,
-                                 f"{r.objective:.17g}", f"{r.wall_time_s:.17g}",
-                                 r.iterations, int(r.warm_started)])
+        try:
+            with open(path, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["round", "working", "priced", "objective", "wall_time_s",
+                                 "iterations", "warm_started"])
+                for r in result.trace:
+                    writer.writerow([r.round, r.working_size, r.priced,
+                                     f"{r.objective:.17g}", f"{r.wall_time_s:.17g}",
+                                     r.iterations, int(r.warm_started)])
+        except OSError as exc:
+            raise OSError(f"cannot write trace to {path!r}: {exc}") from exc
     if args.out:
         record = _record(label, pre_config, online_sol, wall,
                          method=f"sift+{pre_config.method}", objective=result.objective,
@@ -379,7 +390,8 @@ def _stepsize(text: str) -> float | str:
 
 def _add_instance_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mps", help="read the instance from an MPS file")
-    p.add_argument("--gen", help="generate inline: m=..,n=..,tau=..[,sigma=..,seed=..]")
+    p.add_argument("--gen", help="generate inline: "
+                   "m=..,n=..,tau=..[,sigma=..,seed=..,perturb=0|1]")
     p.add_argument("--netlib-modify", action="store_true",
                    help="clamp rhs/upper bounds to the supported regime after loading")
 
@@ -522,6 +534,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except _UsageError as exc:
         commands[args.command].error(str(exc))
+    except OSError as exc:  # an output file that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FILE
 
 
 if __name__ == "__main__":

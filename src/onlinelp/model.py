@@ -282,6 +282,11 @@ def _check_y(instance: LpInstance, y) -> np.ndarray:
     return y
 
 
+def _reduced_costs(instance: LpInstance, y) -> np.ndarray:
+    """c_j - <a_j, y> for every column, in one sparse sweep."""
+    return instance.obj - instance.to_scipy().T @ _check_y(instance, y)
+
+
 def constraint_violation(instance: LpInstance, x) -> float:
     """Euclidean norm of the positive part of Ax - b."""
     x = _check_x(instance, x)
@@ -314,7 +319,7 @@ def dual_objective(instance: LpInstance, y) -> float:
     if np.any(y < 0):
         warnings.warn("dual_objective: negative multipliers clamped to 0", RuntimeWarning)
         y = np.maximum(y, 0.0)
-    reduced = instance.obj - instance.to_scipy().T @ y
+    reduced = _reduced_costs(instance, y)
     np.maximum(reduced, 0.0, out=reduced)
     pos = reduced > 0
     # avoid inf * 0 for unbounded variables with zero reduced cost

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import LpInstance, _check_y
+from .model import LpInstance, _reduced_costs
 from .online import OnlineSolution
 from .simplex import SimplexResult, SolveStatus, solve_lp
 
@@ -111,11 +111,6 @@ def _top(scores: np.ndarray, k: int) -> np.ndarray:
     ties = np.flatnonzero(scores == kth)
     picked[ties[:k - np.count_nonzero(picked)]] = True
     return np.flatnonzero(picked).astype(np.int64)
-
-
-def _reduced_costs(instance: LpInstance, y) -> np.ndarray:
-    """c_j - <a_j, y> for every column, in one sparse sweep."""
-    return instance.obj - instance.to_scipy().T @ _check_y(instance, y)
 
 
 def init_working_set(instance: LpInstance, y, count: int) -> np.ndarray:

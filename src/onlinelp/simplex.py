@@ -20,6 +20,9 @@ PIVOT_TOL): Python refactors with LAPACK, recomputes the basic values and
 resumes it.  It also returns at optimality, unboundedness and the
 iteration limit; Phase 1, warm starts and the result stay in Python.
 ``explicit_engine()`` in ``onlinelp.online`` names the engine of both.
+Cold and warm starts install their basis one way, ``_Workspace.start``;
+``_warm_start`` hands on the basic values of a warm basis that is in
+range, nonsingular and primal feasible, and refuses any other.
 
 The two engines agree bit for bit under the contract stated in
 ``_kernel``; the reference fixes the order of each of its sums:
@@ -193,6 +196,17 @@ class _Workspace:
     def basic_values(self) -> np.ndarray:
         return self.ftran(self.effective_rhs())
 
+    def start(self, basis: np.ndarray, at_upper: np.ndarray) -> np.ndarray:
+        """Install ``basis``, the columns ``at_upper`` (ids below n + m) at
+        their upper bounds and the rest at lower; refactorize and return the
+        basic values.  Raises SingularBasisError."""
+        self.status[:] = 0
+        self.status[at_upper] = 1
+        self.basis = basis
+        self.status[basis] = 2   # after at_upper: a basic column is basic
+        self.refactorize()
+        return self.basic_values()
+
     @functools.cached_property
     def _by_place(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """The structural nonzeros grouped by their place in their column.
@@ -223,6 +237,9 @@ class _Workspace:
 # the pivot loops' state vector: iterations, stall count, Bland flag, and
 # rank-1 updates since the last refactorization
 _ITERS, _STALL, _BLAND, _UPDATES = range(4)
+# the solve's status for each reason the pivot loops stop with
+_STATUS = {_kernel.OPTIMAL: SolveStatus.OPTIMAL, _kernel.UNBOUNDED: SolveStatus.UNBOUNDED,
+           _kernel.LIMIT: SolveStatus.ITERATION_LIMIT}
 
 
 def _pivot_loop(ws: _Workspace, cost: np.ndarray, x_b: np.ndarray,
@@ -365,59 +382,40 @@ def solve_lp(instance: LpInstance, warm_basis=None,
     b = instance.rhs
     neg_rows = np.flatnonzero(b < 0)
     ws = _Workspace(instance, neg_rows)
+    x_b = None if warm_basis is None else _warm_start(ws, warm_basis)
+    warm_ok = x_b is not None
+    allow = np.ones(ws.n_total, dtype=bool)
+    allow[n + m:] = False  # artificials may leave but never re-enter
 
-    warm_ok = False
-    if warm_basis is not None:
-        basis, at_upper = _unpack_warm(warm_basis)
-        warm_ok = _try_warm_start(ws, basis, at_upper)
-
-    iterations = 0
+    iterations, status = 0, SolveStatus.OPTIMAL
     if not warm_ok:
         # all-slack start; artificials cover rows with negative rhs
-        ws.status[:] = 0
         basis = np.arange(n, n + m, dtype=np.int64)
-        art_ids = n + m + np.arange(ws.n_art)
-        basis[neg_rows] = art_ids
-        ws.basis = basis
-        ws.status[basis] = 2
-        ws.refactorize()   # a slack/artificial basis is diagonal, never singular
-        x_b = ws.basic_values()
-
+        basis[neg_rows] = n + m + np.arange(ws.n_art)
+        # a slack/artificial basis is diagonal, never singular
+        x_b = ws.start(basis, np.empty(0, dtype=np.int64))
         if ws.n_art:
             cost1 = np.zeros(ws.n_total)
             cost1[n + m:] = -1.0
-            allow = np.ones(ws.n_total, dtype=bool)
-            allow[n + m:] = False  # artificials may leave but never re-enter
-            reason, x_b, used = _pivot_loop(ws, cost1, x_b, allow, max_iter, 0)
-            iterations += used
-            if reason == _kernel.LIMIT:
-                return SimplexResult(SolveStatus.ITERATION_LIMIT, None, None,
-                                     float("nan"), frozenset(), iterations)
+            reason, x_b, iterations = _pivot_loop(ws, cost1, x_b, allow, max_iter, 0)
             if reason == _kernel.UNBOUNDED:  # phase-1 objective is bounded by zero
                 raise SingularBasisError("phase 1 diverged; numerical breakdown")
-            art_sum = float(np.sum(x_b[np.isin(ws.basis, n + m + np.arange(ws.n_art))]))
-            phase1_obj = -art_sum
-            if phase1_obj < -FEAS_TOL * (1.0 + float(np.abs(b).max())):
-                return SimplexResult(SolveStatus.INFEASIBLE, None, None,
-                                     float("nan"), frozenset(), iterations)
+            phase1_obj = -float(np.sum(x_b[ws.basis >= n + m]))
+            if reason == _kernel.LIMIT:
+                status = SolveStatus.ITERATION_LIMIT
+            elif phase1_obj < -FEAS_TOL * (1.0 + float(np.abs(b).max())):
+                status = SolveStatus.INFEASIBLE
             ws.upper[n + m:] = 0.0  # retire artificials for phase 2
-    else:
-        x_b = ws.basic_values()
 
     cost2 = np.zeros(ws.n_total)
     cost2[:n] = instance.obj
-    allow = np.ones(ws.n_total, dtype=bool)
-    allow[n + m:] = False
-    reason, x_b, used = _pivot_loop(ws, cost2, x_b, allow, max_iter, iterations)
-    iterations += used
-
-    if reason == _kernel.LIMIT:
-        return SimplexResult(SolveStatus.ITERATION_LIMIT, None, None,
-                             float("nan"), frozenset(), iterations,
-                             warm_started=warm_ok)
-    if reason == _kernel.UNBOUNDED:
-        return SimplexResult(SolveStatus.UNBOUNDED, None, None,
-                             float("inf"), frozenset(), iterations,
+    if status is SolveStatus.OPTIMAL:
+        reason, x_b, used = _pivot_loop(ws, cost2, x_b, allow, max_iter, iterations)
+        iterations += used
+        status = _STATUS[reason]
+    if status is not SolveStatus.OPTIMAL:
+        obj = float("inf") if status is SolveStatus.UNBOUNDED else float("nan")
+        return SimplexResult(status, None, None, obj, frozenset(), iterations,
                              warm_started=warm_ok)
 
     x_full = np.zeros(ws.n_total)
@@ -425,48 +423,33 @@ def solve_lp(instance: LpInstance, warm_basis=None,
     x_full[up_ids] = ws.upper[up_ids]
     x_full[ws.basis] = x_b
     x = np.clip(x_full[:n], 0.0, instance.upper)
-    y = ws.btran(cost2[ws.basis])
-    return SimplexResult(
-        status=SolveStatus.OPTIMAL,
-        x_star=x,
-        y_star=y,
-        obj=float(instance.obj @ x),
-        basis=frozenset(int(j) for j in ws.basis),
-        iterations=iterations,
-        at_upper=frozenset(int(j) for j in up_ids if j < n + m),
-        warm_started=warm_ok,
-    )
+    return SimplexResult(status, x, ws.btran(cost2[ws.basis]), float(instance.obj @ x),
+                         frozenset(int(j) for j in ws.basis), iterations,
+                         frozenset(int(j) for j in up_ids if j < n + m), warm_ok)
 
 
-def _unpack_warm(warm) -> tuple[list[int], frozenset[int]]:
+def _warm_start(ws: _Workspace, warm) -> np.ndarray | None:
+    """Start ``ws`` from a warm basis and return its basic values, or None
+    when the basis is out of range, singular or not primal feasible."""
     if isinstance(warm, SimplexResult):
-        return sorted(warm.basis), warm.at_upper
-    if isinstance(warm, tuple) and len(warm) == 2:
-        return sorted(warm[0]), frozenset(warm[1])
-    raise TypeError("warm_basis must be a SimplexResult or a (basis, at_upper) pair")
-
-
-def _try_warm_start(ws: _Workspace, basis, at_upper) -> bool:
-    basis = np.asarray(list(basis), dtype=np.int64)
+        basis, at_upper = warm.basis, warm.at_upper
+    elif isinstance(warm, tuple) and len(warm) == 2:
+        basis, at_upper = warm
+    else:
+        raise TypeError("warm_basis must be a SimplexResult or a (basis, at_upper) pair")
+    basis = np.sort(np.fromiter(basis, dtype=np.int64))
     if basis.size != ws.m or np.any(basis < 0) or np.any(basis >= ws.n + ws.m):
-        return False
-    ws.status[:] = 0
-    in_basis = set(basis.tolist())
-    for j in at_upper:
-        if 0 <= j < ws.n + ws.m and np.isfinite(ws.upper[j]) and j not in in_basis:
-            ws.status[j] = 1
-    ws.basis = basis
-    ws.status[basis] = 2
+        return None
+    up = np.fromiter(at_upper, dtype=np.int64)
+    up = up[(up >= 0) & (up < ws.n + ws.m)]
     try:
-        ws.refactorize()
+        x_b = ws.start(basis, up[np.isfinite(ws.upper[up])])
     except SingularBasisError:
-        return False
-    x_b = ws.basic_values()
-    ub = ws.upper[basis]
+        return None
     scale = 1.0 + float(np.abs(ws.b).max())
-    if np.any(x_b < -FEAS_TOL * scale) or np.any(x_b > ub + FEAS_TOL * scale):
-        return False
-    return True
+    if np.any(x_b < -FEAS_TOL * scale) or np.any(x_b > ws.upper[basis] + FEAS_TOL * scale):
+        return None
+    return x_b
 
 
 # -- brute-force oracle -------------------------------------------------------

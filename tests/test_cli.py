@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from onlinelp.cli import _build_parser, build_parser, main
+from onlinelp.cli import _build_parser, _parse_gen_spec, build_parser, main
 from onlinelp.instances import (MkpParams, ResultRecord, generate_mkp, read_results_csv,
                                 write_results_csv)
 from onlinelp.model import relative_optimality
@@ -456,6 +456,35 @@ class TestPlumbing:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("args, what", [
+        (["gen", "--m", "3", "--n", "20", "--tau", "0.4", "--out"], "MPS"),
+        (["solve", "--gen", "m=3,n=20,tau=0.4", "--out"], "results"),
+        (["sift", "--gen", "m=3,n=20,tau=0.4", "--out"], "results"),
+        (["sift", "--gen", "m=3,n=20,tau=0.4", "--trace-out"], "trace"),
+        (["bench", "--out"], "results"),
+    ], ids=["gen-out", "solve-out", "sift-out", "sift-trace_out", "bench-out"])
+    def test_an_unwritable_output_is_a_file_error(self, tmp_path, capsys, args, what):
+        path = str(tmp_path / "no-such-dir" / "out")
+        code = run_cli(args + [path])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.splitlines()[-1].startswith(f"error: cannot write {what} to {path!r}: ")
+
+    @pytest.mark.parametrize("spec, message", [
+        ("m=3,n=20,tau=0.4,sigm=0.5", "unknown key(s) sigm"),
+        ("m=3,n=20,tau=0.4,perturb=yes", "key perturb takes 0, 1, true or false, not 'yes'"),
+    ])
+    def test_a_gen_spec_refuses_what_it_does_not_read(self, capsys, spec, message):
+        code = run_cli(["solve", "--gen", spec])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: --gen spec ") and message in err
+
+    @pytest.mark.parametrize("value, expected", [("0", False), ("1", True),
+                                                 ("false", False), ("true", True)])
+    def test_a_gen_spec_reads_perturb(self, value, expected):
+        assert _parse_gen_spec(f"m=3,n=20,tau=0.4,perturb={value}").perturb_a3 is expected
 
     def test_console_script_help(self):
         # the child finds the package as this process does, installed or not

@@ -5,6 +5,7 @@ explicit engine and the simplex see when no kernel could be built.
 """
 
 import ctypes
+import functools
 import math
 import re
 import shutil
@@ -544,6 +545,30 @@ def test_simplex_warm_starts_match(compiled, monkeypatch):
         prev = solve_both(monkeypatch, inst.restrict_columns(w_new), warm_basis=warm)
         assert prev.warm_started
         w = w_new
+
+
+@pytest.mark.parametrize("refusal", ["out of range", "singular", "infeasible"])
+@pytest.mark.parametrize("rhs", ["nonnegative", "mixed"])
+def test_a_refused_warm_start_is_the_cold_solve(compiled, monkeypatch, refusal, rhs):
+    if rhs == "mixed":  # the cold solve then runs Phase 1
+        rng = np.random.default_rng(5)
+        A = rng.normal(size=(6, 40)) * (rng.random((6, 40)) < 0.5)
+        inst = LpInstance.from_dense(A, A @ rng.random(40) + rng.normal(size=6) * 0.1,
+                                     rng.normal(size=40), upper=np.ones(40))
+        assert np.any(inst.rhs < 0)
+    else:
+        inst = generate_mkp(MkpParams(m=6, n=60, tightness=0.3, seed=2))
+    m, n = inst.num_rows, inst.num_cols
+    warm = {"out of range": (range(n + 1, n + m + 1), ()),    # n + m is no slack
+            "singular": ([n, n, *range(n + 2, n + m)], ()),
+            # all slacks: every column at its upper bound overfills the rows,
+            # or, with no column there, a negative rhs leaves a slack below 0
+            "infeasible": (range(n, n + m), range(n) if rhs == "nonnegative" else ()),
+            }[refusal]
+    for solve in (solve_lp, functools.partial(reference_lp, monkeypatch)):
+        got = solve(inst, warm_basis=warm)
+        assert got.status is SolveStatus.OPTIMAL and not got.warm_started
+        assert_same_lp(got, solve(inst))
 
 
 @pytest.mark.parametrize("max_iter", [1, 37, 250])

@@ -241,6 +241,61 @@ class TestAgainstHighs:
         assert res.status is SolveStatus.OPTIMAL
         assert not res.warm_started
 
+    def test_an_accepted_warm_start_computes_the_basic_values_once(self, monkeypatch):
+        inst = random_instance(np.random.default_rng(31), 4, 5)
+        first = solve_lp(inst)
+        calls = 0
+        basic_values = simplex._Workspace.basic_values
+
+        def counting(ws):
+            nonlocal calls
+            calls += 1
+            return basic_values(ws)
+
+        monkeypatch.setattr(simplex._Workspace, "basic_values", counting)
+        again = solve_lp(inst, warm_basis=first)
+        assert again.warm_started and again.iterations == 0
+        assert calls == 1
+
+    @pytest.mark.parametrize("odd", ["negative", "past the slacks", "basic", "infinite upper"])
+    def test_at_upper_keeps_the_nonbasic_columns_with_a_finite_upper(self, odd):
+        rng = np.random.default_rng(0)
+        m, n = 4, 10
+        A = rng.random((m, n)) * (rng.random((m, n)) < 0.8)
+        b = rng.random(m) * 2 + 0.5
+        c = rng.normal(size=n)
+        u = np.where(np.arange(n) % 2 == 0, np.inf, rng.random(n) + 0.2)
+        inst = LpInstance.from_dense(A, b, c, upper=u)
+        first = solve_lp(inst)
+        basis = sorted(first.basis)
+        nonbasic = [j for j in range(n) if j not in first.basis]
+        at_lower = [j for j in nonbasic if np.isfinite(u[j]) and j not in first.at_upper]
+        odd_id = {
+            # wraps round to a finite column at lower were it not refused
+            "negative": at_lower[0] - (n + m),
+            "past the slacks": n + m,
+            "basic": next(j for j in basis if j < n and np.isfinite(u[j])),
+            "infinite upper": next(j for j in nonbasic if not np.isfinite(u[j])),
+        }[odd]
+        at_upper = [*first.at_upper, odd_id]
+
+        # a plain loop over at_upper, the reference of the array masks
+        want = np.zeros(n + m, dtype=np.int8)
+        for j in at_upper:
+            if 0 <= j < n + m and np.isfinite(u[j] if j < n else np.inf) and j not in basis:
+                want[j] = 1
+        want[basis] = 2
+        ws = simplex._Workspace(inst, np.empty(0, dtype=np.int64))
+        assert simplex._warm_start(ws, (basis, at_upper)) is not None
+        assert ws.status.tobytes() == want.tobytes()
+
+        got = solve_lp(inst, warm_basis=(basis, at_upper))
+        plain = solve_lp(inst, warm_basis=first)
+        assert got.warm_started and got.iterations == 0
+        assert got.x_star.tobytes() == plain.x_star.tobytes()
+        assert got.y_star.tobytes() == plain.y_star.tobytes()
+        assert (got.basis, got.at_upper) == (plain.basis, plain.at_upper)
+
     @pytest.mark.parametrize("warm", [[0, 1], (0, 1, 2), {0, 1}, np.array([0, 1])],
                              ids=["list", "triple", "set", "array"])
     def test_a_bare_basis_is_a_type_error(self, warm):
