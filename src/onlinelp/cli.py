@@ -13,7 +13,8 @@ step length gamma each pass used once the pass returns, so any emitted CSV
 row can be replayed from its own fields.  An out-of-range setting is a
 usage error (exit 2) carrying the config's own message.  A file that cannot
 be read, parsed or written ends the run with one line on stderr (exit 3).
-Relative output paths honor the ONLINELP_OUT_DIR environment variable.
+Relative output paths honor the ONLINELP_OUT_DIR environment variable, and
+every output path is checked before any instance is loaded or generated.
 
 Every flag that --help lists changes a result or an output.  The engine is no
 flag: each update has one engine, the one the library runs.
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import itertools
 import os
@@ -33,9 +33,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from .instances import MkpParams, ResultRecord, generate_mkp, netlib_modify, write_results_csv
+from .instances import (MkpParams, ResultRecord, _write_csv, generate_mkp, netlib_modify,
+                        write_results_csv)
 from .model import relative_optimality, stopping_residual
-from .mps import MpsParseError, parse_mps, write_mps
+from .mps import MpsParseError, _check_writable, parse_mps, write_mps
 from .online import (METHODS, STARTS, STEPSIZE_MODES, OnlineSolution, RunConfig,
                      explicit_engine, solve_online)
 from .sifting import SiftConfig, SiftResult, SiftRoundLimit, basis_metrics, sift
@@ -54,13 +55,17 @@ class _UsageError(Exception):
     """A setting out of its config's range; ``main`` reports it as argparse does."""
 
 
-def _resolve_out(path: str | None) -> str | None:
-    if path is None:
-        return None
-    base = os.environ.get("ONLINELP_OUT_DIR")
-    if base and not os.path.isabs(path):
-        return os.path.join(base, path)
-    return path
+def _resolve_outputs(args) -> None:
+    """Put each relative output path under ONLINELP_OUT_DIR, and check
+    that it can be written before any work runs."""
+    base = os.environ.get("ONLINELP_OUT_DIR") or ""
+    for dest, what in (("out", "MPS" if args.command == "gen" else "results"),
+                       ("trace_out", "trace")):
+        path = getattr(args, dest, None)
+        if path:
+            path = os.path.join(base, path)
+            _check_writable(path, what)
+            setattr(args, dest, path)
 
 
 def _echo(prefix: str, pairs: dict) -> None:
@@ -68,8 +73,12 @@ def _echo(prefix: str, pairs: dict) -> None:
         print(f"{prefix} {k} = {v}")
 
 
-_GEN_KEYS = ("m", "n", "tau", "sigma", "seed", "perturb")
 _PERTURB = {"0": False, "false": False, "1": True, "true": True}
+# each --gen key: the MkpParams field it sets, how its value reads, and what it takes
+_GEN_KEYS = {"m": ("m", int, "an integer"), "n": ("n", int, "an integer"),
+             "tau": ("tightness", float, "a number"), "sigma": ("density", float, "a number"),
+             "seed": ("seed", int, "an integer"),
+             "perturb": ("perturb_a3", _PERTURB.__getitem__, "0, 1, true or false")}
 
 
 def _parse_gen_spec(spec: str) -> MkpParams:
@@ -79,17 +88,17 @@ def _parse_gen_spec(spec: str) -> MkpParams:
     if unknown:
         raise ValueError(f"--gen spec has unknown key(s) {', '.join(unknown)} "
                          f"(keys: {', '.join(_GEN_KEYS)})")
-    perturb = fields.get("perturb", "0")
-    if perturb not in _PERTURB:
-        raise ValueError(f"--gen spec key perturb takes 0, 1, true or false, not {perturb!r}")
-    try:
-        return MkpParams(
-            m=int(fields["m"]), n=int(fields["n"]), tightness=float(fields["tau"]),
-            density=float(fields.get("sigma", 1.0)), seed=int(fields.get("seed", 0)),
-            perturb_a3=_PERTURB[perturb],
-        )
-    except KeyError as exc:
-        raise ValueError(f"--gen spec needs m=, n=, tau= (missing {exc})") from exc
+    missing = [k for k in ("m", "n", "tau") if k not in fields]
+    if missing:
+        raise ValueError(f"--gen spec needs m=, n=, tau= (missing {missing[0]!r})")
+    values = {}
+    for key, text in fields.items():
+        field, read, takes = _GEN_KEYS[key]
+        try:
+            values[field] = read(text)
+        except (KeyError, ValueError):
+            raise ValueError(f"--gen spec key {key} takes {takes}, not {text!r}") from None
+    return MkpParams(**values)
 
 
 def _load_instance(args):
@@ -169,10 +178,9 @@ def _cmd_gen(args) -> int:
                            b_pre_sparsify=args.b_pre_sparsify)
     _echo("resolved", {"params": params})
     inst = generate_mkp(params)
-    out = _resolve_out(args.out)
-    write_mps(inst, out, name=params.label())
+    write_mps(inst, args.out, name=params.label())
     print(f"wrote {inst.num_rows}x{inst.num_cols} instance "
-          f"({inst.nnz} nonzeros) to {out}")
+          f"({inst.nnz} nonzeros) to {args.out}")
     return EXIT_OK
 
 
@@ -230,8 +238,7 @@ def _cmd_solve(args) -> int:
               file=sys.stderr)
 
     if args.out:
-        write_results_csv([_record(label, config, sol, wall, rel_opt=rel_opt)],
-                          _resolve_out(args.out))
+        write_results_csv([_record(label, config, sol, wall, rel_opt=rel_opt)], args.out)
     return EXIT_LIMIT if capped else EXIT_OK
 
 
@@ -289,23 +296,15 @@ def _cmd_sift(args) -> int:
         print("round limit reached without a global certificate", file=sys.stderr)
 
     if args.trace_out:
-        path = _resolve_out(args.trace_out)
-        try:
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["round", "working", "priced", "objective", "wall_time_s",
-                                 "iterations", "warm_started"])
-                for r in result.trace:
-                    writer.writerow([r.round, r.working_size, r.priced,
-                                     f"{r.objective:.17g}", f"{r.wall_time_s:.17g}",
-                                     r.iterations, int(r.warm_started)])
-        except OSError as exc:
-            raise OSError(f"cannot write trace to {path!r}: {exc}") from exc
+        _write_csv(args.trace_out, "trace", ["round", "working", "priced", "objective",
+                                             "wall_time_s", "iterations", "warm_started"],
+                   ([r.round, r.working_size, r.priced, r.objective, r.wall_time_s,
+                     r.iterations, int(r.warm_started)] for r in result.trace))
     if args.out:
         record = _record(label, pre_config, online_sol, wall,
                          method=f"sift+{pre_config.method}", objective=result.objective,
                          violation=0.0, acc=acc, rdc=result.rdc, rounds=result.rounds)
-        write_results_csv([record], _resolve_out(args.out))
+        write_results_csv([record], args.out)
     return EXIT_LIMIT if limited else EXIT_OK
 
 
@@ -371,9 +370,8 @@ def _cmd_bench(args) -> int:
             failures += 1
             print(f"cell {i} failed: {exc}", file=sys.stderr)
 
-    out = _resolve_out(args.out)
-    write_results_csv(records, out)
-    print(f"wrote {len(records)} rows to {out}"
+    write_results_csv(records, args.out)
+    print(f"wrote {len(records)} rows to {args.out}"
           + (f" ({failures} cells failed)" if failures else ""))
     return EXIT_SOLVE if failures else EXIT_OK
 
@@ -531,6 +529,7 @@ def main(argv: list[str] | None = None) -> int:
         _apply_config_file(parser, commands, known.config)
     args = parser.parse_args(argv)
     try:
+        _resolve_outputs(args)
         return args.func(args)
     except _UsageError as exc:
         commands[args.command].error(str(exc))

@@ -18,11 +18,12 @@ their order.
 from __future__ import annotations
 
 import csv
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .model import LpInstance
+from .mps import _opened
 
 __all__ = [
     "MkpParams",
@@ -177,13 +178,12 @@ def netlib_modify(instance: LpInstance) -> LpInstance:
     )
 
 
-CSV_HEADER = ["instance", "method", "K", "gamma", "seed", "objective",
-              "violation", "rel_opt", "acc", "rdc", "rounds", "wall_time_s"]
-
-
 @dataclass(frozen=True)
 class ResultRecord:
-    """One benchmark measurement: a single (instance, config, seed) cell."""
+    """One benchmark measurement: a single (instance, config, seed) cell.
+
+    Its fields, in order, are the columns of the results CSV.
+    """
 
     instance: str
     method: str
@@ -209,6 +209,11 @@ class ResultRecord:
                 raise ValueError(f"{name} must be finite when present, got {v}")
 
 
+# the columns of the results CSV: ResultRecord's fields, in order
+_FIELDS = fields(ResultRecord)
+CSV_HEADER = ["K" if f.name == "k" else f.name for f in _FIELDS]
+
+
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -217,59 +222,36 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _row(record: ResultRecord) -> list[str]:
-    return [record.instance, record.method, str(record.k), _fmt(record.gamma),
-            str(record.seed), _fmt(record.objective), _fmt(record.violation),
-            _fmt(record.rel_opt), _fmt(record.acc), _fmt(record.rdc),
-            "" if record.rounds is None else str(record.rounds),
-            _fmt(record.wall_time_s)]
+def _write_csv(destination, what: str, header: list, rows) -> None:
+    """Write RFC-4180 CSV: the header, then the rows, None as an empty
+    cell and floats with 17 digits."""
+    with _opened(destination, "w", what, newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\r\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(value) for value in row] for row in rows)
 
 
 def write_results_csv(records, destination) -> None:
     """Write RFC-4180 CSV with the fixed header; floats keep 17 digits."""
-    def _write(fh):
-        writer = csv.writer(fh, lineterminator="\r\n")
-        writer.writerow(CSV_HEADER)
-        for rec in records:
-            writer.writerow(_row(rec))
-
-    if hasattr(destination, "write"):
-        _write(destination)
-        return
-    try:
-        with open(destination, "w", newline="") as fh:
-            _write(fh)
-    except OSError as exc:
-        raise OSError(f"cannot write results to {destination!r}: {exc}") from exc
+    _write_csv(destination, "results", CSV_HEADER,
+               ([getattr(rec, f.name) for f in _FIELDS] for rec in records))
 
 
-def _parse_opt_float(s: str) -> float | None:
-    return None if s == "" else float(s)
+def _cell(text: str, field):
+    """A results CSV cell as the value of its field, read by the text of
+    the field's annotation: an empty cell is None where it may be None."""
+    kind, _, optional = field.type.partition(" | ")
+    if text == "" and optional:
+        return None
+    return {"str": str, "int": int, "float": float}[kind](text)
 
 
 def read_results_csv(source) -> list[ResultRecord]:
     """Parse a results CSV written by write_results_csv."""
-    def _read(fh):
+    with _opened(source, "r", "results", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != CSV_HEADER:
             raise ValueError(f"unexpected results header: {header}")
-        out = []
-        for row in reader:
-            out.append(ResultRecord(
-                instance=row[0], method=row[1], k=int(row[2]),
-                gamma=float(row[3]), seed=int(row[4]), objective=float(row[5]),
-                violation=float(row[6]), rel_opt=_parse_opt_float(row[7]),
-                acc=_parse_opt_float(row[8]), rdc=_parse_opt_float(row[9]),
-                rounds=None if row[10] == "" else int(row[10]),
-                wall_time_s=float(row[11]),
-            ))
-        return out
-
-    if hasattr(source, "read"):
-        return _read(source)
-    try:
-        with open(source, "r", newline="") as fh:
-            return _read(fh)
-    except OSError as exc:
-        raise OSError(f"cannot read results from {source!r}: {exc}") from exc
+        return [ResultRecord(*(_cell(text, f) for text, f in zip(row, _FIELDS, strict=True)))
+                for row in reader]

@@ -22,13 +22,14 @@ which skips each gather or filter that would change nothing.
   line.
 - The compiled front end, ``mps_sweep`` in ``_kernel.c``, reads the bytes
   from the first COLUMNS, RHS, BOUNDS or ENDATA header to the end in one
-  call, and finds the headers in them itself, by the regex's rule; the
-  regex finds the headers up to that first one, and the line reader reads
-  the sections before it.  The sweep reads values only of the decimal
-  grammar ``[+-]?(d+(.d*)?|.d+)([eE][+-]?d+)?``: those with no exponent,
-  at most 15 significant digits and at most 22 after the point by one
-  correctly rounded division (Clinger's fast path), the rest with
-  ``strtod``.  Both round as ``float`` does.  It never raises.
+  call, and finds the headers in them itself, by the regex's rule.  A
+  bytes search by the same rule finds that first header, and the text
+  before it goes through the line reader's own walk, ``_read_sections``,
+  which ``_parse`` runs on the whole text.  The sweep reads values only of
+  the decimal grammar ``[+-]?(d+(.d*)?|.d+)([eE][+-]?d+)?``: those with
+  no exponent, at most 15 significant digits and at most 22 after the
+  point by one correctly rounded division (Clinger's fast path), the rest
+  with ``strtod``.  Both round as ``float`` does.  It never raises.
   Instead it hands the whole file back to the line reader, which then
   reads it from the start, on any of: a non-ASCII byte; a '\\r' not
   followed by '\\n' (text mode's universal newlines would move the lines;
@@ -49,6 +50,9 @@ raise a parse error.
 
 from __future__ import annotations
 
+import contextlib
+import errno
+import os
 import re
 from array import array
 from itertools import chain, repeat
@@ -65,14 +69,11 @@ _SECTIONS = "NAME|OBJSENSE|ROWS|COLUMNS|RHS|RANGES|BOUNDS|ENDATA"
 # lookahead on the first letter lets the scan pass over most lines fast.
 _HEADER = re.compile(rf"(?:{_SECTIONS})(?!\S)", re.I)
 _HEADER_AFTER_NEWLINE = re.compile(rf"\n(?=[NORCBE])(?:{_SECTIONS})(?!\S)", re.I)
-# the same on ASCII bytes, where \S would take bytes 28-31 for non-spaces
-_NOT_SPACE = rb"[^\t-\r\x1c-\x20]"
-_BYTES_HEADER = re.compile(rb"(?:%b)(?!%b)" % (_SECTIONS.encode(), _NOT_SPACE), re.I)
-_BYTES_HEADER_AFTER_NEWLINE = re.compile(
-    rb"\n(?=[NORCBE])(?:%b)(?!%b)" % (_SECTIONS.encode(), _NOT_SPACE), re.I)
-# the headers the compiled front end takes, in its order: the sections it
-# reads, then the end of the data
-_SWEPT = ("COLUMNS", "RHS", "BOUNDS", "ENDATA")
+# the headers the compiled front end takes (the sections it reads, then the
+# end of the data), on ASCII bytes, where \S would take bytes 28-31 for
+# non-spaces
+_SWEPT_HEADER = re.compile(rb"(?:COLUMNS|RHS|BOUNDS|ENDATA)(?![^\t-\r\x1c-\x20])", re.I)
+_SWEPT_HEADER_AFTER_NEWLINE = re.compile(b"\n(?=[CRBE])" + _SWEPT_HEADER.pattern, re.I)
 
 _ROW_TYPES = {"N": 0, "L": 1, "G": 2, "E": 3}
 _UP, _LO, _FX, _FR, _MI, _PL, _BV = range(7)   # the kinds of mps_sweep in _kernel.c
@@ -116,75 +117,97 @@ def parse_mps(source) -> LpInstance:
 
 
 def _read(path, mode: str):
-    try:
-        with open(path, mode) as fh:
-            return fh.read()
-    except OSError as exc:
-        raise OSError(f"cannot read MPS from {path!r}: {exc}") from exc
+    with _opened(path, mode, "MPS") as fh:
+        return fh.read()
 
 
-def _sections(text, header, header_after_newline, last=("ENDATA",)):
-    """Cut text (str, or ASCII bytes and bytes patterns) at its headers.
+@contextlib.contextmanager
+def _opened(file, mode: str, what: str, newline: str | None = None):
+    """The one way the package opens a file to read or write.
 
-    Yields ``(section, tok, start, stop)`` for the text before the first
-    header (section None) and for each header up to the first one named in
-    last: the section's name in upper case, the header line's tokens and
-    the body's span.  That last header's span is its own line, and the
-    search for headers stops at it.  Without one, the last body runs to
-    the end of text.
+    A file object is yielded as it is and left open.  A path is opened
+    with mode and newline, and any OSError becomes "cannot read <what>
+    from <path>: ..." or "cannot write <what> to <path>: ...".
     """
-    newline = "\n" if isinstance(text, str) else b"\n"
-    heads = chain([0] if header.match(text) else [],
-                  (m.start() + 1 for m in header_after_newline.finditer(text)))
-    section, tok, body = None, [], 0
+    if hasattr(file, "read" if "r" in mode else "write"):
+        yield file
+        return
+    try:
+        with open(file, mode, newline=newline) as fh:
+            yield fh
+    except OSError as exc:
+        raise _file_error(file, mode, what, exc) from exc
+
+
+def _file_error(path, mode: str, what: str, exc: OSError) -> OSError:
+    action = f"read {what} from" if "r" in mode else f"write {what} to"
+    return OSError(f"cannot {action} {path!r}: {exc}")
+
+
+def _check_writable(path: str, what: str) -> None:
+    """Raise the error that writing what to path would, where opening it to
+    write must fail; create and truncate nothing."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise _file_error(path, "w", what, OSError(code, os.strerror(code), path))
+
+
+def _read_sections(reader: _Reader, text: str) -> list:
+    """The line reader's walk: read into reader the text before the first
+    header, then each section, up to an ENDATA header, where the search for
+    headers stops.  Returns the sections' names, with ENDATA where the walk
+    met it."""
+    heads = chain([0] if _HEADER.match(text) else [],
+                  (m.start() + 1 for m in _HEADER_AFTER_NEWLINE.finditer(text)), [len(text)])
+    names, section, tok, body, line_no = [], None, [], 0, 1
     for head in heads:
-        yield section, tok, body, head
-        eol = text.find(newline, head)
+        reader.header(section, tok)
+        reader.read(section, _lines(text[body:head], line_no))
+        eol = text.find("\n", head)
         eol = len(text) if eol < 0 else eol
-        line = text[head:eol]
-        tok = (line if isinstance(line, str) else line.decode("ascii")).split()
+        tok = text[head:eol].split()
+        if not tok:   # the end of the text
+            break
         section = tok[0].upper()
-        if section in last:
-            yield section, tok, head, eol
-            return
+        names.append(section)
+        if section == "ENDATA":
+            break
+        line_no += text.count("\n", body, eol + 1)
         body = eol + 1
-    yield section, tok, body, len(text)
+    return names
 
 
 def _parse(text: str) -> LpInstance:
     """The line reader on every section: the reference."""
     reader = _Reader()
-    line_no, counted = 1, 0
-    for section, tok, start, stop in _sections(text, _HEADER, _HEADER_AFTER_NEWLINE):
-        if section == "ENDATA":
-            break
-        line_no += text.count("\n", counted, start)
-        counted = start
-        reader.header(section, tok)
-        reader.read(section, _lines(text[start:stop], line_no))
-    else:
+    if "ENDATA" not in _read_sections(reader, text):
         raise MpsParseError("missing ENDATA")
     return reader.finish()
 
 
 def _sweep(lib, data: bytes) -> _Reader | None:
-    """The line reader on the sections of data before its first COLUMNS,
-    RHS, BOUNDS or ENDATA header, the compiled front end from that header
-    on: the filled reader, or None where the file goes back to the line
-    reader (see the module docstring)."""
+    """The line reader on the text of data before its first COLUMNS, RHS,
+    BOUNDS or ENDATA header, the compiled front end from that header on:
+    the filled reader, or None where the file goes back to the line reader
+    (see the module docstring)."""
     if not data.isascii() or (b"\r" in data and data.count(b"\r") != data.count(b"\r\n")):
         return None
-    reader = _Reader()
-    for section, tok, start, stop in _sections(data, _BYTES_HEADER,
-                                               _BYTES_HEADER_AFTER_NEWLINE, _SWEPT):
-        if section in _SWEPT:
-            break   # start is where its header line starts
-        if section == "RANGES":
-            return None
-        reader.header(section, tok)
-        reader.read(section, _lines(data[start:stop].decode("ascii"),
-                                    1 + data.count(b"\n", 0, start)))
+    if _SWEPT_HEADER.match(data):
+        start = 0
     else:
+        found = _SWEPT_HEADER_AFTER_NEWLINE.search(data)
+        if found is None:
+            return None
+        start = found.start() + 1
+    reader = _Reader()
+    if "RANGES" in _read_sections(reader, data[:start].decode("ascii")):
         return None
 
     roles = reader.roles("COLUMNS")
@@ -635,7 +658,7 @@ def write_mps(instance: LpInstance, destination, name: str = "ONLINELP") -> None
     xname = np.array([f"    X{j}  " for j in range(n)], dtype=object)
     rname = np.array([f"R{i}  " for i in range(m)], dtype=object)
 
-    def _write(fh):
+    with _opened(destination, "w", "MPS") as fh:
         w = fh.write
         w(f"NAME          {name}\n")
         w("OBJSENSE\n    MAX\n")
@@ -667,13 +690,3 @@ def write_mps(instance: LpInstance, destination, name: str = "ONLINELP") -> None
         j = np.flatnonzero(np.isfinite(upper))
         w("".join(f" UP BND  X{c}  {v}\n" for c, v in zip(j.tolist(), _g17(upper[j]).tolist())))
         w("ENDATA\n")
-
-    if hasattr(destination, "write"):
-        _write(destination)
-        return
-    try:
-        with open(destination, "w") as fh:
-            _write(fh)
-    except OSError as exc:
-        raise OSError(f"cannot write MPS to {destination!r}: {exc}") from exc
-

@@ -35,8 +35,11 @@ The two engines agree bit for bit under the contract stated in
 * the ratio test and the rank-1 update are elementwise, with ties broken
   by first position as ``np.argmax`` and ``np.argmin`` break them.
 
-Working problems produced by sifting are small by construction, so there is
-deliberately no sparse factorization machinery here.
+There is deliberately no sparse factorization: the basis is dense up to
+m = DENSE_LIMIT, and sifting keeps it at m rows.  Sifting does not keep the
+working problem small, though: on generated multi-knapsack instances at
+m=300, n=3*10^4 (seeds 0 and 1) the final working set holds 4,195-4,606
+columns, 14-15% of n, and a sift makes 7,810-9,326 pivots.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import io
 import os
 import subprocess
@@ -7,11 +8,13 @@ import sys
 
 import pytest
 
+from onlinelp import cli
 from onlinelp.cli import _build_parser, _parse_gen_spec, build_parser, main
 from onlinelp.instances import (MkpParams, ResultRecord, generate_mkp, read_results_csv,
                                 write_results_csv)
 from onlinelp.model import relative_optimality
 from onlinelp.online import RunConfig, solve_online
+from onlinelp.sifting import SiftRound
 from onlinelp.simplex import solve_lp
 
 
@@ -485,6 +488,72 @@ class TestPlumbing:
                                                  ("false", False), ("true", True)])
     def test_a_gen_spec_reads_perturb(self, value, expected):
         assert _parse_gen_spec(f"m=3,n=20,tau=0.4,perturb={value}").perturb_a3 is expected
+
+    @pytest.mark.parametrize("args", [
+        ["gen", "--m", "3", "--n", "20", "--tau", "0.4", "--out"],
+        ["solve", "--gen", "m=3,n=20,tau=0.4", "--out"],
+        ["sift", "--gen", "m=3,n=20,tau=0.4", "--trace-out"],
+        ["bench", "--sizes", "5x100,8x1000", "--taus", "0.25,1.0", "--ks", "1,8", "--reps", "3",
+         "--out"],
+    ], ids=["gen", "solve", "sift", "bench"])
+    def test_an_unwritable_output_stops_the_run_before_any_work(self, tmp_path, capsys,
+                                                                monkeypatch, args):
+        work = []
+        monkeypatch.setattr(cli, "generate_mkp", lambda *a: work.append(a))
+        monkeypatch.setattr(cli, "solve_online", lambda *a: work.append(a))
+        assert run_cli(args + [str(tmp_path / "no-such-dir" / "out")]) == 3
+        assert work == []
+        assert "resolved" not in capsys.readouterr().out
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("existing", [True, False])
+    def test_a_failed_solve_leaves_its_output_as_it_was(self, tmp_path, capsys, existing):
+        # a zero rhs breaks the pass's positivity precondition: exit 4
+        mps = tmp_path / "zero_rhs.mps"
+        mps.write_text(
+            "NAME Z\nOBJSENSE\n    MAX\nROWS\n N  OBJ\n L  CAP\nCOLUMNS\n"
+            "    X  OBJ  1.0  CAP  1.0\nRHS\nBOUNDS\n UP B  X  1.0\nENDATA\n")
+        out = tmp_path / "res.csv"
+        if existing:
+            out.write_bytes(b"earlier rows\r\n")
+        assert run_cli(["solve", "--mps", str(mps), "--out", str(out)]) == 4
+        capsys.readouterr()
+        if existing:
+            assert out.read_bytes() == b"earlier rows\r\n"
+        else:
+            assert not out.exists()
+
+    @pytest.mark.parametrize("spec, message", [
+        ("m=abc,n=20,tau=0.4", "key m takes an integer, not 'abc'"),
+        ("m=3,n=20,tau=0.4,sigma=half", "key sigma takes a number, not 'half'"),
+    ])
+    def test_a_gen_spec_names_the_key_it_cannot_read(self, capsys, spec, message):
+        code = run_cli(["solve", "--gen", spec])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == f"error: --gen spec {message}\n"
+
+    def test_the_trace_csv_is_byte_exact(self, tmp_path, capsys, monkeypatch):
+        trace = (SiftRound(1, 30, 200, 1 / 3, 0.0123, 17, False),
+                 SiftRound(2, 41, 200, 1234.5678901234567, 1e-5, 0, True))
+        real = cli.sift
+        monkeypatch.setattr(cli, "sift", lambda *a: dataclasses.replace(real(*a), trace=trace))
+        path = tmp_path / "trace.csv"
+        assert run_cli(["sift", "--gen", "m=3,n=40,tau=0.4", "--trace-out", str(path)]) == 0
+        capsys.readouterr()
+        assert path.read_bytes() == (
+            b"round,working,priced,objective,wall_time_s,iterations,warm_started\r\n"
+            b"1,30,200,0.33333333333333331,0.0123,17,0\r\n"
+            b"2,41,200,1234.5678901234567,1.0000000000000001e-05,0,1\r\n")
+
+    def test_a_trace_that_cannot_be_written_names_it(self, tmp_path, capsys, monkeypatch):
+        # past the check made before the run, the writer words its own failure alike
+        monkeypatch.setattr(cli, "_check_writable", lambda path, what: None)
+        path = str(tmp_path / "no-such-dir" / "trace.csv")
+        assert run_cli(["sift", "--gen", "m=3,n=40,tau=0.4", "--trace-out", path]) == 3
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err == (f"error: cannot write trace to {path!r}: "
+                       f"[Errno 2] No such file or directory: {path!r}")
 
     def test_console_script_help(self):
         # the child finds the package as this process does, installed or not

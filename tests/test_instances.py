@@ -530,3 +530,67 @@ class TestResultsCsv:
     def test_path_error_context(self, tmp_path):
         with pytest.raises(OSError, match="cannot write"):
             write_results_csv([], tmp_path / "missing_dir" / "x.csv")
+
+
+# records with None, float and int fields, and a comma and quotes in instance
+FIXED_RECORDS = [
+    ResultRecord('a,b "q"', "explicit", 4, 1 / 3, 7, 123.456, 0.0),
+    ResultRecord("mkp", "sift+implicit", 1, 0.1, 0, -1e-300, 2.5e10, rel_opt=0.99, acc=None,
+                 rdc=0.125, rounds=3, wall_time_s=0.25),
+    ResultRecord("x", "implicit", 32, 1e-17, 2, 5.0, 1.0, rel_opt=None, acc=1.0, rdc=None,
+                 rounds=None, wall_time_s=12.0),
+]
+FIXED_CSV = (
+    b"instance,method,K,gamma,seed,objective,violation,rel_opt,acc,rdc,rounds,wall_time_s\r\n"
+    b'"a,b ""q""",explicit,4,0.33333333333333331,7,123.456,0,,,,,0\r\n'
+    b"mkp,sift+implicit,1,0.10000000000000001,0,-1e-300,25000000000,0.98999999999999999,,"
+    b"0.125,3,0.25\r\n"
+    b"x,implicit,32,1.0000000000000001e-17,2,5,1,,1,,,12\r\n"
+)
+
+
+class TestFiles:
+    def test_results_csv_is_byte_exact_and_reads_back(self, tmp_path):
+        path = tmp_path / "r.csv"
+        write_results_csv(FIXED_RECORDS, path)
+        assert path.read_bytes() == FIXED_CSV
+        assert read_results_csv(path) == FIXED_RECORDS
+
+    def test_a_results_row_of_the_wrong_width_is_refused(self):
+        short = FIXED_CSV.decode().replace(",12\r\n", "\r\n")
+        with pytest.raises(ValueError):
+            read_results_csv(io.StringIO(short, newline=""))
+
+    @pytest.mark.parametrize("use", ["write_mps", "parse_mps", "write_results", "read_results"])
+    def test_a_file_object_is_used_and_left_open(self, use):
+        buf = io.StringIO(TOY_MPS if use == "parse_mps" else FIXED_CSV.decode(), newline="")
+        if use == "write_mps":
+            write_mps(parse_mps(io.StringIO(TOY_MPS)), buf)
+            assert buf.getvalue().startswith("NAME")
+        elif use == "parse_mps":
+            assert parse_mps(buf).num_cols == 2
+        elif use == "write_results":
+            buf.seek(0, io.SEEK_END)
+            write_results_csv(FIXED_RECORDS[:1], buf)
+            assert buf.getvalue().endswith(FIXED_CSV.decode().split("\r\n")[1] + "\r\n")
+        else:
+            assert read_results_csv(buf) == FIXED_RECORDS
+        assert not buf.closed
+
+    @pytest.mark.parametrize("use, message", [
+        ("write_mps", "cannot write MPS to"),
+        ("parse_mps", "cannot read MPS from"),
+        ("write_results", "cannot write results to"),
+        ("read_results", "cannot read results from"),
+    ])
+    def test_a_path_that_fails_names_what_and_where(self, tmp_path, use, message):
+        path = tmp_path / "no-such-dir" / "f"
+        calls = {"write_mps": lambda: write_mps(parse_mps(io.StringIO(TOY_MPS)), path),
+                 "parse_mps": lambda: parse_mps(path),
+                 "write_results": lambda: write_results_csv(FIXED_RECORDS, path),
+                 "read_results": lambda: read_results_csv(path)}
+        with pytest.raises(OSError) as info:
+            calls[use]()
+        cause = info.value.__cause__
+        assert isinstance(cause, FileNotFoundError)
+        assert str(info.value) == f"{message} {path!r}: {cause}"

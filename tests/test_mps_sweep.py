@@ -383,21 +383,22 @@ def test_compiled_headers_match_the_reference(compiled, monkeypatch, tmp_path, h
 
 
 def test_the_header_regex_stops_at_columns(compiled, monkeypatch, hand_backs):
-    """On the swept path the regex finds the headers before COLUMNS and
-    COLUMNS itself, and searches no further: mps_sweep finds the rest."""
+    """On the swept path one search finds COLUMNS, the first header that
+    mps_sweep takes, and searches no further: the line reader's walk reads
+    the text before it, and mps_sweep finds the rest."""
     text = generated_text(4, 40, seed=2)
-    pattern, found = mps._BYTES_HEADER_AFTER_NEWLINE, []
+    pattern, found = mps._SWEPT_HEADER_AFTER_NEWLINE, []
 
     class Recording:
-        def finditer(self, data):
-            for match in pattern.finditer(data):
-                found.append(match.start())
-                yield match
+        def search(self, data):
+            match = pattern.search(data)
+            found.append(match.start())
+            return match
 
-    monkeypatch.setattr(mps, "_BYTES_HEADER_AFTER_NEWLINE", Recording())
+    monkeypatch.setattr(mps, "_SWEPT_HEADER_AFTER_NEWLINE", Recording())
     got = parse_mps(io.StringIO(text))
     assert hand_backs == []
-    assert found[-1] == text.index("\nCOLUMNS") < text.index("\nRHS")
+    assert found == [text.index("\nCOLUMNS")] and found[0] < text.index("\nRHS")
     assert_same_instance(got, reference(monkeypatch, lambda: io.StringIO(text)))
 
 
