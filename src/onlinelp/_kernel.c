@@ -102,10 +102,26 @@ int64_t explicit_pass(int64_t m, const int64_t *col_ptr, const int64_t *row_idx,
 
 /* The pivot loop of the bounded primal simplex (simplex._python_pivots).
  *
+ * Pricing is devex over reduced costs d that each basis change updates.
+ * At entry the loop computes y = c_B B^-1 (btran), prices every column
+ * (d_j = c_j - y a_j) and resets every weight w_j to 1.  It enters the
+ * eligible column with the largest d_j^2 / w_j, the first of a tie, or
+ * under Bland's rule the first eligible column.  After a basis change that
+ * leaves a refactorization still ahead, one sweep of the columns that can
+ * enter takes beta_j = rho a_j, for rho the new row r of B^-1, and sets
+ * d_j -= d_q beta_j and w_j = max(w_j, beta_j^2 w_q), choosing the next
+ * column as it goes; the leaving column gets d_p = -d_q / alpha_rq and
+ * w_p = max(w_q / alpha_rq^2, 1).  A bound flip changes neither.  When the
+ * updated d prices nothing, the loop prices afresh from a new btran: it
+ * stops OPTIMAL only on d priced since the last basis change.  So a pivot takes no btran and no
+ * pricing against y; after the pivot that makes a refactorization due it
+ * takes no sweep either, as the resumption prices afresh.
+ *
  * btran and ftran add their terms in basis or nonzero order, starting from
- * the first term; pricing adds each column's terms in stored order,
- * starting from 0.0; the ratio test and the rank-1 update are elementwise.
- * The basis inverse is dense and row-major.
+ * the first term; pricing and the sweep add each column's terms in stored
+ * order, starting from 0.0; the ratio test, the rank-1 update and the
+ * updates of d and w are elementwise.  The basis inverse is dense and
+ * row-major.
  */
 
 enum { OPTIMAL = 0, UNBOUNDED = 1, LIMIT = 2, REFACTOR = 3 };
@@ -139,11 +155,59 @@ static int64_t column(const Columns *a, int64_t j, const int64_t **rows,
     return 1;
 }
 
+/* v a_j for column j of [A I -E], a structural column's terms added in
+ * stored order from 0.0. */
+static inline double dot_column(const Columns *a, int64_t j, const double *v)
+{
+    if (j < a->n) {
+        double dot = 0.0;
+        for (int64_t p = a->col_ptr[j]; p < a->col_ptr[j + 1]; p++)
+            dot += a->vals[p] * v[a->row_idx[p]];
+        return dot;
+    }
+    return j < a->n + a->m ? v[j - a->n] : -v[a->art_rows[j - a->n - a->m]];
+}
+
+/* The entering column: the eligible nonbasic column j with the largest
+ * score d_j^2 / w_j, the first of a tie; under Bland's rule every score is
+ * 1, so that the first eligible column wins.  -1 when none is eligible.
+ * Given the new row rho of B^-1 after a basis change that took column p
+ * out, with d_q and w_q of the entering column, the pass first updates d
+ * and w of each column that can enter, p aside.  Whether a column is
+ * eligible, and whether it wins, are selected without a branch, which no
+ * predictor could guess: the score of an ineligible column is computed and
+ * multiplied by 0. */
+static int64_t choose(const Columns *a, int64_t n_total, const int8_t *status,
+                      const unsigned char *allow, const double *upper, const double *rho,
+                      int64_t p, double dq, double wq, double *restrict d,
+                      double *restrict w, int bland, double opt_tol)
+{
+    int64_t q = -1;
+    double best = 0.0;
+    for (int64_t j = 0; j < n_total; j++) {
+        int s = status[j];
+        if (s == 2 || !allow[j] || !(upper[j] > 0.0)) continue;
+        double dj = d[j], wj = w[j];
+        if (rho && j != p) {
+            double beta = dot_column(a, j, rho), bw = beta * beta * wq;
+            d[j] = dj = dj - dq * beta;
+            w[j] = wj = bw > wj ? bw : wj;
+        }
+        int eligible = ((s == 0) & (dj > opt_tol)) | ((s == 1) & (dj < -opt_tol));
+        double score = (bland ? 1.0 : dj * dj / wj) * eligible;
+        int take = score > best;
+        best = take ? score : best;
+        q = take ? j : q;
+    }
+    return q;
+}
+
 /* Pivots until the basis is optimal (OPTIMAL), a ray is found (UNBOUNDED),
  * state[ITERS] reaches `limit` (LIMIT), or the basis inverse is due for a
  * refactorization (REFACTOR, after the pivot that made it due).  Updates
  * status, basis, binv, x_b and state = {iterations, stall count, Bland
- * flag, rank-1 updates} in place; `work` holds 4 m doubles of scratch. */
+ * flag, rank-1 updates} in place; `work` holds 4 m + 2 (n + m + n_art)
+ * doubles: scratch, then d and w. */
 int simplex_pivots(int64_t m, int64_t n, int64_t n_art, const int64_t *col_ptr,
                    const int64_t *row_idx, const double *vals, const int64_t *art_rows,
                    const double *cost, const unsigned char *allow, const double *upper,
@@ -153,52 +217,42 @@ int simplex_pivots(int64_t m, int64_t n, int64_t n_art, const int64_t *col_ptr,
 {
     const Columns a = {m, n, col_ptr, row_idx, art_rows, vals};
     const int64_t n_total = n + m + n_art;
-    double *y = work, *w = work + m, *row = work + 2 * m, *cand = work + 3 * m;
+    double *y = work, *col = work + m, *row = work + 2 * m, *cand = work + 3 * m;
+    double *d = work + 4 * m, *w = d + n_total;
 
+    for (int64_t j = 0; j < n_total; j++) w[j] = 1.0;
+    int64_t q = -1;
+    int fresh = 0;   /* whether d was priced afresh since the last basis change */
     for (;;) {
-        if (state[ITERS] >= limit) return LIMIT;
-
-        /* btran: y = c_B B^-1 over the basis positions with nonzero cost */
-        int started = 0;
-        for (int64_t k = 0; k < m; k++) {
-            double ck = cost[basis[k]];
-            if (ck == 0.0) continue;
-            const double *bk = binv + k * m;
-            if (started)
-                for (int64_t i = 0; i < m; i++) y[i] += ck * bk[i];
-            else
-                for (int64_t i = 0; i < m; i++) y[i] = ck * bk[i];
-            started = 1;
-        }
-        if (!started)
-            for (int64_t i = 0; i < m; i++) y[i] = 0.0;
-
-        /* pricing: Dantzig (first largest |z|), or Bland (first eligible) */
-        int64_t q = -1;
-        double best = 0.0, zq = 0.0;
-        for (int64_t j = 0; j < n_total; j++) {
-            int s = status[j];
-            if (s == 2 || !allow[j] || !(upper[j] > 0.0)) continue;
-            double z;
-            if (j < n) {
-                double dot = 0.0;
-                for (int64_t p = col_ptr[j]; p < col_ptr[j + 1]; p++)
-                    dot += vals[p] * y[row_idx[p]];
-                z = cost[j] - dot;
-            } else if (j < n + m) {
-                z = cost[j] - y[j - n];
-            } else {
-                z = cost[j] + y[art_rows[j - n - m]];
+        if (q < 0 && !fresh) {
+            /* btran: y = c_B B^-1 over the basis positions with nonzero cost */
+            int started = 0;
+            for (int64_t k = 0; k < m; k++) {
+                double ck = cost[basis[k]];
+                if (ck == 0.0) continue;
+                const double *bk = binv + k * m;
+                if (started)
+                    for (int64_t i = 0; i < m; i++) y[i] += ck * bk[i];
+                else
+                    for (int64_t i = 0; i < m; i++) y[i] = ck * bk[i];
+                started = 1;
             }
-            if (!(s == 0 ? z > opt_tol : z < -opt_tol)) continue;
-            if (state[BLAND]) { q = j; zq = z; break; }
-            if (fabs(z) > best) { best = fabs(z); q = j; zq = z; }
+            if (!started)
+                for (int64_t i = 0; i < m; i++) y[i] = 0.0;
+
+            /* pricing: every d_j afresh */
+            for (int64_t j = 0; j < n_total; j++) d[j] = cost[j] - dot_column(&a, j, y);
+            q = choose(&a, n_total, status, allow, upper, NULL, -1, 0.0, 0.0, d, w,
+                       (int)state[BLAND], opt_tol);
+            fresh = 1;
         }
+        if (state[ITERS] >= limit) return LIMIT;
+        /* d is fresh here: an updated d that priced nothing was priced again */
         if (q < 0) return OPTIMAL;
 
         /* ftran of the entering column */
         int from_lower = status[q] == 0;
-        double sign = from_lower ? 1.0 : -1.0;
+        double sign = from_lower ? 1.0 : -1.0, dq = d[q], wq = w[q];
         const int64_t *rows;
         const double *cv;
         int64_t row1;
@@ -208,14 +262,14 @@ int simplex_pivots(int64_t m, int64_t n, int64_t n_art, const int64_t *col_ptr,
             const double *bi = binv + i * m;
             double acc = nnz ? cv[0] * bi[rows[0]] : 0.0;
             for (int64_t p = 1; p < nnz; p++) acc += cv[p] * bi[rows[p]];
-            w[i] = acc;
+            col[i] = acc;
         }
 
-        /* ratio test: x_b moves by -sign t w as the entering value moves t */
+        /* ratio test: x_b moves by -sign t col as the entering value moves t */
         int64_t leave = -1;
         double t_min = INFINITY;
         for (int64_t i = 0; i < m; i++) {
-            double rate = sign * w[i], ub = upper[basis[i]], c = INFINITY;
+            double rate = sign * col[i], ub = upper[basis[i]], c = INFINITY;
             if (rate > pivot_tol) c = x_b[i] / rate;
             else if (rate < -pivot_tol && isfinite(ub)) c = (ub - x_b[i]) / -rate;
             if (c < 0.0) c = 0.0;   /* fp dust on degenerate rows */
@@ -227,46 +281,57 @@ int simplex_pivots(int64_t m, int64_t n, int64_t n_art, const int64_t *col_ptr,
 
         state[ITERS]++;
         double t;
+        int64_t p = -1;
         int refactor = 0;
         if (t_self <= t_min) {
             /* the entering variable runs to its other bound: a bound flip */
             t = t_self;
             status[q] = from_lower ? 1 : 0;
             double st = sign * t;
-            for (int64_t i = 0; i < m; i++) x_b[i] = x_b[i] - st * w[i];
+            for (int64_t i = 0; i < m; i++) x_b[i] = x_b[i] - st * col[i];
         } else {
             t = t_min;
             if (state[BLAND])
                 for (int64_t i = 0; i < m; i++)
                     if (cand[i] == t_min && basis[i] < basis[leave]) leave = i;
-            int64_t p = basis[leave];
+            p = basis[leave];
+            fresh = 0;   /* B changes here; a bound flip keeps B, y and so a fresh d */
             double st = sign * t;
-            for (int64_t i = 0; i < m; i++) x_b[i] = x_b[i] - st * w[i];
+            for (int64_t i = 0; i < m; i++) x_b[i] = x_b[i] - st * col[i];
             x_b[leave] = from_lower ? t : upper[q] - t;
-            status[p] = sign * w[leave] < -pivot_tol ? 1 : 0;
+            status[p] = sign * col[leave] < -pivot_tol ? 1 : 0;
             status[q] = 2;
             basis[leave] = q;
             /* rank-1 update of the explicit inverse */
-            double piv = w[leave];
+            double piv = col[leave];
             if (fabs(piv) < pivot_tol) {
                 refactor = 1;
             } else {
                 double *br = binv + leave * m;
                 for (int64_t j = 0; j < m; j++) row[j] = br[j] / piv;
                 for (int64_t i = 0; i < m; i++) {
-                    double *bi = binv + i * m, wi = w[i];
+                    double *bi = binv + i * m, wi = col[i];
                     for (int64_t j = 0; j < m; j++) bi[j] = bi[j] - wi * row[j];
                 }
                 for (int64_t j = 0; j < m; j++) br[j] = row[j];
                 refactor = ++state[UPDATES] >= refactor_period;
+                d[p] = -dq / piv;
+                w[p] = wq / (piv * piv);
+                if (!(w[p] > 1.0)) w[p] = 1.0;
             }
         }
-        if (t * fabs(zq) <= 1e-12) {
+        if (t * fabs(dq) <= 1e-12) {
             if (++state[STALL] >= stall_window) state[BLAND] = 1;
         } else {
             state[STALL] = 0;
         }
         if (refactor) return REFACTOR;
+
+        /* the next entering column: after a basis change from d and w
+         * updated by the sweep of the pivot row rho = row, after a bound
+         * flip from d and w as they are */
+        q = choose(&a, n_total, status, allow, upper, p >= 0 ? row : NULL, p, dq, wq, d, w,
+                   (int)state[BLAND], opt_tol);
     }
 }
 

@@ -82,8 +82,14 @@ _GEN_KEYS = {"m": ("m", int, "an integer"), "n": ("n", int, "an integer"),
 
 
 def _parse_gen_spec(spec: str) -> MkpParams:
-    fields = {key.strip(): value.strip()
-              for key, _, value in (part.partition("=") for part in spec.split(",") if part)}
+    fields = {}
+    for part in filter(None, spec.split(",")):
+        key, _, value = (text.strip() for text in part.partition("="))
+        if not key:
+            raise ValueError(f"--gen spec has a part with no key: {part!r}")
+        if key in fields:
+            raise ValueError(f"--gen spec repeats key {key}")
+        fields[key] = value
     unknown = [k for k in fields if k not in _GEN_KEYS]
     if unknown:
         raise ValueError(f"--gen spec has unknown key(s) {', '.join(unknown)} "

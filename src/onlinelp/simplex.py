@@ -5,24 +5,45 @@ columns (A x + s = b, s >= 0) and pivoting with nonbasic-at-lower /
 nonbasic-at-upper statuses.  The basis inverse is held explicitly as a dense
 m x m matrix: formed from an LU factorization at each refactorization and
 given a rank-1 row update at each pivot, so ftran and btran are one
-matrix-vector product each.  Pricing is Dantzig with a Bland fallback once
-the objective stalls.  Negative right-hand sides are handled by a standard
-artificial-variable Phase 1.
+matrix-vector product each.  Negative right-hand sides are handled by a
+standard artificial-variable Phase 1.
+
+Pricing is devex (Harris 1973, "Pivot selection methods of the Devex LP
+code"; Forrest & Goldfarb 1992) over reduced costs d that each basis change
+updates, with a Bland fallback once the objective stalls.  At each start
+of the pivot loops (a phase's start, or the resumption after a
+refactorization) one btran and one pricing sweep compute every d_j afresh
+and every weight w_j is reset to 1.  The entering column is the eligible
+one with the largest d_j^2 / w_j, the first of a tie; under Bland's rule
+it is the first eligible one.  A basis change at row r with pivot alpha_rq
+takes rho = B^-1[r] / alpha_rq, the new row r of B^-1 that the rank-1
+update computes anyway, and sweeps once the columns that can enter:
+beta_j = rho a_j, d_j -= d_q beta_j, w_j = max(w_j, beta_j^2 w_q), and
+the next entering column is chosen in the same pass.  The leaving column
+gets d_p = -d_q / alpha_rq and w_p = max(w_q / alpha_rq^2, 1); a bound
+flip changes neither d nor w.  So a pivot needs no btran and no pricing
+against y.  OPTIMAL is declared only on d priced afresh since the last
+basis change (a bound flip changes neither B nor y): when an updated d
+prices nothing, btran and the pricing sweep run again, and pivoting goes
+on if a column is still eligible.  The sweep after a pivot that makes a
+refactorization due is skipped, since the resumption prices afresh.
 
 The pivots run in the compiled kernel (``_kernel.c``, the library that also
 holds the explicit pass; see ``_kernel``) when it is loaded, and otherwise
-in ``_python_pivots``, its numpy reference.  The kernel does btran,
-pricing over the slack-extended columns straight from the CSC arrays,
-ftran of the entering column, the bounded ratio test with bound flips, the
-rank-1 update and the stall count.  It hands control back at each
+in ``_python_pivots``, its numpy reference.  The kernel does btran and
+pricing at its start, then per pivot the ftran of the entering column, the
+bounded ratio test with bound flips, the rank-1 update, the sweep of the
+pivot row and the stall count.  It hands control back at each
 refactorization (every REFACTOR_PERIOD updates, or a pivot below
 PIVOT_TOL): Python refactors with LAPACK, recomputes the basic values and
 resumes it.  It also returns at optimality, unboundedness and the
 iteration limit; Phase 1, warm starts and the result stay in Python.
-``explicit_engine()`` in ``onlinelp.online`` names the engine of both.
-Cold and warm starts install their basis one way, ``_Workspace.start``;
-``_warm_start`` hands on the basic values of a warm basis that is in
-range, nonsingular and primal feasible, and refuses any other.
+Both engines keep d and w in ``_Workspace.work``, after the kernel's 4 m
+doubles of scratch.  ``explicit_engine()`` in ``onlinelp.online`` names
+the engine of both.  Cold and warm starts install their basis one way,
+``_Workspace.start``; ``_warm_start`` hands on the basic values of a warm
+basis that is in range, nonsingular and primal feasible, and refuses any
+other.
 
 The two engines agree bit for bit under the contract stated in
 ``_kernel``; the reference fixes the order of each of its sums:
@@ -31,15 +52,21 @@ The two engines agree bit for bit under the contract stated in
   order (``np.cumsum``, so starting from the first term);
 * ftran adds a_rj B^-1[:, r] over the entering column's nonzeros in stored
   order, the same way;
-* pricing sums each column's a_ij y_i in stored order, starting from 0.0;
-* the ratio test and the rank-1 update are elementwise, with ties broken
-  by first position as ``np.argmax`` and ``np.argmin`` break them.
+* pricing sums each column's a_ij y_i, and the sweep each column's
+  a_ij rho_i, in stored order, starting from 0.0; a slack column's
+  product is y_i (rho_i), an artificial's -y_i (-rho_i);
+* the ratio test, the rank-1 update, the updates of d and w (d_j -
+  d_q beta_j, with (beta_j beta_j) w_q) and the scores d_j d_j / w_j are
+  elementwise, with ties broken by first position as ``np.argmax`` and
+  ``np.argmin`` break them.
 
 There is deliberately no sparse factorization: the basis is dense up to
 m = DENSE_LIMIT, and sifting keeps it at m rows.  Sifting does not keep the
 working problem small, though: on generated multi-knapsack instances at
 m=300, n=3*10^4 (seeds 0 and 1) the final working set holds 4,195-4,606
-columns, 14-15% of n, and a sift makes 7,810-9,326 pivots.
+columns, 14-15% of n, and a sift makes 4,314-4,448 pivots (7,810-9,326
+with Dantzig pricing, to the same working sets);
+``demos/06_scaling_against_highs.py`` prints them.
 """
 
 from __future__ import annotations
@@ -119,7 +146,9 @@ class _Workspace:
         self.basis = np.empty(self.m, dtype=np.int64)
         self.binv = np.empty((self.m, self.m))   # explicit basis inverse, row-major
         self.updates = 0                          # rank-1 updates since refactorization
-        self.work = np.empty(4 * self.m)          # the kernel's scratch
+        # the kernel's scratch (4 m), then the reduced costs d and the devex
+        # weights w of every column, which the pivot loops keep here
+        self.work = np.empty(4 * self.m + 2 * self.n_total)
 
     def entries(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rows, values, owner) of the nonzeros of columns ``cols`` of
@@ -178,14 +207,15 @@ class _Workspace:
             return np.zeros(self.m)
         return np.cumsum(c[k, None] * self.binv[k], axis=0)[-1].copy()
 
-    def update(self, r: int, w: np.ndarray) -> bool:
-        """Replace basis position r, whose entering column has ftran w."""
+    def update(self, r: int, w: np.ndarray) -> np.ndarray | None:
+        """Replace basis position r, whose entering column has ftran w, and
+        return the new row r of B^-1; None for a pivot too small to take."""
         if abs(w[r]) < PIVOT_TOL:
-            return False
+            return None
         row = self.binv[r] / w[r]
         self.binv -= np.outer(w, row)
         self.binv[r] = row
-        return True
+        return row
 
     # -- primal state --------------------------------------------------------
 
@@ -225,16 +255,23 @@ class _Workspace:
         groups = np.split(order, np.cumsum(np.bincount(place))[:-1]) if place.size else []
         return [(col[g], self.inst.row_idx[g], self.inst.values[g]) for g in groups]
 
-    def reduced_costs(self, cost: np.ndarray, y: np.ndarray) -> np.ndarray:
-        dot = np.zeros(self.n)
+    def products(self, v: np.ndarray) -> np.ndarray:
+        """v a_j for every column j of [A I -E], a structural column's terms
+        added in stored order from 0.0."""
+        dot = np.zeros(self.n_total)
         for cols, rows, vals in self._by_place:
-            dot[cols] += vals * y[rows]
-        z = np.empty(self.n_total)
-        z[:self.n] = cost[:self.n] - dot
-        z[self.n:self.n + self.m] = cost[self.n:self.n + self.m] - y
-        if self.n_art:
-            z[self.n + self.m:] = cost[self.n + self.m:] + y[self.art_rows]
-        return z
+            dot[cols] += vals * v[rows]
+        dot[self.n:self.n + self.m] = v
+        dot[self.n + self.m:] = -v[self.art_rows]
+        return dot
+
+    def reduced_costs(self, cost: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return cost - self.products(y)
+
+    def devex_state(self) -> tuple[np.ndarray, np.ndarray]:
+        """Views of the reduced costs d and the devex weights w in ``work``."""
+        d = self.work[4 * self.m:4 * self.m + self.n_total]
+        return d, self.work[4 * self.m + self.n_total:]
 
 
 # the pivot loops' state vector: iterations, stall count, Bland flag, and
@@ -273,32 +310,32 @@ def _python_pivots(ws: _Workspace, cost: np.ndarray, x_b: np.ndarray,
 
     Pivots until optimal, unbounded, ``limit`` iterations, or a due
     refactorization (returned after the pivot that made it due).  Updates
-    ``ws``, ``x_b`` and ``state`` in place.
+    ``ws``, ``x_b`` and ``state`` in place; the reduced costs and devex
+    weights live in ``ws.work`` (``devex_state``), priced afresh and reset
+    at each entry.
     """
     m = ws.m
+    d, w = ws.devex_state()
+    enterable = allow & (ws.upper > 0)   # fixed columns (e.g. retired artificials) never enter
+    w[:] = 1.0
+    q, fresh = -1, False   # fresh: d priced afresh since the last basis change
     while True:
+        if q < 0 and not fresh:
+            d[:] = ws.reduced_costs(cost, ws.btran(cost[ws.basis]))
+            q, fresh = _entering(ws, d, w, enterable, state[_BLAND]), True
         if state[_ITERS] >= limit:
             return _kernel.LIMIT
-        y = ws.btran(cost[ws.basis])
-        z = ws.reduced_costs(cost, y)
-        movable = ws.upper > 0  # fixed columns (e.g. retired artificials) never enter
-        eligible = allow & movable & (
-            ((ws.status == 0) & (z > OPT_TOL)) | ((ws.status == 1) & (z < -OPT_TOL))
-        )
-        idx = np.flatnonzero(eligible)
-        if idx.size == 0:
+        # d is fresh here: an updated d that priced nothing was priced again
+        if q < 0:
             return _kernel.OPTIMAL
-        if state[_BLAND]:
-            q = int(idx[0])
-        else:
-            q = int(idx[np.argmax(np.abs(z[idx]))])
 
         from_lower = ws.status[q] == 0
         sign = 1.0 if from_lower else -1.0
-        w = ws.ftran_column(q)
+        dq, wq = d[q], w[q]
+        col = ws.ftran_column(q)
 
-        # ratio test: x_b moves by -sign * t * w as the entering value moves t
-        rate = sign * w
+        # ratio test: x_b moves by -sign * t * col as the entering value moves t
+        rate = sign * col
         ub_b = ws.upper[ws.basis]
         cand_t = np.full(m, np.inf)
         dec = rate > PIVOT_TOL
@@ -313,30 +350,35 @@ def _python_pivots(ws: _Workspace, cost: np.ndarray, x_b: np.ndarray,
             return _kernel.UNBOUNDED
 
         state[_ITERS] += 1
-        refactor = False
+        p, row, refactor = -1, None, False
         if t_self <= t_min:
             # entering variable runs to its other bound: pure bound flip
             t = t_self
             ws.status[q] = 1 if from_lower else 0
-            x_b -= (sign * t) * w
+            x_b -= (sign * t) * col
         else:
             t = t_min
             if state[_BLAND]:
                 ties = np.flatnonzero(cand_t == t_min)
                 leave_pos = int(ties[np.argmin(ws.basis[ties])])
             p = int(ws.basis[leave_pos])
-            x_b -= (sign * t) * w
+            fresh = False   # B changes here; a bound flip keeps B, y and so a fresh d
+            x_b -= (sign * t) * col
             x_b[leave_pos] = t if from_lower else ws.upper[q] - t
             ws.status[p] = 1 if rate[leave_pos] < -PIVOT_TOL else 0
             ws.status[q] = 2
             ws.basis[leave_pos] = q
-            if ws.update(leave_pos, w):
+            row = ws.update(leave_pos, col)
+            if row is None:
+                refactor = True
+            else:
                 state[_UPDATES] += 1
                 refactor = state[_UPDATES] >= REFACTOR_PERIOD
-            else:
-                refactor = True
+                piv = col[leave_pos]
+                d[p] = -dq / piv
+                w[p] = max(wq / (piv * piv), 1.0)
 
-        if t * abs(z[q]) <= 1e-12:
+        if t * abs(dq) <= 1e-12:
             state[_STALL] += 1
             if state[_STALL] >= STALL_WINDOW:
                 state[_BLAND] = 1
@@ -344,15 +386,49 @@ def _python_pivots(ws: _Workspace, cost: np.ndarray, x_b: np.ndarray,
             state[_STALL] = 0
         if refactor:
             return _kernel.REFACTOR
+        if row is not None:
+            # the sweep of the pivot row: beta_j = rho a_j for rho = row
+            swept = enterable & (ws.status != 2)
+            swept[p] = False
+            beta = ws.products(row)[swept]
+            d[swept] = d[swept] - dq * beta
+            w[swept] = np.maximum(w[swept], beta * beta * wq)
+        q = _entering(ws, d, w, enterable, state[_BLAND])
+
+
+def _entering(ws: _Workspace, d: np.ndarray, w: np.ndarray, enterable: np.ndarray,
+              bland) -> int:
+    """The eligible column with the largest d_j^2 / w_j (the first of a
+    tie), or the first under Bland's rule; -1 when none is eligible."""
+    idx = np.flatnonzero(enterable & (((ws.status == 0) & (d > OPT_TOL))
+                                      | ((ws.status == 1) & (d < -OPT_TOL))))
+    if idx.size == 0:
+        return -1
+    if bland:
+        return int(idx[0])
+    dj = d[idx]
+    return int(idx[np.argmax(dj * dj / w[idx])])
 
 
 def _compiled_pivots(ws: _Workspace, cost: np.ndarray, x_b: np.ndarray,
                      allow: np.ndarray, limit: int, state: np.ndarray) -> int:
     """``_python_pivots`` in the compiled kernel, which writes in place
-    through the pointers of the same arrays."""
-    inst = ws.inst
+    through the pointers of the same arrays.  Raises ValueError for an
+    array the kernel would read or write out of bounds or misread."""
+    m, n_total, inst = ws.m, ws.n_total, ws.inst
+    for name, arr, dtype, size in (
+            ("cost", cost, np.float64, n_total), ("allow", allow, np.bool_, n_total),
+            ("upper", ws.upper, np.float64, n_total), ("status", ws.status, np.int8, n_total),
+            ("basis", ws.basis, np.int64, m), ("basis inverse", ws.binv, np.float64, m * m),
+            ("basic values", x_b, np.float64, m), ("art_rows", ws.art_rows, np.int64, ws.n_art),
+            ("state", state, np.int64, 4)):
+        if not (arr.dtype == dtype and arr.flags.c_contiguous and arr.size == size):
+            raise ValueError(f"{name} must be contiguous {np.dtype(dtype).name} of size {size}")
+    if not (ws.work.dtype == np.float64 and ws.work.flags.c_contiguous
+            and ws.work.size >= 4 * m + 2 * n_total):
+        raise ValueError(f"work must be contiguous float64 of size at least {4 * m + 2 * n_total}")
     return _kernel.load().simplex_pivots(
-        ws.m, ws.n, ws.n_art, inst.col_ptr.ctypes.data, inst.row_idx.ctypes.data,
+        m, ws.n, ws.n_art, inst.col_ptr.ctypes.data, inst.row_idx.ctypes.data,
         inst.values.ctypes.data, ws.art_rows.ctypes.data, cost.ctypes.data,
         allow.ctypes.data, ws.upper.ctypes.data, ws.status.ctypes.data,
         ws.basis.ctypes.data, ws.binv.ctypes.data, x_b.ctypes.data, ws.work.ctypes.data,

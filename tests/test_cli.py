@@ -477,6 +477,10 @@ class TestPlumbing:
     @pytest.mark.parametrize("spec, message", [
         ("m=3,n=20,tau=0.4,sigm=0.5", "unknown key(s) sigm"),
         ("m=3,n=20,tau=0.4,perturb=yes", "key perturb takes 0, 1, true or false, not 'yes'"),
+        ("m=3,m=4,n=20,tau=0.4", "repeats key m"),
+        ("m=3,n=20,tau=0.4,seed=1, seed =2", "repeats key seed"),
+        ("m=3,n=20,tau=0.4,=5", "has a part with no key: '=5'"),
+        ("m=3,n=20, =5,tau=0.4", "has a part with no key: ' =5'"),
     ])
     def test_a_gen_spec_refuses_what_it_does_not_read(self, capsys, spec, message):
         code = run_cli(["solve", "--gen", spec])
@@ -488,6 +492,15 @@ class TestPlumbing:
                                                  ("false", False), ("true", True)])
     def test_a_gen_spec_reads_perturb(self, value, expected):
         assert _parse_gen_spec(f"m=3,n=20,tau=0.4,perturb={value}").perturb_a3 is expected
+
+    @pytest.mark.parametrize("spec, message", [
+        ("m=3,m=4,n=20,tau=0.4", "--gen spec repeats key m"),
+        ("m=3,n=20,tau=0.4,=5", "--gen spec has a part with no key: '=5'"),
+    ])
+    def test_a_gen_spec_names_a_repeated_or_empty_key(self, spec, message):
+        with pytest.raises(ValueError) as caught:
+            _parse_gen_spec(spec)
+        assert str(caught.value) == message
 
     @pytest.mark.parametrize("args", [
         ["gen", "--m", "3", "--n", "20", "--tau", "0.4", "--out"],

@@ -444,15 +444,50 @@ def assert_same_lp(a, b):
         assert getattr(a, name) == getattr(b, name), name
 
 
+def recorded(monkeypatch, solve):
+    """``solve()`` and what each call of the pivot loops, compiled or not,
+    hands back: its reason, the state vector, the statuses, the basic
+    values, and the reduced costs and devex weights it leaves in
+    ``ws.work``."""
+    calls = []
+
+    def recording(pivots):
+        def run(ws, cost, x_b, allow, limit, state):
+            reason = pivots(ws, cost, x_b, allow, limit, state)
+            d, w = ws.devex_state()
+            calls.append((reason, state.tobytes(), ws.status.tobytes(), x_b.tobytes(),
+                          d.tobytes(), w.tobytes()))
+            return reason
+        return run
+
+    with monkeypatch.context() as mp:
+        mp.setattr(simplex, "_python_pivots", recording(simplex._python_pivots))
+        mp.setattr(simplex, "_compiled_pivots", recording(simplex._compiled_pivots))
+        return solve(), calls
+
+
 def solve_both(monkeypatch, instance, **kwargs):
-    got = solve_lp(instance, **kwargs)
-    assert_same_lp(got, reference_lp(monkeypatch, instance, **kwargs))
+    """solve_lp on both engines, which must agree bit for bit in the
+    result and in every hand-back of the pivot loops."""
+    got, got_calls = recorded(monkeypatch, lambda: solve_lp(instance, **kwargs))
+    want, want_calls = recorded(monkeypatch,
+                                lambda: reference_lp(monkeypatch, instance, **kwargs))
+    assert_same_lp(got, want)
+    assert len(got_calls) == len(want_calls)
+    for k, (a, b) in enumerate(zip(got_calls, want_calls)):
+        assert a == b, f"hand-back {k}"
     return got
 
 
-@pytest.mark.parametrize("m, n, density", [(8, 300, 1.0), (8, 600, 0.1),
-                                           (100, 400, 1.0), (100, 1200, 0.1)])
-def test_simplex_matches_python_engine(compiled, monkeypatch, m, n, density):
+@pytest.mark.parametrize("m, n, density, period", [
+    pytest.param(8, 300, 1.0, 5, id="8-300-1.0"), pytest.param(8, 600, 0.1, 5, id="8-600-0.1"),
+    pytest.param(100, 400, 1.0, None, id="100-400-1.0"),
+    pytest.param(100, 1200, 0.1, None, id="100-1200-0.1"),
+    pytest.param(8, 600, 0.1, 1, id="8-600-0.1-period1"),
+    pytest.param(100, 1200, 0.1, 1, id="100-1200-0.1-period1")])
+def test_simplex_matches_python_engine(compiled, monkeypatch, m, n, density, period):
+    # period 5 at m=8, which makes few pivots, crosses several
+    # refactorizations; period 1 hands back after every basis change
     refactorizations = 0
     refactorize = simplex._Workspace.refactorize
 
@@ -462,8 +497,8 @@ def test_simplex_matches_python_engine(compiled, monkeypatch, m, n, density):
         refactorize(ws)
 
     monkeypatch.setattr(simplex._Workspace, "refactorize", counting)
-    if m == 8:  # few pivots: refactorize often enough to cross several
-        monkeypatch.setattr(simplex, "REFACTOR_PERIOD", 5)
+    if period is not None:
+        monkeypatch.setattr(simplex, "REFACTOR_PERIOD", period)
     inst = generate_mkp(MkpParams(m=m, n=n, tightness=0.05 if density < 1 else 0.25,
                                   density=density, seed=1))
     res = solve_both(monkeypatch, inst)
@@ -501,10 +536,147 @@ def test_simplex_bound_flips_match(compiled, monkeypatch):
     monkeypatch.setattr(simplex, "REFACTOR_PERIOD", 1)
     with monkeypatch.context() as mp:
         mp.setattr(simplex, "_python_pivots", counting)
-        mp.setattr(_kernel, "_state", (None, "reference run"))
-        want = solve_lp(inst)
+        want = reference_lp(monkeypatch, inst)
     assert want.status is SolveStatus.OPTIMAL and want.iterations > hand_backs > 0
-    assert_same_lp(solve_lp(inst), want)
+    assert_same_lp(solve_both(monkeypatch, inst), want)
+
+
+@pytest.mark.parametrize("period", [1, None])
+def test_each_entry_prices_afresh_and_resets_the_weights(compiled, monkeypatch, period):
+    # what the pivot loops find in d and w at a hand-back or a phase's
+    # start is never read: spoiling it changes nothing on either engine
+    if period is not None:
+        monkeypatch.setattr(simplex, "REFACTOR_PERIOD", period)
+    rng = np.random.default_rng(4)
+    A = rng.normal(size=(30, 300)) * (rng.random((30, 300)) < 0.3)
+    u = rng.random(300) + 0.5
+    inst = LpInstance.from_dense(A, A @ (rng.random(300) * u) + rng.random(30),
+                                 rng.normal(size=300), upper=u)
+    assert np.any(inst.rhs < 0)   # Phase 1, then Phase 2
+    usual = solve_both(monkeypatch, inst)
+
+    def spoiling(pivots):
+        def run(ws, *args):
+            for v in ws.devex_state():
+                v[:] = rng.normal(size=v.size) * 1e3
+            return pivots(ws, *args)
+        return run
+
+    monkeypatch.setattr(simplex, "_python_pivots", spoiling(simplex._python_pivots))
+    monkeypatch.setattr(simplex, "_compiled_pivots", spoiling(simplex._compiled_pivots))
+    assert_same_lp(solve_both(monkeypatch, inst), usual)
+
+
+@pytest.mark.parametrize("engine", ["compiled", "python"])
+def test_every_optimal_hand_back_prices_nothing_afresh(monkeypatch, engine):
+    # the loops stop OPTIMAL only on reduced costs priced afresh: so a
+    # fresh btran and pricing of the final basis finds no column to enter
+    if engine == "compiled" and _kernel.load() is None:
+        pytest.skip(f"no compiled kernel: {_kernel.reason()}")
+    if engine == "python":
+        monkeypatch.setattr(_kernel, "_state", (None, "reference run"))
+    optimal = 0
+
+    def checking(pivots):
+        def run(ws, cost, x_b, allow, limit, state):
+            nonlocal optimal
+            reason = pivots(ws, cost, x_b, allow, limit, state)
+            if reason == _kernel.OPTIMAL:
+                z = ws.reduced_costs(cost, ws.btran(cost[ws.basis]))
+                eligible = allow & (ws.upper > 0) & (
+                    ((ws.status == 0) & (z > simplex.OPT_TOL))
+                    | ((ws.status == 1) & (z < -simplex.OPT_TOL)))
+                assert not np.any(eligible)
+                optimal += 1
+            return reason
+        return run
+
+    monkeypatch.setattr(simplex, "_python_pivots", checking(simplex._python_pivots))
+    monkeypatch.setattr(simplex, "_compiled_pivots", checking(simplex._compiled_pivots))
+    rng = np.random.default_rng(21)
+    solves = 0
+    for m, n, tau, seed in [(8, 300, 0.25, 1), (30, 900, 0.05, 2), (100, 1200, 0.05, 3)]:
+        inst = generate_mkp(MkpParams(m=m, n=n, tightness=tau, density=0.1, seed=seed))
+        upper = rng.uniform(0.05, 3.0, n) if seed == 2 else inst.upper   # bound flips
+        solves += solve_lp(with_upper(inst, upper)).status is SolveStatus.OPTIMAL
+    for _ in range(40):   # small and degenerate, some with negative rhs (Phase 1)
+        m, n = int(rng.integers(2, 8)), int(rng.integers(2, 12))
+        A = rng.integers(-1, 3, size=(m, n)).astype(float)
+        res = solve_lp(LpInstance.from_dense(A, rng.integers(-1, 4, size=m).astype(float),
+                                             rng.integers(-2, 3, size=n).astype(float),
+                                             upper=np.full(n, 2.0)))
+        solves += res.status is SolveStatus.OPTIMAL
+    assert optimal >= solves >= 20
+
+
+def test_updated_reduced_costs_that_price_nothing_are_renewed(compiled, monkeypatch):
+    # columns repeated at three scales leave reduced costs that are 0 in
+    # exact arithmetic; with no pricing tolerance their rounding decides,
+    # and the updated d and a fresh pricing of it round differently.  So
+    # some fresh pricing after an updated d priced nothing finds a column,
+    # and pivoting goes on, on both engines alike
+    monkeypatch.setattr(simplex, "OPT_TOL", 0.0)
+    rng = np.random.default_rng(0)
+    A = rng.normal(size=(10, 20)) * (rng.random((10, 20)) < 0.6)
+    c = rng.normal(size=20)
+    inst = LpInstance.from_dense(np.hstack([A, 3.0 * A, 0.1 * A]), rng.random(10) + 0.1,
+                                 np.concatenate([c, 3.0 * c, 0.1 * c]), upper=np.full(60, 2.0))
+    events = []
+    reduced_costs, entering = simplex._Workspace.reduced_costs, simplex._entering
+
+    def pricing(ws, *args):
+        events.append("fresh")
+        return reduced_costs(ws, *args)
+
+    def choosing(*args):
+        q = entering(*args)
+        events.append(q >= 0)
+        return q
+
+    with monkeypatch.context() as mp:
+        mp.setattr(simplex._Workspace, "reduced_costs", pricing)
+        mp.setattr(simplex, "_entering", choosing)
+        reference_lp(monkeypatch, inst)
+    # a choice from an updated d (not just after a fresh pricing) found
+    # nothing, and the fresh pricing that followed found a column
+    renewed = [k for k in range(1, len(events) - 2)
+               if events[k - 1] != "fresh" and events[k:k + 3] == [False, "fresh", True]]
+    assert renewed
+    assert solve_both(monkeypatch, inst).status is SolveStatus.OPTIMAL
+
+
+@pytest.mark.parametrize("spoil", ["short work", "float32 work", "strided work", "float32 cost",
+                                   "int8 allow", "strided basic values", "int32 state",
+                                   "Fortran inverse"])
+def test_the_compiled_pivots_refuse_an_array_they_would_misread(compiled, spoil):
+    inst = generate_mkp(MkpParams(m=4, n=30, tightness=0.3, seed=1))
+    ws = simplex._Workspace(inst, np.empty(0, dtype=np.int64))
+    x_b = ws.start(np.arange(30, 34), np.empty(0, dtype=np.int64))
+    cost = np.concatenate([inst.obj, np.zeros(4)])
+    allow = np.ones(ws.n_total, dtype=bool)
+    state = np.zeros(4, dtype=np.int64)
+    size = 4 * 4 + 2 * ws.n_total
+    if spoil == "short work":
+        ws.work = np.empty(size - 1)
+    elif spoil == "float32 work":
+        ws.work = np.empty(size, dtype=np.float32)
+    elif spoil == "strided work":
+        ws.work = np.empty(2 * size)[::2]
+    elif spoil == "float32 cost":
+        cost = cost.astype(np.float32)
+    elif spoil == "int8 allow":
+        allow = allow.astype(np.int8)
+    elif spoil == "strided basic values":
+        x_b = np.repeat(x_b, 2)[::2]
+    elif spoil == "int32 state":
+        state = state.astype(np.int32)
+    else:
+        ws.binv = np.asfortranarray(ws.binv)
+    before = ws.status.copy(), ws.basis.copy()
+    with pytest.raises(ValueError, match="must be contiguous"):
+        simplex._compiled_pivots(ws, cost, x_b, allow, 100, state)
+    assert np.array_equal(ws.status, before[0]) and np.array_equal(ws.basis, before[1])
+    assert not state.any()
 
 
 def test_simplex_degenerate_lps_reach_blands_rule(compiled, monkeypatch):

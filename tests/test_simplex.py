@@ -175,6 +175,13 @@ class TestAgainstHighs:
         assert not res.warm_started
         assert_matches_highs(inst, res)
 
+    def test_cold_solve_at_m300(self):
+        # the regime devex pricing is for: thousands of pivots of m^2 work
+        inst = generate_mkp(MkpParams(m=300, n=3000, tightness=0.05, density=0.1, seed=5))
+        res = solve_lp(inst)
+        assert not res.warm_started and res.iterations > 3000
+        assert_matches_highs(inst, res)
+
     def test_warm_starts_as_the_working_set_grows(self):
         inst = generate_mkp(MkpParams(m=100, n=2000, tightness=0.05, density=0.1, seed=6))
         w = np.sort(np.random.default_rng(6).choice(2000, size=200, replace=False))
