@@ -7,7 +7,8 @@ The package works on inequality-form linear programs
 with the constraint matrix held in compressed sparse-column form so that
 single columns can be visited in time proportional to their nonzero count.
 All metric functions here are pure.  The one thing an instance caches is
-its scipy matrix (``to_scipy``), which is read-only like the instance.
+its scipy matrix (``to_scipy``) and that matrix's transpose, both
+read-only like the instance.
 """
 
 from __future__ import annotations
@@ -148,7 +149,9 @@ class LpInstance:
 
     def to_scipy(self) -> sp.csc_matrix:
         """Scipy CSC form of A, built on the first call and kept; every call
-        returns the same matrix, whose arrays are read-only."""
+        returns the same matrix, whose arrays are read-only.  Its transpose,
+        which every c - A^T y sweep multiplies by, is kept beside it as a
+        CSR view of the same arrays, so no sweep builds one."""
         return self._csc
 
     @functools.cached_property
@@ -159,6 +162,10 @@ class LpInstance:
             a.flags.writeable = False
         return A
 
+    @functools.cached_property
+    def _csc_t(self) -> sp.csr_matrix:
+        return self._csc.T   # shares the CSC arrays; copies nothing
+
     def to_dense(self) -> np.ndarray:
         return self.to_scipy().toarray()
 
@@ -168,9 +175,9 @@ class LpInstance:
         starts = self.col_ptr[cols]
         counts = self.col_ptr[cols + 1] - starts
         cp = np.zeros(cols.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=cp[1:])
+        counts.cumsum(out=cp[1:])
         # entry p of the new column k sits at starts[k] + (p - cp[k]) in the old arrays
-        gather = np.repeat(starts - cp[:-1], counts) + np.arange(cp[-1])
+        gather = (starts - cp[:-1]).repeat(counts) + np.arange(cp[-1])
         return LpInstance(self.num_rows, cols.size, cp, self.row_idx[gather], self.values[gather],
                           self.rhs, self.obj[cols], self.upper[cols], meta=meta)
 
@@ -283,8 +290,8 @@ def _check_y(instance: LpInstance, y) -> np.ndarray:
 
 
 def _reduced_costs(instance: LpInstance, y) -> np.ndarray:
-    """c_j - <a_j, y> for every column, in one sparse sweep."""
-    return instance.obj - instance.to_scipy().T @ _check_y(instance, y)
+    """c_j - <a_j, y> for every column, in one sparse sweep of the kept A^T."""
+    return instance.obj - instance._csc_t @ _check_y(instance, y)
 
 
 def constraint_violation(instance: LpInstance, x) -> float:

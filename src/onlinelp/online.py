@@ -381,8 +381,12 @@ def _resolve_start(start, num_rows: int) -> np.ndarray:
 
 
 def _column_sequence(num_cols: int, duplication: int, seed: int) -> np.ndarray:
-    # virtual index t of the K*n copies maps to column t mod n
-    return np.random.default_rng(seed).permutation(num_cols * duplication) % num_cols
+    # virtual index t of the K*n copies maps to column t mod n.  A shuffle
+    # swaps by the length and the random stream alone, so shuffling K copies
+    # of 0..n-1 gives permutation(K*n) % n without the modulo's pass
+    seq = np.tile(np.arange(num_cols, dtype=np.int64), duplication)
+    np.random.default_rng(seed).shuffle(seq)
+    return seq
 
 
 def _explicit_pass(instance: LpInstance, seq: np.ndarray, gamma: float,

@@ -121,26 +121,27 @@ def init_working_set(instance: LpInstance, y, count: int) -> np.ndarray:
 
 
 def price(instance: LpInstance, working_set, y, tol: float = 1e-7,
-          max_new: int | None = None, anchor_reduced: np.ndarray | None = None) -> np.ndarray:
+          max_new: int | None = None, anchor_share: np.ndarray | None = None) -> np.ndarray:
     """Non-working columns with reduced cost r = c_j - <a_j, y> above tol.
 
     ``working_set`` is an array (or list) of column ids.  One sparse sweep;
     optionally truncated to the ``max_new`` most violated columns, ties to
-    the lower index.  Given the anchor's reduced costs ``anchor_reduced``,
-    columns are priced by ALPHA * r + (1 - ALPHA) * anchor_reduced, and by r
-    alone when that prices none, so an empty result still certifies y.
+    the lower index.  Given the anchor's share of the blend, ``anchor_share``
+    = (1 - ALPHA) * r_anchor, columns are priced by ALPHA * r + anchor_share,
+    and by r alone when that prices none, so an empty result still
+    certifies y.
     """
     reduced = _reduced_costs(instance, y)
     reduced[np.asarray(working_set, dtype=np.int64)] = -np.inf   # and so in the blend
-    if anchor_reduced is not None:
+    if anchor_share is not None:
         blended = ALPHA * reduced
-        blended += (1.0 - ALPHA) * anchor_reduced
-        if np.any(blended > tol):
+        blended += anchor_share
+        if (blended > tol).any():
             reduced = blended
-    violated = np.flatnonzero(reduced > tol)
+    violated = (reduced > tol).nonzero()[0]
     if max_new is not None:
         violated = violated[_top(reduced[violated], max_new)]
-    return violated.astype(np.int64)
+    return violated.astype(np.int64, copy=False)
 
 
 def basis_metrics(reference_support, initial_working_set, n: int) -> tuple[float, float]:
@@ -165,7 +166,7 @@ def _map_warm_basis(prev: SimplexResult, w_prev: np.ndarray, w_new: np.ndarray,
                     m: int) -> tuple[np.ndarray, np.ndarray]:
     """The previous basis and at-upper set as column ids of the new working
     problem: working columns move to their place in w_new, slacks shift."""
-    new_id = np.concatenate([np.searchsorted(w_new, w_prev), w_new.size + np.arange(m)])
+    new_id = np.concatenate([w_new.searchsorted(w_prev), w_new.size + np.arange(m)])
 
     def mapped(ids):
         return new_id[np.fromiter(ids, dtype=np.int64, count=len(ids))]
@@ -191,6 +192,7 @@ def sift(instance: LpInstance, online_solution: OnlineSolution,
 
     anchor_reduced = _reduced_costs(instance, np.maximum(online_solution.y_final, 0.0))
     w = _top(anchor_reduced, m)
+    anchor_share = (1.0 - ALPHA) * anchor_reduced   # the blend's fixed part
     w0 = w.copy()
     trace: list[SiftRound] = []
     res = None
@@ -200,14 +202,16 @@ def sift(instance: LpInstance, online_solution: OnlineSolution,
         warm = None
         if res is not None:
             # grown only here, so the result describes the last set solved
-            w_prev, w = w, np.union1d(w, priced)
+            # price skips w, so the two are disjoint and their union is a sort
+            w_prev, w = w, np.concatenate((w, priced))
+            w.sort()
             warm = _map_warm_basis(res, w_prev, w, m)
         res = solve_lp(instance.restrict_columns(w), warm_basis=warm)
         if res.status is not SolveStatus.OPTIMAL:
             raise RuntimeError(f"working problem solve failed: {res.status.value}")
         # a capped sweep is empty only when the whole sweep is
         priced = price(instance, w, res.y_star, config.pricing_tolerance,
-                       config.max_new_columns_per_round, anchor_reduced=anchor_reduced)
+                       config.max_new_columns_per_round, anchor_share=anchor_share)
         certified = priced.size == 0
         trace.append(SiftRound(round_no, w.size, priced.size, res.obj,
                                time.perf_counter() - t0, res.iterations,

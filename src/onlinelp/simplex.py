@@ -39,7 +39,12 @@ PIVOT_TOL): Python refactors with LAPACK, recomputes the basic values and
 resumes it.  It also returns at optimality, unboundedness and the
 iteration limit; Phase 1, warm starts and the result stay in Python.
 Both engines keep d and w in ``_Workspace.work``, after the kernel's 4 m
-doubles of scratch.  ``explicit_engine()`` in ``onlinelp.online`` names
+doubles of scratch.  The workspace checks and looks up the kernel's
+pointers to the arrays it holds once (``kernel_pointers``); each kernel
+call looks up only its own arguments and the basis inverse.  A working
+problem's solve is short, so its start and its result call ndarray
+methods (``a.nonzero()[0]``, ``a.cumsum()``) rather than numpy's function
+wrappers, whose dispatch would show.  ``explicit_engine()`` in ``onlinelp.online`` names
 the engine of both.  Cold and warm starts install their basis one way,
 ``_Workspace.start``; ``_warm_start`` hands on the basic values of a warm
 basis that is in range, nonsingular and primal feasible, and refuses any
@@ -136,11 +141,15 @@ class _Workspace:
         self.art_rows = art_rows                  # rows carrying a -1 artificial
         self.n_art = art_rows.size
         self.n_total = self.n + self.m + self.n_art
-        self.upper = np.concatenate([
-            instance.upper,
-            np.full(self.m, np.inf),
-            np.full(self.n_art, np.inf),
-        ])
+        n_extra = self.m + self.n_art
+        self.upper = np.concatenate((instance.upper, np.full(n_extra, np.inf)))
+        # [A I -E] in compressed columns, for ``entries``: A's arrays, then
+        # slack i holds (i, 1.0) and the artificial of row art_rows[k] holds
+        # (art_rows[k], -1.0).  A copy of A, which sifting's working problems
+        # keep small; a solve of a whole instance pays 16 bytes per nonzero.
+        self.ext_ptr = np.concatenate((instance.col_ptr, instance.nnz + 1 + np.arange(n_extra)))
+        self.ext_rows = np.concatenate((instance.row_idx, np.arange(self.m), art_rows))
+        self.ext_vals = np.concatenate((instance.values, np.ones(self.m), np.full(self.n_art, -1.0)))
         # 0 = nonbasic at lower, 1 = nonbasic at upper, 2 = basic
         self.status = np.zeros(self.n_total, dtype=np.int8)
         self.basis = np.empty(self.m, dtype=np.int64)
@@ -155,26 +164,12 @@ class _Workspace:
         [A I -E], column by column in stored order; owner[e] is the place in
         ``cols`` of the column that entry e belongs to."""
         cols = np.asarray(cols, dtype=np.int64)
-        cp = self.inst.col_ptr
-        struct_id = np.minimum(cols, self.n - 1)   # a stand-in for slacks, artificials
-        starts = cp[struct_id]
-        counts = np.where(cols < self.n, cp[struct_id + 1] - starts, 1)
-        owner = np.repeat(np.arange(cols.size), counts)
-        first = np.cumsum(counts) - counts
-        at = np.repeat(starts - first, counts) + np.arange(owner.size)
-        rows = np.empty(owner.size, dtype=np.int64)
-        vals = np.empty(owner.size)
-        own = cols[owner]
-        struct = own < self.n
-        rows[struct] = self.inst.row_idx[at[struct]]
-        vals[struct] = self.inst.values[at[struct]]
-        slack = ~struct & (own < self.n + self.m)
-        rows[slack] = own[slack] - self.n
-        vals[slack] = 1.0
-        art = own >= self.n + self.m
-        rows[art] = self.art_rows[own[art] - self.n - self.m]
-        vals[art] = -1.0
-        return rows, vals, owner
+        starts = self.ext_ptr[cols]
+        counts = self.ext_ptr[cols + 1] - starts
+        owner = np.arange(cols.size).repeat(counts)
+        # entry e of the k-th column sits at starts[k] + e - (its first e)
+        at = (starts - (counts.cumsum() - counts)).repeat(counts) + np.arange(owner.size)
+        return self.ext_rows[at], self.ext_vals[at], owner
 
     # -- factorization -----------------------------------------------------
 
@@ -185,7 +180,7 @@ class _Workspace:
         # LAPACK's getrf and getri, without lu_factor's warning on an exactly
         # singular B: the check below refuses that basis itself
         lu, piv, _ = _getrf(B)
-        if np.min(np.abs(np.diag(lu))) < PIVOT_TOL * max(1.0, np.max(np.abs(B))):
+        if abs(lu.diagonal()).min() < PIVOT_TOL * max(1.0, abs(B).max()):
             raise SingularBasisError("singular basis matrix")
         self.binv = np.ascontiguousarray(_getri(lu, piv)[0])
         self.updates = 0
@@ -202,10 +197,10 @@ class _Workspace:
 
     def btran(self, c: np.ndarray) -> np.ndarray:
         """c B^-1, adding the terms of the nonzero costs in basis order."""
-        k = np.flatnonzero(c)
+        k = c.nonzero()[0]
         if k.size == 0:
             return np.zeros(self.m)
-        return np.cumsum(c[k, None] * self.binv[k], axis=0)[-1].copy()
+        return (c[k, None] * self.binv[k]).cumsum(axis=0)[-1].copy()
 
     def update(self, r: int, w: np.ndarray) -> np.ndarray | None:
         """Replace basis position r, whose entering column has ftran w, and
@@ -220,10 +215,11 @@ class _Workspace:
     # -- primal state --------------------------------------------------------
 
     def effective_rhs(self) -> np.ndarray:
-        rhs = self.b.astype(np.float64)
-        up = np.flatnonzero(self.status == 1)
-        rows, vals, owner = self.entries(up)
-        np.subtract.at(rhs, rows, vals * self.upper[up][owner])   # in column order
+        rhs = self.b.copy()
+        up = (self.status == 1).nonzero()[0]
+        if up.size:
+            rows, vals, owner = self.entries(up)
+            np.subtract.at(rhs, rows, vals * self.upper[up][owner])   # in column order
         return rhs
 
     def basic_values(self) -> np.ndarray:
@@ -235,7 +231,7 @@ class _Workspace:
         basic values.  Raises SingularBasisError."""
         self.status[:] = 0
         self.status[at_upper] = 1
-        self.basis = basis
+        self.basis[:] = basis    # in place: the kernel's pointer to it stays valid
         self.status[basis] = 2   # after at_upper: a basic column is basic
         self.refactorize()
         return self.basic_values()
@@ -267,6 +263,25 @@ class _Workspace:
 
     def reduced_costs(self, cost: np.ndarray, y: np.ndarray) -> np.ndarray:
         return cost - self.products(y)
+
+    @functools.cached_property
+    def kernel_pointers(self) -> tuple[int, ...]:
+        """Pointers for the kernel to the arrays the workspace holds and never
+        rebinds: A's col_ptr, row_idx and values, art_rows, upper, status,
+        basis and work.  Checked and looked up on the first read, like
+        ``_pointers``; the basis inverse and the basic values are rebound at
+        each refactorization, so ``_compiled_pivots`` looks them up per call."""
+        m, n_total, work = self.m, self.n_total, self.work
+        size = 4 * m + 2 * n_total
+        if not (work.dtype == np.float64 and work.flags.c_contiguous and work.size >= size):
+            raise ValueError(f"work must be contiguous float64 of size at least {size}")
+        inst = self.inst   # its arrays are frozen contiguous copies of the right dtypes
+        return (inst.col_ptr.ctypes.data, inst.row_idx.ctypes.data, inst.values.ctypes.data,
+                *_pointers(("art_rows", self.art_rows, np.int64, self.n_art),
+                           ("upper", self.upper, np.float64, n_total),
+                           ("status", self.status, np.int8, n_total),
+                           ("basis", self.basis, np.int64, m)),
+                work.ctypes.data)
 
     def devex_state(self) -> tuple[np.ndarray, np.ndarray]:
         """Views of the reduced costs d and the devex weights w in ``work``."""
@@ -410,29 +425,31 @@ def _entering(ws: _Workspace, d: np.ndarray, w: np.ndarray, enterable: np.ndarra
     return int(idx[np.argmax(dj * dj / w[idx])])
 
 
+def _pointers(*arrays) -> list[int]:
+    """The data pointers of (name, array, dtype, size) entries.  Raises
+    ValueError for an array the kernel would read or write out of bounds or
+    misread."""
+    for name, arr, dtype, size in arrays:
+        if not (arr.dtype == dtype and arr.flags.c_contiguous and arr.size == size):
+            raise ValueError(f"{name} must be contiguous {np.dtype(dtype).name} of size {size}")
+    return [arr.ctypes.data for _, arr, _, _ in arrays]
+
+
 def _compiled_pivots(ws: _Workspace, cost: np.ndarray, x_b: np.ndarray,
                      allow: np.ndarray, limit: int, state: np.ndarray) -> int:
     """``_python_pivots`` in the compiled kernel, which writes in place
     through the pointers of the same arrays.  Raises ValueError for an
     array the kernel would read or write out of bounds or misread."""
-    m, n_total, inst = ws.m, ws.n_total, ws.inst
-    for name, arr, dtype, size in (
-            ("cost", cost, np.float64, n_total), ("allow", allow, np.bool_, n_total),
-            ("upper", ws.upper, np.float64, n_total), ("status", ws.status, np.int8, n_total),
-            ("basis", ws.basis, np.int64, m), ("basis inverse", ws.binv, np.float64, m * m),
-            ("basic values", x_b, np.float64, m), ("art_rows", ws.art_rows, np.int64, ws.n_art),
-            ("state", state, np.int64, 4)):
-        if not (arr.dtype == dtype and arr.flags.c_contiguous and arr.size == size):
-            raise ValueError(f"{name} must be contiguous {np.dtype(dtype).name} of size {size}")
-    if not (ws.work.dtype == np.float64 and ws.work.flags.c_contiguous
-            and ws.work.size >= 4 * m + 2 * n_total):
-        raise ValueError(f"work must be contiguous float64 of size at least {4 * m + 2 * n_total}")
+    m, n_total = ws.m, ws.n_total
+    col_ptr, row_idx, values, art_rows, upper, status, basis, work = ws.kernel_pointers
+    cost_p, allow_p, binv, x_b_p, state_p = _pointers(
+        ("cost", cost, np.float64, n_total), ("allow", allow, np.bool_, n_total),
+        ("basis inverse", ws.binv, np.float64, m * m), ("basic values", x_b, np.float64, m),
+        ("state", state, np.int64, 4))
     return _kernel.load().simplex_pivots(
-        m, ws.n, ws.n_art, inst.col_ptr.ctypes.data, inst.row_idx.ctypes.data,
-        inst.values.ctypes.data, ws.art_rows.ctypes.data, cost.ctypes.data,
-        allow.ctypes.data, ws.upper.ctypes.data, ws.status.ctypes.data,
-        ws.basis.ctypes.data, ws.binv.ctypes.data, x_b.ctypes.data, ws.work.ctypes.data,
-        limit, state.ctypes.data, OPT_TOL, PIVOT_TOL, REFACTOR_PERIOD, STALL_WINDOW)
+        m, ws.n, ws.n_art, col_ptr, row_idx, values, art_rows, cost_p, allow_p, upper, status,
+        basis, binv, x_b_p, work, limit, state_p, OPT_TOL, PIVOT_TOL, REFACTOR_PERIOD,
+        STALL_WINDOW)
 
 
 def solve_lp(instance: LpInstance, warm_basis=None,
@@ -459,7 +476,7 @@ def solve_lp(instance: LpInstance, warm_basis=None,
         max_iter = 50 * (m + n)
 
     b = instance.rhs
-    neg_rows = np.flatnonzero(b < 0)
+    neg_rows = (b < 0).nonzero()[0]
     ws = _Workspace(instance, neg_rows)
     x_b = None if warm_basis is None else _warm_start(ws, warm_basis)
     warm_ok = x_b is not None
@@ -498,13 +515,13 @@ def solve_lp(instance: LpInstance, warm_basis=None,
                              warm_started=warm_ok)
 
     x_full = np.zeros(ws.n_total)
-    up_ids = np.flatnonzero(ws.status == 1)
+    up_ids = (ws.status == 1).nonzero()[0]
     x_full[up_ids] = ws.upper[up_ids]
     x_full[ws.basis] = x_b
-    x = np.clip(x_full[:n], 0.0, instance.upper)
+    x = x_full[:n].clip(0.0, instance.upper)
     return SimplexResult(status, x, ws.btran(cost2[ws.basis]), float(instance.obj @ x),
-                         frozenset(int(j) for j in ws.basis), iterations,
-                         frozenset(int(j) for j in up_ids if j < n + m), warm_ok)
+                         frozenset(ws.basis.tolist()), iterations,
+                         frozenset(up_ids[up_ids < n + m].tolist()), warm_ok)
 
 
 def _warm_start(ws: _Workspace, warm) -> np.ndarray | None:
@@ -516,8 +533,9 @@ def _warm_start(ws: _Workspace, warm) -> np.ndarray | None:
         basis, at_upper = warm
     else:
         raise TypeError("warm_basis must be a SimplexResult or a (basis, at_upper) pair")
-    basis = np.sort(np.fromiter(basis, dtype=np.int64))
-    if basis.size != ws.m or np.any(basis < 0) or np.any(basis >= ws.n + ws.m):
+    basis = np.fromiter(basis, dtype=np.int64)
+    basis.sort()
+    if basis.size != ws.m or basis[0] < 0 or basis[-1] >= ws.n + ws.m:   # sorted
         return None
     up = np.fromiter(at_upper, dtype=np.int64)
     up = up[(up >= 0) & (up < ws.n + ws.m)]
@@ -525,8 +543,8 @@ def _warm_start(ws: _Workspace, warm) -> np.ndarray | None:
         x_b = ws.start(basis, up[np.isfinite(ws.upper[up])])
     except SingularBasisError:
         return None
-    scale = 1.0 + float(np.abs(ws.b).max())
-    if np.any(x_b < -FEAS_TOL * scale) or np.any(x_b > ws.upper[basis] + FEAS_TOL * scale):
+    scale = 1.0 + float(abs(ws.b).max())
+    if (x_b < -FEAS_TOL * scale).any() or (x_b > ws.upper[basis] + FEAS_TOL * scale).any():
         return None
     return x_b
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from onlinelp import model
+from onlinelp.instances import MkpParams, generate_mkp
 from onlinelp.model import (
     LpInstance,
     compute_stats,
@@ -152,6 +153,47 @@ class TestLpInstance:
             np.testing.assert_array_equal(np.diff(sub.col_ptr), np.diff(inst.col_ptr)[cols])
             assert sub.row_idx.tobytes() == np.array(ri, dtype=np.int64).tobytes()
             assert sub.values.tobytes() == np.array(vals, dtype=np.float64).tobytes()
+
+
+class TestReducedCosts:
+    """``_reduced_costs`` sweeps a kept transpose of A; the reference is the
+    product with the transpose built anew, ``to_scipy().T``."""
+
+    @pytest.mark.parametrize("A", [
+        [[1.0, 0.0, 2.0, -1.5], [0.0, 0.0, 4.0, 0.25]],   # column 1 is empty
+        [[3.0], [-1.5], [0.5]],                           # n = 1
+        [[0.0, 2.0]],                                     # an empty first column
+    ], ids=["empty column", "n=1", "empty first column"])
+    def test_match_the_transpose_built_per_call(self, A):
+        A = np.array(A)
+        rng = np.random.default_rng(A.size)
+        inst = LpInstance.from_dense(A, np.ones(A.shape[0]), rng.normal(size=A.shape[1]))
+        for y in (rng.random(A.shape[0]), np.zeros(A.shape[0]), -rng.random(A.shape[0])):
+            want = inst.obj - inst.to_scipy().T @ y
+            assert model._reduced_costs(inst, y).tobytes() == want.tobytes()
+
+    def test_match_on_generated_instances(self):
+        for seed, (m, n, density) in enumerate([(8, 1000, 1.0), (100, 3000, 0.1), (5, 40, 0.3)]):
+            inst = generate_mkp(MkpParams(m=m, n=n, tightness=0.2, density=density, seed=seed))
+            y = np.random.default_rng(seed).random(m)
+            want = inst.obj - inst.to_scipy().T @ y
+            assert model._reduced_costs(inst, y).tobytes() == want.tobytes()
+
+    def test_the_transpose_is_kept_and_shares_the_arrays(self):
+        inst = LpInstance.from_dense([[1.0, 0.0, 2.0], [0.0, 3.0, 4.0]], [1.0, 1.0],
+                                     [1.0, 2.0, 3.0])
+        model._reduced_costs(inst, np.ones(2))
+        kept = inst._csc_t
+        model._reduced_costs(inst, np.ones(2))
+        assert inst._csc_t is kept
+        A = inst.to_scipy()
+        for t, a in ((kept.data, A.data), (kept.indices, A.indices), (kept.indptr, A.indptr)):
+            assert np.shares_memory(t, a) and t.size == a.size and not t.flags.writeable
+        np.testing.assert_array_equal(kept.toarray(), A.toarray().T)
+
+    def test_a_wrong_shape_is_refused(self):
+        with pytest.raises(ValueError, match="y must have shape"):
+            model._reduced_costs(toy_half_lp(), np.ones(2))
 
 
 class TestComputeStats:

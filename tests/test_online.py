@@ -347,6 +347,17 @@ class TestDuplication:
         assert sol.elapsed_columns == 4 * inst.num_cols
 
 
+class TestColumnSequence:
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000, 100_000])
+    @pytest.mark.parametrize("k", [1, 2, 32])
+    def test_matches_the_permutation_modulo_n(self, n, k):
+        # a shuffle of K copies of 0..n-1 makes the swaps of permutation(K n)
+        for seed in (0, 1, 12345):
+            want = np.random.default_rng(seed).permutation(n * k) % n
+            got = online._column_sequence(n, k, seed)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 class TestInvariants:
     def test_telescoped_violation_bound(self):
         # with enforcement off: v(x_hat) <= ||y_final|| / gamma

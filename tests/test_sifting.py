@@ -11,6 +11,7 @@ from onlinelp.online import RunConfig, solve_online
 from onlinelp.sifting import (
     SiftConfig,
     SiftRoundLimit,
+    _map_warm_basis,
     basis_metrics,
     init_working_set,
     price,
@@ -103,8 +104,8 @@ class TestPrice:
         inst = generate_mkp(MkpParams(m=6, n=80, tightness=0.2, density=0.5, seed=2))
         y, anchor = rng.random(6) * 3, rng.random(6)
         working = np.sort(rng.choice(80, size=20, replace=False))
-        anchor_reduced = inst.obj - inst.to_dense().T @ anchor
-        got = price(inst, working, y, tol=1e-7, anchor_reduced=anchor_reduced)
+        share = (1 - sifting.ALPHA) * (inst.obj - inst.to_dense().T @ anchor)
+        got = price(inst, working, y, tol=1e-7, anchor_share=share)
         blended = inst.obj - inst.to_dense().T @ (sifting.ALPHA * y + (1 - sifting.ALPHA) * anchor)
         expected = np.setdiff1d(np.flatnonzero(blended > 1e-7), working)
         assert expected.size > 0
@@ -113,23 +114,59 @@ class TestPrice:
     def test_an_empty_blend_falls_back_to_the_working_dual(self):
         # reduced costs against y = 0 are the costs [3, 1, 2]
         inst = LpInstance.from_dense([[1.0, 1.0, 1.0]], [1.0], [3.0, 1.0, 2.0])
-        anchor_reduced = np.array([-10.0, 5.0, -10.0])
+        share = (1 - sifting.ALPHA) * np.array([-10.0, 5.0, -10.0])
         # the blend [-4.8, 3.4, -5.2] prices column 1 only
-        np.testing.assert_array_equal(
-            price(inst, [], np.zeros(1), anchor_reduced=anchor_reduced), [1])
+        np.testing.assert_array_equal(price(inst, [], np.zeros(1), anchor_share=share), [1])
         # with column 1 working the blend prices nothing outside W, so r_W does
+        np.testing.assert_array_equal(price(inst, [1], np.zeros(1), anchor_share=share), [0, 2])
         np.testing.assert_array_equal(
-            price(inst, [1], np.zeros(1), anchor_reduced=anchor_reduced), [0, 2])
-        np.testing.assert_array_equal(
-            price(inst, [], np.zeros(1), anchor_reduced=np.full(3, -10.0)), [0, 1, 2])
+            price(inst, [], np.zeros(1), anchor_share=(1 - sifting.ALPHA) * np.full(3, -10.0)),
+            [0, 1, 2])
 
     def test_truncation_ranks_by_the_blend(self):
         inst = LpInstance.from_dense([[1.0, 1.0, 1.0]], [1.0], [3.0, 1.0, 2.0])
         # the blend is [1.2, 4.0, 1.4], where the costs alone rank 0 and 2 first
-        anchor_reduced = np.array([0.0, 6.0, 1.0])
+        share = (1 - sifting.ALPHA) * np.array([0.0, 6.0, 1.0])
         np.testing.assert_array_equal(
-            price(inst, [], np.zeros(1), max_new=2, anchor_reduced=anchor_reduced), [1, 2])
+            price(inst, [], np.zeros(1), max_new=2, anchor_share=share), [1, 2])
         np.testing.assert_array_equal(price(inst, [], np.zeros(1), max_new=2), [0, 2])
+
+
+def per_call_price(instance, working_set, y, tol, max_new, anchor_reduced):
+    """``price`` with the blend formed in full on each call:
+    ALPHA * r + (1 - ALPHA) * r_anchor, from the transpose built anew."""
+    reduced = instance.obj - instance.to_scipy().T @ y
+    reduced[np.asarray(working_set, dtype=np.int64)] = -np.inf
+    blended = sifting.ALPHA * reduced + (1.0 - sifting.ALPHA) * anchor_reduced
+    ranked = blended if np.any(blended > tol) else reduced
+    violated = np.flatnonzero(ranked > tol)
+    if max_new is not None:
+        order = np.lexsort((violated, -ranked[violated]))[:max_new]
+        violated = np.sort(violated[order])
+    return violated
+
+
+class TestKeptAnchorShare:
+    @pytest.mark.parametrize("max_new", [None, 1, 5])
+    def test_price_matches_the_per_call_blend(self, max_new):
+        rng = np.random.default_rng(21)
+        inst = generate_mkp(MkpParams(m=6, n=400, tightness=0.2, density=0.5, seed=21))
+        anchor_reduced = inst.obj - inst.to_scipy().T @ rng.random(6)
+        share = (1.0 - sifting.ALPHA) * anchor_reduced
+        fell_back = blended = 0
+        for trial in range(40):
+            y = rng.random(6) * rng.choice([0.1, 1.0, 10.0])
+            working = np.sort(rng.choice(400, size=int(rng.integers(0, 400)), replace=False))
+            got = price(inst, working, y, 1e-7, max_new, anchor_share=share)
+            want = per_call_price(inst, working, y, 1e-7, max_new, anchor_reduced)
+            assert got.dtype == np.int64 and got.tobytes() == want.tobytes()
+            reduced = inst.obj - inst.to_scipy().T @ y
+            reduced[working] = -np.inf
+            if np.any(sifting.ALPHA * reduced + share > 1e-7):
+                blended += 1
+            else:
+                fell_back += 1
+        assert blended and fell_back   # both branches, and -inf over W in each
 
 
 class TestBasisMetrics:
@@ -302,11 +339,47 @@ class TestSift:
             sift(inst, fake_sol)
 
 
+def union_sift(inst, pre, tol=1e-7):
+    """sift's rounds written out with ``np.union1d`` growing the working set
+    and the blend formed per call (``per_call_price``): the reference of the
+    kept share and of the sort that replaces the union."""
+    m = inst.num_rows
+    anchor_reduced = inst.obj - inst.to_scipy().T @ np.maximum(pre.y_final, 0.0)
+    w = init_working_set(inst, np.maximum(pre.y_final, 0.0), m)
+    rounds, res, warm = [], None, None
+    while True:
+        if res is not None:
+            w_prev, w = w, np.union1d(w, priced)
+            warm = _map_warm_basis(res, w_prev, w, m)
+        res = solve_lp(inst.restrict_columns(w), warm_basis=warm)
+        priced = per_call_price(inst, w, res.y_star, tol, None, anchor_reduced)
+        rounds.append((w.size, priced.size, res.iterations, res.warm_started))
+        if priced.size == 0:
+            return w, res, rounds
+
+
+@pytest.mark.parametrize("m, n, density, seed", [(8, 1000, 1.0, 0), (8, 1000, 1.0, 5),
+                                                 (30, 3000, 0.1, 2)])
+def test_sift_matches_the_union_reference(m, n, density, seed):
+    inst = generate_mkp(MkpParams(m=m, n=n, tightness=0.25, density=density, seed=seed))
+    pre = solve_online(inst, RunConfig(duplication=2, seed=seed))
+    got = sift(inst, pre)
+    w, res, rounds = union_sift(inst, pre)
+    assert got.rounds >= 2
+    assert got.final_working_set.tobytes() == w.tobytes()
+    assert [(r.working_size, r.priced, r.iterations, r.warm_started)
+            for r in got.trace] == rounds
+    x = np.zeros(n)
+    x[w] = res.x_star
+    assert got.x.tobytes() == x.tobytes() and got.y.tobytes() == res.y_star.tobytes()
+    assert np.float64(got.objective).tobytes() == np.float64(res.obj).tobytes()
+
+
 def blended_dual_price(anchor, alpha=0.4):
     """The former pricing rule, as a reference for ``price``'s one sweep:
     price against the blended dual alpha * y + (1 - alpha) * anchor, and
     sweep again with the exact dual y when the blend prices nothing."""
-    def reference(instance, working_set, y, tol, max_new, anchor_reduced):
+    def reference(instance, working_set, y, tol, max_new, anchor_share):
         priced = price(instance, working_set, alpha * y + (1.0 - alpha) * anchor, tol, max_new)
         return priced if priced.size else price(instance, working_set, y, tol, max_new)
     return reference

@@ -25,6 +25,69 @@ def random_instance(rng, m, n, allow_negative=False):
     return LpInstance.from_dense(A, b, c, upper=u)
 
 
+def generic_entries(ws, cols):
+    """(rows, values, owner) of columns ``cols`` of [A I -E] by type masks
+    over the instance's own arrays: the reference of ``_Workspace.entries``,
+    which gathers them from one combined column store."""
+    cols = np.asarray(cols, dtype=np.int64)
+    n, m, cp = ws.n, ws.m, ws.inst.col_ptr
+    struct_id = np.minimum(cols, n - 1)   # a stand-in for slacks, artificials
+    starts = cp[struct_id]
+    counts = np.where(cols < n, cp[struct_id + 1] - starts, 1)
+    owner = np.repeat(np.arange(cols.size), counts)
+    first = np.cumsum(counts) - counts
+    at = np.repeat(starts - first, counts) + np.arange(owner.size)
+    rows = np.empty(owner.size, dtype=np.int64)
+    vals = np.empty(owner.size)
+    own = cols[owner]
+    struct = own < n
+    rows[struct] = ws.inst.row_idx[at[struct]]
+    vals[struct] = ws.inst.values[at[struct]]
+    slack = ~struct & (own < n + m)
+    rows[slack] = own[slack] - n
+    vals[slack] = 1.0
+    art = own >= n + m
+    rows[art] = ws.art_rows[own[art] - n - m]
+    vals[art] = -1.0
+    return rows, vals, owner
+
+
+@pytest.mark.parametrize("mix", ["structural", "slack", "artificial", "mixed", "none"])
+def test_entries_match_the_generic_path(mix):
+    rng = np.random.default_rng(12)
+    m, n = 6, 9
+    A = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.6)
+    A[:, [0, 4]] = 0.0   # empty columns, the first among them
+    inst = LpInstance.from_dense(A, rng.normal(size=m), rng.normal(size=n))
+    ws = simplex._Workspace(inst, np.flatnonzero(inst.rhs < 0))
+    assert ws.n_art >= 2
+    structural, slack = rng.permutation(n), n + rng.permutation(m)
+    artificial = n + m + rng.permutation(ws.n_art)
+    cols = {"structural": structural, "slack": slack, "artificial": artificial,
+            "mixed": rng.permutation(np.concatenate([structural[:5], slack[:3], artificial])),
+            "none": np.empty(0, dtype=np.int64)}[mix]
+    for got, want in zip(ws.entries(cols), generic_entries(ws, cols)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_the_kernel_pointers_outlive_every_refactorization(monkeypatch):
+    # the workspace looks its arrays' pointers up once: no start, pivot or
+    # refactorization may rebind them
+    monkeypatch.setattr(simplex, "REFACTOR_PERIOD", 3)
+    inst = generate_mkp(MkpParams(m=20, n=200, tightness=0.1, density=0.3, seed=3))
+    ws = simplex._Workspace(inst, np.empty(0, dtype=np.int64))
+    first = ws.kernel_pointers
+    x_b = ws.start(np.arange(200, 220), np.empty(0, dtype=np.int64))
+    cost = np.concatenate([inst.obj, np.zeros(20)])
+    reason, _, iterations = simplex._pivot_loop(ws, cost, x_b, np.ones(ws.n_total, dtype=bool),
+                                                10_000, 0)
+    assert reason == simplex._kernel.OPTIMAL and iterations > 3 * 3
+    arrays = (inst.col_ptr, inst.row_idx, inst.values, ws.art_rows, ws.upper, ws.status,
+              ws.basis, ws.work)
+    assert ws.kernel_pointers is first
+    assert list(first) == [a.ctypes.data for a in arrays]
+
+
 class TestSolveLp:
     def test_toy_half(self):
         inst = LpInstance.from_dense([[1.0, 1.0]], [0.5], [1.0, 1.0])
