@@ -127,45 +127,20 @@ int64_t explicit_pass(int64_t m, const int64_t *col_ptr, const int64_t *row_idx,
 enum { OPTIMAL = 0, UNBOUNDED = 1, LIMIT = 2, REFACTOR = 3 };
 enum { ITERS = 0, STALL = 1, BLAND = 2, UPDATES = 3 };
 
+/* [A I -E] in compressed columns: the entries of column j are
+ * rows[ptr[j] .. ptr[j + 1]) and vals[ptr[j] .. ptr[j + 1]) */
 typedef struct {
-    int64_t m, n;
-    const int64_t *col_ptr, *row_idx, *art_rows;
+    const int64_t *ptr, *rows;
     const double *vals;
 } Columns;
 
-/* The nonzeros of column j of [A I -E]; slack and artificial columns have
- * one, written to *row1 and *val1. */
-static int64_t column(const Columns *a, int64_t j, const int64_t **rows,
-                      const double **vals, int64_t *row1, double *val1)
-{
-    if (j < a->n) {
-        *rows = a->row_idx + a->col_ptr[j];
-        *vals = a->vals + a->col_ptr[j];
-        return a->col_ptr[j + 1] - a->col_ptr[j];
-    }
-    if (j < a->n + a->m) {
-        *row1 = j - a->n;
-        *val1 = 1.0;
-    } else {
-        *row1 = a->art_rows[j - a->n - a->m];
-        *val1 = -1.0;
-    }
-    *rows = row1;
-    *vals = val1;
-    return 1;
-}
-
-/* v a_j for column j of [A I -E], a structural column's terms added in
- * stored order from 0.0. */
+/* v a_j for column j, its terms added in stored order from 0.0. */
 static inline double dot_column(const Columns *a, int64_t j, const double *v)
 {
-    if (j < a->n) {
-        double dot = 0.0;
-        for (int64_t p = a->col_ptr[j]; p < a->col_ptr[j + 1]; p++)
-            dot += a->vals[p] * v[a->row_idx[p]];
-        return dot;
-    }
-    return j < a->n + a->m ? v[j - a->n] : -v[a->art_rows[j - a->n - a->m]];
+    double dot = 0.0;
+    for (int64_t p = a->ptr[j]; p < a->ptr[j + 1]; p++)
+        dot += a->vals[p] * v[a->rows[p]];
+    return dot;
 }
 
 /* The entering column: the eligible nonbasic column j with the largest
@@ -176,11 +151,13 @@ static inline double dot_column(const Columns *a, int64_t j, const double *v)
  * and w of each column that can enter, p aside.  Whether a column is
  * eligible, and whether it wins, are selected without a branch, which no
  * predictor could guess: the score of an ineligible column is computed and
- * multiplied by 0. */
-static int64_t choose(const Columns *a, int64_t n_total, const int8_t *status,
-                      const unsigned char *allow, const double *upper, const double *rho,
-                      int64_t p, double dq, double wq, double *restrict d,
-                      double *restrict w, int bland, double opt_tol)
+ * multiplied by 0.  Declared inline because gcc 12 at -O3 otherwise
+ * leaves it a call from simplex_pivots, which slows a cold solve. */
+static inline int64_t choose(const Columns *a, int64_t n_total, const int8_t *status,
+                             const unsigned char *allow, const double *upper,
+                             const double *rho, int64_t p, double dq, double wq,
+                             double *restrict d, double *restrict w, int bland,
+                             double opt_tol)
 {
     int64_t q = -1;
     double best = 0.0;
@@ -206,17 +183,17 @@ static int64_t choose(const Columns *a, int64_t n_total, const int8_t *status,
  * state[ITERS] reaches `limit` (LIMIT), or the basis inverse is due for a
  * refactorization (REFACTOR, after the pivot that made it due).  Updates
  * status, basis, binv, x_b and state = {iterations, stall count, Bland
- * flag, rank-1 updates} in place; `work` holds 4 m + 2 (n + m + n_art)
- * doubles: scratch, then d and w. */
-int simplex_pivots(int64_t m, int64_t n, int64_t n_art, const int64_t *col_ptr,
-                   const int64_t *row_idx, const double *vals, const int64_t *art_rows,
-                   const double *cost, const unsigned char *allow, const double *upper,
-                   int8_t *status, int64_t *basis, double *binv, double *x_b,
-                   double *work, int64_t limit, int64_t *state, double opt_tol,
-                   double pivot_tol, int64_t refactor_period, int64_t stall_window)
+ * flag, rank-1 updates} in place; `work` holds 4 m + 2 n_total doubles:
+ * scratch, then d and w.  The n_total columns of [A I -E] are
+ * ext_ptr/ext_rows/ext_vals, the workspace's one column store. */
+int simplex_pivots(int64_t m, int64_t n_total, const int64_t *ext_ptr,
+                   const int64_t *ext_rows, const double *ext_vals, const double *cost,
+                   const unsigned char *allow, const double *upper, int8_t *status,
+                   int64_t *basis, double *binv, double *x_b, double *work, int64_t limit,
+                   int64_t *state, double opt_tol, double pivot_tol, int64_t refactor_period,
+                   int64_t stall_window)
 {
-    const Columns a = {m, n, col_ptr, row_idx, art_rows, vals};
-    const int64_t n_total = n + m + n_art;
+    const Columns a = {ext_ptr, ext_rows, ext_vals};
     double *y = work, *col = work + m, *row = work + 2 * m, *cand = work + 3 * m;
     double *d = work + 4 * m, *w = d + n_total;
 
@@ -253,11 +230,9 @@ int simplex_pivots(int64_t m, int64_t n, int64_t n_art, const int64_t *col_ptr,
         /* ftran of the entering column */
         int from_lower = status[q] == 0;
         double sign = from_lower ? 1.0 : -1.0, dq = d[q], wq = w[q];
-        const int64_t *rows;
-        const double *cv;
-        int64_t row1;
-        double val1;
-        int64_t nnz = column(&a, q, &rows, &cv, &row1, &val1);
+        const int64_t *rows = ext_rows + ext_ptr[q];
+        const double *cv = ext_vals + ext_ptr[q];
+        int64_t nnz = ext_ptr[q + 1] - ext_ptr[q];
         for (int64_t i = 0; i < m; i++) {
             const double *bi = binv + i * m;
             double acc = nnz ? cv[0] * bi[rows[0]] : 0.0;

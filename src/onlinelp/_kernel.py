@@ -74,8 +74,9 @@ _SIGNATURES = {
         _ptr, _ptr, _ptr, _ptr,                # y_base, last, remaining, x_sum
         _f64, _ptr,                            # norm_bound, max_norm (NULL: unchecked)
     )),
+    # the ext arrays: [A I -E], the simplex workspace's one column store
     "simplex_pivots": (_int, (
-        _i64, _i64, _i64, _ptr, _ptr, _ptr, _ptr,  # m, n, n_art, col_ptr, row_idx, vals, art_rows
+        _i64, _i64, _ptr, _ptr, _ptr,              # m, n_total, ext_ptr, ext_rows, ext_vals
         _ptr, _ptr, _ptr, _ptr, _ptr,              # cost, allow, upper, status, basis
         _ptr, _ptr, _ptr, _i64, _ptr,              # binv, x_b, work, limit, state
         _f64, _f64,                                # opt_tol, pivot_tol

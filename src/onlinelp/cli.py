@@ -197,6 +197,8 @@ def _cmd_solve(args) -> int:
         config = RunConfig(method=args.method, stepsize=args.stepsize, duplication=args.k,
                            seed=args.run_seed, enforce_feasibility=args.enforce_feasibility,
                            start=args.start)
+        if args.until_eps is not None and args.max_k < config.duplication:
+            raise ValueError(f"max_k must be >= k ({config.duplication})")
     try:
         instance, label = _load_instance(args)
     except (MpsParseError, ValueError, OSError) as exc:
@@ -354,6 +356,8 @@ def _bench_cell(args, bench_instance, k, method, seed) -> ResultRecord:
 
 def _cmd_bench(args) -> int:
     with _settings_checked():  # the whole grid, before the first cell runs
+        if args.reps < 0:
+            raise ValueError("reps must be >= 0")
         for (m, n), tau in itertools.product(args.sizes, args.taus):
             MkpParams(m=m, n=n, tightness=tau, density=args.sigma)
         for k, method in itertools.product(args.ks, args.methods):

@@ -7,8 +7,8 @@ The package works on inequality-form linear programs
 with the constraint matrix held in compressed sparse-column form so that
 single columns can be visited in time proportional to their nonzero count.
 All metric functions here are pure.  The one thing an instance caches is
-its scipy matrix (``to_scipy``) and that matrix's transpose, both
-read-only like the instance.
+its scipy sparse array (``to_scipy``) and that array's transpose, both
+views of the instance's own read-only arrays.
 """
 
 from __future__ import annotations
@@ -147,23 +147,26 @@ class LpInstance:
         lo, hi = self.col_ptr[j], self.col_ptr[j + 1]
         return self.row_idx[lo:hi], self.values[lo:hi]
 
-    def to_scipy(self) -> sp.csc_matrix:
-        """Scipy CSC form of A, built on the first call and kept; every call
-        returns the same matrix, whose arrays are read-only.  Its transpose,
-        which every c - A^T y sweep multiplies by, is kept beside it as a
-        CSR view of the same arrays, so no sweep builds one."""
+    def to_scipy(self) -> sp.csc_array:
+        """Scipy CSC array of A, built on the first call and kept; every call
+        returns the same array, which shares the instance's read-only
+        arrays, int64 indices included.  Its transpose, which every
+        c - A^T y sweep multiplies by, is kept beside it as a CSR view of the
+        same arrays, so no sweep builds one."""
         return self._csc
 
     @functools.cached_property
-    def _csc(self) -> sp.csc_matrix:
-        A = sp.csc_matrix((self.values, self.row_idx, self.col_ptr),
-                          shape=(self.num_rows, self.num_cols))
+    def _csc(self) -> sp.csc_array:
+        # a csc_array keeps int64 indices, where csc_matrix would copy them
+        # down to int32, so it copies nothing
+        A = sp.csc_array((self.values, self.row_idx, self.col_ptr),
+                         shape=(self.num_rows, self.num_cols))
         for a in (A.data, A.indices, A.indptr):
             a.flags.writeable = False
         return A
 
     @functools.cached_property
-    def _csc_t(self) -> sp.csr_matrix:
+    def _csc_t(self) -> sp.csr_array:
         return self._csc.T   # shares the CSC arrays; copies nothing
 
     def to_dense(self) -> np.ndarray:

@@ -38,8 +38,10 @@ refactorization (every REFACTOR_PERIOD updates, or a pivot below
 PIVOT_TOL): Python refactors with LAPACK, recomputes the basic values and
 resumes it.  It also returns at optimality, unboundedness and the
 iteration limit; Phase 1, warm starts and the result stay in Python.
-Both engines keep d and w in ``_Workspace.work``, after the kernel's 4 m
-doubles of scratch.  The workspace checks and looks up the kernel's
+Both engines read the columns of [A I -E] from one store, the
+workspace's compressed columns (``ext_ptr``, ``ext_rows``, ``ext_vals``),
+and keep d and w in ``_Workspace.work``, after the kernel's 4 m doubles of
+scratch.  The workspace checks and looks up the kernel's
 pointers to the arrays it holds once (``kernel_pointers``); each kernel
 call looks up only its own arguments and the basis inverse.  A working
 problem's solve is short, so its start and its result call ndarray
@@ -58,8 +60,10 @@ The two engines agree bit for bit under the contract stated in
 * ftran adds a_rj B^-1[:, r] over the entering column's nonzeros in stored
   order, the same way;
 * pricing sums each column's a_ij y_i, and the sweep each column's
-  a_ij rho_i, in stored order, starting from 0.0; a slack column's
-  product is y_i (rho_i), an artificial's -y_i (-rho_i);
+  a_ij rho_i, in stored order, starting from 0.0; slack and artificial
+  columns alike, so a slack's product is 0.0 + 1.0 y_i and an
+  artificial's 0.0 + -1.0 y_i, which differ from y_i and -y_i only in
+  the sign of a zero;
 * the ratio test, the rank-1 update, the updates of d and w (d_j -
   d_q beta_j, with (beta_j beta_j) w_q) and the scores d_j d_j / w_j are
   elementwise, with ties broken by first position as ``np.argmax`` and
@@ -143,10 +147,13 @@ class _Workspace:
         self.n_total = self.n + self.m + self.n_art
         n_extra = self.m + self.n_art
         self.upper = np.concatenate((instance.upper, np.full(n_extra, np.inf)))
-        # [A I -E] in compressed columns, for ``entries``: A's arrays, then
-        # slack i holds (i, 1.0) and the artificial of row art_rows[k] holds
-        # (art_rows[k], -1.0).  A copy of A, which sifting's working problems
-        # keep small; a solve of a whole instance pays 16 bytes per nonzero.
+        # [A I -E] in compressed columns: A's arrays, then slack i holds
+        # (i, 1.0) and the artificial of row art_rows[k] holds
+        # (art_rows[k], -1.0).  It is the one column layout of both pivot
+        # engines: ``entries``, ``products`` and the kernel read it, so none
+        # of them has a slack or artificial case.  A copy of A, which
+        # sifting's working problems keep small; a solve of a whole instance
+        # pays 16 bytes per nonzero.
         self.ext_ptr = np.concatenate((instance.col_ptr, instance.nnz + 1 + np.arange(n_extra)))
         self.ext_rows = np.concatenate((instance.row_idx, np.arange(self.m), art_rows))
         self.ext_vals = np.concatenate((instance.values, np.ones(self.m), np.full(self.n_art, -1.0)))
@@ -238,27 +245,25 @@ class _Workspace:
 
     @functools.cached_property
     def _by_place(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """The structural nonzeros grouped by their place in their column.
+        """The nonzeros of [A I -E] grouped by their place in their column.
 
         Group p holds (columns, rows, values) of the (p+1)-th nonzero of
         every column that has one, so adding the groups in order sums each
         column in its stored order.
         """
-        cp = self.inst.col_ptr
-        col = np.repeat(np.arange(self.n), np.diff(cp))
+        cp = self.ext_ptr
+        col = np.arange(self.n_total).repeat(np.diff(cp))
         place = np.arange(cp[-1]) - cp[col]
         order = np.argsort(place, kind="stable")
         groups = np.split(order, np.cumsum(np.bincount(place))[:-1]) if place.size else []
-        return [(col[g], self.inst.row_idx[g], self.inst.values[g]) for g in groups]
+        return [(col[g], self.ext_rows[g], self.ext_vals[g]) for g in groups]
 
     def products(self, v: np.ndarray) -> np.ndarray:
-        """v a_j for every column j of [A I -E], a structural column's terms
-        added in stored order from 0.0."""
+        """v a_j for every column j of [A I -E], its terms added in stored
+        order from 0.0."""
         dot = np.zeros(self.n_total)
         for cols, rows, vals in self._by_place:
             dot[cols] += vals * v[rows]
-        dot[self.n:self.n + self.m] = v
-        dot[self.n + self.m:] = -v[self.art_rows]
         return dot
 
     def reduced_costs(self, cost: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -267,7 +272,7 @@ class _Workspace:
     @functools.cached_property
     def kernel_pointers(self) -> tuple[int, ...]:
         """Pointers for the kernel to the arrays the workspace holds and never
-        rebinds: A's col_ptr, row_idx and values, art_rows, upper, status,
+        rebinds: [A I -E]'s ext_ptr, ext_rows and ext_vals, upper, status,
         basis and work.  Checked and looked up on the first read, like
         ``_pointers``; the basis inverse and the basic values are rebound at
         each refactorization, so ``_compiled_pivots`` looks them up per call."""
@@ -275,9 +280,10 @@ class _Workspace:
         size = 4 * m + 2 * n_total
         if not (work.dtype == np.float64 and work.flags.c_contiguous and work.size >= size):
             raise ValueError(f"work must be contiguous float64 of size at least {size}")
-        inst = self.inst   # its arrays are frozen contiguous copies of the right dtypes
-        return (inst.col_ptr.ctypes.data, inst.row_idx.ctypes.data, inst.values.ctypes.data,
-                *_pointers(("art_rows", self.art_rows, np.int64, self.n_art),
+        nnz = int(self.ext_ptr[-1])   # the kernel reads entries 0 .. nnz - 1
+        return (*_pointers(("ext_ptr", self.ext_ptr, np.int64, n_total + 1),
+                           ("ext_rows", self.ext_rows, np.int64, nnz),
+                           ("ext_vals", self.ext_vals, np.float64, nnz),
                            ("upper", self.upper, np.float64, n_total),
                            ("status", self.status, np.int8, n_total),
                            ("basis", self.basis, np.int64, m)),
@@ -441,15 +447,14 @@ def _compiled_pivots(ws: _Workspace, cost: np.ndarray, x_b: np.ndarray,
     through the pointers of the same arrays.  Raises ValueError for an
     array the kernel would read or write out of bounds or misread."""
     m, n_total = ws.m, ws.n_total
-    col_ptr, row_idx, values, art_rows, upper, status, basis, work = ws.kernel_pointers
+    ext_ptr, ext_rows, ext_vals, upper, status, basis, work = ws.kernel_pointers
     cost_p, allow_p, binv, x_b_p, state_p = _pointers(
         ("cost", cost, np.float64, n_total), ("allow", allow, np.bool_, n_total),
         ("basis inverse", ws.binv, np.float64, m * m), ("basic values", x_b, np.float64, m),
         ("state", state, np.int64, 4))
     return _kernel.load().simplex_pivots(
-        m, ws.n, ws.n_art, col_ptr, row_idx, values, art_rows, cost_p, allow_p, upper, status,
-        basis, binv, x_b_p, work, limit, state_p, OPT_TOL, PIVOT_TOL, REFACTOR_PERIOD,
-        STALL_WINDOW)
+        m, n_total, ext_ptr, ext_rows, ext_vals, cost_p, allow_p, upper, status, basis, binv,
+        x_b_p, work, limit, state_p, OPT_TOL, PIVOT_TOL, REFACTOR_PERIOD, STALL_WINDOW)
 
 
 def solve_lp(instance: LpInstance, warm_basis=None,

@@ -450,6 +450,9 @@ class TestPlumbing:
         (["bench", "--sizes", "5x"], "invalid literal for int()"),
         (["bench", "--taus", "0.2,,0.3"], "could not convert string to float"),
         (["bench", "--methods", "foo"], "method must be one of"),
+        (["bench", "--reps", "-2"], "reps must be >= 0"),
+        (["solve", "--max-k", "0", "--until-eps", "1e-9"], "max_k must be >= k (1)"),
+        (["solve", "--k", "8", "--max-k", "4", "--until-eps", "1e-9"], "max_k must be >= k (8)"),
     ])
     def test_out_of_range_setting_is_usage_error(self, tmp_path, capsys, args, message):
         target = ["--out", str(tmp_path / "x.csv")] if args[0] == "bench" else \
@@ -459,6 +462,7 @@ class TestPlumbing:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()   # not even a header-only grid
 
     @pytest.mark.parametrize("args, what", [
         (["gen", "--m", "3", "--n", "20", "--tau", "0.4", "--out"], "MPS"),

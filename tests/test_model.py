@@ -189,6 +189,10 @@ class TestReducedCosts:
         A = inst.to_scipy()
         for t, a in ((kept.data, A.data), (kept.indices, A.indices), (kept.indptr, A.indptr)):
             assert np.shares_memory(t, a) and t.size == a.size and not t.flags.writeable
+        # and to_scipy() copies none of the instance's arrays: no int32 indices
+        for a, own in ((A.data, inst.values), (A.indices, inst.row_idx),
+                       (A.indptr, inst.col_ptr)):
+            assert np.shares_memory(a, own) and a.dtype == own.dtype and a.size == own.size
         np.testing.assert_array_equal(kept.toarray(), A.toarray().T)
 
     def test_a_wrong_shape_is_refused(self):

@@ -70,6 +70,27 @@ def test_entries_match_the_generic_path(mix):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+def test_products_are_the_stored_order_sums_of_every_column():
+    # one [A I -E] store: a slack's or an artificial's product is a one-term
+    # sum from 0.0 like any structural column's, -0.0 entries of v included
+    rng = np.random.default_rng(21)
+    m, n = 6, 9
+    A = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.6)
+    A[:, [0, 4]] = 0.0   # empty columns, the first among them
+    inst = LpInstance.from_dense(A, rng.normal(size=m), rng.normal(size=n))
+    ws = simplex._Workspace(inst, np.flatnonzero(inst.rhs < 0))
+    assert ws.n_art >= 2
+    rows, vals, owner = ws.entries(np.arange(ws.n_total))
+    v = rng.normal(size=m)
+    plain = np.setdiff1d(np.arange(m), ws.art_rows)   # rows of a slack alone
+    v[ws.art_rows[:2]] = -0.0, 0.0
+    v[plain[:2]] = -0.0, -1.5
+    want = np.zeros(ws.n_total)
+    for e in range(owner.size):   # term by term, each column in stored order
+        want[owner[e]] = want[owner[e]] + vals[e] * v[rows[e]]
+    assert ws.products(v).tobytes() == want.tobytes()
+
+
 def test_the_kernel_pointers_outlive_every_refactorization(monkeypatch):
     # the workspace looks its arrays' pointers up once: no start, pivot or
     # refactorization may rebind them
@@ -82,8 +103,7 @@ def test_the_kernel_pointers_outlive_every_refactorization(monkeypatch):
     reason, _, iterations = simplex._pivot_loop(ws, cost, x_b, np.ones(ws.n_total, dtype=bool),
                                                 10_000, 0)
     assert reason == simplex._kernel.OPTIMAL and iterations > 3 * 3
-    arrays = (inst.col_ptr, inst.row_idx, inst.values, ws.art_rows, ws.upper, ws.status,
-              ws.basis, ws.work)
+    arrays = (ws.ext_ptr, ws.ext_rows, ws.ext_vals, ws.upper, ws.status, ws.basis, ws.work)
     assert ws.kernel_pointers is first
     assert list(first) == [a.ctypes.data for a in arrays]
 
