@@ -323,11 +323,16 @@ int simplex_pivots(int64_t m, int64_t n_total, const int64_t *ext_ptr,
  * reports a line: at a line the line reader would refuse, or would read
  * otherwise (a MARKER line, a RANGES header), it stops with a hand-back
  * code, and the caller sends the whole file through the line reader, which
- * raises for the right line.
+ * raises for the right line.  Nor does it check the bytes it reads: it
+ * hands back when, afterwards, the bytes it vouches for are not plain.
+ *
+ * The sweep keeps no state between calls, so calls on parts of one file
+ * may run at once, each in its own thread.
  */
 
 enum { SWEPT = 0, BAD_COUNT = 1, BAD_NUMBER = 2, UNKNOWN_ROW = 3, MARKER = 4,
-       BAD_BOUND = 5, UNKNOWN_COLUMN = 6, NO_MEMORY = 7, BAD_LAYOUT = 8, NO_ENDATA = 9 };
+       BAD_BOUND = 5, UNKNOWN_COLUMN = 6, NO_MEMORY = 7, BAD_LAYOUT = 8, NO_ENDATA = 9,
+       NOT_PLAIN = 10 };
 enum { UP = 0, LO = 1, FX = 2, FR = 3, MI = 4, PL = 5, BV = 6 };   /* mps._BOUND_TYPES */
 /* the headers of the sections the sweep reads, in their order, then of
  * the end of the data and of the sections it hands back at */
@@ -384,6 +389,19 @@ static int next_data_line(const char **p, const char *end, int *opens)
     int section = *p < end ? header(*p, end) : -1;
     if (section >= 0) *opens = section;
     return *p < end && section < 0;
+}
+
+/* Whether text[from .. to) is plain: ASCII, with each '\r' followed by
+ * '\n' (text mode's universal newlines would end a line at a lone '\r';
+ * a '\r\n' is a separator and a line end to both readers). */
+static int plain(const char *from, const char *to, const char *end)
+{
+    unsigned char any = 0;
+    for (const char *q = from; q < to; q++) any |= (unsigned char)*q;
+    if (any & 0x80) return 0;
+    for (const char *q = from; (q = memchr(q, '\r', (size_t)(to - q))) != NULL; q++)
+        if (q + 1 == end || q[1] != '\n') return 0;
+    return 1;
 }
 
 /* Whether double arithmetic rounds to double at each operation (no wider
@@ -498,36 +516,68 @@ static int names_add(Names *t, int64_t *slot)
     return 1;
 }
 
+/* The id of the column name: when it is new, the next id, with its bytes
+ * and a '\n' put at the end of col_text and their span in col_name; -1
+ * when out of memory.  name may lie in col_text at or past that end. */
+static int64_t column_id(Names *cols, Token name, char *col_text, int64_t *col_name,
+                         int64_t *name_bytes)
+{
+    int64_t *s = names_find(cols, name);
+    if (*s != 0) return *s - 1;
+    int64_t at = *name_bytes;
+    memmove(col_text + at, name.s, (size_t)name.n);
+    col_text[at + name.n] = '\n';
+    col_name[2 * cols->count] = at;
+    col_name[2 * cols->count + 1] = at + name.n;
+    *name_bytes = at + name.n + 1;
+    return names_add(cols, s) ? cols->count - 1 : -1;
+}
+
 /* Reads text[start .. size), which starts with the header line of
  * COLUMNS, RHS, BOUNDS or ENDATA, up to the ENDATA line.  It takes those
  * sections in that order, each at most once, and hands back at any other
- * header and when ENDATA is missing.  Their data go into:
+ * header and when ENDATA is missing.  Two arguments let one call read a
+ * part of a COLUMNS section:
+ * - a limit below size ends COLUMNS at text[limit], a line start, when the
+ *   section is still open there; a header before it ends COLUMNS as
+ *   always, and the sweep reads on;
+ * - inside (nonzero) starts the call at text[start], a line start past the
+ *   COLUMNS header, as if in COLUMNS, and ends it at the first header; a
+ *   header other than RHS, BOUNDS or ENDATA is handed back there.
+ * Their data go into:
  * - each constraint entry's column, row and value (ent_*) and each
  *   objective entry's column and value (obj_*), in file order;
  * - each RHS pair's row and value (rhs_*), with -1 for the objective;
  * - each bound's kind, column and value (bnd_*; nan when it has none);
  * - each column's name and a '\n' (col_text) and the name's [start, stop)
  *   span in col_text (col_name), in order of first appearance, which is
- *   id order.
+ *   id order.  The first preloaded names there, one file's columns in
+ *   order of first appearance by part, are read first: each takes the id
+ *   of an earlier equal name or the next id, which goes to col_map, and
+ *   col_text and col_name keep only the first of equal names.
  * Row i's name spans row_text[row_name[2 i] .. row_name[2 i + 1]), and
  * col_role[i] and rhs_role[i] are its row id in COLUMNS and in RHS: >= 0 for a
  * constraint row, -1 for the objective, -2 for a free row, whose entries
  * are dropped.  counts receives the number of constraint entries,
- * objective entries, RHS pairs and bounds, and the length of col_text.
- * Each output holds one item per pair, line or byte the text could hold.
- * Returns SWEPT, or the hand-back code of the first line it will not
- * read. */
-int mps_sweep(const char *text, int64_t start, int64_t size, const char *row_text,
-              const int64_t *row_name, const int64_t *col_role, const int64_t *rhs_role,
-              int64_t nrows, int64_t *ent_col, int64_t *ent_row, double *ent_val,
-              int64_t *obj_col, double *obj_val, int64_t *rhs_row, double *rhs_val,
-              int64_t *bnd_kind, int64_t *bnd_col, double *bnd_val, char *col_text,
-              int64_t *col_name, int64_t *counts)
+ * objective entries, RHS pairs, bounds and columns, the length of
+ * col_text, and the offset of the line where COLUMNS stopped: the limit
+ * or a header line.  Each output holds one item per pair, line or byte the
+ * text could hold; an inside call writes no RHS pair or bound.  The call
+ * vouches for the bytes from start up to where it stopped (to size when it
+ * read on past COLUMNS): when they are not plain, it hands back.  Returns
+ * SWEPT, or the hand-back code of the first line it will not read. */
+int mps_sweep(const char *text, int64_t start, int64_t limit, int64_t size, int64_t inside,
+              const char *row_text, const int64_t *row_name, const int64_t *col_role,
+              const int64_t *rhs_role, int64_t nrows, int64_t *ent_col, int64_t *ent_row,
+              double *ent_val, int64_t *obj_col, double *obj_val, int64_t *rhs_row,
+              double *rhs_val, int64_t *bnd_kind, int64_t *bnd_col, double *bnd_val,
+              char *col_text, int64_t *col_name, int64_t preloaded, int64_t *col_map,
+              int64_t *counts)
 {
-    enum { ENTRIES, OBJECTIVE, RHS, BOUNDS, NAME_BYTES };
+    enum { ENTRIES, OBJECTIVE, RHS, BOUNDS, COLUMNS, NAME_BYTES, STOP };
     Names rows = {0}, cols = {0};
     if (!names_init(&rows, nrows, row_text, row_name)
-        || !names_init(&cols, 0, col_text, col_name)) {
+        || !names_init(&cols, preloaded, col_text, col_name)) {
         free(rows.slot);
         free(cols.slot);
         return NO_MEMORY;
@@ -536,31 +586,28 @@ int mps_sweep(const char *text, int64_t start, int64_t size, const char *row_tex
         Token name = {row_text + row_name[2 * i], row_name[2 * i + 1] - row_name[2 * i]};
         names_add(&rows, names_find(&rows, name));
     }
-    for (int k = 0; k <= NAME_BYTES; k++) counts[k] = 0;
+    for (int k = 0; k <= STOP; k++) counts[k] = 0;
     int code = SWEPT;
+    for (int64_t i = 0; i < preloaded; i++) {   /* sized for them: never grows */
+        Token name = {col_text + col_name[2 * i], col_name[2 * i + 1] - col_name[2 * i]};
+        col_map[i] = column_id(&cols, name, col_text, col_name, &counts[NAME_BYTES]);
+    }
     Token t, row, val;
     double v;
-    const char *end = text + size, *p = text + start;
-    int opens = header(p, end);
+    const char *end = text + size, *lim = text + limit, *p = text + start;
+    int opens = IN_COLUMNS;
+    if (inside) p--;   /* to the '\n' that ends the line before start */
+    else opens = header(p, end);
 
     /* COLUMNS lines: a column name, then row/value pairs */
     Token prev = {text, 0};
     int64_t col = -1;
-    while (opens == IN_COLUMNS && code == SWEPT && next_data_line(&p, end, &opens)) {
+    while (opens == IN_COLUMNS && code == SWEPT && next_data_line(&p, lim, &opens)) {
         if (!next_token(&p, end, &t) || t.s[0] == '*') continue;
         if (t.n != prev.n || memcmp(t.s, prev.s, (size_t)t.n) != 0) {
-            int64_t *s = names_find(&cols, t);
-            if (*s == 0) {
-                int64_t at = counts[NAME_BYTES];
-                memcpy(col_text + at, t.s, (size_t)t.n);
-                col_text[at + t.n] = '\n';
-                col_name[2 * cols.count] = at;
-                col_name[2 * cols.count + 1] = at + t.n;
-                counts[NAME_BYTES] = at + t.n + 1;
-                if (!names_add(&cols, s)) { code = NO_MEMORY; break; }
-                col = cols.count - 1;
-            } else {
-                col = *s - 1;
+            if ((col = column_id(&cols, t, col_text, col_name, &counts[NAME_BYTES])) < 0) {
+                code = NO_MEMORY;
+                break;
             }
             prev = t;
         }
@@ -582,6 +629,17 @@ int mps_sweep(const char *text, int64_t start, int64_t size, const char *row_tex
             pairs = 1;
         }
         if (!pairs) code = BAD_COUNT;
+    }
+
+    /* where COLUMNS stopped: at the limit, which the next part reads on
+     * from, or at a header line, which an inside call leaves to the next
+     * call */
+    counts[STOP] = p - text;
+    if (code == SWEPT && p == lim && lim < end) goto done;
+    if (inside) {
+        if (code == SWEPT && opens != IN_RHS && opens != IN_BOUNDS && opens != AT_ENDATA)
+            code = p < end ? BAD_LAYOUT : NO_ENDATA;
+        goto done;
     }
 
     /* RHS lines: row/value pairs, after a set name when the count is odd */
@@ -632,6 +690,11 @@ int mps_sweep(const char *text, int64_t start, int64_t size, const char *row_tex
     /* what stopped the last section: ENDATA, the end of the text, or a
      * header out of order or of a section the sweep does not read */
     if (code == SWEPT && opens != AT_ENDATA) code = p < end ? BAD_LAYOUT : NO_ENDATA;
+    p = end;
+
+done:
+    if (code == SWEPT && !plain(text + start, p, end)) code = NOT_PLAIN;
+    counts[COLUMNS] = cols.count;
     free(rows.slot);
     free(cols.slot);
     return code;

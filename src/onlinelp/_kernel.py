@@ -21,6 +21,10 @@ caller turns the int into an outcome.
   that ``mps``'s line reader, its reference, also feeds.  It returns 0, or
   a nonzero hand-back code at the first line it will not read; the caller
   then parses the whole file with the line reader, which raises any error.
+  It is reentrant: it keeps no state between calls, and the caller may run
+  one call per part of a file's COLUMNS section at once, each from its own
+  thread (ctypes lets go of the GIL for the call), and then one call that
+  merges the parts' column names and reads the sections after COLUMNS.
 
 The contract: the outputs agree bit for bit with the reference's.  The
 loops compute every value by the same IEEE operations in the same order.
@@ -83,11 +87,11 @@ _SIGNATURES = {
         _i64, _i64,                                # refactor_period, stall_window
     )),
     "mps_sweep": (_int, (
-        _ptr, _i64, _i64, _ptr, _ptr,              # text, start, size, row_text, row_name
-        _ptr, _ptr, _i64,                          # col_role, rhs_role, nrows
+        _ptr, _i64, _i64, _i64, _i64,              # text, start, limit, size, inside
+        _ptr, _ptr, _ptr, _ptr, _i64,              # row_text, row_name, col_role, rhs_role, nrows
         _ptr, _ptr, _ptr, _ptr, _ptr,              # ent_col, ent_row, ent_val, obj_col, obj_val
         _ptr, _ptr, _ptr, _ptr, _ptr,              # rhs_row, rhs_val, bnd_kind, bnd_col, bnd_val
-        _ptr, _ptr, _ptr,                          # col_text, col_name, counts
+        _ptr, _ptr, _i64, _ptr, _ptr,              # col_text, col_name, preloaded, col_map, counts
     )),
 }
 

@@ -21,25 +21,49 @@ which skips each gather or filter that would change nothing.
   A malformed file raises ``MpsParseError`` for its earliest offending
   line.
 - The compiled front end, ``mps_sweep`` in ``_kernel.c``, reads the bytes
-  from the first COLUMNS, RHS, BOUNDS or ENDATA header to the end in one
-  call, and finds the headers in them itself, by the regex's rule.  A
-  bytes search by the same rule finds that first header, and the text
-  before it goes through the line reader's own walk, ``_read_sections``,
-  which ``_parse`` runs on the whole text.  The sweep reads values only of
-  the decimal grammar ``[+-]?(d+(.d*)?|.d+)([eE][+-]?d+)?``: those with
-  no exponent, at most 15 significant digits and at most 22 after the
-  point by one correctly rounded division (Clinger's fast path), the rest
-  with ``strtod``.  Both round as ``float`` does.  It never raises.
-  Instead it hands the whole file back to the line reader, which then
-  reads it from the start, on any of: a non-ASCII byte; a '\\r' not
-  followed by '\\n' (text mode's universal newlines would move the lines;
-  a '\\r\\n' is a separator and a line end to both readers); a layout
-  other than the other sections first, then COLUMNS, RHS and BOUNDS, each
-  at most once and in that order; a RANGES section; a missing ENDATA; a
-  token outside the grammar where a value belongs; an unknown row or
-  column; a MARKER line; a line with a bad token count; an FR or MI bound,
-  an unknown bound type or a negative UP bound; a repeated (column, row)
-  entry.  It runs when ``_kernel.load()`` succeeds, and gives the
+  from the first COLUMNS, RHS, BOUNDS or ENDATA header to the end, and
+  finds the headers in them itself, by the regex's rule.  A bytes search
+  by the same rule finds that first header, and the text before it goes
+  through the line reader's own walk, ``_read_sections``, which ``_parse``
+  runs on the whole text.  From that header on, the bytes are cut at line
+  starts into one part per usable CPU, but for at least ``_PART_FLOOR``
+  bytes each (``_cuts``; one part is one call), and the parts are swept at
+  once, each in its own thread, into one set of output arrays
+  (``_Outputs``), each part at its own offsets:
+
+  - the first part reads from the header; when a header ends COLUMNS
+    before its limit, it reads on through RHS and BOUNDS to ENDATA alone,
+    and the later parts' results, hand-backs included, are dropped;
+  - a later part counts only when the part before it reached its limit
+    still in COLUMNS; it reads COLUMNS lines from its first line (a part
+    whose first line is a header stops there with no entries) and stops at
+    the first header;
+  - one last call then reads on from the header that ended COLUMNS.  It
+    first takes the kept parts' column names, each part's in its own order
+    of first appearance: a name takes the id of an earlier equal name or
+    the next id.  So ids are in order of first appearance in the file,
+    and the parts' entry blocks, remapped to them and moved down in place
+    behind the first part's, in file order, are the ones one call would
+    give.
+
+  The sweep reads values only of the decimal grammar
+  ``[+-]?(d+(.d*)?|.d+)([eE][+-]?d+)?``: those with no exponent, at most
+  15 significant digits and at most 22 after the point by one correctly
+  rounded division (Clinger's fast path), the rest with ``strtod``.  Both
+  round as ``float`` does.  It never raises.  Instead it hands the whole
+  file back to the line reader, which then reads it from the start, on any
+  of: a non-ASCII byte; a '\\r' not followed by '\\n' (text mode's
+  universal newlines would move the lines; a '\\r\\n' is a separator and a
+  line end to both readers); a layout other than the other sections
+  first, then COLUMNS, RHS and BOUNDS, each at most once and in that
+  order; a RANGES section; a missing ENDATA; a token outside the grammar
+  where a value belongs; an unknown row or column; a MARKER line; a line
+  with a bad token count; an FR or MI bound, an unknown bound type or a
+  negative UP bound; a repeated (column, row) entry.  Each call checks the
+  bytes it read for the first two, the call that reads to ENDATA the
+  bytes after it too, and ``_sweep`` the text before the first header; a
+  hand-back by any kept part or by the last call sends the whole file
+  back.  It runs when ``_kernel.load()`` succeeds, and gives the
   reference's instance bit for bit.
 
 The 0 <= x <= u variable model is enforced structurally: LO/FX bounds are
@@ -52,8 +76,10 @@ from __future__ import annotations
 
 import contextlib
 import errno
+import mmap
 import os
 import re
+import threading
 from array import array
 from itertools import chain, repeat
 
@@ -74,6 +100,16 @@ _HEADER_AFTER_NEWLINE = re.compile(rf"\n(?=[NORCBE])(?:{_SECTIONS})(?!\S)", re.I
 # non-spaces
 _SWEPT_HEADER = re.compile(rb"(?:COLUMNS|RHS|BOUNDS|ENDATA)(?![^\t-\r\x1c-\x20])", re.I)
 _SWEPT_HEADER_AFTER_NEWLINE = re.compile(b"\n(?=[CRBE])" + _SWEPT_HEADER.pattern, re.I)
+
+# The fewest bytes from the COLUMNS header on that the sweep gives a part
+# when it reads them in parts at once, one per usable CPU.  Paired parses of
+# generated files, two parts against one (2-core box, two runs of 81 pairs a
+# size), read +10 to +14%, +4 to +5% and +3% at 0.26, 0.43 and 0.61 MB,
+# then -2 to -3%, -4 to -6%, -6% and -15 to -17% at 0.78, 1.05, 1.41 and
+# 2.47 MB: below about 0.35 MB a part, its fixed costs (a thread, its names
+# preloaded by the last call, its block moved) outweigh what it saves.
+_PART_FLOOR = 1 << 19
+_COUNTS = 7   # the counts mps_sweep returns
 
 _ROW_TYPES = {"N": 0, "L": 1, "G": 2, "E": 3}
 _UP, _LO, _FX, _FR, _MI, _PL, _BV = range(7)   # the kinds of mps_sweep in _kernel.c
@@ -105,7 +141,7 @@ def parse_mps(source) -> LpInstance:
     reads the file when the kernel is loaded (the first call may build
     it); a path is then read as bytes, and opened again in text mode only
     when the file is handed back to the line reader.  The bytes are let
-    go before the matrix is assembled.
+    go before the parts' entries are merged.
     """
     lib = _kernel.load()
     if hasattr(source, "read"):
@@ -196,55 +232,208 @@ def _sweep(lib, data: bytes) -> _Reader | None:
     """The line reader on the text of data before its first COLUMNS, RHS,
     BOUNDS or ENDATA header, the compiled front end from that header on:
     the filled reader, or None where the file goes back to the line reader
-    (see the module docstring)."""
-    if not data.isascii() or (b"\r" in data and data.count(b"\r") != data.count(b"\r\n")):
+    (see the module docstring).  The caller passes the only reference to
+    data, which is let go before the parts' entries are joined."""
+    start = _swept_start(data)
+    if start is None:
         return None
-    if _SWEPT_HEADER.match(data):
-        start = 0
-    else:
-        found = _SWEPT_HEADER_AFTER_NEWLINE.search(data)
-        if found is None:
-            return None
-        start = found.start() + 1
+    head = data[:start]   # the sweep checks the bytes from start on
+    if not head.isascii() or head.count(b"\r") != head.count(b"\r\n"):
+        return None
     reader = _Reader()
-    if "RANGES" in _read_sections(reader, data[:start].decode("ascii")):
+    if "RANGES" in _read_sections(reader, head.decode("ascii")):
         return None
 
     roles = reader.roles("COLUMNS")
     names = list(roles)
     size = np.fromiter(map(len, names), np.int64, len(names))
-    row_name = np.stack([np.cumsum(size) - size, np.cumsum(size)], axis=1)
-    col_role = np.fromiter(roles.values(), np.int64, len(names))
-    rhs_role = _lookup(reader.roles("RHS"), names, _UNKNOWN)
-    # room for every pair, line or name byte the rest of data could hold: a
-    # pair takes two tokens and a bound or column line three, each followed
-    # by a separator (but the last); np.empty leaves the pages no item
-    # reaches untouched.  Each array is its own allocation, so the instance
-    # can hold the entries' rows and values without the rest.
-    room = len(data) - start + 1
-    pairs, lines = room // 4 + 1, room // 6 + 1
-    ent_col, ent_row, obj_col, rhs_row = (np.empty(pairs, np.int64) for _ in range(4))
-    ent_val, obj_val, rhs_val = (np.empty(pairs) for _ in range(3))
-    bnd_kind, bnd_col = np.empty(lines, np.int64), np.empty(lines, np.int64)
-    bnd_val = np.empty(lines)
-    col_text, col_name = np.empty(room, np.uint8), np.empty((lines, 2), np.int64)
-    counts = np.zeros(5, np.int64)
-    code = lib.mps_sweep(
-        data, start, len(data), "".join(names).encode("ascii"), row_name.ctypes.data,
-        col_role.ctypes.data, rhs_role.ctypes.data, len(names), ent_col.ctypes.data,
-        ent_row.ctypes.data, ent_val.ctypes.data, obj_col.ctypes.data, obj_val.ctypes.data,
-        rhs_row.ctypes.data, rhs_val.ctypes.data, bnd_kind.ctypes.data, bnd_col.ctypes.data,
-        bnd_val.ctypes.data, col_text.ctypes.data, col_name.ctypes.data, counts.ctypes.data)
-    if code:
+    rows = ("".join(names).encode("ascii"),
+            np.stack([np.cumsum(size) - size, np.cumsum(size)], axis=1),
+            np.fromiter(roles.values(), np.int64, len(names)),
+            _lookup(reader.roles("RHS"), names, _UNKNOWN))
+    cuts = _cuts(data, start)
+    room = np.array([_room(limit - cut) for cut, limit in zip(cuts, cuts[1:])])
+    out = _Outputs(room.sum(axis=0), _room(len(data) - start))
+    parts = [_Part(cut, limit, cut != start, at)
+             for cut, limit, at in zip(cuts, cuts[1:], room.cumsum(axis=0) - room)]
+    threads = [threading.Thread(target=part.sweep, args=(lib, data, rows, out))
+               for part in parts[1:]]
+    for thread in threads:
+        thread.start()
+    parts[0].sweep(lib, data, rows, out)
+    for thread in threads:
+        thread.join()
+
+    # keep the parts that hold COLUMNS lines: the first, and each next one
+    # while the part before it swept to its limit still in COLUMNS
+    kept = 1
+    while kept < len(parts) and parts[kept - 1].reached_limit():
+        kept += 1
+    del parts[kept:]
+    if parts[-1].code:
         return None
-    entries, objective, rhs, bounds, name_bytes = counts.tolist()
-    reader.add_columns(col_text[:name_bytes].tobytes().decode("ascii").split())
-    if reader.add_entries(ent_col[:entries], ent_row[:entries], ent_val[:entries],
-                          obj_col[:objective], obj_val[:objective]) >= 0:
+    counts, maps = parts[0].counts, [None]
+    if len(parts) > 1:
+        # one more call reads on from the header that ended COLUMNS, with
+        # every kept part's column names preloaded; it writes no entries
+        col_name = np.concatenate([out.col_name[p.line:p.line + p.columns] + p.byte
+                                   for p in parts])
+        out.col_name = None
+        col_map, counts = np.empty(len(col_name), np.int64), np.zeros(_COUNTS, np.int64)
+        if _call(lib, data, rows, out, parts[-1].stop, len(data), False, (0, 0, 0), col_name,
+                 len(col_name), col_map, counts):
+            return None
+        del col_name
+        ends = np.cumsum([p.columns for p in parts]).tolist()
+        maps += [col_map[a:b] for a, b in zip(ends, ends[1:])]
+    # what no later step reads is let go before the entries are joined
+    del data
+    _, _, rhs, bounds, _, name_bytes, _ = counts.tolist()
+    reader.add_columns(out.col_text[:name_bytes].tobytes().decode("ascii").split())
+    out.col_text = out.col_name = None
+    entries = [(p.pair, p.entries) for p in parts]
+    objective = [(p.pair, p.objective) for p in parts]
+    if reader.add_entries(out.join("ent_col", entries, maps), out.join("ent_row", entries),
+                          out.join("ent_val", entries), out.join("obj_col", objective, maps),
+                          out.join("obj_val", objective)) >= 0:
         return None
-    reader.set_rhs(True, rhs_row[:rhs], rhs_val[:rhs])
-    reader.set_bounds(bnd_kind[:bounds], bnd_col[:bounds], bnd_val[:bounds])
+    reader.set_rhs(True, out.rhs_row[:rhs], out.rhs_val[:rhs])
+    reader.set_bounds(out.bnd_kind[:bounds], out.bnd_col[:bounds], out.bnd_val[:bounds])
     return reader
+
+
+def _swept_start(data: bytes) -> int | None:
+    """The offset of data's first COLUMNS, RHS, BOUNDS or ENDATA header, or
+    None.  (A match would hold on to data.)"""
+    if _SWEPT_HEADER.match(data):
+        return 0
+    found = _SWEPT_HEADER_AFTER_NEWLINE.search(data)
+    return None if found is None else found.start() + 1
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # not on this platform
+        return os.cpu_count() or 1
+
+
+def _cuts(data: bytes, start: int) -> list:
+    """Where the parts of data[start:] that the sweep reads at once start,
+    then len(data): at start, and at the first line start past each equal
+    share of the bytes.  One part per usable CPU, but for at least
+    _PART_FLOOR bytes each."""
+    size = len(data)
+    count = max(1, min(_cpus(), (size - start) // _PART_FLOOR))
+    cuts = [start]
+    for k in range(1, count):
+        at = data.find(b"\n", start + (size - start) * k // count) + 1
+        if cuts[-1] < at < size:
+            cuts.append(at)
+    return cuts + [size]
+
+
+def _room(size: int) -> tuple:
+    """The most pairs, lines and name bytes that size bytes from a line
+    start could hold: a pair takes two tokens and a bound or column line
+    three, each followed by a separator (but the last)."""
+    return (size + 1) // 4 + 1, (size + 1) // 6 + 1, size + 1
+
+
+class _Outputs:
+    """The arrays the sweep's calls fill: one set for the whole text, as
+    large as one call on it needs, give or take a few items a part.
+
+    Each part writes its COLUMNS entries and column names at its own
+    offsets, in room for what its own bytes could hold, and only the call
+    that reads RHS and BOUNDS writes their arrays; the pages no item
+    reaches stay untouched.  The entry arrays fill megabytes, and come from
+    np.empty, whose huge pages take few page faults to fill; each is its
+    own allocation, so the instance can hold the rows and values without
+    the rest.  The other arrays fill a few pages at one offset a part, and
+    get anonymous mappings of their own (``_mapped``).
+    """
+
+    def __init__(self, room, whole):
+        pairs, lines, text = room
+        self.ent_col, self.ent_row = np.empty(pairs, np.int64), np.empty(pairs, np.int64)
+        self.ent_val = np.empty(pairs)
+        self.obj_col, self.obj_val = _mapped(pairs, np.int64), _mapped(pairs, np.float64)
+        self.col_text, self.col_name = _mapped(text, np.uint8), _mapped((lines, 2), np.int64)
+        pairs, lines, _ = whole
+        self.rhs_row, self.rhs_val = _mapped(pairs, np.int64), _mapped(pairs, np.float64)
+        self.bnd_kind, self.bnd_col = _mapped(lines, np.int64), _mapped(lines, np.int64)
+        self.bnd_val = _mapped(lines, np.float64)
+
+    def join(self, name: str, blocks: list, maps=None) -> np.ndarray:
+        """The named array's blocks [at, at + k) one after another: moved
+        down in place, each mapped through its map when there is one, and
+        cut to them.  The first block is at 0.  An array of np.empty's is
+        resized, which gives back its pages past the blocks."""
+        array = getattr(self, name)
+        setattr(self, name, None)   # resize needs the only reference
+        n = blocks[0][1]
+        for (at, k), ids in zip(blocks[1:], maps[1:] if maps else repeat(None)):
+            if ids is not None:   # in place: each slot is read before it is written
+                np.take(ids, array[at:at + k], out=array[at:at + k], mode="clip")
+            array[n:n + k] = array[at:at + k]
+            n += k
+        if not array.flags.owndata:
+            return array[:n]
+        array.resize(n)
+        return array
+
+
+def _mapped(shape, dtype) -> np.ndarray:
+    """An empty array in a private anonymous mapping of its own, which holds
+    the pages written and gives them back when the array is freed.  np.empty
+    gives a large array transparent huge pages, which round the pages
+    written at each offset up to 2 MB."""
+    size = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    return np.frombuffer(mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE), dtype).reshape(shape)
+
+
+def _call(lib, data, rows, out, start, limit, inside, at, col_name, preloaded, col_map,
+          counts) -> int:
+    """mps_sweep on data[start:] into out's arrays, the entries' at pair
+    at[0] and the column names' at line at[1] of col_name and byte at[2],
+    with rows the row names' text, their spans and their roles in COLUMNS
+    and in RHS (see _kernel.c)."""
+    pair, line, byte = at
+    row_text, row_name, col_role, rhs_role = rows
+    return lib.mps_sweep(
+        data, start, limit, len(data), inside, row_text, row_name.ctypes.data,
+        col_role.ctypes.data, rhs_role.ctypes.data, len(col_role),
+        out.ent_col[pair:].ctypes.data, out.ent_row[pair:].ctypes.data,
+        out.ent_val[pair:].ctypes.data, out.obj_col[pair:].ctypes.data,
+        out.obj_val[pair:].ctypes.data, out.rhs_row.ctypes.data, out.rhs_val.ctypes.data,
+        out.bnd_kind.ctypes.data, out.bnd_col.ctypes.data, out.bnd_val.ctypes.data,
+        out.col_text[byte:].ctypes.data, col_name[line:].ctypes.data, preloaded,
+        None if col_map is None else col_map.ctypes.data, counts.ctypes.data)
+
+
+class _Part:
+    """One part of the text that the sweep reads, data[start:], in COLUMNS
+    up to limit, and where its outputs go: pair, line and byte are its
+    offsets in the outputs' entry arrays, column spans and column text.
+    A part past the first starts inside COLUMNS and ends at the first
+    header; its column spans count from its own first byte."""
+
+    def __init__(self, start: int, limit: int, inside: bool, at):
+        self.start, self.limit, self.inside = start, limit, inside
+        self.pair, self.line, self.byte = at.tolist()
+        self.counts = np.zeros(_COUNTS, np.int64)
+        self.code = -1
+
+    def sweep(self, lib, data: bytes, rows, out: _Outputs) -> None:
+        self.code = _call(lib, data, rows, out, self.start, self.limit, self.inside,
+                          (self.pair, self.line, self.byte), out.col_name, 0, None, self.counts)
+        self.entries, self.objective, _, _, self.columns, _, self.stop = self.counts.tolist()
+
+    def reached_limit(self) -> bool:
+        """Whether the part swept to its limit still in COLUMNS."""
+        return self.code == 0 and self.stop == self.limit
 
 
 def _lines(body: str, first: int):

@@ -375,6 +375,8 @@ def _resolve_start(start, num_rows: int) -> np.ndarray:
     y0 = np.asarray(start, dtype=np.float64).copy()
     if y0.shape != (num_rows,):
         raise ValueError(f"start vector must have shape ({num_rows},)")
+    if not np.isfinite(y0).all():
+        raise ValueError("start vector must be finite")
     if np.any(y0 < 0):
         raise ValueError("start vector must be nonnegative")
     return y0

@@ -276,6 +276,13 @@ class TestRunPass:
         sol = solve_online(inst, RunConfig(check_assumptions=False))
         assert sol.elapsed_columns == 2
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_start_is_refused(self, bad):
+        inst = generate_mkp(MkpParams(m=4, n=30, tightness=0.3, seed=1))
+        for method in ("explicit", "implicit"):
+            with pytest.raises(ValueError, match="start vector must be finite"):
+                solve_online(inst, RunConfig(method=method, start=np.array([bad, 0, 0, 0])))
+
     def test_enforcement_zero_violation(self):
         inst = generate_mkp(MkpParams(m=5, n=40, tightness=0.2, seed=4))
         for method in ("explicit", "implicit"):
