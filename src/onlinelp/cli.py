@@ -305,9 +305,10 @@ def _cmd_sift(args) -> int:
 
     if args.trace_out:
         _write_csv(args.trace_out, "trace", ["round", "working", "priced", "objective",
-                                             "wall_time_s", "iterations", "warm_started"],
-                   ([r.round, r.working_size, r.priced, r.objective, r.wall_time_s,
-                     r.iterations, int(r.warm_started)] for r in result.trace))
+                                             "wall_time_s", "solve_s", "price_s", "iterations",
+                                             "warm_started"],
+                   ([r.round, r.working_size, r.priced, r.objective, r.wall_time_s, r.solve_s,
+                     r.price_s, r.iterations, int(r.warm_started)] for r in result.trace))
     if args.out:
         record = _record(label, pre_config, online_sol, wall,
                          method=f"sift+{pre_config.method}", objective=result.objective,

@@ -174,15 +174,29 @@ class LpInstance:
 
     def restrict_columns(self, cols: np.ndarray, meta=None) -> "LpInstance":
         """Sub-instance over the given column ids (order preserved)."""
-        cols = np.asarray(cols, dtype=np.int64)
+        cols, cp, at = self._gather_columns(cols)
+        return LpInstance(self.num_rows, cols.size, cp, self.row_idx[at], self.values[at],
+                          self.rhs, self.obj[cols], self.upper[cols], meta=meta)
+
+    def _gather_columns(self, cols) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(cols, col_ptr, at) of the sub-matrix over the column ids ``cols``,
+        in their order: the ids as int64, the sub-matrix's column pointers,
+        and the positions of its entries in ``row_idx`` and ``values``.
+        Raises ValueError unless ``cols`` is a nonempty 1-d array of integer
+        ids in [0, n)."""
+        cols = np.asarray(cols)
+        if cols.ndim != 1 or cols.size == 0 or cols.dtype.kind not in "iu":
+            raise ValueError("column ids must be a nonempty 1-d array of integers")
+        cols = cols.astype(np.int64, copy=False)
+        if cols.min() < 0 or cols.max() >= self.num_cols:
+            raise ValueError(f"column ids must lie in [0, {self.num_cols})")
         starts = self.col_ptr[cols]
         counts = self.col_ptr[cols + 1] - starts
         cp = np.zeros(cols.size + 1, dtype=np.int64)
         counts.cumsum(out=cp[1:])
         # entry p of the new column k sits at starts[k] + (p - cp[k]) in the old arrays
-        gather = (starts - cp[:-1]).repeat(counts) + np.arange(cp[-1])
-        return LpInstance(self.num_rows, cols.size, cp, self.row_idx[gather], self.values[gather],
-                          self.rhs, self.obj[cols], self.upper[cols], meta=meta)
+        at = (starts - cp[:-1]).repeat(counts) + np.arange(cp[-1])
+        return cols, cp, at
 
 
 class _Deferred:

@@ -8,6 +8,14 @@ blend ALPHA * r_W + (1 - ALPHA) * r_anchor of the two reduced costs, and
 by r_W alone when the blend prices nothing, so that an empty sweep
 certifies global optimality.  Columns are never removed, so the working
 objective is nondecreasing across rounds.
+
+A working problem is solved on the instance itself, ``solve_lp(instance,
+warm_basis=..., columns=W)``: the solve gathers W's columns into its own
+store, and no restricted ``LpInstance`` is built or checked per round.
+Its result's column ids are local to W, as a restricted instance's would
+be, so each round's warm basis is the last round's mapped onto the grown
+W (``_map_warm_basis``).  Each ``SiftRound`` times its solve and its
+pricing sweep (``solve_s``, ``price_s``) within its ``wall_time_s``.
 """
 
 from __future__ import annotations
@@ -83,6 +91,8 @@ class SiftRound:
     priced: int
     objective: float
     wall_time_s: float
+    solve_s: float                  # the round's working solve, within wall_time_s
+    price_s: float                  # its pricing sweep, within wall_time_s
     iterations: int                 # simplex pivots of the round's working solve
     warm_started: bool              # that solve started from the previous basis
 
@@ -206,15 +216,18 @@ def sift(instance: LpInstance, online_solution: OnlineSolution,
             w_prev, w = w, np.concatenate((w, priced))
             w.sort()
             warm = _map_warm_basis(res, w_prev, w, m)
-        res = solve_lp(instance.restrict_columns(w), warm_basis=warm)
+        t_solve = time.perf_counter()
+        res = solve_lp(instance, warm_basis=warm, columns=w)
         if res.status is not SolveStatus.OPTIMAL:
             raise RuntimeError(f"working problem solve failed: {res.status.value}")
+        t_price = time.perf_counter()
         # a capped sweep is empty only when the whole sweep is
         priced = price(instance, w, res.y_star, config.pricing_tolerance,
                        config.max_new_columns_per_round, anchor_share=anchor_share)
+        t_end = time.perf_counter()
         certified = priced.size == 0
-        trace.append(SiftRound(round_no, w.size, priced.size, res.obj,
-                               time.perf_counter() - t0, res.iterations,
+        trace.append(SiftRound(round_no, w.size, priced.size, res.obj, t_end - t0,
+                               t_price - t_solve, t_end - t_price, res.iterations,
                                res.warm_started))
         if certified:
             break

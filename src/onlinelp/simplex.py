@@ -41,9 +41,15 @@ iteration limit; Phase 1, warm starts and the result stay in Python.
 Both engines read the columns of [A I -E] from one store, the
 workspace's compressed columns (``ext_ptr``, ``ext_rows``, ``ext_vals``),
 and keep d and w in ``_Workspace.work``, after the kernel's 4 m doubles of
-scratch.  The workspace checks and looks up the kernel's
-pointers to the arrays it holds once (``kernel_pointers``); each kernel
-call looks up only its own arguments and the basis inverse.  A working
+scratch.  ``solve_lp(instance, columns=c)`` solves the LP over the columns
+c of an instance alone: the workspace gathers their entries, bounds and
+costs into that store by the gather ``LpInstance.restrict_columns`` uses
+(``_gather_columns``), so the solve is that of the restricted instance bit
+for bit, with no sub-instance built or checked, and its column ids are
+local to c.  Sifting solves each working problem so.  The workspace checks
+and looks up the kernel's pointers to the arrays it holds once
+(``kernel_pointers``); each kernel call looks up only its own arguments
+and the basis inverse.  A working
 problem's solve is short, so its start and its result call ndarray
 methods (``a.nonzero()[0]``, ``a.cumsum()``) rather than numpy's function
 wrappers, whose dispatch would show.  ``explicit_engine()`` in ``onlinelp.online`` names
@@ -137,26 +143,33 @@ class SimplexResult:
 class _Workspace:
     """Mutable pivoting state over the slack-extended column set."""
 
-    def __init__(self, instance: LpInstance, art_rows: np.ndarray):
-        self.inst = instance
+    def __init__(self, instance: LpInstance, art_rows: np.ndarray, columns=None):
+        """The working problem over ``columns`` of ``instance`` (every column
+        when None), in their order, with artificials on ``art_rows``."""
+        if columns is None:
+            col_ptr, rows, vals = instance.col_ptr, instance.row_idx, instance.values
+            self.obj, upper = instance.obj, instance.upper
+        else:
+            columns, col_ptr, at = instance._gather_columns(columns)
+            rows, vals = instance.row_idx[at], instance.values[at]
+            self.obj, upper = instance.obj[columns], instance.upper[columns]
         self.m = instance.num_rows
-        self.n = instance.num_cols
+        self.n = col_ptr.size - 1
         self.b = instance.rhs
-        self.art_rows = art_rows                  # rows carrying a -1 artificial
         self.n_art = art_rows.size
         self.n_total = self.n + self.m + self.n_art
         n_extra = self.m + self.n_art
-        self.upper = np.concatenate((instance.upper, np.full(n_extra, np.inf)))
-        # [A I -E] in compressed columns: A's arrays, then slack i holds
-        # (i, 1.0) and the artificial of row art_rows[k] holds
+        self.upper = np.concatenate((upper, np.full(n_extra, np.inf)))
+        # [A I -E] in compressed columns: the working columns' entries, then
+        # slack i holds (i, 1.0) and the artificial of row art_rows[k] holds
         # (art_rows[k], -1.0).  It is the one column layout of both pivot
         # engines: ``entries``, ``products`` and the kernel read it, so none
-        # of them has a slack or artificial case.  A copy of A, which
-        # sifting's working problems keep small; a solve of a whole instance
+        # of them has a slack or artificial case.  A copy of the working
+        # columns, which sifting keeps small; a solve of a whole instance
         # pays 16 bytes per nonzero.
-        self.ext_ptr = np.concatenate((instance.col_ptr, instance.nnz + 1 + np.arange(n_extra)))
-        self.ext_rows = np.concatenate((instance.row_idx, np.arange(self.m), art_rows))
-        self.ext_vals = np.concatenate((instance.values, np.ones(self.m), np.full(self.n_art, -1.0)))
+        self.ext_ptr = np.concatenate((col_ptr, col_ptr[-1] + 1 + np.arange(n_extra)))
+        self.ext_rows = np.concatenate((rows, np.arange(self.m), art_rows))
+        self.ext_vals = np.concatenate((vals, np.ones(self.m), np.full(self.n_art, -1.0)))
         # 0 = nonbasic at lower, 1 = nonbasic at upper, 2 = basic
         self.status = np.zeros(self.n_total, dtype=np.int8)
         self.basis = np.empty(self.m, dtype=np.int64)
@@ -457,8 +470,8 @@ def _compiled_pivots(ws: _Workspace, cost: np.ndarray, x_b: np.ndarray,
         x_b_p, work, limit, state_p, OPT_TOL, PIVOT_TOL, REFACTOR_PERIOD, STALL_WINDOW)
 
 
-def solve_lp(instance: LpInstance, warm_basis=None,
-             max_iter: int | None = None) -> SimplexResult:
+def solve_lp(instance: LpInstance, warm_basis=None, max_iter: int | None = None,
+             columns=None) -> SimplexResult:
     """Exact bounded-variable simplex solve of an inequality-form LP.
 
     Parameters
@@ -471,18 +484,27 @@ def solve_lp(instance: LpInstance, warm_basis=None,
         otherwise the solver starts cold.  The result's ``warm_started``
         says which happened.
     max_iter : optional iteration cap, default 50 * (m + n).
+    columns : optional
+        A 1-d integer array of column ids: solve the LP over these columns
+        of ``instance`` alone, in their order, as
+        ``solve_lp(instance.restrict_columns(columns), ...)`` would, bit for
+        bit, but with no sub-instance built.  Column ids in ``warm_basis``
+        and in the result are then local to ``columns`` (structural k <
+        len(columns) stands for column ``columns[k]``, slack len(columns) +
+        i), and n in the default ``max_iter`` is len(columns).
 
-    Raises ValueError when m exceeds DENSE_LIMIT.
+    Raises ValueError when m exceeds DENSE_LIMIT, and for ``columns`` that
+    is not a nonempty 1-d array of integer ids in [0, n).
     """
-    m, n = instance.num_rows, instance.num_cols
+    m = instance.num_rows
     if m > DENSE_LIMIT:
         raise ValueError(f"m={m} exceeds the dense-solver limit {DENSE_LIMIT}")
-    if max_iter is None:
-        max_iter = 50 * (m + n)
-
     b = instance.rhs
     neg_rows = (b < 0).nonzero()[0]
-    ws = _Workspace(instance, neg_rows)
+    ws = _Workspace(instance, neg_rows, columns)
+    n = ws.n
+    if max_iter is None:
+        max_iter = 50 * (m + n)
     x_b = None if warm_basis is None else _warm_start(ws, warm_basis)
     warm_ok = x_b is not None
     allow = np.ones(ws.n_total, dtype=bool)
@@ -509,7 +531,7 @@ def solve_lp(instance: LpInstance, warm_basis=None,
             ws.upper[n + m:] = 0.0  # retire artificials for phase 2
 
     cost2 = np.zeros(ws.n_total)
-    cost2[:n] = instance.obj
+    cost2[:n] = ws.obj
     if status is SolveStatus.OPTIMAL:
         reason, x_b, used = _pivot_loop(ws, cost2, x_b, allow, max_iter, iterations)
         iterations += used
@@ -523,8 +545,8 @@ def solve_lp(instance: LpInstance, warm_basis=None,
     up_ids = (ws.status == 1).nonzero()[0]
     x_full[up_ids] = ws.upper[up_ids]
     x_full[ws.basis] = x_b
-    x = x_full[:n].clip(0.0, instance.upper)
-    return SimplexResult(status, x, ws.btran(cost2[ws.basis]), float(instance.obj @ x),
+    x = x_full[:n].clip(0.0, ws.upper[:n])
+    return SimplexResult(status, x, ws.btran(cost2[ws.basis]), float(ws.obj @ x),
                          frozenset(ws.basis.tolist()), iterations,
                          frozenset(up_ids[up_ids < n + m].tolist()), warm_ok)
 

@@ -201,7 +201,7 @@ class TestSift:
         with open(trace) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["round", "working", "priced", "objective", "wall_time_s",
-                           "iterations", "warm_started"]
+                           "solve_s", "price_s", "iterations", "warm_started"]
         assert len(rows) == recs[0].rounds + 1
         assert rows[1][-1] == "0"  # the first round has no basis to start from
         assert all(int(r[-2]) >= 0 and r[-1] in ("0", "1") for r in rows[1:])
@@ -551,17 +551,19 @@ class TestPlumbing:
         assert err == f"error: --gen spec {message}\n"
 
     def test_the_trace_csv_is_byte_exact(self, tmp_path, capsys, monkeypatch):
-        trace = (SiftRound(1, 30, 200, 1 / 3, 0.0123, 17, False),
-                 SiftRound(2, 41, 200, 1234.5678901234567, 1e-5, 0, True))
+        trace = (SiftRound(1, 30, 200, 1 / 3, 0.0123, 0.01, 0.002, 17, False),
+                 SiftRound(2, 41, 200, 1234.5678901234567, 1e-5, 6e-6, 3e-6, 0, True))
         real = cli.sift
         monkeypatch.setattr(cli, "sift", lambda *a: dataclasses.replace(real(*a), trace=trace))
         path = tmp_path / "trace.csv"
         assert run_cli(["sift", "--gen", "m=3,n=40,tau=0.4", "--trace-out", str(path)]) == 0
         capsys.readouterr()
         assert path.read_bytes() == (
-            b"round,working,priced,objective,wall_time_s,iterations,warm_started\r\n"
-            b"1,30,200,0.33333333333333331,0.0123,17,0\r\n"
-            b"2,41,200,1234.5678901234567,1.0000000000000001e-05,0,1\r\n")
+            b"round,working,priced,objective,wall_time_s,solve_s,price_s,iterations,"
+            b"warm_started\r\n"
+            b"1,30,200,0.33333333333333331,0.0123,0.01,0.002,17,0\r\n"
+            b"2,41,200,1234.5678901234567,1.0000000000000001e-05,6.0000000000000002e-06,"
+            b"3.0000000000000001e-06,0,1\r\n")
 
     def test_a_trace_that_cannot_be_written_names_it(self, tmp_path, capsys, monkeypatch):
         # past the check made before the run, the writer words its own failure alike

@@ -761,5 +761,6 @@ def test_whole_sift_runs_match(compiled, monkeypatch, seed):
     assert got.rounds >= 2
     assert got.x.tobytes() == want.x.tobytes() and got.y.tobytes() == want.y.tobytes()
     assert_same_lp(got.exact, want.exact)
-    assert [replace(r, wall_time_s=0.0) for r in got.trace] == \
-        [replace(r, wall_time_s=0.0) for r in want.trace]
+    untimed = dict(wall_time_s=0.0, solve_s=0.0, price_s=0.0)
+    assert [replace(r, **untimed) for r in got.trace] == \
+        [replace(r, **untimed) for r in want.trace]

@@ -134,6 +134,21 @@ class TestLpInstance:
         np.testing.assert_array_equal(sub.to_dense(), [[2.0, 1.0], [4.0, 0.0]])
         np.testing.assert_array_equal(sub.obj, [3.0, 1.0])
 
+    @pytest.mark.parametrize("cols", [[-2], [-1], [3], [0, 3], [2, -3]])
+    def test_restrict_columns_refuses_ids_outside_the_instance(self, cols):
+        # a negative id once read one column's entries and another's objective
+        inst = LpInstance.from_dense([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]],
+                                     np.ones(3), [10.0, 20.0, 30.0])
+        with pytest.raises(ValueError, match=r"column ids must lie in \[0, 3\)"):
+            inst.restrict_columns(cols)
+
+    @pytest.mark.parametrize("cols", [[[0, 1]], [0.0, 1.0], [True, False, True]],
+                             ids=["2-d", "float", "mask"])
+    def test_restrict_columns_refuses_other_than_integer_ids(self, cols):
+        inst = LpInstance.from_dense(np.eye(3), np.ones(3), np.ones(3))
+        with pytest.raises(ValueError, match="1-d array of integers"):
+            inst.restrict_columns(cols)
+
     def test_restrict_columns_matches_column_loop(self):
         rng = np.random.default_rng(0)
         A = rng.uniform(0.5, 2.0, (6, 40)) * (rng.random((6, 40)) < 0.4)

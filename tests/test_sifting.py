@@ -279,8 +279,8 @@ class TestSift:
         assert (a.objective, a.rounds, a.rdc) == (b.objective, b.rounds, b.rdc)
         assert a.exact.x_star.tobytes() == b.exact.x_star.tobytes()
         assert a.exact.y_star.tobytes() == b.exact.y_star.tobytes()
-        assert ([replace(r, wall_time_s=0.0) for r in a.trace]
-                == [replace(r, wall_time_s=0.0) for r in b.trace])
+        untimed = dict(wall_time_s=0.0, solve_s=0.0, price_s=0.0)
+        assert [replace(r, **untimed) for r in a.trace] == [replace(r, **untimed) for r in b.trace]
 
     def test_a_round_limited_result_is_the_last_solved_problem(self):
         inst = generate_mkp(MkpParams(m=4, n=120, tightness=0.2, seed=6))
@@ -321,15 +321,24 @@ class TestSift:
 
         sizes = []
 
-        def recording_solve_lp(instance, *args, **kwargs):
-            sizes.append(instance.num_cols)
-            return solve_lp(instance, *args, **kwargs)
+        def recording_solve_lp(instance, *args, columns, **kwargs):
+            assert instance is inst   # no sub-instance: the solve reads inst's columns
+            sizes.append(len(columns))
+            return solve_lp(instance, *args, columns=columns, **kwargs)
 
         monkeypatch.setattr(sifting, "solve_lp", recording_solve_lp)
         inst = generate_mkp(MkpParams(m=6, n=300, tightness=0.15, seed=1))
         result = online_then_sift(inst, seed=1)
         assert len(sizes) == result.rounds
         assert sizes == [r.working_size for r in result.trace]
+
+    def test_rounds_time_their_solve_and_their_pricing(self):
+        inst = generate_mkp(MkpParams(m=6, n=300, tightness=0.15, seed=1))
+        result = online_then_sift(inst, seed=1)
+        assert result.rounds >= 2
+        for r in result.trace:
+            assert 0.0 < r.solve_s and 0.0 < r.price_s
+            assert r.solve_s + r.price_s <= r.wall_time_s
 
     def test_rejects_negative_rhs(self):
         inst = LpInstance.from_dense([[-1.0]], [-1.0], [1.0])

@@ -25,12 +25,13 @@ def random_instance(rng, m, n, allow_negative=False):
     return LpInstance.from_dense(A, b, c, upper=u)
 
 
-def generic_entries(ws, cols):
-    """(rows, values, owner) of columns ``cols`` of [A I -E] by type masks
-    over the instance's own arrays: the reference of ``_Workspace.entries``,
-    which gathers them from one combined column store."""
+def generic_entries(inst, art_rows, cols):
+    """(rows, values, owner) of columns ``cols`` of [A I -E], with
+    artificials on ``art_rows``, by type masks over the instance's own
+    arrays: the reference of ``_Workspace.entries``, which gathers them from
+    one combined column store."""
     cols = np.asarray(cols, dtype=np.int64)
-    n, m, cp = ws.n, ws.m, ws.inst.col_ptr
+    n, m, cp = inst.num_cols, inst.num_rows, inst.col_ptr
     struct_id = np.minimum(cols, n - 1)   # a stand-in for slacks, artificials
     starts = cp[struct_id]
     counts = np.where(cols < n, cp[struct_id + 1] - starts, 1)
@@ -41,13 +42,13 @@ def generic_entries(ws, cols):
     vals = np.empty(owner.size)
     own = cols[owner]
     struct = own < n
-    rows[struct] = ws.inst.row_idx[at[struct]]
-    vals[struct] = ws.inst.values[at[struct]]
+    rows[struct] = inst.row_idx[at[struct]]
+    vals[struct] = inst.values[at[struct]]
     slack = ~struct & (own < n + m)
     rows[slack] = own[slack] - n
     vals[slack] = 1.0
     art = own >= n + m
-    rows[art] = ws.art_rows[own[art] - n - m]
+    rows[art] = art_rows[own[art] - n - m]
     vals[art] = -1.0
     return rows, vals, owner
 
@@ -59,14 +60,15 @@ def test_entries_match_the_generic_path(mix):
     A = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.6)
     A[:, [0, 4]] = 0.0   # empty columns, the first among them
     inst = LpInstance.from_dense(A, rng.normal(size=m), rng.normal(size=n))
-    ws = simplex._Workspace(inst, np.flatnonzero(inst.rhs < 0))
+    art_rows = np.flatnonzero(inst.rhs < 0)
+    ws = simplex._Workspace(inst, art_rows)
     assert ws.n_art >= 2
     structural, slack = rng.permutation(n), n + rng.permutation(m)
     artificial = n + m + rng.permutation(ws.n_art)
     cols = {"structural": structural, "slack": slack, "artificial": artificial,
             "mixed": rng.permutation(np.concatenate([structural[:5], slack[:3], artificial])),
             "none": np.empty(0, dtype=np.int64)}[mix]
-    for got, want in zip(ws.entries(cols), generic_entries(ws, cols)):
+    for got, want in zip(ws.entries(cols), generic_entries(inst, art_rows, cols)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
@@ -78,12 +80,13 @@ def test_products_are_the_stored_order_sums_of_every_column():
     A = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.6)
     A[:, [0, 4]] = 0.0   # empty columns, the first among them
     inst = LpInstance.from_dense(A, rng.normal(size=m), rng.normal(size=n))
-    ws = simplex._Workspace(inst, np.flatnonzero(inst.rhs < 0))
+    art_rows = np.flatnonzero(inst.rhs < 0)
+    ws = simplex._Workspace(inst, art_rows)
     assert ws.n_art >= 2
     rows, vals, owner = ws.entries(np.arange(ws.n_total))
     v = rng.normal(size=m)
-    plain = np.setdiff1d(np.arange(m), ws.art_rows)   # rows of a slack alone
-    v[ws.art_rows[:2]] = -0.0, 0.0
+    plain = np.setdiff1d(np.arange(m), art_rows)   # rows of a slack alone
+    v[art_rows[:2]] = -0.0, 0.0
     v[plain[:2]] = -0.0, -1.5
     want = np.zeros(ws.n_total)
     for e in range(owner.size):   # term by term, each column in stored order
@@ -106,6 +109,98 @@ def test_the_kernel_pointers_outlive_every_refactorization(monkeypatch):
     arrays = (ws.ext_ptr, ws.ext_rows, ws.ext_vals, ws.upper, ws.status, ws.basis, ws.work)
     assert ws.kernel_pointers is first
     assert list(first) == [a.ctypes.data for a in arrays]
+
+
+def assert_same_result(got, want):
+    """Two solves' results agree bit for bit."""
+    assert (got.status, got.iterations, got.warm_started) == \
+        (want.status, want.iterations, want.warm_started)
+    assert (got.basis, got.at_upper) == (want.basis, want.at_upper)
+    assert np.float64(got.obj).tobytes() == np.float64(want.obj).tobytes()
+    for a, b in ((got.x_star, want.x_star), (got.y_star, want.y_star)):
+        assert (a is None and b is None) or a.tobytes() == b.tobytes()
+
+
+@pytest.fixture(params=["kernel", "reference"])
+def engine(request, monkeypatch):
+    """Each pivot engine in turn: the compiled kernel, then its numpy
+    reference, with ``_kernel.load`` returning None."""
+    if request.param == "kernel" and simplex._kernel.load() is None:
+        pytest.skip(f"no compiled kernel: {simplex._kernel.reason()}")
+    if request.param == "reference":
+        monkeypatch.setattr(simplex._kernel, "load", lambda: None)
+    return request.param
+
+
+class TestColumns:
+    """``solve_lp(inst, columns=c)`` is ``solve_lp(inst.restrict_columns(c))``
+    bit for bit, with no sub-instance built."""
+
+    def both(self, inst, cols, **kwargs):
+        got = solve_lp(inst, columns=cols, **kwargs)
+        assert_same_result(got, solve_lp(inst.restrict_columns(cols), **kwargs))
+        return got
+
+    def test_cold(self, engine):
+        rng = np.random.default_rng(31)
+        inst = random_instance(rng, 8, 60)
+        for cols in (rng.permutation(60)[:25], np.arange(60), np.array([7]),
+                     np.array([3, 3, 41, 0])):   # any order, repeats included
+            assert self.both(inst, cols).status is SolveStatus.OPTIMAL
+
+    def test_warm_from_a_smaller_working_set(self, engine):
+        inst = generate_mkp(MkpParams(m=12, n=400, tightness=0.15, seed=4))
+        rng = np.random.default_rng(4)
+        w0 = np.sort(rng.choice(400, 40, replace=False))
+        w1 = np.union1d(w0, rng.choice(400, 60, replace=False))
+        first = self.both(inst, w0)
+        warm = _map_warm_basis(first, w0, w1, inst.num_rows)
+        got = self.both(inst, w1, warm_basis=warm)
+        assert got.warm_started and got.iterations > 0
+
+    def test_a_refused_warm_basis(self, engine):
+        inst = generate_mkp(MkpParams(m=6, n=80, tightness=0.2, seed=2))
+        cols = np.arange(0, 80, 2)
+        # the first m working columns are no feasible basis here, and an id
+        # past len(cols) + m is out of range
+        for warm in ((range(6), ()), ([0, 1, 2, 3, 4, 500], ())):
+            assert not self.both(inst, cols, warm_basis=warm).warm_started
+
+    def test_phase_one(self, engine):
+        rng = np.random.default_rng(8)
+        solved = 0
+        for _ in range(20):
+            inst = random_instance(rng, 5, 30, allow_negative=True)
+            if np.any(inst.rhs < 0):   # so the solve runs Phase 1
+                solved += self.both(inst, rng.permutation(30)[:18]).status is SolveStatus.OPTIMAL
+        assert solved >= 5
+        # x_0 + x_2 >= 5 within the unit box: Phase 1 ends short of feasibility
+        inst = LpInstance.from_dense([[1.0, 1.0, 1.0], [-1.0, 0.0, -1.0]], [1.0, -5.0],
+                                     np.ones(3))
+        assert self.both(inst, np.array([2, 0])).status is SolveStatus.INFEASIBLE
+
+    def test_bound_flips(self, engine):
+        # every column costs 1 and fits alone: a column entering at lower
+        # runs to its upper bound before any row binds
+        inst = LpInstance.from_dense(np.full((2, 6), 0.1), [1.0, 1.0], np.ones(6),
+                                     upper=np.full(6, 0.5))
+        got = self.both(inst, np.array([5, 1, 3, 0]))
+        assert got.at_upper == frozenset(range(4)) and got.iterations == 4
+
+    def test_max_iter(self, engine):
+        inst = generate_mkp(MkpParams(m=10, n=300, tightness=0.2, seed=5))
+        cols = np.arange(1, 300, 3)
+        assert self.both(inst, cols, max_iter=4).status is SolveStatus.ITERATION_LIMIT
+
+    @pytest.mark.parametrize("cols, message", [
+        ([[0, 1]], "1-d array of integers"), ([0.0, 1.0], "1-d array of integers"),
+        (np.ones(4, dtype=bool), "1-d array of integers"), (3, "1-d array of integers"),
+        ([-1], r"in \[0, 4\)"), ([0, 4], r"in \[0, 4\)"), ([], "nonempty"),
+    ], ids=["2-d", "float", "mask", "scalar", "negative", "past n", "empty"])
+    def test_bad_columns_are_refused(self, cols, message):
+        inst = LpInstance.from_dense(np.eye(2, 4) + 1.0, [1.0, 1.0], np.ones(4))
+        with pytest.raises(ValueError, match=message):
+            solve_lp(inst, columns=cols)
 
 
 class TestSolveLp:
