@@ -1,16 +1,19 @@
-/* The three compiled functions of onlinelp, built and loaded together by
+/* The five compiled functions of onlinelp, built and loaded together by
  * _kernel.py: the per-column loop of the explicit online pass
- * (online._explicit_pass), the pivot loop of the simplex
+ * (online._explicit_pass), two sweeps over the columns of A, c - A^T y with
+ * sifting's pricing (model._reduced_costs, sifting.price) and A x over the
+ * support of x (model.constraint_violation), the pivot loop of the simplex
  * (simplex._pivot_loop) and the sweep of an MPS file's data sections
  * (mps._sweep).
  *
- * All three repeat their references bit for bit, under the one contract
- * stated in _kernel.py: the two loops their numpy loops, the sweep mps's
- * line reader.  The two loops do the same IEEE operations in the same
- * order, with every sum added term by term in the order the reference
- * fixes; build with -ffp-contract=off so that no multiply and add are
- * fused.  The sweep reads each value by one correctly rounded division
- * (Clinger's fast path) or with strtod; both round as Python's float does.
+ * All five repeat their references bit for bit, under the one contract
+ * stated in _kernel.py: the loops and the sweeps over A their numpy and
+ * scipy references, the MPS sweep mps's line reader.  The loops and the
+ * sweeps over A do the same IEEE operations in the same order, with every
+ * sum added term by term in the order the reference fixes; build with
+ * -ffp-contract=off so that no multiply and add are fused.  The MPS sweep
+ * reads each value by one correctly rounded division (Clinger's fast
+ * path) or with strtod; both round as Python's float does.
  */
 #include <float.h>
 #include <math.h>
@@ -97,6 +100,67 @@ int64_t explicit_pass(int64_t m, const int64_t *col_ptr, const int64_t *row_idx,
         if (x) x_sum[j] += 1.0;
         measure = x && max_norm;
     }
+}
+
+
+/* The pricing sweep over columns lo .. hi-1 of A (model._reduced_costs,
+ * sifting.price): r_j = c_j - a_j y, each sum added in stored order from
+ * 0.0, which is how scipy's csr_matvec adds row j of the CSR view of A.
+ * working (NULL: none) marks the columns whose r_j is -inf instead.  Given
+ * share (NULL: no blend), it also writes blend_j = alpha * r_j and then
+ * blend_j += share_j, the two operations numpy makes of them.  counts[0]
+ * and counts[1] get the numbers of r_j > tol and of blend_j > tol in the
+ * range, as doubles (exact below 2^53), so that the caller can keep them in
+ * the buffer that holds r and blend.  A call writes only its own range of
+ * r and blend and its own counts, so calls on disjoint ranges may run at
+ * once, each from its own thread.  Returns 0. */
+int price_sweep(int64_t lo, int64_t hi, const int64_t *col_ptr, const int64_t *row_idx,
+                const double *vals, const double *c, const double *y,
+                const uint8_t *working, const double *share, double alpha, double tol,
+                double *r, double *blend, double *counts)
+{
+    int64_t priced = 0, blended = 0;
+    for (int64_t j = lo; j < hi; j++) {
+        double dot = 0.0;
+        for (int64_t p = col_ptr[j]; p < col_ptr[j + 1]; p++)
+            dot += vals[p] * y[row_idx[p]];
+        double rj = working && working[j] ? -INFINITY : c[j] - dot;
+        r[j] = rj;
+        priced += rj > tol;
+        if (share) {
+            double bj = alpha * rj;
+            bj += share[j];
+            blend[j] = bj;
+            blended += bj > tol;
+        }
+    }
+    counts[0] = (double)priced;
+    counts[1] = (double)blended;
+    return 0;
+}
+
+
+/* out = A x (model.constraint_violation) over the m rows, reading only the
+ * columns with x_j != 0: out starts at 0.0 and each column in turn adds its
+ * terms in stored order, as scipy's csc_matvec does.  A skipped column's
+ * terms are all +-0 (A has no explicit zeros and only finite entries), and
+ * a sum that starts at +0.0 is never -0.0, to which alone adding +-0
+ * would not be a no-op.  A NaN x_j is read.  Returns the number of
+ * columns read. */
+int64_t support_product(int64_t m, int64_t n, const int64_t *col_ptr,
+                        const int64_t *row_idx, const double *vals, const double *x,
+                        double *out)
+{
+    int64_t read = 0;
+    for (int64_t i = 0; i < m; i++) out[i] = 0.0;
+    for (int64_t j = 0; j < n; j++) {
+        double xj = x[j];
+        if (xj == 0.0) continue;
+        read++;
+        for (int64_t p = col_ptr[j]; p < col_ptr[j + 1]; p++)
+            out[row_idx[p]] += vals[p] * xj;
+    }
+    return read;
 }
 
 

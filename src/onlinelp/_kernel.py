@@ -1,14 +1,20 @@
 """Build-on-first-use loader of the compiled kernel, ``_kernel.c``.
 
-The kernel holds three functions: the explicit online pass
-(``explicit_pass``), the simplex pivot loop (``simplex_pivots``) and the
-sweep of an MPS file from its COLUMNS header to its ENDATA (``mps_sweep``).
-They are built, cached and loaded as one library and resolved as a unit:
-``load()`` returns the library with all three, or None with one reason.
+The kernel holds five functions: the explicit online pass
+(``explicit_pass``), two sweeps over the columns of A, the pricing sweep
+c - A^T y (``price_sweep``) and the product A x over the support of x
+(``support_product``), the simplex pivot loop (``simplex_pivots``) and
+the sweep of an MPS file from its COLUMNS header to its ENDATA
+(``mps_sweep``).  They are built, cached and loaded as one library and
+resolved as a unit: ``load()`` returns the library with all five, or None
+with one reason.
 
 Each function keeps one protocol and one contract with its reference.
 The protocol: arrays in, an int out, and never a raise; the
-caller turns the int into an outcome.
+caller turns the int into an outcome.  The pivot loop and the sweeps over
+A take their pointers from ``pointers``, which checks each array's dtype,
+size and contiguity: a strided view's or a short array's pointer would
+have the kernel read the wrong memory.
 
 - ``explicit_pass`` and ``simplex_pivots`` take the same arguments as
   their references, ``online._python_loop`` and
@@ -17,6 +23,14 @@ caller turns the int into an outcome.
   escaped its bound, and the reason for stopping.  So their callers pick
   either.  The explicit loop measures the dual norm only when its caller
   hands it a slot for the largest one.
+- ``price_sweep`` writes c_j - a_j y for the columns in [lo, hi), the
+  reference's ``obj - to_scipy().T @ y`` there; for ``sifting.price`` it
+  also writes -inf for the working columns, the blend ALPHA r + share
+  and the counts of both above the tolerance.  ``support_product`` writes
+  ``to_scipy() @ x`` reading only the columns where x is nonzero, and
+  returns how many it read.  The pricing sweep is reentrant: the caller
+  may run one call per range of columns at once, each from its own
+  thread (``model._sweep_parts``).
 - ``mps_sweep`` reads the bytes of a file into arrays for the back end
   that ``mps``'s line reader, its reference, also feeds.  It returns 0, or
   a nonzero hand-back code at the first line it will not read; the caller
@@ -29,11 +43,13 @@ caller turns the int into an outcome.
 The contract: the outputs agree bit for bit with the reference's.  The
 loops compute every value by the same IEEE operations in the same order.
 The references fix the order of every sum by adding its terms one by one
-in stored order (``np.cumsum``), and the C loops repeat that order; the
+in stored order (``np.cumsum``, or scipy's own loops for the sweeps over
+A), and the C loops repeat that order; the
 library is built with ``-ffp-contract=off`` so no multiply and add are
 fused.  A C sum that starts from 0.0 rather than from its first term
 differs only in the sign of a zero sum, which no comparison and no square
-sees.  The explicit loop prefetches ahead in ``seq``; it reads no value
+sees; scipy's sums start from 0.0 too.  The explicit loop prefetches
+ahead in ``seq``; it reads no value
 the reference does not read, and changes no order.  The sweep reads
 values only of a strict decimal grammar, on which Python's ``float``
 rounds correctly.  A value with no exponent, at most 15 significant
@@ -62,6 +78,8 @@ import subprocess
 import tempfile
 import threading
 from pathlib import Path
+
+import numpy as np
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
@@ -92,6 +110,14 @@ _SIGNATURES = {
         _ptr, _ptr, _ptr, _ptr, _ptr,              # ent_col, ent_row, ent_val, obj_col, obj_val
         _ptr, _ptr, _ptr, _ptr, _ptr,              # rhs_row, rhs_val, bnd_kind, bnd_col, bnd_val
         _ptr, _ptr, _i64, _ptr, _ptr,              # col_text, col_name, preloaded, col_map, counts
+    )),
+    "price_sweep": (_int, (
+        _i64, _i64, _ptr, _ptr, _ptr,              # lo, hi, col_ptr, row_idx, vals
+        _ptr, _ptr, _ptr, _ptr, _f64, _f64,        # c, y, working, share, alpha, tol
+        _ptr, _ptr, _ptr,                          # r, blend, counts
+    )),
+    "support_product": (_i64, (
+        _i64, _i64, _ptr, _ptr, _ptr, _ptr, _ptr,  # m, n, col_ptr, row_idx, vals, x, out
     )),
 }
 
@@ -163,8 +189,8 @@ def _try_load() -> tuple:
 
 
 def load():
-    """The kernel library, with ``explicit_pass``, ``simplex_pivots`` and
-    ``mps_sweep`` set up, or None when it cannot be built or loaded."""
+    """The kernel library, with the five functions of ``_SIGNATURES`` set
+    up, or None when it cannot be built or loaded."""
     global _state
     with _lock:
         if _state is None:
@@ -176,3 +202,32 @@ def reason() -> str:
     """Why ``load()`` returned None ("" when the kernel is loaded)."""
     load()
     return _state[1]
+
+
+def pointers(*arrays) -> list[int]:
+    """The data pointers of (name, array, dtype, size) entries.  Raises
+    ValueError for an array the kernel would read or write out of bounds or
+    misread."""
+    for name, arr, dtype, size in arrays:
+        if not (arr.dtype == dtype and arr.flags.c_contiguous and arr.size == size):
+            raise ValueError(f"{name} must be contiguous {np.dtype(dtype).name} of size {size}")
+    return [_address(arr) for _, arr, _, _ in arrays]
+
+
+def _address(arr: np.ndarray) -> int:
+    """The address of a contiguous array's first byte.  A ctypes view of a
+    writable buffer finds it in about a quarter of the time of ``.ctypes``,
+    whose object costs about 1.2 us; a read-only or empty array takes
+    ``.ctypes``."""
+    if arr.flags.writeable and arr.nbytes:
+        return ctypes.addressof(ctypes.c_char.from_buffer(arr))
+    return arr.ctypes.data
+
+
+def cpus() -> int:
+    """The number of CPUs this process may run on: the most parts that the
+    reentrant functions run at once."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # not on this platform
+        return os.cpu_count() or 1

@@ -6,19 +6,36 @@ The package works on inequality-form linear programs
 
 with the constraint matrix held in compressed sparse-column form so that
 single columns can be visited in time proportional to their nonzero count.
-All metric functions here are pure.  The one thing an instance caches is
-its scipy sparse array (``to_scipy``) and that array's transpose, both
-views of the instance's own read-only arrays.
+All metric functions here are pure.  An instance caches two things: its
+scipy sparse array (``to_scipy``), a view of the instance's own read-only
+arrays, and the compiled kernel's pointers to those arrays.
+
+The sweeps over A run in the compiled kernel (``_kernel``) when it is
+loaded, and otherwise in their scipy references:
+
+- ``_sweep``, the pricing sweep c - A^T y of ``_reduced_costs`` and of
+  ``sifting.price``, is ``price_sweep`` over A's own CSC arrays, in one
+  part per usable CPU but of at least ``_PART_FLOOR`` entries each
+  (``_sweep_parts``), the first part on the calling thread and each other
+  on a thread of its own.  Its reference is ``obj - to_scipy().T @ y``.
+- ``_product``, the A x of ``constraint_violation``, is
+  ``support_product``, which reads only the columns where x is nonzero;
+  its reference is ``to_scipy() @ x``.
+
+Both give their reference's result bit for bit, whatever the part count.
 """
 
 from __future__ import annotations
 
 import functools
+import threading
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+
+from . import _kernel
 
 __all__ = [
     "LpInstance",
@@ -32,6 +49,16 @@ __all__ = [
     "stopping_residual",
     "evaluate_solution",
 ]
+
+
+# The fewest entries of A that a part of the compiled pricing sweep takes
+# when the sweep runs in parts at once, one per usable CPU.  Paired sweeps
+# of generated instances (m=100, density 0.1, raw; two runs of 400 pairs a
+# size on a 2-core box), two parts against one, read +17 to +39% at 10^5
+# entries, -7 to +7% at 2*10^5, -6 to -19% at 3*10^5, -26 to -29% at
+# 5*10^5 and -36 to -40% at 10^6: below about 1.3*10^5 entries a part, a
+# thread's start and join outweigh what it saves.
+_PART_FLOOR = 1 << 17
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -150,9 +177,7 @@ class LpInstance:
     def to_scipy(self) -> sp.csc_array:
         """Scipy CSC array of A, built on the first call and kept; every call
         returns the same array, which shares the instance's read-only
-        arrays, int64 indices included.  Its transpose, which every
-        c - A^T y sweep multiplies by, is kept beside it as a CSR view of the
-        same arrays, so no sweep builds one."""
+        arrays, int64 indices included."""
         return self._csc
 
     @functools.cached_property
@@ -166,8 +191,16 @@ class LpInstance:
         return A
 
     @functools.cached_property
-    def _csc_t(self) -> sp.csr_array:
-        return self._csc.T   # shares the CSC arrays; copies nothing
+    def _kernel_pointers(self) -> tuple[int, int, int, int]:
+        """Pointers for the compiled kernel to col_ptr, row_idx, values and
+        obj, checked and looked up on the first read.  The arrays are the
+        instance's own, read-only and never rebound, so the pointers hold
+        while the instance lives."""
+        n, nnz = self.num_cols, self.nnz
+        return tuple(_kernel.pointers(("col_ptr", self.col_ptr, np.int64, n + 1),
+                                      ("row_idx", self.row_idx, np.int64, nnz),
+                                      ("values", self.values, np.float64, nnz),
+                                      ("obj", self.obj, np.float64, n)))
 
     def to_dense(self) -> np.ndarray:
         return self.to_scipy().toarray()
@@ -273,7 +306,9 @@ def compute_stats(instance: LpInstance) -> InstanceStats:
     plus the uniform-dual bound ``f_bar``.  That one costs a sort over the
     columns, which runs on the first read of ``f_bar``: a step rule that
     never reads it never pays for it."""
-    a_bar = float(np.max(np.abs(instance.values))) if instance.nnz else 0.0
+    values = instance.values
+    # max |v| without an nnz-long temporary of |v|
+    a_bar = max(float(values.max()), -float(values.min())) if instance.nnz else 0.0
     c_bar = float(np.max(np.abs(instance.obj)))
     d = instance.rhs / instance.num_cols
     d_lo = float(d.min())
@@ -293,28 +328,106 @@ class Metrics:
 
 
 def _check_x(instance: LpInstance, x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
+    x = np.ascontiguousarray(x, dtype=np.float64)
     if x.shape != (instance.num_cols,):
         raise ValueError(f"x must have shape ({instance.num_cols},), got {x.shape}")
     return x
 
 
 def _check_y(instance: LpInstance, y) -> np.ndarray:
-    y = np.asarray(y, dtype=np.float64)
+    y = np.ascontiguousarray(y, dtype=np.float64)
     if y.shape != (instance.num_rows,):
         raise ValueError(f"y must have shape ({instance.num_rows},), got {y.shape}")
     return y
 
 
 def _reduced_costs(instance: LpInstance, y) -> np.ndarray:
-    """c_j - <a_j, y> for every column, in one sparse sweep of the kept A^T."""
-    return instance.obj - instance._csc_t @ _check_y(instance, y)
+    """c_j - <a_j, y> for every column, in one sweep of A (``_sweep``)."""
+    return _sweep(instance, _check_y(instance, y))[0]
+
+
+def _sweep_parts(instance: LpInstance) -> list[int]:
+    """The column bounds of the parts of a compiled pricing sweep: one part
+    per usable CPU, but of at least _PART_FLOOR entries each, cut where
+    the parts hold about equal shares of the entries."""
+    nnz, n = instance.nnz, instance.num_cols
+    count = 1 if nnz < 2 * _PART_FLOOR else min(_kernel.cpus(), nnz // _PART_FLOOR)
+    if count <= 1:
+        return [0, n]
+    cuts = instance.col_ptr.searchsorted([nnz * k // count for k in range(1, count)])
+    return [0, *cuts.tolist(), n]
+
+
+def _sweep(instance: LpInstance, y: np.ndarray, working: np.ndarray | None = None,
+           share: np.ndarray | None = None, alpha: float = 0.0,
+           tol: float = 0.0) -> tuple[np.ndarray, np.ndarray | None, tuple[int, int]]:
+    """(r, blend, counts): r = c - A^T y, bit for bit ``obj -
+    to_scipy().T @ y``, with -inf where the uint8 mask ``working`` is
+    nonzero; given ``share``, blend = alpha * r, then blend += share (None
+    without it); and the numbers of r > tol and of blend > tol.  y must
+    have shape (m,).  The compiled sweep raises ValueError for a mask or
+    share that is not contiguous uint8 or float64 of size n."""
+    n = instance.num_cols
+    lib = _kernel.load()
+    if lib is None:
+        r = instance.obj - instance.to_scipy().T @ y
+        if working is not None:
+            r[working.view(bool)] = -np.inf
+        blend = None
+        if share is not None:
+            blend = alpha * r
+            blend += share
+        return r, blend, (int(np.count_nonzero(r > tol)),
+                          0 if blend is None else int(np.count_nonzero(blend > tol)))
+
+    bounds = _sweep_parts(instance)
+    parts = len(bounds) - 1
+    # one buffer, one pointer lookup: r, blend, two counts a part, and a
+    # copy of y, so that the y the kernel reads is contiguous float64
+    size = n if share is None else 2 * n
+    buf = np.empty(size + 2 * parts + instance.num_rows)
+    buf[size + 2 * parts:] = y
+    (buf_p,) = _kernel.pointers(("sweep buffer", buf, np.float64, buf.size))
+    working_p = None if working is None else \
+        _kernel.pointers(("working mask", working, np.uint8, n))[0]
+    share_p = None if share is None else \
+        _kernel.pointers(("anchor share", share, np.float64, n))[0]
+    blend_p = None if share is None else buf_p + 8 * n
+    counts_p, y_p = buf_p + 8 * size, buf_p + 8 * (size + 2 * parts)
+    args = [(lo, hi, *instance._kernel_pointers, y_p, working_p, share_p, alpha, tol, buf_p,
+             blend_p, counts_p + 16 * k) for k, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
+    # each part but the first on a thread of its own; ctypes lets go of the
+    # GIL for the call
+    threads = [threading.Thread(target=lib.price_sweep, args=a) for a in args[1:]]
+    for thread in threads:
+        thread.start()
+    lib.price_sweep(*args[0])
+    for thread in threads:
+        thread.join()
+    counts = buf[size:size + 2 * parts].tolist()
+    return (buf[:n], None if share is None else buf[n:size],
+            (int(sum(counts[0::2])), int(sum(counts[1::2]))))
+
+
+def _product(instance: LpInstance, x: np.ndarray) -> np.ndarray:
+    """A x, bit for bit ``to_scipy() @ x``, reading only the columns where x
+    is nonzero when the kernel is loaded.  x must be contiguous float64 of
+    size n: the compiled product raises ValueError otherwise."""
+    lib = _kernel.load()
+    if lib is None:
+        return instance.to_scipy() @ x
+    m, n = instance.num_rows, instance.num_cols
+    out = np.empty(m)
+    x_p, out_p = _kernel.pointers(("x", x, np.float64, n), ("product", out, np.float64, m))
+    col_ptr, row_idx, values, _ = instance._kernel_pointers
+    lib.support_product(m, n, col_ptr, row_idx, values, x_p, out_p)
+    return out
 
 
 def constraint_violation(instance: LpInstance, x) -> float:
     """Euclidean norm of the positive part of Ax - b."""
     x = _check_x(instance, x)
-    r = instance.to_scipy() @ x - instance.rhs
+    r = _product(instance, x) - instance.rhs
     np.maximum(r, 0.0, out=r)
     return float(np.linalg.norm(r))
 

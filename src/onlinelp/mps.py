@@ -311,21 +311,13 @@ def _swept_start(data: bytes) -> int | None:
     return None if found is None else found.start() + 1
 
 
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:   # not on this platform
-        return os.cpu_count() or 1
-
-
 def _cuts(data: bytes, start: int) -> list:
     """Where the parts of data[start:] that the sweep reads at once start,
     then len(data): at start, and at the first line start past each equal
     share of the bytes.  One part per usable CPU, but for at least
     _PART_FLOOR bytes each."""
     size = len(data)
-    count = max(1, min(_cpus(), (size - start) // _PART_FLOOR))
+    count = max(1, min(_kernel.cpus(), (size - start) // _PART_FLOOR))
     cuts = [start]
     for k in range(1, count):
         at = data.find(b"\n", start + (size - start) * k // count) + 1

@@ -508,8 +508,7 @@ def _compiled_loop(instance, seq, gamma, step_d, y_base, last, remaining, x_sum,
     """``_python_loop`` in one call of the compiled kernel, which writes in
     place through the pointers of the same arrays."""
     return _kernel.load().explicit_pass(
-        instance.num_rows, instance.col_ptr.ctypes.data, instance.row_idx.ctypes.data,
-        instance.values.ctypes.data, instance.obj.ctypes.data, step_d.ctypes.data,
+        instance.num_rows, *instance._kernel_pointers, step_d.ctypes.data,
         gamma, seq.ctypes.data, seq.size, y_base.ctypes.data, last.ctypes.data,
         None if remaining is None else remaining.ctypes.data, x_sum.ctypes.data,
         math.inf if norm_bound is None else norm_bound,

@@ -20,12 +20,13 @@ pricing sweep (``solve_s``, ``price_s``) within its ``wall_time_s``.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import LpInstance, _reduced_costs
+from .model import LpInstance, _check_y, _sweep
 from .online import OnlineSolution
 from .simplex import SimplexResult, SolveStatus, solve_lp
 
@@ -78,6 +79,9 @@ class SiftConfig:
         if self.stabilization_alpha != ALPHA or self.use_online_anchor is not True:
             raise ValueError("stabilization_alpha and use_online_anchor are retired: sift "
                              f"prices by one blend, weight {ALPHA} on the working dual")
+        if not math.isfinite(self.pricing_tolerance):
+            # a NaN or +inf tolerance prices nothing, which certifies any dual
+            raise ValueError("pricing_tolerance must be finite")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
         if self.max_new_columns_per_round is not None and self.max_new_columns_per_round < 1:
@@ -123,31 +127,50 @@ def _top(scores: np.ndarray, k: int) -> np.ndarray:
     return np.flatnonzero(picked).astype(np.int64)
 
 
+def _finite_dual(instance: LpInstance, y) -> np.ndarray:
+    """y as a contiguous float64 array of size m; raises ValueError unless
+    it has that shape and every entry is finite.  A NaN in y makes the
+    reduced cost of every column on its row NaN, which no test prices, so
+    a sweep against it could certify anything."""
+    y = _check_y(instance, y)
+    if not np.isfinite(y).all():
+        raise ValueError("the dual y must be finite")
+    return y
+
+
 def init_working_set(instance: LpInstance, y, count: int) -> np.ndarray:
     """The ``count`` columns with the largest reduced cost c_j - <a_j, y>,
     ties to the lower index, as a sorted int64 array; every column when
-    count >= n."""
-    return _top(_reduced_costs(instance, y), count)
+    count >= n.  Raises ValueError for a y with a non-finite entry."""
+    return _top(_sweep(instance, _finite_dual(instance, y))[0], count)
 
 
 def price(instance: LpInstance, working_set, y, tol: float = 1e-7,
           max_new: int | None = None, anchor_share: np.ndarray | None = None) -> np.ndarray:
     """Non-working columns with reduced cost r = c_j - <a_j, y> above tol.
 
-    ``working_set`` is an array (or list) of column ids.  One sparse sweep;
-    optionally truncated to the ``max_new`` most violated columns, ties to
-    the lower index.  Given the anchor's share of the blend, ``anchor_share``
-    = (1 - ALPHA) * r_anchor, columns are priced by ALPHA * r + anchor_share,
-    and by r alone when that prices none, so an empty result still
-    certifies y.
+    ``working_set`` is an array (or list) of column ids.  One sweep of A
+    (``model._sweep``); optionally truncated to the ``max_new`` most
+    violated columns, ties to the lower index.  Given the anchor's share of
+    the blend, ``anchor_share`` = (1 - ALPHA) * r_anchor, columns are
+    priced by ALPHA * r + anchor_share, and by r alone when that prices
+    none, so an empty result still certifies y.  Raises ValueError for a y
+    with a non-finite entry.
     """
-    reduced = _reduced_costs(instance, y)
-    reduced[np.asarray(working_set, dtype=np.int64)] = -np.inf   # and so in the blend
+    y = _finite_dual(instance, y)
+    n = instance.num_cols
     if anchor_share is not None:
-        blended = ALPHA * reduced
-        blended += anchor_share
-        if (blended > tol).any():
-            reduced = blended
+        anchor_share = np.ascontiguousarray(anchor_share, dtype=np.float64)
+        if anchor_share.shape != (n,):
+            raise ValueError(f"anchor_share must have shape ({n},)")
+    working = np.zeros(n, dtype=np.uint8)
+    working[np.asarray(working_set, dtype=np.int64)] = 1
+    reduced, blended, (priced, blend_priced) = _sweep(instance, y, working, anchor_share,
+                                                      ALPHA, tol)
+    if blend_priced:
+        reduced, priced = blended, blend_priced
+    if not priced:
+        return np.empty(0, dtype=np.int64)
     violated = (reduced > tol).nonzero()[0]
     if max_new is not None:
         violated = violated[_top(reduced[violated], max_new)]
@@ -200,7 +223,8 @@ def sift(instance: LpInstance, online_solution: OnlineSolution,
     if np.any(instance.rhs < 0):
         raise ValueError("sifting requires b >= 0 (all-slack start must be feasible)")
 
-    anchor_reduced = _reduced_costs(instance, np.maximum(online_solution.y_final, 0.0))
+    anchor = np.maximum(_finite_dual(instance, online_solution.y_final), 0.0)
+    anchor_reduced = _sweep(instance, anchor)[0]
     w = _top(anchor_reduced, m)
     anchor_share = (1.0 - ALPHA) * anchor_reduced   # the blend's fixed part
     w0 = w.copy()

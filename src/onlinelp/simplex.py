@@ -286,20 +286,21 @@ class _Workspace:
     def kernel_pointers(self) -> tuple[int, ...]:
         """Pointers for the kernel to the arrays the workspace holds and never
         rebinds: [A I -E]'s ext_ptr, ext_rows and ext_vals, upper, status,
-        basis and work.  Checked and looked up on the first read, like
-        ``_pointers``; the basis inverse and the basic values are rebound at
-        each refactorization, so ``_compiled_pivots`` looks them up per call."""
+        basis and work.  Checked and looked up on the first read, by
+        ``_kernel.pointers``; the basis inverse and the basic values are
+        rebound at each refactorization, so ``_compiled_pivots`` looks them
+        up per call."""
         m, n_total, work = self.m, self.n_total, self.work
         size = 4 * m + 2 * n_total
         if not (work.dtype == np.float64 and work.flags.c_contiguous and work.size >= size):
             raise ValueError(f"work must be contiguous float64 of size at least {size}")
         nnz = int(self.ext_ptr[-1])   # the kernel reads entries 0 .. nnz - 1
-        return (*_pointers(("ext_ptr", self.ext_ptr, np.int64, n_total + 1),
-                           ("ext_rows", self.ext_rows, np.int64, nnz),
-                           ("ext_vals", self.ext_vals, np.float64, nnz),
-                           ("upper", self.upper, np.float64, n_total),
-                           ("status", self.status, np.int8, n_total),
-                           ("basis", self.basis, np.int64, m)),
+        return (*_kernel.pointers(("ext_ptr", self.ext_ptr, np.int64, n_total + 1),
+                                  ("ext_rows", self.ext_rows, np.int64, nnz),
+                                  ("ext_vals", self.ext_vals, np.float64, nnz),
+                                  ("upper", self.upper, np.float64, n_total),
+                                  ("status", self.status, np.int8, n_total),
+                                  ("basis", self.basis, np.int64, m)),
                 work.ctypes.data)
 
     def devex_state(self) -> tuple[np.ndarray, np.ndarray]:
@@ -444,16 +445,6 @@ def _entering(ws: _Workspace, d: np.ndarray, w: np.ndarray, enterable: np.ndarra
     return int(idx[np.argmax(dj * dj / w[idx])])
 
 
-def _pointers(*arrays) -> list[int]:
-    """The data pointers of (name, array, dtype, size) entries.  Raises
-    ValueError for an array the kernel would read or write out of bounds or
-    misread."""
-    for name, arr, dtype, size in arrays:
-        if not (arr.dtype == dtype and arr.flags.c_contiguous and arr.size == size):
-            raise ValueError(f"{name} must be contiguous {np.dtype(dtype).name} of size {size}")
-    return [arr.ctypes.data for _, arr, _, _ in arrays]
-
-
 def _compiled_pivots(ws: _Workspace, cost: np.ndarray, x_b: np.ndarray,
                      allow: np.ndarray, limit: int, state: np.ndarray) -> int:
     """``_python_pivots`` in the compiled kernel, which writes in place
@@ -461,7 +452,7 @@ def _compiled_pivots(ws: _Workspace, cost: np.ndarray, x_b: np.ndarray,
     array the kernel would read or write out of bounds or misread."""
     m, n_total = ws.m, ws.n_total
     ext_ptr, ext_rows, ext_vals, upper, status, basis, work = ws.kernel_pointers
-    cost_p, allow_p, binv, x_b_p, state_p = _pointers(
+    cost_p, allow_p, binv, x_b_p, state_p = _kernel.pointers(
         ("cost", cost, np.float64, n_total), ("allow", allow, np.bool_, n_total),
         ("basis inverse", ws.binv, np.float64, m * m), ("basic values", x_b, np.float64, m),
         ("state", state, np.int64, 4))

@@ -206,6 +206,15 @@ class TestSift:
         assert rows[1][-1] == "0"  # the first round has no basis to start from
         assert all(int(r[-2]) >= 0 and r[-1] in ("0", "1") for r in rows[1:])
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+    def test_a_non_finite_pricing_tolerance_is_a_usage_error(self, capsys, tol):
+        # a NaN tolerance priced nothing and certified the first working optimum
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["sift", "--gen", "m=20,n=2000,tau=0.05,seed=0", f"--pricing-tol={tol}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "pricing_tolerance must be finite" in err and "Traceback" not in err
+
     def test_defaults_are_the_librarys(self):
         from onlinelp.cli import _sift_configs
         from onlinelp.sifting import SiftConfig

@@ -1,4 +1,6 @@
-"""The compiled kernel's two loops against their references, the numpy loops.
+"""The compiled kernel's two loops against their references, the numpy loops,
+and the loader that builds all five functions (the sweeps over A are
+tested in ``test_sweeps.py``, the MPS sweep in ``test_mps_sweep.py``).
 
 The reference runs with the loader's handle set to None, which is what the
 explicit engine and the simplex see when no kernel could be built.
@@ -370,7 +372,10 @@ def test_kernel_loads_when_a_compiler_exists():
     # the differential tests and leave the suite green
     lib = _kernel.load()
     assert lib is not None, _kernel.reason()
-    assert lib.explicit_pass.argtypes and lib.simplex_pivots.argtypes
+    assert set(_kernel._SIGNATURES) == {"explicit_pass", "simplex_pivots", "mps_sweep",
+                                        "price_sweep", "support_product"}
+    for name in _kernel._SIGNATURES:
+        assert getattr(lib, name).argtypes, name
     assert explicit_engine() == "compiled"
 
 

@@ -194,21 +194,22 @@ class TestReducedCosts:
             want = inst.obj - inst.to_scipy().T @ y
             assert model._reduced_costs(inst, y).tobytes() == want.tobytes()
 
-    def test_the_transpose_is_kept_and_shares_the_arrays(self):
+    def test_the_kernel_pointers_are_kept_and_point_at_the_arrays(self):
         inst = LpInstance.from_dense([[1.0, 0.0, 2.0], [0.0, 3.0, 4.0]], [1.0, 1.0],
                                      [1.0, 2.0, 3.0])
+        kept = inst._kernel_pointers
         model._reduced_costs(inst, np.ones(2))
-        kept = inst._csc_t
-        model._reduced_costs(inst, np.ones(2))
-        assert inst._csc_t is kept
-        A = inst.to_scipy()
-        for t, a in ((kept.data, A.data), (kept.indices, A.indices), (kept.indptr, A.indptr)):
-            assert np.shares_memory(t, a) and t.size == a.size and not t.flags.writeable
+        model.constraint_violation(inst, np.ones(3))
+        assert inst._kernel_pointers is kept
+        assert kept == tuple(a.ctypes.data for a in (inst.col_ptr, inst.row_idx, inst.values,
+                                                     inst.obj))
+        # no transpose of A is kept beside them
+        assert not hasattr(inst, "_csc_t")
         # and to_scipy() copies none of the instance's arrays: no int32 indices
+        A = inst.to_scipy()
         for a, own in ((A.data, inst.values), (A.indices, inst.row_idx),
                        (A.indptr, inst.col_ptr)):
             assert np.shares_memory(a, own) and a.dtype == own.dtype and a.size == own.size
-        np.testing.assert_array_equal(kept.toarray(), A.toarray().T)
 
     def test_a_wrong_shape_is_refused(self):
         with pytest.raises(ValueError, match="y must have shape"):
@@ -246,6 +247,14 @@ class TestComputeStats:
             assert s.d_lo == np.min(b) / n
             assert s.d_hi == np.max(b) / n
             assert s.nnz == np.count_nonzero(A)
+
+    def test_a_bar_is_the_largest_magnitude_of_either_sign(self):
+        for A, want in (([[-3.0, 1.0], [0.0, 2.0]], 3.0), ([[-1.0, -2.0]], 2.0),
+                        ([[0.5, 4.0], [1.0, -4.0]], 4.0), ([[1e-300, 7e300]], 7e300)):
+            inst = LpInstance.from_dense(A, np.ones(len(A)), np.ones(len(A[0])))
+            a_bar = compute_stats(inst).a_bar
+            assert a_bar == want and a_bar == np.max(np.abs(inst.values))
+            assert type(a_bar) is float
 
     def test_f_bar_is_computed_on_first_read(self, monkeypatch):
         calls = 0

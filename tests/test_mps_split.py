@@ -25,7 +25,7 @@ from test_mps_sweep import HAND, assert_same_outcome, generated_text, outcome
 @pytest.fixture(autouse=True, params=[2, 3], ids=["2parts", "3parts"])
 def parts(request, monkeypatch):
     monkeypatch.setattr(mps, "_PART_FLOOR", 1)
-    monkeypatch.setattr(mps, "_cpus", lambda: request.param)
+    monkeypatch.setattr(_kernel, "cpus", lambda: request.param)
     return request.param
 
 
@@ -147,7 +147,7 @@ def test_a_large_file_is_split_at_line_starts(kernel, tmp_path, hand_backs, part
 
 
 def test_one_usable_cpu_makes_one_call(kernel, monkeypatch, tmp_path, hand_backs):
-    monkeypatch.setattr(mps, "_cpus", lambda: 1)
+    monkeypatch.setattr(_kernel, "cpus", lambda: 1)
     path = tmp_path / "one.mps"
     path.write_text(generated_text(20, 3000, seed=4))
     parse_mps(path)
@@ -179,7 +179,7 @@ def test_the_outputs_do_not_grow_with_the_part_count(compiled, monkeypatch, tmp_
     path = tmp_path / "large.mps"
     path.write_text(generated_text(20, 3000, seed=4))
     for cpus in (1, 2, 3, 16):
-        monkeypatch.setattr(mps, "_cpus", lambda: cpus)
+        monkeypatch.setattr(_kernel, "cpus", lambda: cpus)
         parse_mps(path)
         assert sizes[0] <= sizes[-1] <= sizes[0] + 128 * cpus
 
