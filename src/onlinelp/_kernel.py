@@ -11,7 +11,7 @@ with one reason.
 
 Each function keeps one protocol and one contract with its reference.
 The protocol: arrays in, an int out, and never a raise; the
-caller turns the int into an outcome.  The pivot loop and the sweeps over
+caller turns the int into an outcome.  The two loops and the sweeps over
 A take their pointers from ``pointers``, which checks each array's dtype,
 size and contiguity: a strided view's or a short array's pointer would
 have the kernel read the wrong memory.

@@ -170,7 +170,10 @@ class LpInstance:
         return int(self.row_idx.size)
 
     def column(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Row indices and values of column j (views, zero-copy)."""
+        """Row indices and values of column j (views, zero-copy).  Raises
+        IndexError for j outside [0, n)."""
+        if not 0 <= j < self.num_cols:
+            raise IndexError("column index out of range")
         lo, hi = self.col_ptr[j], self.col_ptr[j + 1]
         return self.row_idx[lo:hi], self.values[lo:hi]
 
@@ -223,13 +226,22 @@ class LpInstance:
         cols = cols.astype(np.int64, copy=False)
         if cols.min() < 0 or cols.max() >= self.num_cols:
             raise ValueError(f"column ids must lie in [0, {self.num_cols})")
-        starts = self.col_ptr[cols]
-        counts = self.col_ptr[cols + 1] - starts
-        cp = np.zeros(cols.size + 1, dtype=np.int64)
-        counts.cumsum(out=cp[1:])
-        # entry p of the new column k sits at starts[k] + (p - cp[k]) in the old arrays
-        at = (starts - cp[:-1]).repeat(counts) + np.arange(cp[-1])
-        return cols, cp, at
+        return cols, *_gather(self.col_ptr, cols)
+
+
+def _gather(col_ptr: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ptr, at) of the columns ``cols`` (int64 ids, unchecked) of a
+    compressed-column store with column pointers ``col_ptr``, in their
+    order: the gathered columns' pointers, and the positions of their
+    entries in the store."""
+    starts = col_ptr[cols]
+    counts = col_ptr[cols + 1] - starts
+    ptr = np.zeros(cols.size + 1, dtype=np.int64)
+    counts.cumsum(out=ptr[1:])
+    # entry p of the new column k sits at starts[k] + (p - ptr[k]) in the store
+    at = (starts - ptr[:-1]).repeat(counts)
+    at += np.arange(at.size)
+    return ptr, at
 
 
 class _Deferred:

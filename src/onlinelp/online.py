@@ -59,7 +59,7 @@ from enum import Enum
 import numpy as np
 
 from . import _kernel
-from .model import LpInstance, InstanceStats, compute_stats, constraint_violation
+from .model import LpInstance, InstanceStats, _check_y, compute_stats, constraint_violation
 from .projection import project_weighted_simplex
 
 __all__ = [
@@ -356,8 +356,10 @@ def implicit_step(instance: LpInstance, y, j: int, gamma: float) -> ProximalSolu
     Minimizes <d,y'> + [c_j - <a_j,y'>]_+ + ||y' - y||^2 / (2 gamma) over
     y' >= 0 by trying the two kink-inactive closed forms first and falling
     back to the weighted-simplex projection when the kink is active.
+    Raises ValueError for a y of the wrong shape and IndexError for j
+    outside [0, n).
     """
-    y = np.asarray(y, dtype=np.float64)
+    y = _check_y(instance, y)
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     d = instance.rhs / instance.num_cols
@@ -507,12 +509,18 @@ def _compiled_loop(instance, seq, gamma, step_d, y_base, last, remaining, x_sum,
                    max_norm) -> int:
     """``_python_loop`` in one call of the compiled kernel, which writes in
     place through the pointers of the same arrays."""
+    m = instance.num_rows
+    step_d_p, seq_p, y_base_p, last_p, x_sum_p = _kernel.pointers(
+        ("step_d", step_d, np.float64, m), ("seq", seq, np.int64, seq.size),
+        ("y_base", y_base, np.float64, m), ("last", last, np.int64, m),
+        ("x_sum", x_sum, np.float64, instance.num_cols))
+    remaining_p = None if remaining is None else \
+        _kernel.pointers(("capacity", remaining, np.float64, m))[0]
+    max_norm_p = None if max_norm is None else \
+        _kernel.pointers(("max_norm", max_norm, np.float64, 1))[0]
     return _kernel.load().explicit_pass(
-        instance.num_rows, *instance._kernel_pointers, step_d.ctypes.data,
-        gamma, seq.ctypes.data, seq.size, y_base.ctypes.data, last.ctypes.data,
-        None if remaining is None else remaining.ctypes.data, x_sum.ctypes.data,
-        math.inf if norm_bound is None else norm_bound,
-        None if max_norm is None else max_norm.ctypes.data)
+        m, *instance._kernel_pointers, step_d_p, gamma, seq_p, seq.size, y_base_p, last_p,
+        remaining_p, x_sum_p, math.inf if norm_bound is None else norm_bound, max_norm_p)
 
 
 def _implicit_pass(instance: LpInstance, seq: np.ndarray, gamma: float,

@@ -155,16 +155,25 @@ def price(instance: LpInstance, working_set, y, tol: float = 1e-7,
     the blend, ``anchor_share`` = (1 - ALPHA) * r_anchor, columns are
     priced by ALPHA * r + anchor_share, and by r alone when that prices
     none, so an empty result still certifies y.  Raises ValueError for a y
-    with a non-finite entry.
+    with a non-finite entry, for working ids that are not integers in
+    [0, n) and for ``max_new`` below 1: a negative id would stand for
+    another column, which then went unpriced, and a cap below 1 would
+    price nothing, so either could return a false certificate.
     """
     y = _finite_dual(instance, y)
     n = instance.num_cols
+    if max_new is not None and max_new < 1:
+        raise ValueError("max_new must be >= 1")
+    working_set = np.asarray(working_set)
+    if working_set.size and (working_set.dtype.kind not in "iu" or working_set.min() < 0
+                             or working_set.max() >= n):
+        raise ValueError(f"working column ids must be integers in [0, {n})")
     if anchor_share is not None:
         anchor_share = np.ascontiguousarray(anchor_share, dtype=np.float64)
         if anchor_share.shape != (n,):
             raise ValueError(f"anchor_share must have shape ({n},)")
     working = np.zeros(n, dtype=np.uint8)
-    working[np.asarray(working_set, dtype=np.int64)] = 1
+    working[working_set.astype(np.int64, copy=False)] = 1
     reduced, blended, (priced, blend_priced) = _sweep(instance, y, working, anchor_share,
                                                       ALPHA, tol)
     if blend_priced:

@@ -38,25 +38,25 @@ refactorization (every REFACTOR_PERIOD updates, or a pivot below
 PIVOT_TOL): Python refactors with LAPACK, recomputes the basic values and
 resumes it.  It also returns at optimality, unboundedness and the
 iteration limit; Phase 1, warm starts and the result stay in Python.
-Both engines read the columns of [A I -E] from one store, the
-workspace's compressed columns (``ext_ptr``, ``ext_rows``, ``ext_vals``),
-and keep d and w in ``_Workspace.work``, after the kernel's 4 m doubles of
-scratch.  ``solve_lp(instance, columns=c)`` solves the LP over the columns
-c of an instance alone: the workspace gathers their entries, bounds and
-costs into that store by the gather ``LpInstance.restrict_columns`` uses
-(``_gather_columns``), so the solve is that of the restricted instance bit
-for bit, with no sub-instance built or checked, and its column ids are
-local to c.  Sifting solves each working problem so.  The workspace checks
-and looks up the kernel's pointers to the arrays it holds once
-(``kernel_pointers``); each kernel call looks up only its own arguments
-and the basis inverse.  A working
-problem's solve is short, so its start and its result call ndarray
+Both engines read the columns of [A I -E] from one store, the workspace's
+compressed columns (``ext_ptr``, ``ext_rows``, ``ext_vals``), and keep d
+and w in ``_Workspace.work``, after the kernel's 4 m doubles of scratch.
+``solve_lp(instance, columns=c)`` solves the LP over the columns c of an
+instance alone (``solve_lp(instance)`` takes c = 0..n-1): the workspace
+gathers their entries, bounds and costs into that store by the one gather,
+``model._gather``, that ``restrict_columns`` and ``_Workspace.entries``
+use too, so the solve is that of the restricted instance bit for bit, with
+no sub-instance built or checked, and its column ids are local to c.
+Sifting solves each working problem so.  The workspace checks and looks up
+the kernel's pointers to the arrays it holds once (``kernel_pointers``);
+each kernel call looks up only its own arguments and the basis inverse.  A
+working problem's solve is short, so its start and its result call ndarray
 methods (``a.nonzero()[0]``, ``a.cumsum()``) rather than numpy's function
-wrappers, whose dispatch would show.  ``explicit_engine()`` in ``onlinelp.online`` names
-the engine of both.  Cold and warm starts install their basis one way,
-``_Workspace.start``; ``_warm_start`` hands on the basic values of a warm
-basis that is in range, nonsingular and primal feasible, and refuses any
-other.
+wrappers, whose dispatch would show.  ``explicit_engine()`` in
+``onlinelp.online`` names the engine of both.  Cold and warm starts
+install their basis one way, ``_Workspace.start``; ``_warm_start`` hands
+on the basic values of a warm basis that is in range, nonsingular and
+primal feasible, and refuses any other.
 
 The two engines agree bit for bit under the contract stated in
 ``_kernel``; the reference fixes the order of each of its sums:
@@ -66,8 +66,9 @@ The two engines agree bit for bit under the contract stated in
 * ftran adds a_rj B^-1[:, r] over the entering column's nonzeros in stored
   order, the same way;
 * pricing sums each column's a_ij y_i, and the sweep each column's
-  a_ij rho_i, in stored order, starting from 0.0; slack and artificial
-  columns alike, so a slack's product is 0.0 + 1.0 y_i and an
+  a_ij rho_i, in stored order, starting from 0.0, as the reference's
+  scipy ``csr_matvec`` does with the store's column j as its row j; slack
+  and artificial columns alike, so a slack's product is 0.0 + 1.0 y_i and an
   artificial's 0.0 + -1.0 y_i, which differ from y_i and -y_i only in
   the sign of a zero;
 * the ratio test, the rank-1 update, the updates of d and w (d_j -
@@ -93,9 +94,10 @@ from enum import Enum
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from . import _kernel
-from .model import LpInstance
+from .model import LpInstance, _gather
 
 _getrf, _getri = sla.get_lapack_funcs(("getrf", "getri"), (np.zeros((1, 1)),))
 
@@ -147,12 +149,10 @@ class _Workspace:
         """The working problem over ``columns`` of ``instance`` (every column
         when None), in their order, with artificials on ``art_rows``."""
         if columns is None:
-            col_ptr, rows, vals = instance.col_ptr, instance.row_idx, instance.values
-            self.obj, upper = instance.obj, instance.upper
-        else:
-            columns, col_ptr, at = instance._gather_columns(columns)
-            rows, vals = instance.row_idx[at], instance.values[at]
-            self.obj, upper = instance.obj[columns], instance.upper[columns]
+            columns = np.arange(instance.num_cols)
+        columns, col_ptr, at = instance._gather_columns(columns)
+        rows, vals = instance.row_idx[at], instance.values[at]
+        self.obj, upper = instance.obj[columns], instance.upper[columns]
         self.m = instance.num_rows
         self.n = col_ptr.size - 1
         self.b = instance.rhs
@@ -160,13 +160,13 @@ class _Workspace:
         self.n_total = self.n + self.m + self.n_art
         n_extra = self.m + self.n_art
         self.upper = np.concatenate((upper, np.full(n_extra, np.inf)))
-        # [A I -E] in compressed columns: the working columns' entries, then
-        # slack i holds (i, 1.0) and the artificial of row art_rows[k] holds
-        # (art_rows[k], -1.0).  It is the one column layout of both pivot
-        # engines: ``entries``, ``products`` and the kernel read it, so none
-        # of them has a slack or artificial case.  A copy of the working
-        # columns, which sifting keeps small; a solve of a whole instance
-        # pays 16 bytes per nonzero.
+        # [A I -E] in compressed columns, one gather for any columns: their
+        # entries, then slack i holds (i, 1.0) and the artificial of row
+        # art_rows[k] holds (art_rows[k], -1.0).  The one column layout of
+        # both pivot engines: ``entries``, ``products`` and the kernel read
+        # it, so none of them has a slack or artificial case.  A copy of the
+        # working columns, which sifting keeps small; a whole instance's
+        # solve keeps 16 bytes per nonzero, and 24 more while it gathers.
         self.ext_ptr = np.concatenate((col_ptr, col_ptr[-1] + 1 + np.arange(n_extra)))
         self.ext_rows = np.concatenate((rows, np.arange(self.m), art_rows))
         self.ext_vals = np.concatenate((vals, np.ones(self.m), np.full(self.n_art, -1.0)))
@@ -184,11 +184,8 @@ class _Workspace:
         [A I -E], column by column in stored order; owner[e] is the place in
         ``cols`` of the column that entry e belongs to."""
         cols = np.asarray(cols, dtype=np.int64)
-        starts = self.ext_ptr[cols]
-        counts = self.ext_ptr[cols + 1] - starts
-        owner = np.arange(cols.size).repeat(counts)
-        # entry e of the k-th column sits at starts[k] + e - (its first e)
-        at = (starts - (counts.cumsum() - counts)).repeat(counts) + np.arange(owner.size)
+        ptr, at = _gather(self.ext_ptr, cols)
+        owner = np.arange(cols.size).repeat(ptr[1:] - ptr[:-1])
         return self.ext_rows[at], self.ext_vals[at], owner
 
     # -- factorization -----------------------------------------------------
@@ -205,12 +202,10 @@ class _Workspace:
         self.binv = np.ascontiguousarray(_getri(lu, piv)[0])
         self.updates = 0
 
-    def ftran(self, g: np.ndarray) -> np.ndarray:
-        return self.binv @ g
-
     def ftran_column(self, j: int) -> np.ndarray:
         """B^-1 a_j, adding the terms of each row in the column's stored order."""
-        rows, vals, _ = self.entries([j])
+        lo, hi = self.ext_ptr[j], self.ext_ptr[j + 1]
+        rows, vals = self.ext_rows[lo:hi], self.ext_vals[lo:hi]
         if rows.size == 0:
             return np.zeros(self.m)
         return np.cumsum(self.binv[:, rows] * vals, axis=1)[:, -1]
@@ -243,7 +238,7 @@ class _Workspace:
         return rhs
 
     def basic_values(self) -> np.ndarray:
-        return self.ftran(self.effective_rhs())
+        return self.binv @ self.effective_rhs()
 
     def start(self, basis: np.ndarray, at_upper: np.ndarray) -> np.ndarray:
         """Install ``basis``, the columns ``at_upper`` (ids below n + m) at
@@ -257,27 +252,15 @@ class _Workspace:
         return self.basic_values()
 
     @functools.cached_property
-    def _by_place(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """The nonzeros of [A I -E] grouped by their place in their column.
-
-        Group p holds (columns, rows, values) of the (p+1)-th nonzero of
-        every column that has one, so adding the groups in order sums each
-        column in its stored order.
-        """
-        cp = self.ext_ptr
-        col = np.arange(self.n_total).repeat(np.diff(cp))
-        place = np.arange(cp[-1]) - cp[col]
-        order = np.argsort(place, kind="stable")
-        groups = np.split(order, np.cumsum(np.bincount(place))[:-1]) if place.size else []
-        return [(col[g], self.ext_rows[g], self.ext_vals[g]) for g in groups]
+    def _csr(self) -> sp.csr_array:
+        """[A I -E] transposed, a CSR view of the store: row j is column j."""
+        return sp.csr_array((self.ext_vals, self.ext_rows, self.ext_ptr),
+                            shape=(self.n_total, self.m))
 
     def products(self, v: np.ndarray) -> np.ndarray:
         """v a_j for every column j of [A I -E], its terms added in stored
-        order from 0.0."""
-        dot = np.zeros(self.n_total)
-        for cols, rows, vals in self._by_place:
-            dot[cols] += vals * v[rows]
-        return dot
+        order from 0.0, as scipy's ``csr_matvec`` adds them."""
+        return self._csr @ v
 
     def reduced_costs(self, cost: np.ndarray, y: np.ndarray) -> np.ndarray:
         return cost - self.products(y)
@@ -290,18 +273,15 @@ class _Workspace:
         ``_kernel.pointers``; the basis inverse and the basic values are
         rebound at each refactorization, so ``_compiled_pivots`` looks them
         up per call."""
-        m, n_total, work = self.m, self.n_total, self.work
-        size = 4 * m + 2 * n_total
-        if not (work.dtype == np.float64 and work.flags.c_contiguous and work.size >= size):
-            raise ValueError(f"work must be contiguous float64 of size at least {size}")
+        m, n_total = self.m, self.n_total
         nnz = int(self.ext_ptr[-1])   # the kernel reads entries 0 .. nnz - 1
-        return (*_kernel.pointers(("ext_ptr", self.ext_ptr, np.int64, n_total + 1),
-                                  ("ext_rows", self.ext_rows, np.int64, nnz),
-                                  ("ext_vals", self.ext_vals, np.float64, nnz),
-                                  ("upper", self.upper, np.float64, n_total),
-                                  ("status", self.status, np.int8, n_total),
-                                  ("basis", self.basis, np.int64, m)),
-                work.ctypes.data)
+        return tuple(_kernel.pointers(("ext_ptr", self.ext_ptr, np.int64, n_total + 1),
+                                      ("ext_rows", self.ext_rows, np.int64, nnz),
+                                      ("ext_vals", self.ext_vals, np.float64, nnz),
+                                      ("upper", self.upper, np.float64, n_total),
+                                      ("status", self.status, np.int8, n_total),
+                                      ("basis", self.basis, np.int64, m),
+                                      ("work", self.work, np.float64, 4 * m + 2 * n_total)))
 
     def devex_state(self) -> tuple[np.ndarray, np.ndarray]:
         """Views of the reduced costs d and the devex weights w in ``work``."""

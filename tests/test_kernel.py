@@ -286,6 +286,36 @@ def test_both_loops_leave_the_same_state(compiled, capacity):
                       bound) == (k, state)
 
 
+@pytest.mark.parametrize("spoil", ["float32 step_d", "int32 seq", "strided y_base",
+                                   "int32 last", "strided capacity", "short x_sum",
+                                   "long max_norm"])
+def test_the_compiled_loop_refuses_an_array_it_would_misread(compiled, spoil):
+    inst = generate_mkp(MkpParams(m=4, n=30, tightness=0.3, seed=1))
+    m, n = 4, 30
+    step_d = 0.01 * (inst.rhs / n)
+    seq = np.arange(n, dtype=np.int64)
+    y_base, last, capacity = np.zeros(m), np.zeros(m, dtype=np.int64), inst.rhs.copy()
+    x_sum, max_norm = np.zeros(n), np.zeros(1)
+    if spoil == "float32 step_d":
+        step_d = step_d.astype(np.float32)
+    elif spoil == "int32 seq":
+        seq = seq.astype(np.int32)
+    elif spoil == "strided y_base":
+        y_base = np.zeros(2 * m)[::2]
+    elif spoil == "int32 last":
+        last = last.astype(np.int32)
+    elif spoil == "strided capacity":
+        capacity = np.repeat(capacity, 2)[::2]
+    elif spoil == "short x_sum":
+        x_sum = np.zeros(n - 1)
+    else:
+        max_norm = np.zeros(2)
+    with pytest.raises(ValueError, match="must be contiguous"):
+        online._compiled_loop(inst, seq, 0.01, step_d, y_base, last, capacity, x_sum,
+                              math.inf, max_norm)
+    assert not (y_base.any() or last.any() or x_sum.any() or max_norm.any())
+
+
 # -- the explicit loop's lookahead ---------------------------------------------
 # The compiled loop reads ahead in seq by AHEAD and 2 AHEAD steps; these runs
 # put the ends of the stream, its empty columns and an early escape inside

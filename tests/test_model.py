@@ -149,6 +149,14 @@ class TestLpInstance:
         with pytest.raises(ValueError, match="1-d array of integers"):
             inst.restrict_columns(cols)
 
+    @pytest.mark.parametrize("j", [-1, -3, 3])
+    def test_column_refuses_ids_outside_the_instance(self, j):
+        # column(-1) once read col_ptr[-1]:col_ptr[0], an empty column
+        inst = LpInstance.from_dense([[1.0, 2.0, 3.0], [1.0, 0.0, 1.0]], [1.0, 1.0],
+                                     [5.0, 6.0, 7.0])
+        with pytest.raises(IndexError, match="column index out of range"):
+            inst.column(j)
+
     def test_restrict_columns_matches_column_loop(self):
         rng = np.random.default_rng(0)
         A = rng.uniform(0.5, 2.0, (6, 40)) * (rng.random((6, 40)) < 0.4)

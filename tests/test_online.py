@@ -211,6 +211,21 @@ class TestImplicitStep:
         assert sol.case_tag is ProxCase.KINK_INACTIVE_HIGH and sol.x_k == 1.0
         assert sol.y_plus.tobytes() == y1.tobytes()
 
+    @pytest.mark.parametrize("j", [-1, 2])
+    def test_a_column_outside_the_instance_is_refused(self, j):
+        # j = -1 once took an empty column: x = 1 and KINK_INACTIVE_HIGH
+        inst = LpInstance.from_dense([[1.0, 2.0], [3.0, 4.0]], [1.0, 1.0], [1.0, 1.0])
+        for step in (implicit_step, explicit_step):
+            with pytest.raises(IndexError, match="column index out of range"):
+                step(inst, np.zeros(2), j, 0.1)
+
+    @pytest.mark.parametrize("shape", [(1,), (3,), (2, 1)])
+    def test_a_dual_of_the_wrong_shape_is_refused(self, shape):
+        # a y of shape (1,) once broadcast against d without a word
+        inst = LpInstance.from_dense([[1.0, 2.0], [3.0, 4.0]], [1.0, 1.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match=r"y must have shape \(2,\)"):
+            implicit_step(inst, np.zeros(shape), 0, 0.1)
+
     def test_matches_grid_oracle(self):
         rng = np.random.default_rng(11)
         for trial in range(12):

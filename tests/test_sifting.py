@@ -150,6 +150,27 @@ class TestPrice:
             price(inst, [], np.zeros(1), anchor_share=(1 - sifting.ALPHA) * np.full(3, -10.0)),
             [0, 1, 2])
 
+    @pytest.mark.parametrize("max_new", [0, -2])
+    def test_a_cap_below_one_is_refused(self, max_new):
+        # y = 0 prices every column; a cap that kept none read as a certificate
+        inst = LpInstance.from_dense([[1, 2, 3], [1, 0, 1]], [1, 1], [5, 6, 7])
+        np.testing.assert_array_equal(price(inst, [], np.zeros(2)), [0, 1, 2])
+        with pytest.raises(ValueError, match="max_new must be >= 1"):
+            price(inst, [], np.zeros(2), max_new=max_new)
+
+    @pytest.mark.parametrize("working", [[-1], [3], [0, -3], [0.0, 1.0], [True, False, True]],
+                             ids=["negative", "past n", "mixed", "float", "mask"])
+    def test_working_ids_outside_the_instance_are_refused(self, working):
+        # [-1] once stood for column 2, which then went unpriced
+        inst = LpInstance.from_dense([[1, 2, 3], [1, 0, 1]], [1, 1], [5, 6, 7])
+        with pytest.raises(ValueError, match=r"integers in \[0, 3\)"):
+            price(inst, working, np.zeros(2))
+
+    def test_an_empty_working_set_of_any_dtype_is_allowed(self):
+        inst = LpInstance.from_dense([[1, 2, 3], [1, 0, 1]], [1, 1], [5, 6, 7])
+        for working in ([], np.empty(0), np.empty(0, dtype=np.int32)):
+            np.testing.assert_array_equal(price(inst, working, np.zeros(2)), [0, 1, 2])
+
     def test_truncation_ranks_by_the_blend(self):
         inst = LpInstance.from_dense([[1.0, 1.0, 1.0]], [1.0], [3.0, 1.0, 2.0])
         # the blend is [1.2, 4.0, 1.4], where the costs alone rank 0 and 2 first

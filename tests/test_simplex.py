@@ -173,11 +173,14 @@ class TestColumns:
             inst = random_instance(rng, 5, 30, allow_negative=True)
             if np.any(inst.rhs < 0):   # so the solve runs Phase 1
                 solved += self.both(inst, rng.permutation(30)[:18]).status is SolveStatus.OPTIMAL
+                # every column, in order: the whole instance's solve
+                assert self.both(inst, np.arange(30)).status is SolveStatus.OPTIMAL
         assert solved >= 5
         # x_0 + x_2 >= 5 within the unit box: Phase 1 ends short of feasibility
         inst = LpInstance.from_dense([[1.0, 1.0, 1.0], [-1.0, 0.0, -1.0]], [1.0, -5.0],
                                      np.ones(3))
-        assert self.both(inst, np.array([2, 0])).status is SolveStatus.INFEASIBLE
+        for cols in (np.array([2, 0]), np.arange(3)):
+            assert self.both(inst, cols).status is SolveStatus.INFEASIBLE
 
     def test_bound_flips(self, engine):
         # every column costs 1 and fits alone: a column entering at lower
@@ -186,6 +189,8 @@ class TestColumns:
                                      upper=np.full(6, 0.5))
         got = self.both(inst, np.array([5, 1, 3, 0]))
         assert got.at_upper == frozenset(range(4)) and got.iterations == 4
+        got = self.both(inst, np.arange(6))
+        assert got.at_upper == frozenset(range(6)) and got.iterations == 6
 
     def test_max_iter(self, engine):
         inst = generate_mkp(MkpParams(m=10, n=300, tightness=0.2, seed=5))
