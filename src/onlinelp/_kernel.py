@@ -16,13 +16,16 @@ A take their pointers from ``pointers``, which checks each array's dtype,
 size and contiguity: a strided view's or a short array's pointer would
 have the kernel read the wrong memory.
 
-- ``explicit_pass`` and ``simplex_pivots`` take the same arguments as
-  their references, ``online._python_loop`` and
-  ``simplex._python_pivots``, update the same arrays in place and return
-  the same value: the number of steps run or the step whose dual norm
-  escaped its bound, and the reason for stopping.  So their callers pick
-  either.  The explicit loop measures the dual norm only when its caller
-  hands it a slot for the largest one.
+- ``explicit_pass`` takes the same arguments as its reference,
+  ``online._python_loop``.  ``simplex_pivots`` takes what its reference,
+  ``simplex._python_pivots``, reads through (ws, cost, limit): the cost's
+  pointer, then those of the arrays the simplex workspace keeps, which the
+  workspace looks up once, and the limit.  Both update the same arrays in
+  place as their references and return the same value: the number of
+  steps run or the step whose dual norm escaped its bound, and the reason
+  for stopping.  So their callers pick either.  The explicit loop
+  measures the dual norm only when its caller hands it a slot for the
+  largest one.
 - ``price_sweep`` writes c_j - a_j y for the columns in [lo, hi), the
   reference's ``obj - to_scipy().T @ y`` there; for ``sifting.price`` it
   also writes -inf for the working columns, the blend ALPHA r + share
@@ -96,11 +99,12 @@ _SIGNATURES = {
         _ptr, _ptr, _ptr, _ptr,                # y_base, last, remaining, x_sum
         _f64, _ptr,                            # norm_bound, max_norm (NULL: unchecked)
     )),
-    # the ext arrays: [A I -E], the simplex workspace's one column store
+    # after cost, the simplex workspace's arrays; the ext arrays are [A I -E]
     "simplex_pivots": (_int, (
-        _i64, _i64, _ptr, _ptr, _ptr,              # m, n_total, ext_ptr, ext_rows, ext_vals
-        _ptr, _ptr, _ptr, _ptr, _ptr,              # cost, allow, upper, status, basis
-        _ptr, _ptr, _ptr, _i64, _ptr,              # binv, x_b, work, limit, state
+        _i64, _i64, _i64, _ptr,                    # m, n_total, n_enter, cost
+        _ptr, _ptr, _ptr,                          # ext_ptr, ext_rows, ext_vals
+        _ptr, _ptr, _ptr, _ptr, _ptr,              # upper, status, basis, binv, x_b
+        _ptr, _ptr, _i64,                          # work, state, limit
         _f64, _f64,                                # opt_tol, pivot_tol
         _i64, _i64,                                # refactor_period, stall_window
     )),

@@ -112,6 +112,7 @@ _PART_FLOOR = 1 << 19
 _COUNTS = 7   # the counts mps_sweep returns
 
 _ROW_TYPES = {"N": 0, "L": 1, "G": 2, "E": 3}
+_SENSES = {"MAX": "MAX", "MAXIMIZE": "MAX", "MIN": "MIN", "MINIMIZE": "MIN"}
 _UP, _LO, _FX, _FR, _MI, _PL, _BV = range(7)   # the kinds of mps_sweep in _kernel.c
 _BOUND_TYPES = {"UP": _UP, "LO": _LO, "FX": _FX, "FR": _FR, "MI": _MI, "PL": _PL, "BV": _BV}
 # ids a row name maps to besides a constraint row's own id (>= 0)
@@ -204,7 +205,7 @@ def _read_sections(reader: _Reader, text: str) -> list:
                   (m.start() + 1 for m in _HEADER_AFTER_NEWLINE.finditer(text)), [len(text)])
     names, section, tok, body, line_no = [], None, [], 0, 1
     for head in heads:
-        reader.header(section, tok)
+        reader.header(section, tok, line_no - 1)
         reader.read(section, _lines(text[body:head], line_no))
         eol = text.find("\n", head)
         eol = len(text) if eol < 0 else eol
@@ -215,7 +216,7 @@ def _read_sections(reader: _Reader, text: str) -> list:
         names.append(section)
         if section == "ENDATA":
             break
-        line_no += text.count("\n", body, eol + 1)
+        line_no += text.count("\n", body, head) + 1   # past the header's line
         body = eol + 1
     return names
 
@@ -486,15 +487,21 @@ class _Reader:
         # the bounds of each BOUNDS section as (kind, column, value) arrays
         self.bound_sets = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
 
-    def header(self, section: str | None, tok: list) -> None:
+    def header(self, section: str | None, tok: list, line_no: int) -> None:
         self.pending_objsense = False
         if section == "NAME":
             self.name = tok[1] if len(tok) > 1 else ""
         elif section == "OBJSENSE":
             if len(tok) > 1:
-                self.objsense = tok[1].upper()
+                self.set_objsense(tok[1], line_no)
             else:
                 self.pending_objsense = True
+
+    def set_objsense(self, word: str, line_no: int) -> None:
+        sense = _SENSES.get(word.upper())
+        if sense is None:
+            raise MpsParseError(f"unknown objective sense {word!r}", line_no)
+        self.objsense = sense
 
     def read(self, section, lines) -> None:
         if section == "ROWS":
@@ -539,7 +546,7 @@ class _Reader:
                 raise MpsParseError(
                     "data before any section header" if section is None
                     else f"unexpected data in section {section}", line_no)
-            self.objsense = tok[0].upper()
+            self.set_objsense(tok[0], line_no)
             self.pending_objsense = False
 
     def rows(self, lines) -> None:

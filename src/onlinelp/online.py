@@ -53,6 +53,7 @@ measured every iterate.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -108,9 +109,9 @@ class ProximalSolution:
 class RunConfig:
     """Configuration of a single online pass (or a K-duplicated pass).
 
-    ``stepsize`` is the constant step length gamma of the pass: a positive
-    float is used as is, and a mode name is resolved from the instance
-    statistics by ``default_stepsize``.  The default "scaled" sets
+    ``stepsize`` is the constant step length gamma of the pass: a finite
+    positive float is used as is, and a mode name is resolved from the
+    instance statistics by ``default_stepsize``.  The default "scaled" sets
     gamma = f_bar / (d_lo * sqrt((a_bar + d_hi) * K * n * d_lo)).  It is
     the online-gradient step D / (G * sqrt(T)), with the dual radius D and
     the gradient size G bounded from the instance statistics.  Rescaling A, b
@@ -142,8 +143,10 @@ class RunConfig:
         if isinstance(self.stepsize, str):
             if self.stepsize not in STEPSIZE_MODES:
                 raise ValueError(f"stepsize mode must be one of {STEPSIZE_MODES} or a float")
-        elif not (float(self.stepsize) > 0):
-            raise ValueError("fixed stepsize must be positive")
+        else:
+            _fixed_step(self.stepsize)
+        if not isinstance(self.duplication, numbers.Integral):
+            raise ValueError(f"duplication must be an integer, got {self.duplication!r}")
         if self.duplication < 1:
             raise ValueError("duplication must be >= 1")
         if isinstance(self.start, str) and self.start not in STARTS:
@@ -169,12 +172,22 @@ class OnlineSolution:
     gamma: float              # the step length the pass resolved and used
 
 
+def _fixed_step(step) -> float:
+    """A fixed step as a float; ValueError unless it is finite and positive
+    (an infinite step gives a NaN dual)."""
+    gamma = float(step)
+    if not (0.0 < gamma < math.inf):
+        raise ValueError(f"fixed stepsize must be positive and finite, got {gamma!r}")
+    return gamma
+
+
 def default_stepsize(stats: InstanceStats, num_rows: int, num_cols: int,
                      duplication: int = 1, method: str = "explicit",
                      mode: float | str = "scaled") -> float:
     """Resolve the constant step length gamma of a pass.
 
-    A fixed float is returned unchanged.  The modes are:
+    A fixed float, which must be finite and positive, is returned
+    unchanged.  The modes are:
 
     "scaled" (the default)
         gamma = f_bar / (d_lo * sqrt((a_bar + d_hi) * K * n * d_lo)), the
@@ -230,10 +243,7 @@ def default_stepsize(stats: InstanceStats, num_rows: int, num_cols: int,
     by about 3-10x on multi-knapsack data.
     """
     if not isinstance(mode, str):
-        gamma = float(mode)
-        if gamma <= 0:
-            raise ValueError("fixed stepsize must be positive")
-        return gamma
+        return _fixed_step(mode)
     simple = 1.0 / math.sqrt(duplication * num_rows * num_cols)
     if mode == "scaled":
         spread = stats.a_bar + stats.d_hi

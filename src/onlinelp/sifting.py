@@ -21,6 +21,7 @@ pricing sweep (``solve_s``, ``price_s``) within its ``wall_time_s``.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -82,10 +83,12 @@ class SiftConfig:
         if not math.isfinite(self.pricing_tolerance):
             # a NaN or +inf tolerance prices nothing, which certifies any dual
             raise ValueError("pricing_tolerance must be finite")
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1")
-        if self.max_new_columns_per_round is not None and self.max_new_columns_per_round < 1:
-            raise ValueError("max_new_columns_per_round must be >= 1")
+        if not isinstance(self.max_rounds, numbers.Integral) or self.max_rounds < 1:
+            raise ValueError(f"max_rounds must be an integer >= 1, got {self.max_rounds!r}")
+        cap = self.max_new_columns_per_round
+        if cap is not None and not (isinstance(cap, numbers.Integral) and cap >= 1):
+            raise ValueError(f"max_new_columns_per_round must be None or an integer >= 1, "
+                             f"got {cap!r}")
 
 
 @dataclass(frozen=True)

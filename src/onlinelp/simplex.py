@@ -25,38 +25,43 @@ flip changes neither d nor w.  So a pivot needs no btran and no pricing
 against y.  OPTIMAL is declared only on d priced afresh since the last
 basis change (a bound flip changes neither B nor y): when an updated d
 prices nothing, btran and the pricing sweep run again, and pivoting goes
-on if a column is still eligible.  The sweep after a pivot that makes a
-refactorization due is skipped, since the resumption prices afresh.
+on if a column is still eligible.  The iteration limit is tested only
+after that, so a solve whose last allowed pivot reaches the optimum is
+OPTIMAL.  The sweep after a pivot that makes a refactorization due is
+skipped, since the resumption prices afresh.
 
 The pivots run in the compiled kernel (``_kernel.c``, the library that also
 holds the explicit pass; see ``_kernel``) when it is loaded, and otherwise
-in ``_python_pivots``, its numpy reference.  The kernel does btran and
-pricing at its start, then per pivot the ftran of the entering column, the
-bounded ratio test with bound flips, the rank-1 update, the sweep of the
-pivot row and the stall count.  It hands control back at each
-refactorization (every REFACTOR_PERIOD updates, or a pivot below
-PIVOT_TOL): Python refactors with LAPACK, recomputes the basic values and
-resumes it.  It also returns at optimality, unboundedness and the
-iteration limit; Phase 1, warm starts and the result stay in Python.
-Both engines read the columns of [A I -E] from one store, the workspace's
-compressed columns (``ext_ptr``, ``ext_rows``, ``ext_vals``), and keep d
-and w in ``_Workspace.work``, after the kernel's 4 m doubles of scratch.
-``solve_lp(instance, columns=c)`` solves the LP over the columns c of an
-instance alone (``solve_lp(instance)`` takes c = 0..n-1): the workspace
-gathers their entries, bounds and costs into that store by the one gather,
+in ``_python_pivots``, its numpy reference.  Both take (ws, cost, limit)
+and write in place the pivoting state the workspace owns: the basis, the
+statuses, B^-1, the basic values ``x_b``, the state vector and d and w.
+Only the columns below n + m can enter: the artificials may leave the
+basis but never enter it.  The kernel does btran and pricing at its
+start, then per pivot the ftran of the entering column, the bounded ratio
+test with bound flips, the rank-1 update, the sweep of the pivot row and
+the stall count.  It hands control back at each refactorization (every
+REFACTOR_PERIOD updates, or a pivot below PIVOT_TOL): Python refactors
+with LAPACK into the kept B^-1, recomputes ``x_b`` and resumes it.  It
+also returns at optimality, unboundedness and the iteration limit; Phase
+1, warm starts and the result stay in Python.  Both engines read the
+columns of [A I -E] from one store, the workspace's compressed columns
+(``ext_ptr``, ``ext_rows``, ``ext_vals``).  ``solve_lp(instance,
+columns=c)`` solves the LP over the columns c of an instance alone
+(``solve_lp(instance)`` takes c = 0..n-1): the workspace gathers their
+entries, bounds and costs into that store by the one gather,
 ``model._gather``, that ``restrict_columns`` and ``_Workspace.entries``
-use too, so the solve is that of the restricted instance bit for bit, with
-no sub-instance built or checked, and its column ids are local to c.
-Sifting solves each working problem so.  The workspace checks and looks up
-the kernel's pointers to the arrays it holds once (``kernel_pointers``);
-each kernel call looks up only its own arguments and the basis inverse.  A
-working problem's solve is short, so its start and its result call ndarray
-methods (``a.nonzero()[0]``, ``a.cumsum()``) rather than numpy's function
-wrappers, whose dispatch would show.  ``explicit_engine()`` in
+use too, so the solve is that of the restricted instance bit for bit,
+with no sub-instance built or checked, and its column ids are local to c.
+Sifting solves each working problem so.  The workspace never rebinds its
+arrays, so it checks and looks up their pointers for the kernel once
+(``kernel_pointers``); each kernel call looks up only the cost's.  A
+working problem's solve is short, so its start and its result call
+ndarray methods (``a.nonzero()[0]``, ``a.cumsum()``) rather than numpy's
+function wrappers, whose dispatch would show.  ``explicit_engine()`` in
 ``onlinelp.online`` names the engine of both.  Cold and warm starts
-install their basis one way, ``_Workspace.start``; ``_warm_start`` hands
-on the basic values of a warm basis that is in range, nonsingular and
-primal feasible, and refuses any other.
+install their basis one way, ``_Workspace.start``; ``_warm_start`` keeps
+a warm basis that is in range, nonsingular and primal feasible, and
+refuses any other.
 
 The two engines agree bit for bit under the contract stated in
 ``_kernel``; the reference fixes the order of each of its sums:
@@ -89,6 +94,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -174,10 +180,15 @@ class _Workspace:
         self.status = np.zeros(self.n_total, dtype=np.int8)
         self.basis = np.empty(self.m, dtype=np.int64)
         self.binv = np.empty((self.m, self.m))   # explicit basis inverse, row-major
-        self.updates = 0                          # rank-1 updates since refactorization
+        self.x_b = np.empty(self.m)               # basic values
+        # the pivot loops' state: iterations, stall count, Bland flag, and
+        # rank-1 updates since the last refactorization
+        self.state = np.zeros(4, dtype=np.int64)
         # the kernel's scratch (4 m), then the reduced costs d and the devex
         # weights w of every column, which the pivot loops keep here
         self.work = np.empty(4 * self.m + 2 * self.n_total)
+        self.d = self.work[4 * self.m:4 * self.m + self.n_total]
+        self.w = self.work[4 * self.m + self.n_total:]
 
     def entries(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rows, values, owner) of the nonzeros of columns ``cols`` of
@@ -199,8 +210,8 @@ class _Workspace:
         lu, piv, _ = _getrf(B)
         if abs(lu.diagonal()).min() < PIVOT_TOL * max(1.0, abs(B).max()):
             raise SingularBasisError("singular basis matrix")
-        self.binv = np.ascontiguousarray(_getri(lu, piv)[0])
-        self.updates = 0
+        self.binv[...] = _getri(lu, piv)[0]
+        self.state[_UPDATES] = 0
 
     def ftran_column(self, j: int) -> np.ndarray:
         """B^-1 a_j, adding the terms of each row in the column's stored order."""
@@ -229,27 +240,25 @@ class _Workspace:
 
     # -- primal state --------------------------------------------------------
 
-    def effective_rhs(self) -> np.ndarray:
+    def basic_values(self) -> None:
+        """x_b = B^-1 (b - the columns at upper times their bounds)."""
         rhs = self.b.copy()
         up = (self.status == 1).nonzero()[0]
         if up.size:
             rows, vals, owner = self.entries(up)
             np.subtract.at(rhs, rows, vals * self.upper[up][owner])   # in column order
-        return rhs
+        np.matmul(self.binv, rhs, out=self.x_b)
 
-    def basic_values(self) -> np.ndarray:
-        return self.binv @ self.effective_rhs()
-
-    def start(self, basis: np.ndarray, at_upper: np.ndarray) -> np.ndarray:
+    def start(self, basis: np.ndarray, at_upper: np.ndarray) -> None:
         """Install ``basis``, the columns ``at_upper`` (ids below n + m) at
-        their upper bounds and the rest at lower; refactorize and return the
-        basic values.  Raises SingularBasisError."""
+        their upper bounds and the rest at lower; refactorize and compute
+        the basic values.  Raises SingularBasisError."""
         self.status[:] = 0
         self.status[at_upper] = 1
         self.basis[:] = basis    # in place: the kernel's pointer to it stays valid
         self.status[basis] = 2   # after at_upper: a basic column is basic
         self.refactorize()
-        return self.basic_values()
+        self.basic_values()
 
     @functools.cached_property
     def _csr(self) -> sp.csr_array:
@@ -262,17 +271,12 @@ class _Workspace:
         order from 0.0, as scipy's ``csr_matvec`` adds them."""
         return self._csr @ v
 
-    def reduced_costs(self, cost: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return cost - self.products(y)
-
     @functools.cached_property
     def kernel_pointers(self) -> tuple[int, ...]:
         """Pointers for the kernel to the arrays the workspace holds and never
         rebinds: [A I -E]'s ext_ptr, ext_rows and ext_vals, upper, status,
-        basis and work.  Checked and looked up on the first read, by
-        ``_kernel.pointers``; the basis inverse and the basic values are
-        rebound at each refactorization, so ``_compiled_pivots`` looks them
-        up per call."""
+        basis, binv, x_b, work and state, in ``simplex_pivots``'s order.
+        Checked and looked up on the first read, by ``_kernel.pointers``."""
         m, n_total = self.m, self.n_total
         nnz = int(self.ext_ptr[-1])   # the kernel reads entries 0 .. nnz - 1
         return tuple(_kernel.pointers(("ext_ptr", self.ext_ptr, np.int64, n_total + 1),
@@ -281,68 +285,56 @@ class _Workspace:
                                       ("upper", self.upper, np.float64, n_total),
                                       ("status", self.status, np.int8, n_total),
                                       ("basis", self.basis, np.int64, m),
-                                      ("work", self.work, np.float64, 4 * m + 2 * n_total)))
-
-    def devex_state(self) -> tuple[np.ndarray, np.ndarray]:
-        """Views of the reduced costs d and the devex weights w in ``work``."""
-        d = self.work[4 * self.m:4 * self.m + self.n_total]
-        return d, self.work[4 * self.m + self.n_total:]
+                                      ("basis inverse", self.binv, np.float64, m * m),
+                                      ("basic values", self.x_b, np.float64, m),
+                                      ("work", self.work, np.float64, 4 * m + 2 * n_total),
+                                      ("state", self.state, np.int64, 4)))
 
 
-# the pivot loops' state vector: iterations, stall count, Bland flag, and
-# rank-1 updates since the last refactorization
+# the slots of the pivot loops' state vector, ``_Workspace.state``
 _ITERS, _STALL, _BLAND, _UPDATES = range(4)
 # the solve's status for each reason the pivot loops stop with
 _STATUS = {_kernel.OPTIMAL: SolveStatus.OPTIMAL, _kernel.UNBOUNDED: SolveStatus.UNBOUNDED,
            _kernel.LIMIT: SolveStatus.ITERATION_LIMIT}
 
 
-def _pivot_loop(ws: _Workspace, cost: np.ndarray, x_b: np.ndarray,
-                allow_entering: np.ndarray, max_iter: int,
-                iteration_offset: int) -> tuple[int, np.ndarray, int]:
-    """Run primal pivots until optimality/unboundedness/limit.
+def _pivot_loop(ws: _Workspace, cost: np.ndarray, limit: int) -> tuple[int, int]:
+    """Run primal pivots until optimality, unboundedness or ``limit`` pivots.
 
-    Returns (reason, x_b, iterations_used); reason is one of the kernel's
-    OPTIMAL, UNBOUNDED and LIMIT.  The pivots run in the compiled kernel
-    when it is loaded and in ``_python_pivots``, its reference, otherwise;
-    either hands back here for each refactorization.
+    Returns (reason, iterations); reason is one of the kernel's OPTIMAL,
+    UNBOUNDED and LIMIT.  The pivots run in the compiled kernel when it is
+    loaded and in ``_python_pivots``, its reference, otherwise; either
+    hands back here for each refactorization.
     """
     pivots = _python_pivots if _kernel.load() is None else _compiled_pivots
-    state = np.zeros(4, dtype=np.int64)
-    while True:
-        state[_UPDATES] = ws.updates
-        reason = pivots(ws, cost, x_b, allow_entering, max_iter - iteration_offset, state)
-        ws.updates = int(state[_UPDATES])
-        if reason != _kernel.REFACTOR:
-            return reason, x_b, int(state[_ITERS])
+    ws.state[:_UPDATES] = 0   # a phase's count; the rank-1 updates carry on
+    while (reason := pivots(ws, cost, limit)) == _kernel.REFACTOR:
         ws.refactorize()
-        x_b = ws.basic_values()
+        ws.basic_values()
+    return reason, int(ws.state[_ITERS])
 
 
-def _python_pivots(ws: _Workspace, cost: np.ndarray, x_b: np.ndarray,
-                   allow: np.ndarray, limit: int, state: np.ndarray) -> int:
+def _python_pivots(ws: _Workspace, cost: np.ndarray, limit: int) -> int:
     """The pivots of ``_pivot_loop`` in numpy; the reference of the kernel.
 
     Pivots until optimal, unbounded, ``limit`` iterations, or a due
     refactorization (returned after the pivot that made it due).  Updates
-    ``ws``, ``x_b`` and ``state`` in place; the reduced costs and devex
-    weights live in ``ws.work`` (``devex_state``), priced afresh and reset
-    at each entry.
+    the workspace's pivoting state in place; the reduced costs ``ws.d`` and
+    devex weights ``ws.w`` are priced afresh and reset at each entry.
     """
-    m = ws.m
-    d, w = ws.devex_state()
-    enterable = allow & (ws.upper > 0)   # fixed columns (e.g. retired artificials) never enter
+    m, n_enter = ws.m, ws.n + ws.m   # artificials may leave but never enter
+    d, w, x_b, state = ws.d, ws.w, ws.x_b, ws.state
     w[:] = 1.0
     q, fresh = -1, False   # fresh: d priced afresh since the last basis change
     while True:
         if q < 0 and not fresh:
-            d[:] = ws.reduced_costs(cost, ws.btran(cost[ws.basis]))
-            q, fresh = _entering(ws, d, w, enterable, state[_BLAND]), True
-        if state[_ITERS] >= limit:
-            return _kernel.LIMIT
+            d[:] = cost - ws.products(ws.btran(cost[ws.basis]))
+            q, fresh = _entering(ws, state[_BLAND]), True
         # d is fresh here: an updated d that priced nothing was priced again
         if q < 0:
             return _kernel.OPTIMAL
+        if state[_ITERS] >= limit:
+            return _kernel.LIMIT
 
         from_lower = ws.status[q] == 0
         sign = 1.0 if from_lower else -1.0
@@ -403,42 +395,38 @@ def _python_pivots(ws: _Workspace, cost: np.ndarray, x_b: np.ndarray,
             return _kernel.REFACTOR
         if row is not None:
             # the sweep of the pivot row: beta_j = rho a_j for rho = row
-            swept = enterable & (ws.status != 2)
+            swept = ws.status != 2
             swept[p] = False
+            swept[n_enter:] = False
             beta = ws.products(row)[swept]
             d[swept] = d[swept] - dq * beta
             w[swept] = np.maximum(w[swept], beta * beta * wq)
-        q = _entering(ws, d, w, enterable, state[_BLAND])
+        q = _entering(ws, state[_BLAND])
 
 
-def _entering(ws: _Workspace, d: np.ndarray, w: np.ndarray, enterable: np.ndarray,
-              bland) -> int:
-    """The eligible column with the largest d_j^2 / w_j (the first of a
-    tie), or the first under Bland's rule; -1 when none is eligible."""
-    idx = np.flatnonzero(enterable & (((ws.status == 0) & (d > OPT_TOL))
-                                      | ((ws.status == 1) & (d < -OPT_TOL))))
+def _entering(ws: _Workspace, bland) -> int:
+    """The eligible column below n + m with the largest d_j^2 / w_j (the
+    first of a tie), or the first under Bland's rule; -1 when none is
+    eligible."""
+    n_enter = ws.n + ws.m
+    d, status = ws.d[:n_enter], ws.status[:n_enter]
+    idx = np.flatnonzero(((status == 0) & (d > OPT_TOL)) | ((status == 1) & (d < -OPT_TOL)))
     if idx.size == 0:
         return -1
     if bland:
         return int(idx[0])
     dj = d[idx]
-    return int(idx[np.argmax(dj * dj / w[idx])])
+    return int(idx[np.argmax(dj * dj / ws.w[idx])])
 
 
-def _compiled_pivots(ws: _Workspace, cost: np.ndarray, x_b: np.ndarray,
-                     allow: np.ndarray, limit: int, state: np.ndarray) -> int:
+def _compiled_pivots(ws: _Workspace, cost: np.ndarray, limit: int) -> int:
     """``_python_pivots`` in the compiled kernel, which writes in place
-    through the pointers of the same arrays.  Raises ValueError for an
-    array the kernel would read or write out of bounds or misread."""
-    m, n_total = ws.m, ws.n_total
-    ext_ptr, ext_rows, ext_vals, upper, status, basis, work = ws.kernel_pointers
-    cost_p, allow_p, binv, x_b_p, state_p = _kernel.pointers(
-        ("cost", cost, np.float64, n_total), ("allow", allow, np.bool_, n_total),
-        ("basis inverse", ws.binv, np.float64, m * m), ("basic values", x_b, np.float64, m),
-        ("state", state, np.int64, 4))
+    through the workspace's pointers.  Raises ValueError for an array the
+    kernel would read or write out of bounds or misread."""
+    (cost_p,) = _kernel.pointers(("cost", cost, np.float64, ws.n_total))
     return _kernel.load().simplex_pivots(
-        m, n_total, ext_ptr, ext_rows, ext_vals, cost_p, allow_p, upper, status, basis, binv,
-        x_b_p, work, limit, state_p, OPT_TOL, PIVOT_TOL, REFACTOR_PERIOD, STALL_WINDOW)
+        ws.m, ws.n_total, ws.n + ws.m, cost_p, *ws.kernel_pointers, limit,
+        OPT_TOL, PIVOT_TOL, REFACTOR_PERIOD, STALL_WINDOW)
 
 
 def solve_lp(instance: LpInstance, warm_basis=None, max_iter: int | None = None,
@@ -454,7 +442,9 @@ def solve_lp(instance: LpInstance, warm_basis=None, max_iter: int | None = None,
         the starting basis when it is nonsingular and still primal feasible;
         otherwise the solver starts cold.  The result's ``warm_started``
         says which happened.
-    max_iter : optional iteration cap, default 50 * (m + n).
+    max_iter : optional iteration cap, a nonnegative int, default 50 * (m + n).
+        A solve that reaches optimality in exactly ``max_iter`` pivots is
+        OPTIMAL.
     columns : optional
         A 1-d integer array of column ids: solve the LP over these columns
         of ``instance`` alone, in their order, as
@@ -464,22 +454,22 @@ def solve_lp(instance: LpInstance, warm_basis=None, max_iter: int | None = None,
         len(columns) stands for column ``columns[k]``, slack len(columns) +
         i), and n in the default ``max_iter`` is len(columns).
 
-    Raises ValueError when m exceeds DENSE_LIMIT, and for ``columns`` that
-    is not a nonempty 1-d array of integer ids in [0, n).
+    Raises ValueError when m exceeds DENSE_LIMIT, for a ``max_iter`` that
+    is not a nonnegative integer, and for ``columns`` that is not a
+    nonempty 1-d array of integer ids in [0, n).
     """
     m = instance.num_rows
     if m > DENSE_LIMIT:
         raise ValueError(f"m={m} exceeds the dense-solver limit {DENSE_LIMIT}")
+    if max_iter is not None and not (isinstance(max_iter, numbers.Integral) and max_iter >= 0):
+        raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
     b = instance.rhs
     neg_rows = (b < 0).nonzero()[0]
     ws = _Workspace(instance, neg_rows, columns)
     n = ws.n
     if max_iter is None:
         max_iter = 50 * (m + n)
-    x_b = None if warm_basis is None else _warm_start(ws, warm_basis)
-    warm_ok = x_b is not None
-    allow = np.ones(ws.n_total, dtype=bool)
-    allow[n + m:] = False  # artificials may leave but never re-enter
+    warm_ok = warm_basis is not None and _warm_start(ws, warm_basis)
 
     iterations, status = 0, SolveStatus.OPTIMAL
     if not warm_ok:
@@ -487,14 +477,14 @@ def solve_lp(instance: LpInstance, warm_basis=None, max_iter: int | None = None,
         basis = np.arange(n, n + m, dtype=np.int64)
         basis[neg_rows] = n + m + np.arange(ws.n_art)
         # a slack/artificial basis is diagonal, never singular
-        x_b = ws.start(basis, np.empty(0, dtype=np.int64))
+        ws.start(basis, np.empty(0, dtype=np.int64))
         if ws.n_art:
             cost1 = np.zeros(ws.n_total)
             cost1[n + m:] = -1.0
-            reason, x_b, iterations = _pivot_loop(ws, cost1, x_b, allow, max_iter, 0)
+            reason, iterations = _pivot_loop(ws, cost1, max_iter)
             if reason == _kernel.UNBOUNDED:  # phase-1 objective is bounded by zero
                 raise SingularBasisError("phase 1 diverged; numerical breakdown")
-            phase1_obj = -float(np.sum(x_b[ws.basis >= n + m]))
+            phase1_obj = -float(np.sum(ws.x_b[ws.basis >= n + m]))
             if reason == _kernel.LIMIT:
                 status = SolveStatus.ITERATION_LIMIT
             elif phase1_obj < -FEAS_TOL * (1.0 + float(np.abs(b).max())):
@@ -504,7 +494,7 @@ def solve_lp(instance: LpInstance, warm_basis=None, max_iter: int | None = None,
     cost2 = np.zeros(ws.n_total)
     cost2[:n] = ws.obj
     if status is SolveStatus.OPTIMAL:
-        reason, x_b, used = _pivot_loop(ws, cost2, x_b, allow, max_iter, iterations)
+        reason, used = _pivot_loop(ws, cost2, max_iter - iterations)
         iterations += used
         status = _STATUS[reason]
     if status is not SolveStatus.OPTIMAL:
@@ -515,16 +505,16 @@ def solve_lp(instance: LpInstance, warm_basis=None, max_iter: int | None = None,
     x_full = np.zeros(ws.n_total)
     up_ids = (ws.status == 1).nonzero()[0]
     x_full[up_ids] = ws.upper[up_ids]
-    x_full[ws.basis] = x_b
+    x_full[ws.basis] = ws.x_b
     x = x_full[:n].clip(0.0, ws.upper[:n])
     return SimplexResult(status, x, ws.btran(cost2[ws.basis]), float(ws.obj @ x),
                          frozenset(ws.basis.tolist()), iterations,
                          frozenset(up_ids[up_ids < n + m].tolist()), warm_ok)
 
 
-def _warm_start(ws: _Workspace, warm) -> np.ndarray | None:
-    """Start ``ws`` from a warm basis and return its basic values, or None
-    when the basis is out of range, singular or not primal feasible."""
+def _warm_start(ws: _Workspace, warm) -> bool:
+    """Start ``ws`` from a warm basis; False when the basis is out of range,
+    singular or not primal feasible."""
     if isinstance(warm, SimplexResult):
         basis, at_upper = warm.basis, warm.at_upper
     elif isinstance(warm, tuple) and len(warm) == 2:
@@ -534,17 +524,17 @@ def _warm_start(ws: _Workspace, warm) -> np.ndarray | None:
     basis = np.fromiter(basis, dtype=np.int64)
     basis.sort()
     if basis.size != ws.m or basis[0] < 0 or basis[-1] >= ws.n + ws.m:   # sorted
-        return None
+        return False
     up = np.fromiter(at_upper, dtype=np.int64)
     up = up[(up >= 0) & (up < ws.n + ws.m)]
     try:
-        x_b = ws.start(basis, up[np.isfinite(ws.upper[up])])
+        ws.start(basis, up[np.isfinite(ws.upper[up])])
     except SingularBasisError:
-        return None
+        return False
     scale = 1.0 + float(abs(ws.b).max())
-    if (x_b < -FEAS_TOL * scale).any() or (x_b > ws.upper[basis] + FEAS_TOL * scale).any():
-        return None
-    return x_b
+    x_b = ws.x_b
+    return not ((x_b < -FEAS_TOL * scale).any()
+                or (x_b > ws.upper[basis] + FEAS_TOL * scale).any())
 
 
 # -- brute-force oracle -------------------------------------------------------

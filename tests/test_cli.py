@@ -453,6 +453,8 @@ class TestPlumbing:
     @pytest.mark.parametrize("args, message", [
         (["solve", "--k", "0"], "duplication must be >= 1"),
         (["solve", "--stepsize", "-1"], "fixed stepsize must be positive"),
+        (["solve", "--stepsize", "inf"], "fixed stepsize must be positive and finite"),
+        (["solve", "--stepsize", "nan"], "fixed stepsize must be positive and finite"),
         (["solve", "--stepsize", "fast"], "stepsize mode must be one of"),
         (["sift", "--prepass-k", "0"], "duplication must be >= 1"),
         (["bench", "--sizes", "5"], "size '5' is not MxN"),

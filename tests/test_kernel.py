@@ -482,16 +482,15 @@ def assert_same_lp(a, b):
 def recorded(monkeypatch, solve):
     """``solve()`` and what each call of the pivot loops, compiled or not,
     hands back: its reason, the state vector, the statuses, the basic
-    values, and the reduced costs and devex weights it leaves in
-    ``ws.work``."""
+    values, and the reduced costs and devex weights it leaves in the
+    workspace."""
     calls = []
 
     def recording(pivots):
-        def run(ws, cost, x_b, allow, limit, state):
-            reason = pivots(ws, cost, x_b, allow, limit, state)
-            d, w = ws.devex_state()
-            calls.append((reason, state.tobytes(), ws.status.tobytes(), x_b.tobytes(),
-                          d.tobytes(), w.tobytes()))
+        def run(ws, cost, limit):
+            reason = pivots(ws, cost, limit)
+            calls.append((reason, ws.state.tobytes(), ws.status.tobytes(), ws.x_b.tobytes(),
+                          ws.d.tobytes(), ws.w.tobytes()))
             return reason
         return run
 
@@ -592,7 +591,7 @@ def test_each_entry_prices_afresh_and_resets_the_weights(compiled, monkeypatch, 
 
     def spoiling(pivots):
         def run(ws, *args):
-            for v in ws.devex_state():
+            for v in (ws.d, ws.w):
                 v[:] = rng.normal(size=v.size) * 1e3
             return pivots(ws, *args)
         return run
@@ -613,15 +612,14 @@ def test_every_optimal_hand_back_prices_nothing_afresh(monkeypatch, engine):
     optimal = 0
 
     def checking(pivots):
-        def run(ws, cost, x_b, allow, limit, state):
+        def run(ws, cost, limit):
             nonlocal optimal
-            reason = pivots(ws, cost, x_b, allow, limit, state)
+            reason = pivots(ws, cost, limit)
             if reason == _kernel.OPTIMAL:
-                z = ws.reduced_costs(cost, ws.btran(cost[ws.basis]))
-                eligible = allow & (ws.upper > 0) & (
-                    ((ws.status == 0) & (z > simplex.OPT_TOL))
-                    | ((ws.status == 1) & (z < -simplex.OPT_TOL)))
-                assert not np.any(eligible)
+                z = cost - ws.products(ws.btran(cost[ws.basis]))
+                eligible = (((ws.status == 0) & (z > simplex.OPT_TOL))
+                            | ((ws.status == 1) & (z < -simplex.OPT_TOL)))
+                assert not np.any(eligible[:ws.n + ws.m])   # artificials never enter
                 optimal += 1
             return reason
         return run
@@ -657,11 +655,11 @@ def test_updated_reduced_costs_that_price_nothing_are_renewed(compiled, monkeypa
     inst = LpInstance.from_dense(np.hstack([A, 3.0 * A, 0.1 * A]), rng.random(10) + 0.1,
                                  np.concatenate([c, 3.0 * c, 0.1 * c]), upper=np.full(60, 2.0))
     events = []
-    reduced_costs, entering = simplex._Workspace.reduced_costs, simplex._entering
+    btran, entering = simplex._Workspace.btran, simplex._entering
 
-    def pricing(ws, *args):
+    def pricing(ws, *args):   # the pivot loops btran only to price afresh
         events.append("fresh")
-        return reduced_costs(ws, *args)
+        return btran(ws, *args)
 
     def choosing(*args):
         q = entering(*args)
@@ -669,7 +667,7 @@ def test_updated_reduced_costs_that_price_nothing_are_renewed(compiled, monkeypa
         return q
 
     with monkeypatch.context() as mp:
-        mp.setattr(simplex._Workspace, "reduced_costs", pricing)
+        mp.setattr(simplex._Workspace, "btran", pricing)
         mp.setattr(simplex, "_entering", choosing)
         reference_lp(monkeypatch, inst)
     # a choice from an updated d (not just after a fresh pricing) found
@@ -681,15 +679,14 @@ def test_updated_reduced_costs_that_price_nothing_are_renewed(compiled, monkeypa
 
 
 @pytest.mark.parametrize("spoil", ["short work", "float32 work", "strided work", "float32 cost",
-                                   "int8 allow", "strided basic values", "int32 state",
-                                   "Fortran inverse"])
+                                   "strided basic values", "int32 state", "Fortran inverse"])
 def test_the_compiled_pivots_refuse_an_array_they_would_misread(compiled, spoil):
+    # the workspace's arrays are checked when ``kernel_pointers`` is first
+    # read, which here is the call below
     inst = generate_mkp(MkpParams(m=4, n=30, tightness=0.3, seed=1))
     ws = simplex._Workspace(inst, np.empty(0, dtype=np.int64))
-    x_b = ws.start(np.arange(30, 34), np.empty(0, dtype=np.int64))
+    ws.start(np.arange(30, 34), np.empty(0, dtype=np.int64))
     cost = np.concatenate([inst.obj, np.zeros(4)])
-    allow = np.ones(ws.n_total, dtype=bool)
-    state = np.zeros(4, dtype=np.int64)
     size = 4 * 4 + 2 * ws.n_total
     if spoil == "short work":
         ws.work = np.empty(size - 1)
@@ -699,28 +696,26 @@ def test_the_compiled_pivots_refuse_an_array_they_would_misread(compiled, spoil)
         ws.work = np.empty(2 * size)[::2]
     elif spoil == "float32 cost":
         cost = cost.astype(np.float32)
-    elif spoil == "int8 allow":
-        allow = allow.astype(np.int8)
     elif spoil == "strided basic values":
-        x_b = np.repeat(x_b, 2)[::2]
+        ws.x_b = np.repeat(ws.x_b, 2)[::2]
     elif spoil == "int32 state":
-        state = state.astype(np.int32)
+        ws.state = ws.state.astype(np.int32)
     else:
         ws.binv = np.asfortranarray(ws.binv)
     before = ws.status.copy(), ws.basis.copy()
     with pytest.raises(ValueError, match="must be contiguous"):
-        simplex._compiled_pivots(ws, cost, x_b, allow, 100, state)
+        simplex._compiled_pivots(ws, cost, 100)
     assert np.array_equal(ws.status, before[0]) and np.array_equal(ws.basis, before[1])
-    assert not state.any()
+    assert not ws.state.any()
 
 
 def test_simplex_degenerate_lps_reach_blands_rule(compiled, monkeypatch):
     engines = {}
 
     def recording(name, pivots):
-        def run(ws, cost, x_b, allow, limit, state):
-            reason = pivots(ws, cost, x_b, allow, limit, state)
-            engines[name] = engines.get(name, False) or bool(state[simplex._BLAND])
+        def run(ws, cost, limit):
+            reason = pivots(ws, cost, limit)
+            engines[name] = engines.get(name, False) or bool(ws.state[simplex._BLAND])
             return reason
         return run
 

@@ -92,6 +92,10 @@ class TestErrorLines:
         (toy((7, [" L  CAP", " L  CAP"])), "line 8: duplicate row 'CAP'"),
         (toy((7, " Q  CAP")), "line 7: unknown row type 'Q'"),
         (toy((4, ["    MAX", "    MIN"])), "line 5: unexpected data in section OBJSENSE"),
+        (toy((4, "    FOO")), "line 4: unknown objective sense 'FOO'"),
+        (toy((3, "OBJSENSE  MAXIMUM"), (4, [])), "line 3: unknown objective sense 'MAXIMUM'"),
+        (toy((1, ["* c", ""]), (3, "OBJSENSE  foo"), (4, [])),
+         "line 4: unknown objective sense 'foo'"),
         (toy((1, "  stray")), "line 1: data before any section header"),
         # two bad lines: the earlier one is reported, whatever its kind
         (toy((9, "    X1  COST  1.0  NOPE  1.0"), (12, "    RHS  CAP  abc")),
@@ -164,6 +168,16 @@ class TestFormats:
     ])
     def test_same_instance_as_toy(self, text):
         assert_same_instance(parse(text), parse(toy()))
+
+    @pytest.mark.parametrize("lines, sense", [
+        (["OBJSENSE", "    MAXIMIZE"], "MAX"), (["OBJSENSE  MAXIMIZE"], "MAX"),
+        (["OBJSENSE  max"], "MAX"), (["objsense", "  Maximize"], "MAX"),
+        (["OBJSENSE", "    MINIMIZE"], "MIN"), (["OBJSENSE  MIN"], "MIN"),
+        (["OBJSENSE  minimize"], "MIN"), ([], "MIN")])
+    def test_objective_senses(self, lines, sense):
+        got = parse(toy((3, lines), (4, [])))
+        assert got.meta["objective_sense"] == sense.lower()
+        assert_same_instance(got, parse(toy((4, f"    {sense}"))))
 
     def test_explicit_zeros_are_dropped(self):
         text = toy((7, [" L  CAP", " L  SIDE"]),

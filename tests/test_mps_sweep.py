@@ -375,6 +375,27 @@ SWEPT_HEADERS = {
 # (the headers it hands back at are among HAND_BACKS below)
 
 
+# OBJSENSE spellings before COLUMNS, and the sense or the error they give:
+# the line reader reads that text on both front ends
+OBJECTIVE_SENSES = {
+    "maximize": (toy((4, "    MAXIMIZE")), "max"),
+    "inline maximize": (toy((3, "OBJSENSE  maximize"), (4, [])), "max"),
+    "minimize": (toy((4, "    MINIMIZE")), "min"),
+    "inline min": (toy((3, "OBJSENSE  MIN"), (4, [])), "min"),
+    "unknown": (toy((4, "    FOO")), "line 4: unknown objective sense 'FOO'"),
+    "inline unknown": (toy((3, "OBJSENSE  FOO"), (4, [])), "line 3: unknown objective sense 'FOO'"),
+}
+
+
+@pytest.mark.parametrize("text, want", OBJECTIVE_SENSES.values(), ids=OBJECTIVE_SENSES.keys())
+def test_objective_senses_match_the_reference(compiled, monkeypatch, tmp_path, hand_backs, text,
+                                              want):
+    got = outcome(io.StringIO(text))
+    assert hand_backs == []
+    assert (str(got) if isinstance(got, Exception) else got.meta["objective_sense"]) == want
+    check(monkeypatch, text, tmp_path / "sense.mps")
+
+
 @pytest.mark.parametrize("text", SWEPT_HEADERS.values(), ids=SWEPT_HEADERS.keys())
 def test_compiled_headers_match_the_reference(compiled, monkeypatch, tmp_path, hand_backs, text):
     outcome(io.StringIO(text))

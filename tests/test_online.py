@@ -91,6 +91,15 @@ class TestDefaultStepsize:
         stats = InstanceStats(1, 1, 1, 1, 1, True)
         assert default_stepsize(stats, 9, 9, 3, "implicit", 0.125) == 0.125
 
+    @pytest.mark.parametrize("step", [float("inf"), float("nan"), 0.0, -0.5])
+    def test_a_fixed_step_must_be_finite_and_positive(self, step):
+        # an infinite step gave a NaN dual and an infinite residual
+        stats = InstanceStats(1, 1, 1, 1, 1, True)
+        with pytest.raises(ValueError, match="fixed stepsize must be positive and finite"):
+            default_stepsize(stats, 9, 9, 3, "explicit", step)
+        with pytest.raises(ValueError, match="fixed stepsize must be positive and finite"):
+            RunConfig(stepsize=step)
+
     def test_scaled_at_unit_statistics(self):
         # f_bar / (d_lo * sqrt((a_bar + d_hi) * K * n * d_lo)) = 1 / sqrt(2 K n)
         stats = InstanceStats(1, 1, 1, 1, 1, True, f_bar=1.0)
@@ -337,6 +346,18 @@ class TestExplicitEngine:
         sol = solve_online(inst, cfg)
         assert np.array_equal(dense.x_hat, sol.x_hat)
         assert np.array_equal(dense.y_final, sol.y_final)
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, "2", None])
+    def test_a_duplication_that_is_no_integer_is_refused(self, k):
+        # 2.5 failed mid-run with numpy's TypeError
+        with pytest.raises(ValueError, match="duplication must be an integer"):
+            RunConfig(duplication=k)
+
+    def test_a_numpy_integer_duplication_is_accepted(self):
+        inst = generate_mkp(MkpParams(m=3, n=40, tightness=0.3, seed=1))
+        got = solve_online(inst, RunConfig(duplication=np.int64(3)))
+        want = solve_online(inst, RunConfig(duplication=3))
+        assert got.x_hat.tobytes() == want.x_hat.tobytes()
 
     def test_lazy_is_retired(self):
         assert RunConfig().lazy is True

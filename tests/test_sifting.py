@@ -370,6 +370,21 @@ class TestSift:
         with pytest.raises(ValueError, match="max_new_columns_per_round"):
             SiftConfig(max_new_columns_per_round=0)
 
+    @pytest.mark.parametrize("field", ["max_rounds", "max_new_columns_per_round"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, "3"])
+    def test_a_count_that_is_no_integer_is_refused(self, field, value):
+        # 2.5 failed mid-run with numpy's TypeError
+        with pytest.raises(ValueError, match=f"{field} must be .*an integer >= 1"):
+            SiftConfig(**{field: value})
+
+    def test_numpy_integer_counts_are_accepted(self):
+        inst = generate_mkp(MkpParams(m=5, n=150, tightness=0.25, seed=9))
+        pre = solve_online(inst, RunConfig(duplication=2))
+        got = sift(inst, pre, SiftConfig(max_rounds=np.int64(50),
+                                         max_new_columns_per_round=np.int32(5)))
+        want = sift(inst, pre, SiftConfig(max_rounds=50, max_new_columns_per_round=5))
+        assert got.x.tobytes() == want.x.tobytes() and got.rounds == want.rounds
+
     def test_acc_rdc_reported(self):
         inst = generate_mkp(MkpParams(m=5, n=150, tightness=0.25, seed=9))
         result = online_then_sift(inst, seed=9)

@@ -101,12 +101,14 @@ def test_the_kernel_pointers_outlive_every_refactorization(monkeypatch):
     inst = generate_mkp(MkpParams(m=20, n=200, tightness=0.1, density=0.3, seed=3))
     ws = simplex._Workspace(inst, np.empty(0, dtype=np.int64))
     first = ws.kernel_pointers
-    x_b = ws.start(np.arange(200, 220), np.empty(0, dtype=np.int64))
+    kept = (ws.binv, ws.x_b, ws.state)
+    ws.start(np.arange(200, 220), np.empty(0, dtype=np.int64))
     cost = np.concatenate([inst.obj, np.zeros(20)])
-    reason, _, iterations = simplex._pivot_loop(ws, cost, x_b, np.ones(ws.n_total, dtype=bool),
-                                                10_000, 0)
+    reason, iterations = simplex._pivot_loop(ws, cost, 10_000)
     assert reason == simplex._kernel.OPTIMAL and iterations > 3 * 3
-    arrays = (ws.ext_ptr, ws.ext_rows, ws.ext_vals, ws.upper, ws.status, ws.basis, ws.work)
+    assert all(a is b for a, b in zip((ws.binv, ws.x_b, ws.state), kept))
+    arrays = (ws.ext_ptr, ws.ext_rows, ws.ext_vals, ws.upper, ws.status, ws.basis, ws.binv,
+              ws.x_b, ws.work, ws.state)
     assert ws.kernel_pointers is first
     assert list(first) == [a.ctypes.data for a in arrays]
 
@@ -206,6 +208,48 @@ class TestColumns:
         inst = LpInstance.from_dense(np.eye(2, 4) + 1.0, [1.0, 1.0], np.ones(4))
         with pytest.raises(ValueError, match=message):
             solve_lp(inst, columns=cols)
+
+
+class TestMaxIter:
+    """``max_iter`` caps the pivots of a solve, both phases together.  A
+    solve whose last allowed pivot reaches the optimum is OPTIMAL: the
+    limit is tested after the fresh pricing that finds no column to enter."""
+
+    def test_a_solve_that_needs_exactly_max_iter_pivots_is_optimal(self, engine):
+        inst = generate_mkp(MkpParams(m=5, n=60, tightness=0.3, seed=1))
+        free = solve_lp(inst)
+        assert free.status is SolveStatus.OPTIMAL and free.iterations == 11
+        assert_same_result(solve_lp(inst, max_iter=11), free)
+        short = solve_lp(inst, max_iter=10)
+        assert short.status is SolveStatus.ITERATION_LIMIT and short.iterations == 10
+
+    def test_phase_one_and_two_share_the_cap(self, engine):
+        inst = random_instance(np.random.default_rng(12), 6, 20, allow_negative=True)
+        assert np.any(inst.rhs < 0)
+        free = solve_lp(inst)
+        assert free.status is SolveStatus.OPTIMAL and free.iterations >= 2
+        assert_same_result(solve_lp(inst, max_iter=free.iterations), free)
+        short = solve_lp(inst, max_iter=free.iterations - 1)
+        assert short.status is SolveStatus.ITERATION_LIMIT
+        assert short.iterations == free.iterations - 1
+
+    def test_a_warm_start_at_the_optimum_needs_no_pivot(self, engine):
+        inst = generate_mkp(MkpParams(m=5, n=60, tightness=0.3, seed=1))
+        first = solve_lp(inst)
+        again = solve_lp(inst, warm_basis=first, max_iter=0)
+        assert again.status is SolveStatus.OPTIMAL and again.warm_started
+        assert_same_result(again, solve_lp(inst, warm_basis=first))
+        cold = solve_lp(inst, max_iter=0)
+        assert cold.status is SolveStatus.ITERATION_LIMIT and cold.iterations == 0
+
+    @pytest.mark.parametrize("max_iter", [-1, -3, 4.5, 4.0])
+    def test_a_max_iter_that_is_no_count_is_refused(self, engine, max_iter):
+        # -3 returned ITERATION_LIMIT; 4.5 raised ctypes' ArgumentError on
+        # the kernel and ran 5 pivots on the reference
+        inst = generate_mkp(MkpParams(m=5, n=60, tightness=0.3, seed=1))
+        with pytest.raises(ValueError, match="max_iter must be an integer >= 0"):
+            solve_lp(inst, max_iter=max_iter)
+        assert solve_lp(inst, max_iter=np.int64(4)).iterations == 4
 
 
 class TestSolveLp:
@@ -476,7 +520,7 @@ class TestAgainstHighs:
                 want[j] = 1
         want[basis] = 2
         ws = simplex._Workspace(inst, np.empty(0, dtype=np.int64))
-        assert simplex._warm_start(ws, (basis, at_upper)) is not None
+        assert simplex._warm_start(ws, (basis, at_upper))
         assert ws.status.tobytes() == want.tobytes()
 
         got = solve_lp(inst, warm_basis=(basis, at_upper))
