@@ -626,7 +626,7 @@ static int64_t column_id(Names *cols, Token name, char *col_text, int64_t *col_n
  *   of an earlier equal name or the next id, which goes to col_map, and
  *   col_text and col_name keep only the first of equal names.
  * Row i's name spans row_text[row_name[2 i] .. row_name[2 i + 1]), and
- * col_role[i] and rhs_role[i] are its row id in COLUMNS and in RHS: >= 0 for a
+ * role[i] is its role in COLUMNS and in RHS alike: its id (>= 0) for a
  * constraint row, -1 for the objective, -2 for a free row, whose entries
  * are dropped.  counts receives the number of constraint entries,
  * objective entries, RHS pairs, bounds and columns, the length of
@@ -637,12 +637,11 @@ static int64_t column_id(Names *cols, Token name, char *col_text, int64_t *col_n
  * read on past COLUMNS): when they are not plain, it hands back.  Returns
  * SWEPT, or the hand-back code of the first line it will not read. */
 int mps_sweep(const char *text, int64_t start, int64_t limit, int64_t size, int64_t inside,
-              const char *row_text, const int64_t *row_name, const int64_t *col_role,
-              const int64_t *rhs_role, int64_t nrows, int64_t *ent_col, int64_t *ent_row,
-              double *ent_val, int64_t *obj_col, double *obj_val, int64_t *rhs_row,
-              double *rhs_val, int64_t *bnd_kind, int64_t *bnd_col, double *bnd_val,
-              char *col_text, int64_t *col_name, int64_t preloaded, int64_t *col_map,
-              int64_t *counts)
+              const char *row_text, const int64_t *row_name, const int64_t *role, int64_t nrows,
+              int64_t *ent_col, int64_t *ent_row, double *ent_val, int64_t *obj_col,
+              double *obj_val, int64_t *rhs_row, double *rhs_val, int64_t *bnd_kind,
+              int64_t *bnd_col, double *bnd_val, char *col_text, int64_t *col_name,
+              int64_t preloaded, int64_t *col_map, int64_t *counts)
 {
     enum { ENTRIES, OBJECTIVE, RHS, BOUNDS, COLUMNS, NAME_BYTES, STOP };
     Names rows = {0}, cols = {0};
@@ -688,11 +687,11 @@ int mps_sweep(const char *text, int64_t start, int64_t limit, int64_t size, int6
             else if (!next_token(&p, end, &val)) code = BAD_COUNT;
             else if (!number(val, &v)) code = BAD_NUMBER;
             else if (at < 0) code = UNKNOWN_ROW;
-            else if (col_role[at] >= 0) {
+            else if (role[at] >= 0) {
                 ent_col[counts[ENTRIES]] = col;
-                ent_row[counts[ENTRIES]] = col_role[at];
+                ent_row[counts[ENTRIES]] = role[at];
                 ent_val[counts[ENTRIES]++] = v;
-            } else if (col_role[at] == -1) {
+            } else if (role[at] == -1) {
                 obj_col[counts[OBJECTIVE]] = col;
                 obj_val[counts[OBJECTIVE]++] = v;
             }
@@ -726,8 +725,8 @@ int mps_sweep(const char *text, int64_t start, int64_t limit, int64_t size, int6
             int64_t at = *names_find(&rows, row) - 1;
             if (!number(val, &v)) code = BAD_NUMBER;
             else if (at < 0) code = UNKNOWN_ROW;
-            else if (rhs_role[at] >= -1) {
-                rhs_row[counts[RHS]] = rhs_role[at];
+            else if (role[at] >= -1) {
+                rhs_row[counts[RHS]] = role[at];
                 rhs_val[counts[RHS]++] = v;
             }
         }

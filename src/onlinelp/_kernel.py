@@ -110,7 +110,7 @@ _SIGNATURES = {
     )),
     "mps_sweep": (_int, (
         _ptr, _i64, _i64, _i64, _i64,              # text, start, limit, size, inside
-        _ptr, _ptr, _ptr, _ptr, _i64,              # row_text, row_name, col_role, rhs_role, nrows
+        _ptr, _ptr, _ptr, _i64,                    # row_text, row_name, role, nrows
         _ptr, _ptr, _ptr, _ptr, _ptr,              # ent_col, ent_row, ent_val, obj_col, obj_val
         _ptr, _ptr, _ptr, _ptr, _ptr,              # rhs_row, rhs_val, bnd_kind, bnd_col, bnd_val
         _ptr, _ptr, _i64, _ptr, _ptr,              # col_text, col_name, preloaded, col_map, counts

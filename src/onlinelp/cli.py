@@ -360,7 +360,7 @@ def _cmd_bench(args) -> int:
         if args.reps < 0:
             raise ValueError("reps must be >= 0")
         for (m, n), tau in itertools.product(args.sizes, args.taus):
-            MkpParams(m=m, n=n, tightness=tau, density=args.sigma)
+            MkpParams(m=m, n=n, tightness=tau, density=args.sigma, seed=args.seed)
         for k, method in itertools.product(args.ks, args.methods):
             RunConfig(method=method, duplication=k)
     cells = list(itertools.product(args.sizes, args.taus, args.ks, args.methods,

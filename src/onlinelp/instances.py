@@ -18,6 +18,7 @@ their order.
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -61,8 +62,13 @@ class MkpParams:
     b_pre_sparsify: bool = False
 
     def __post_init__(self):
+        for name in ("m", "n", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.m < 1 or self.n < 1:
             raise ValueError("m and n must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not (0.0 < self.tightness <= 1.0):
             raise ValueError("tightness must lie in (0, 1]")
         if not (0.0 < self.density <= 1.0):

@@ -6,6 +6,13 @@ constraint to <= form (G rows are negated, E rows split into opposing
 pairs, RANGES become row intervals) and normalizes the objective to
 maximization.
 
+Both front ends read one grammar: each section appears at most once, each
+row name is declared once in ROWS, whatever its type, and an OBJSENSE
+header with no sense word on its line needs one on the section's data line.
+The first N row is the objective; the entries of a later N row are
+dropped.  A file that breaks the grammar raises ``MpsParseError`` at the
+repeated header, the second declaration or the word-less OBJSENSE header.
+
 A header is an unindented line that starts with a section name, in any
 case, followed by a separator or the end of the text.  Section bodies go
 through one of two front ends, which turn their lines into ids and
@@ -200,23 +207,25 @@ def _read_sections(reader: _Reader, text: str) -> list:
     """The line reader's walk: read into reader the text before the first
     header, then each section, up to an ENDATA header, where the search for
     headers stops.  Returns the sections' names, with ENDATA where the walk
-    met it."""
+    met it; raises at the header of a section met before."""
     heads = chain([0] if _HEADER.match(text) else [],
                   (m.start() + 1 for m in _HEADER_AFTER_NEWLINE.finditer(text)), [len(text)])
-    names, section, tok, body, line_no = [], None, [], 0, 1
+    names, section, tok, body, line_no = [], None, [], 0, 0   # line_no: the header's
     for head in heads:
-        reader.header(section, tok, line_no - 1)
-        reader.read(section, _lines(text[body:head], line_no))
+        reader.header(section, tok, line_no)
+        reader.read(section, _lines(text[body:head], line_no + 1))
         eol = text.find("\n", head)
         eol = len(text) if eol < 0 else eol
         tok = text[head:eol].split()
         if not tok:   # the end of the text
             break
         section = tok[0].upper()
+        line_no += text.count("\n", body, head) + 1
+        if section in names:
+            raise MpsParseError(f"section {section} repeated", line_no)
         names.append(section)
         if section == "ENDATA":
             break
-        line_no += text.count("\n", body, head) + 1   # past the header's line
         body = eol + 1
     return names
 
@@ -245,13 +254,11 @@ def _sweep(lib, data: bytes) -> _Reader | None:
     if "RANGES" in _read_sections(reader, head.decode("ascii")):
         return None
 
-    roles = reader.roles("COLUMNS")
-    names = list(roles)
+    names = list(reader.roles)
     size = np.fromiter(map(len, names), np.int64, len(names))
     rows = ("".join(names).encode("ascii"),
             np.stack([np.cumsum(size) - size, np.cumsum(size)], axis=1),
-            np.fromiter(roles.values(), np.int64, len(names)),
-            _lookup(reader.roles("RHS"), names, _UNKNOWN))
+            np.fromiter(reader.roles.values(), np.int64, len(names)))
     cuts = _cuts(data, start)
     room = np.array([_room(limit - cut) for cut, limit in zip(cuts, cuts[1:])])
     out = _Outputs(room.sum(axis=0), _room(len(data) - start))
@@ -391,13 +398,13 @@ def _call(lib, data, rows, out, start, limit, inside, at, col_name, preloaded, c
           counts) -> int:
     """mps_sweep on data[start:] into out's arrays, the entries' at pair
     at[0] and the column names' at line at[1] of col_name and byte at[2],
-    with rows the row names' text, their spans and their roles in COLUMNS
-    and in RHS (see _kernel.c)."""
+    with rows the row names' text, their spans and their roles (see
+    _kernel.c)."""
     pair, line, byte = at
-    row_text, row_name, col_role, rhs_role = rows
+    row_text, row_name, role = rows
     return lib.mps_sweep(
         data, start, limit, len(data), inside, row_text, row_name.ctypes.data,
-        col_role.ctypes.data, rhs_role.ctypes.data, len(col_role),
+        role.ctypes.data, len(role),
         out.ent_col[pair:].ctypes.data, out.ent_row[pair:].ctypes.data,
         out.ent_val[pair:].ctypes.data, out.obj_col[pair:].ctypes.data,
         out.obj_val[pair:].ctypes.data, out.rhs_row.ctypes.data, out.rhs_val.ctypes.data,
@@ -446,11 +453,6 @@ def _number(token: str, line_no: int) -> float:
         raise MpsParseError(f"expected a number, got {token!r}", line_no) from None
 
 
-def _lookup(table: dict, names: list, missing: int) -> np.ndarray:
-    """The id of each name in table, or missing."""
-    return np.fromiter(map(table.get, names, repeat(missing)), np.int64, len(names))
-
-
 def _first(mask: np.ndarray) -> int:
     """Index of the first True entry, or -1."""
     return int(mask.argmax()) if mask.any() else -1
@@ -459,17 +461,20 @@ def _first(mask: np.ndarray) -> int:
 class _Reader:
     """The tables a sweep fills, section by section, in file order.
 
-    ``rows`` and the methods named after the other sections are the line
-    reader; ``add_columns``, ``add_entries``, ``set_rhs`` and
+    The grammar both front ends read: each section appears at most once,
+    and each row name is declared once in ROWS, whatever its type; the
+    first N row is the objective, and the entries of a later N row are
+    dropped.  ``rows`` and the methods named after the other sections are
+    the line reader; ``add_columns``, ``add_entries``, ``set_rhs`` and
     ``set_bounds`` are the back end both front ends share.
     """
 
     def __init__(self):
         self.name = ""
         self.objsense = "MIN"
-        self.pending_objsense = False
+        self.pending_objsense = None         # the line of an OBJSENSE header with no word yet
         self.obj_row = None
-        self.free_rows: set[str] = set()
+        self.roles: dict[str, int] = {}      # each row's constraint id, _OBJ or _FREE
         self.row_id: dict[str, int] = {}     # constraint rows, in file order
         self.row_kind: list[int] = []        # _ROW_TYPES code of each
         self.rhs: dict[int, float] = {}
@@ -479,23 +484,21 @@ class _Reader:
         self.col_id: dict[str, int] = {}     # the line reader's ids of them
         # constraint entries in file order, and the order that sorts them
         # by (column, row), or None when they are sorted; objective entries
-        # as (column, value) arrays
+        # as (column, value) arrays; bounds as (kind, column, value) arrays
         self.col = self.row = np.empty(0, np.int64)
         self.value = np.empty(0)
         self.order = None
-        self.obj_entries = [(np.empty(0, np.int64), np.empty(0))]
-        # the bounds of each BOUNDS section as (kind, column, value) arrays
-        self.bound_sets = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
+        self.objective = (np.empty(0, np.int64), np.empty(0))
+        self.bound_entries = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
 
     def header(self, section: str | None, tok: list, line_no: int) -> None:
-        self.pending_objsense = False
         if section == "NAME":
             self.name = tok[1] if len(tok) > 1 else ""
         elif section == "OBJSENSE":
             if len(tok) > 1:
                 self.set_objsense(tok[1], line_no)
             else:
-                self.pending_objsense = True
+                self.pending_objsense = line_no
 
     def set_objsense(self, word: str, line_no: int) -> None:
         sense = _SENSES.get(word.upper())
@@ -524,30 +527,21 @@ class _Reader:
             raise MpsParseError("no columns found")
         return _assemble(self)
 
-    def roles(self, section: str) -> dict:
-        """Each row name's role in COLUMNS, RHS or RANGES: its constraint
-        row id, _OBJ or _FREE, set in the order a line-by-line reader tests
-        them."""
-        if section == "RANGES":
-            return dict(self.row_id)
-        free = dict.fromkeys(self.free_rows, _FREE)
-        roles = {**self.row_id, **free} if section == "COLUMNS" else {**free, **self.row_id}
-        if self.obj_row is not None:
-            roles[self.obj_row] = _OBJ
-        return roles
-
     # -- the line reader -------------------------------------------------------
 
     def no_data(self, section, lines) -> None:
         """NAME, OBJSENSE and the text before the first header hold no data
-        lines, except the one line that names a pending objective sense."""
+        lines, except the one line that names a pending objective sense,
+        which an OBJSENSE header with no word needs."""
         for line_no, tok in lines:
-            if not self.pending_objsense:
+            if self.pending_objsense is None:
                 raise MpsParseError(
                     "data before any section header" if section is None
                     else f"unexpected data in section {section}", line_no)
             self.set_objsense(tok[0], line_no)
-            self.pending_objsense = False
+            self.pending_objsense = None
+        if self.pending_objsense is not None:
+            raise MpsParseError("OBJSENSE needs a sense word", self.pending_objsense)
 
     def rows(self, lines) -> None:
         for line_no, tok in lines:
@@ -556,18 +550,18 @@ class _Reader:
             kind, name = _ROW_TYPES.get(tok[0].upper(), -1), tok[1]
             if kind < 0:
                 raise MpsParseError(f"unknown row type {tok[0].upper()!r}", line_no)
+            if name in self.roles:
+                raise MpsParseError(f"duplicate row {name!r}", line_no)
             if kind > 0:
-                if name in self.row_id:
-                    raise MpsParseError(f"duplicate row {name!r}", line_no)
-                self.row_id[name] = len(self.row_id)
+                self.roles[name] = self.row_id[name] = len(self.row_id)
                 self.row_kind.append(kind)
             elif self.obj_row is None:
-                self.obj_row = name
+                self.roles[name], self.obj_row = _OBJ, name
             else:
-                self.free_rows.add(name)
+                self.roles[name] = _FREE
 
     def columns(self, lines) -> None:
-        roles = self.roles("COLUMNS")
+        roles = self.roles
         col, row, entry_line, obj_col = array("q"), array("q"), array("q"), array("q")
         value, obj_value = array("d"), array("d")
 
@@ -612,7 +606,7 @@ class _Reader:
 
     def rhs_or_ranges(self, section: str, lines) -> None:
         is_rhs = section == "RHS"
-        roles = self.roles(section)
+        roles = self.roles if is_rhs else self.row_id
         unknown = "unknown row" if is_rhs else "RANGES on unknown row"
         role, value = array("q"), array("d")
         for line_no, tok in lines:
@@ -631,9 +625,6 @@ class _Reader:
     def bounds(self, lines) -> None:
         kinds, cols, values = array("q"), array("q"), array("d")
         lo = {}   # each column's lower bound so far
-        for set_kind, set_col, set_value in self.bound_sets:
-            sets_lo, lo_value, _, _ = _bound_ends(set_kind, set_value)
-            lo.update(zip(set_col[sets_lo].tolist(), lo_value[sets_lo].tolist()))
         for line_no, tok in lines:
             name = tok[0].upper()
             kind = _BOUND_TYPES.get(name, -1)
@@ -667,26 +658,20 @@ class _Reader:
         self.col_names += names
 
     def add_entries(self, col, row, value, obj_col, obj_value) -> int:
-        """Append a COLUMNS section's constraint and objective entries and
+        """Take the COLUMNS section's constraint and objective entries and
         sort the constraint entries by (column, row).
 
         Returns the index in ``col`` of the first entry that repeats an
-        earlier (column, row) pair, or -1.  Earlier sections hold no repeat
-        among themselves, so the later entry of a repeat lies in this one.
+        earlier (column, row) pair, or -1.
         """
-        self.obj_entries.append((obj_col, obj_value))
-        start = len(self.value)
-        if start:
-            col, row, value = (np.concatenate(a) for a in
-                               ((self.col, col), (self.row, row), (self.value, value)))
+        self.objective = (obj_col, obj_value)
         self.col, self.row, self.value = col, row, value
         key = col * max(len(self.row_id), 1) + row
         if (key[1:] > key[:-1]).all():   # sorted, with no repeat: a written file
-            self.order = None
             return -1
         self.order = np.argsort(key, kind="stable")
         again = self.order[1:][np.diff(key[self.order]) == 0]
-        return int(again.min()) - start if again.size else -1
+        return int(again.min()) if again.size else -1
 
     def set_rhs(self, is_rhs: bool, role, values) -> None:
         """Set the rhs (or range) of each constraint row in role, and the
@@ -700,7 +685,7 @@ class _Reader:
 
     def set_bounds(self, kind, col, value) -> None:
         """Set the bounds of the given kinds, columns and values, in order."""
-        self.bound_sets.append((kind, col, value))
+        self.bound_entries = (kind, col, value)
 
 
 def _bound_ends(kind, value):
@@ -730,8 +715,8 @@ def _assemble(r: _Reader) -> LpInstance:
     col, row, value = r.col, r.row, r.value
     if r.order is not None:
         col, row, value = col[r.order], row[r.order], value[r.order]
-    ocol, oval = map(np.concatenate, zip(*r.obj_entries))
-    bound_kind, bound_col, bound_value = map(np.concatenate, zip(*r.bound_sets))
+    ocol, oval = r.objective
+    bound_kind, bound_col, bound_value = r.bound_entries
 
     # inf and nan propagate silently, as in Python float arithmetic
     with np.errstate(all="ignore"):

@@ -149,6 +149,8 @@ class RunConfig:
             raise ValueError(f"duplication must be an integer, got {self.duplication!r}")
         if self.duplication < 1:
             raise ValueError("duplication must be >= 1")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if isinstance(self.start, str) and self.start not in STARTS:
             raise ValueError(f"start must be one of {STARTS} or an explicit vector")
         if self.lazy is not True:

@@ -158,13 +158,16 @@ def price(instance: LpInstance, working_set, y, tol: float = 1e-7,
     the blend, ``anchor_share`` = (1 - ALPHA) * r_anchor, columns are
     priced by ALPHA * r + anchor_share, and by r alone when that prices
     none, so an empty result still certifies y.  Raises ValueError for a y
-    with a non-finite entry, for working ids that are not integers in
-    [0, n) and for ``max_new`` below 1: a negative id would stand for
-    another column, which then went unpriced, and a cap below 1 would
-    price nothing, so either could return a false certificate.
+    with a non-finite entry, for a non-finite tol, for working ids that are
+    not integers in [0, n) and for ``max_new`` below 1: a NaN or +inf tol
+    prices nothing, a negative id would stand for another column, which
+    then went unpriced, and a cap below 1 would price nothing, so each
+    could return a false certificate.
     """
     y = _finite_dual(instance, y)
     n = instance.num_cols
+    if not math.isfinite(tol):
+        raise ValueError("tol must be finite")
     if max_new is not None and max_new < 1:
         raise ValueError("max_new must be >= 1")
     working_set = np.asarray(working_set)

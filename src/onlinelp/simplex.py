@@ -131,7 +131,9 @@ class SolveStatus(Enum):
 
 
 class SingularBasisError(RuntimeError):
-    """Basis factorization failed even after a refactorization retry."""
+    """A refactorization found the basis matrix singular, or Phase 1
+    diverged.  No retry is made; a singular warm-start basis is not
+    raised, as the solve then starts cold."""
 
 
 @dataclass(frozen=True)

@@ -464,9 +464,14 @@ class TestPlumbing:
         (["bench", "--reps", "-2"], "reps must be >= 0"),
         (["solve", "--max-k", "0", "--until-eps", "1e-9"], "max_k must be >= k (1)"),
         (["solve", "--k", "8", "--max-k", "4", "--until-eps", "1e-9"], "max_k must be >= k (8)"),
+        # negative seeds failed mid-run: a traceback, "solve failed", every cell failed
+        (["gen", "--m", "3", "--n", "20", "--tau", "0.4", "--seed", "-2"], "seed must be >= 0"),
+        (["solve", "--run-seed", "-1"], "seed must be a non-negative integer"),
+        (["sift", "--run-seed", "-1"], "seed must be a non-negative integer"),
+        (["bench", "--sizes", "3x20", "--seed", "-1"], "seed must be >= 0"),
     ])
     def test_out_of_range_setting_is_usage_error(self, tmp_path, capsys, args, message):
-        target = ["--out", str(tmp_path / "x.csv")] if args[0] == "bench" else \
+        target = ["--out", str(tmp_path / "x.csv")] if args[0] in ("gen", "bench") else \
             ["--gen", "m=3,n=20,tau=0.4,seed=0"]
         with pytest.raises(SystemExit) as exc:
             run_cli(args + target)

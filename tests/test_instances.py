@@ -57,6 +57,21 @@ class TestGenerateMkp:
         assert np.all(delta >= 1 - 1e-9) and np.all(delta <= 500 + 1e-9)
         assert np.allclose(delta, np.round(delta))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("m", 2.5, "m must be an integer"), ("n", 10.0, "n must be an integer"),
+        ("seed", 1.5, "seed must be an integer"), ("seed", -1, "seed must be >= 0")])
+    def test_a_setting_that_is_no_fitting_integer_is_refused(self, field, value, message):
+        # each failed later inside generate_mkp with numpy's TypeError or ValueError
+        with pytest.raises(ValueError, match=message):
+            MkpParams(**{"m": 2, "n": 10, "tightness": 0.3, field: value})
+
+    def test_numpy_integer_settings_are_accepted(self):
+        got = generate_mkp(MkpParams(m=np.int32(3), n=np.int64(20), tightness=0.3,
+                                     seed=np.uint8(5)))
+        want = generate_mkp(MkpParams(m=3, n=20, tightness=0.3, seed=5))
+        for field in ("col_ptr", "row_idx", "values", "rhs", "obj", "upper"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+
     def test_determinism(self):
         params = MkpParams(m=6, n=500, tightness=0.1, density=0.3, seed=42)
         a = generate_mkp(params)

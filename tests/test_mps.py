@@ -90,6 +90,32 @@ class TestErrorLines:
          "which the 0 <= x <= u model cannot represent"),
         (toy((12, "    RHS")), "line 12: RHS entries need row/value pairs"),
         (toy((7, [" L  CAP", " L  CAP"])), "line 8: duplicate row 'CAP'"),
+        # a row name is declared once, whatever its types
+        (toy((7, [" N  CAP", " L  CAP"])), "line 8: duplicate row 'CAP'"),
+        (toy((7, [" L  CAP", " N  CAP"])), "line 8: duplicate row 'CAP'"),
+        (toy((7, [" L  CAP", " G  CAP"])), "line 8: duplicate row 'CAP'"),
+        (toy((7, [" L  CAP", " E  CAP"])), "line 8: duplicate row 'CAP'"),
+        (toy((7, [" L  CAP", " N  SPARE", " G  SPARE"])), "line 9: duplicate row 'SPARE'"),
+        (toy((7, [" L  CAP", " N  SPARE", " N  SPARE"])), "line 9: duplicate row 'SPARE'"),
+        (toy((7, [" L  CAP", " N  COST"])), "line 8: duplicate row 'COST'"),
+        # each section appears at most once
+        (toy((2, ["NAME  A", "NAME  B"])), "line 3: section NAME repeated"),
+        (toy((4, ["    MAX", "OBJSENSE  MIN"])), "line 5: section OBJSENSE repeated"),
+        (toy((7, [" L  CAP", "ROWS", " L  CAP2"])), "line 8: section ROWS repeated"),
+        (toy((11, ["COLUMNS", "    X3  CAP  1.0", "RHS"])), "line 11: section COLUMNS repeated"),
+        (toy((13, ["RHS", "    RHS  CAP  0.25", "BOUNDS"])), "line 13: section RHS repeated"),
+        (toy((13, ["RANGES", "    R  CAP  1.0", "ranges", "    R  CAP  2.0", "BOUNDS"])),
+         "line 15: section RANGES repeated"),
+        (toy((16, ["BOUNDS", " UP BND  X1  0.5", "ENDATA"])), "line 16: section BOUNDS repeated"),
+        # the earlier bad line is reported, be it the header's or not
+        (toy((10, "    X2  COST  1.0  CAP  abc"), (13, ["RHS", "BOUNDS"])),
+         "line 10: expected a number, got 'abc'"),
+        (toy((11, ["COLUMNS", "    X3  CAP  x", "RHS"])), "line 11: section COLUMNS repeated"),
+        # an OBJSENSE header with no word needs one on the next data line
+        (toy((4, [])), "line 3: OBJSENSE needs a sense word"),
+        (toy((4, ["", "* no word"])), "line 3: OBJSENSE needs a sense word"),
+        (toy((3, []), (4, []), (7, [" L  CAP", "OBJSENSE"])),
+         "line 6: OBJSENSE needs a sense word"),
         (toy((7, " Q  CAP")), "line 7: unknown row type 'Q'"),
         (toy((4, ["    MAX", "    MIN"])), "line 5: unexpected data in section OBJSENSE"),
         (toy((4, "    FOO")), "line 4: unknown objective sense 'FOO'"),

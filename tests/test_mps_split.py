@@ -113,6 +113,8 @@ TARGETED = {
     "duplicate across parts": (toy((10, ["    X2  COST  1.0  CAP  1.0", "    X1  CAP  3.0"])),
                                False),
     "second columns header": (toy((11, ["COLUMNS", "    X3  CAP  1.0", "RHS"])), False),
+    "second rhs header": (toy((13, ["RHS", "    RHS  CAP  0.25", "BOUNDS"])), False),
+    "second bounds header": (toy((16, ["BOUNDS", " UP BND  X1  0.5", "ENDATA"])), False),
     "ranges after columns": (toy((11, ["RANGES", "    RNG  CAP  0.25", "RHS"])), False),
     "missing endata": (toy((16, [])), False),
     "columns to the end": (toy((11, []), (12, []), (13, []), (14, []), (15, []), (16, [])),

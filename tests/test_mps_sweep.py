@@ -169,7 +169,7 @@ def _set_token(rng, lines, section, back, new):
 def _mutate(rng, lines):
     kind = _pick(rng, ["value", "value", "separator", "comment", "non_ascii", "marker",
                        "ranges", "bound", "unknown_row", "duplicate", "move", "drop_token",
-                       "lower", "sections", "free_row", "no_newline", "cr"])
+                       "lower", "sections", "free_row", "redeclare", "no_newline", "cr"])
     if kind == "value":
         _set_token(rng, lines, _pick(rng, ["COLUMNS", "RHS", "BOUNDS"]), 1, _pick(rng, VALUES))
     elif kind == "separator":
@@ -251,6 +251,13 @@ def _mutate(rng, lines):
             lines.insert(heads["ROWS"] + 1 + int(rng.integers(2)), " N  EXTRA")
             i = _pick(rng, _data_lines(lines, "COLUMNS"))
             lines[i] += "  EXTRA  7.5"
+    elif kind == "redeclare":
+        body = _data_lines(lines, "ROWS")
+        if body:
+            tok = lines[_pick(rng, body)].split()
+            if len(tok) == 2:   # the row's name again, under another type
+                other = _pick(rng, [t for t in "NLGE" if t != tok[0].upper()])
+                lines.insert(_pick(rng, body) + 1, f" {other}  {tok[1]}")
     elif kind == "cr":
         i = int(rng.integers(len(lines)))
         lines[i] += "\r"
@@ -384,6 +391,9 @@ OBJECTIVE_SENSES = {
     "inline min": (toy((3, "OBJSENSE  MIN"), (4, [])), "min"),
     "unknown": (toy((4, "    FOO")), "line 4: unknown objective sense 'FOO'"),
     "inline unknown": (toy((3, "OBJSENSE  FOO"), (4, [])), "line 3: unknown objective sense 'FOO'"),
+    "no word": (toy((4, [])), "line 3: OBJSENSE needs a sense word"),
+    "no word before columns": (toy((3, []), (4, []), (7, [" L  CAP", "OBJSENSE"])),
+                               "line 6: OBJSENSE needs a sense word"),
 }
 
 
@@ -394,6 +404,37 @@ def test_objective_senses_match_the_reference(compiled, monkeypatch, tmp_path, h
     assert hand_backs == []
     assert (str(got) if isinstance(got, Exception) else got.meta["objective_sense"]) == want
     check(monkeypatch, text, tmp_path / "sense.mps")
+
+
+# files that break the grammar both front ends read: a row name declared
+# twice, whatever its types, and a section repeated
+GRAMMAR_ERRORS = {
+    "n then l": (toy((7, [" N  CAP", " L  CAP"])), "line 8: duplicate row 'CAP'"),
+    "l then n": (toy((7, [" L  CAP", " N  CAP"])), "line 8: duplicate row 'CAP'"),
+    "g then e": (toy((7, [" G  CAP", " E  CAP"])), "line 8: duplicate row 'CAP'"),
+    "e then g": (toy((7, [" E  CAP", " G  CAP"])), "line 8: duplicate row 'CAP'"),
+    "objective then l": (toy((7, [" L  CAP", " L  COST"])), "line 8: duplicate row 'COST'"),
+    "free row twice": (toy((7, [" L  CAP", " N  FREE", " N  FREE"])),
+                       "line 9: duplicate row 'FREE'"),
+    "name twice": (toy((2, ["NAME  A", "NAME  B"])), "line 3: section NAME repeated"),
+    "objsense twice": (toy((4, ["    MAX", "objsense  MIN"])),
+                       "line 5: section OBJSENSE repeated"),
+    "rows twice": (toy((7, [" L  CAP", "ROWS", " L  CAP2"])), "line 8: section ROWS repeated"),
+    "columns twice": (toy((11, ["COLUMNS", "    X3  CAP  1.0", "RHS"])),
+                      "line 11: section COLUMNS repeated"),
+    "rhs twice": (toy((13, ["RHS", "    RHS  CAP  0.25", "BOUNDS"])),
+                  "line 13: section RHS repeated"),
+    "ranges twice": (toy((11, ["RANGES", "    R  CAP  1.0", "RANGES", "    R  CAP  2.0", "RHS"])),
+                     "line 13: section RANGES repeated"),
+    "bounds twice": (toy((16, ["BOUNDS", " UP BND  X1  0.5", "ENDATA"])),
+                     "line 16: section BOUNDS repeated"),
+}
+
+
+@pytest.mark.parametrize("text, message", GRAMMAR_ERRORS.values(), ids=GRAMMAR_ERRORS.keys())
+def test_grammar_errors_match_the_reference(compiled, monkeypatch, tmp_path, text, message):
+    assert str(outcome(io.StringIO(text))) == message
+    check(monkeypatch, text, tmp_path / "grammar.mps")
 
 
 @pytest.mark.parametrize("text", SWEPT_HEADERS.values(), ids=SWEPT_HEADERS.keys())

@@ -353,6 +353,18 @@ class TestExplicitEngine:
         with pytest.raises(ValueError, match="duplication must be an integer"):
             RunConfig(duplication=k)
 
+    @pytest.mark.parametrize("seed", [2.5, 3.0, -1, "3"])
+    def test_a_seed_that_is_no_non_negative_integer_is_refused(self, seed):
+        # 2.5 and -1 failed mid-run with numpy's TypeError and ValueError
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            RunConfig(seed=seed)
+
+    def test_a_numpy_integer_seed_is_accepted(self):
+        inst = generate_mkp(MkpParams(m=3, n=40, tightness=0.3, seed=1))
+        got = solve_online(inst, RunConfig(seed=np.int64(4), start="zero", method="implicit"))
+        want = solve_online(inst, RunConfig(seed=4, start="zero", method="implicit"))
+        assert got.x_hat.tobytes() == want.x_hat.tobytes()
+
     def test_a_numpy_integer_duplication_is_accepted(self):
         inst = generate_mkp(MkpParams(m=3, n=40, tightness=0.3, seed=1))
         got = solve_online(inst, RunConfig(duplication=np.int64(3)))

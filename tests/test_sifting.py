@@ -158,6 +158,14 @@ class TestPrice:
         with pytest.raises(ValueError, match="max_new must be >= 1"):
             price(inst, [], np.zeros(2), max_new=max_new)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf")])
+    def test_a_tolerance_that_is_not_finite_is_refused(self, tol):
+        # y = 0 prices every column; a NaN or +inf tol priced none, a certificate
+        inst = generate_mkp(MkpParams(m=4, n=50, tightness=0.3))
+        assert price(inst, [], np.zeros(4), tol=1e-7).size == 50
+        with pytest.raises(ValueError, match="tol must be finite"):
+            price(inst, [], np.zeros(4), tol=tol)
+
     @pytest.mark.parametrize("working", [[-1], [3], [0, -3], [0.0, 1.0], [True, False, True]],
                              ids=["negative", "past n", "mixed", "float", "mask"])
     def test_working_ids_outside_the_instance_are_refused(self, working):
