@@ -197,6 +197,8 @@ def _cmd_solve(args) -> int:
         config = RunConfig(method=args.method, stepsize=args.stepsize, duplication=args.k,
                            seed=args.run_seed, enforce_feasibility=args.enforce_feasibility,
                            start=args.start)
+        if args.until_eps is not None and not args.until_eps >= 0.0:   # NaN or < 0: never met
+            raise ValueError(f"until_eps must be >= 0, got {args.until_eps}")
         if args.until_eps is not None and args.max_k < config.duplication:
             raise ValueError(f"max_k must be >= k ({config.duplication})")
     try:

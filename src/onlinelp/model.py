@@ -36,6 +36,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import _kernel
+from .projection import _breakpoint_sums
 
 __all__ = [
     "LpInstance",
@@ -289,9 +290,11 @@ def _uniform_dual_value(instance: LpInstance) -> float:
     Along the ray F(eta) = eta * sum(d) + (1/n) sum_j [c_j - eta * s_j]_+,
     with s_j the column sums of A, is convex and piecewise linear with kinks
     at eta = c_j / s_j, so its minimum over eta >= 0 sits at 0 or at the
-    first kink where the right slope turns nonnegative.  Every point of the
-    ray is dual feasible, so the value bounds min_y F(y) = OPT / n from
-    above (for the unit box the passes work in).
+    first kink where the right slope turns nonnegative.  The slopes come
+    from the breakpoint search of the weighted-simplex projection
+    (``projection._breakpoint_sums``).  Every point of the ray is dual
+    feasible, so the value bounds min_y F(y) = OPT / n from above (for the
+    unit box the passes work in).
     """
     n = instance.num_cols
     c = instance.obj
@@ -301,14 +304,9 @@ def _uniform_dual_value(instance: LpInstance) -> float:
     nz = s != 0.0
     ratio, weight = c[nz] / s[nz], s[nz]
     kinks = np.unique(np.concatenate(([0.0], ratio[ratio > 0.0])))
-    order = np.argsort(ratio, kind="stable")
-    ratio, weight = ratio[order], weight[order]
-    # just right of a kink e, the hinge of column j is positive when
-    # s_j > 0 and c_j / s_j > e, or when s_j < 0 and c_j / s_j <= e
-    pos_suffix = np.append(np.cumsum(np.where(weight > 0, weight, 0.0)[::-1])[::-1], 0.0)
-    neg_prefix = np.append(0.0, np.cumsum(np.where(weight < 0, weight, 0.0)))
-    split = np.searchsorted(ratio, kinks, side="right")
-    slope = d_sum - (pos_suffix[split] + neg_prefix[split]) / n
+    ratio, (sums,) = _breakpoint_sums(ratio, weight, weight[None])
+    # the right slope at each kink e: a ratio equal to e counts as below it
+    slope = d_sum - sums[ratio.searchsorted(kinks, side="right")] / n
     eta = float(kinks[np.argmax(slope >= 0.0)])
     return eta * d_sum + float(np.sum(np.maximum(c - eta * s, 0.0))) / n
 

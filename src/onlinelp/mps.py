@@ -7,11 +7,11 @@ pairs, RANGES become row intervals) and normalizes the objective to
 maximization.
 
 Both front ends read one grammar: each section appears at most once, each
-row name is declared once in ROWS, whatever its type, and an OBJSENSE
-header with no sense word on its line needs one on the section's data line.
-The first N row is the objective; the entries of a later N row are
+row name is declared once in ROWS, whatever its type, and OBJSENSE takes
+one sense word, on its header's line or else on the section's one data
+line.  The first N row is the objective; the entries of a later N row are
 dropped.  A file that breaks the grammar raises ``MpsParseError`` at the
-repeated header, the second declaration or the word-less OBJSENSE header.
+repeated header, the second declaration or the OBJSENSE line at fault.
 
 A header is an unindented line that starts with a section name, in any
 case, followed by a separator or the end of the text.  Section bodies go
@@ -496,7 +496,7 @@ class _Reader:
             self.name = tok[1] if len(tok) > 1 else ""
         elif section == "OBJSENSE":
             if len(tok) > 1:
-                self.set_objsense(tok[1], line_no)
+                self.set_objsense(" ".join(tok[1:]), line_no)   # "MAX x" is no sense
             else:
                 self.pending_objsense = line_no
 
@@ -538,7 +538,7 @@ class _Reader:
                 raise MpsParseError(
                     "data before any section header" if section is None
                     else f"unexpected data in section {section}", line_no)
-            self.set_objsense(tok[0], line_no)
+            self.set_objsense(" ".join(tok), line_no)
             self.pending_objsense = None
         if self.pending_objsense is not None:
             raise MpsParseError("OBJSENSE needs a sense word", self.pending_objsense)

@@ -4,7 +4,9 @@ Solves  min ||y - v||^2  s.t.  <w, y> = target,  y >= 0.  The KKT system
 gives y = [v - theta * w]_+ for a scalar multiplier theta, and
 g(theta) = <w, [v - theta*w]_+> is piecewise linear and nonincreasing for
 any sign pattern of w, so theta is located by sorting the breakpoints
-v_i / w_i and interpolating on the bracketing segment.
+v_i / w_i and interpolating on the bracketing segment.  That sort and the
+sums of the active hinges, ``_breakpoint_sums``, are the package's one
+breakpoint search; f_bar (``model._uniform_dual_value``) searches them too.
 """
 
 from __future__ import annotations
@@ -20,45 +22,35 @@ class ProjectionInfeasibleError(ValueError):
     """The hyperplane section {<w,y> = target, y >= 0} is empty."""
 
 
+def _breakpoint_sums(ratio: np.ndarray, slope: np.ndarray, terms: np.ndarray):
+    """The breakpoints r of hinges [slope_i * (ratio_i - t)]_+ (slope has no
+    zeros), sorted stably, and sums[:, p] for p = 0..N: for each row of
+    ``terms``, its entries of positive slope at sorted positions >= p,
+    added from the last position down, plus those of negative slope at
+    positions < p, added from the first up.  For a p that starts a group of
+    equal breakpoints, these are the hinges positive between r[p-1] and r[p].
+    """
+    order = ratio.argsort(kind="stable")
+    terms = terms.take(order, axis=1)
+    up = slope.take(order) > 0.0
+    zero = np.zeros((len(terms), 1))
+    above = np.concatenate(((terms * up)[:, ::-1].cumsum(axis=1)[:, ::-1], zero), axis=1)
+    below = np.concatenate((zero, (terms * ~up).cumsum(axis=1)), axis=1)
+    return ratio.take(order), above + below
+
+
 def _solve_multiplier(v: np.ndarray, w: np.ndarray, target: float) -> float:
     """Multiplier theta with <w, [v - theta*w]_+> = target (w has no zeros)."""
-    theta = v / w
-    order = np.argsort(theta, kind="stable")
-    t_sorted = theta[order]
-    w_s = w[order]
-    v_s = v[order]
-    pos = w_s > 0
-
-    # g evaluated exactly at each breakpoint: positive-weight coordinates are
-    # active at t_k iff theta_i >= t_k, negative-weight ones iff theta_i < t_k
-    # (the coordinate whose breakpoint is t_k contributes zero either way).
-    wv = w_s * v_s
-    ww = w_s * w_s
-    pos_wv_suffix = np.cumsum((wv * pos)[::-1])[::-1]
-    pos_ww_suffix = np.cumsum((ww * pos)[::-1])[::-1]
-    neg_wv_prefix = np.concatenate(([0.0], np.cumsum(wv * ~pos)))
-    neg_ww_prefix = np.concatenate(([0.0], np.cumsum(ww * ~pos)))
-    # for ties, every index with the same breakpoint must use the group start
-    first_of_group = np.searchsorted(t_sorted, t_sorted, side="left")
-    s1_at = pos_wv_suffix[first_of_group] + neg_wv_prefix[first_of_group]
-    s2_at = pos_ww_suffix[first_of_group] + neg_ww_prefix[first_of_group]
-    g_at = s1_at - t_sorted * s2_at
-
-    k = int(np.searchsorted(-g_at, -target, side="left"))  # first g_at[k] <= target
-    if k < t_sorted.size:
-        # segment (t_{k-1}, t_k]: actives are positives with theta_i >= t_k
-        # and negatives with theta_i <= t_{k-1} (strictly below group k).
-        s1 = pos_wv_suffix[first_of_group[k]] + neg_wv_prefix[first_of_group[k]]
-        s2 = pos_ww_suffix[first_of_group[k]] + neg_ww_prefix[first_of_group[k]]
-        if s2 <= 0.0:
-            return float(t_sorted[k])  # flat segment, g == target throughout
-        return float((s1 - target) / s2)
-
-    # beyond the last breakpoint only negative-weight coordinates are active
-    s1 = neg_wv_prefix[-1]
-    s2 = neg_ww_prefix[-1]
+    t, sums = _breakpoint_sums(v / w, w, w * np.array((v, w)))
+    # g(t_k) = s1 - t_k * s2, from the sums at the start of t_k's group of
+    # ties, so that equal breakpoints read one value of g
+    first = t.searchsorted(t, side="left")
+    s1, s2 = sums[:, first]
+    k = int(np.searchsorted(-(s1 - t * s2), -target, side="left"))  # first g(t_k) <= target
+    # g is linear on (t_{k-1}, t_k], and past the last breakpoint when k = N
+    s1, s2 = sums[:, first[k] if k < t.size else k]
     if s2 <= 0.0:
-        return float(t_sorted[-1])  # g is identically 0 past the end
+        return float(t[min(k, t.size - 1)])  # g is flat: == target, or 0 past the end
     return float((s1 - target) / s2)
 
 

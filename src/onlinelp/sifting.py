@@ -57,6 +57,12 @@ class SiftRoundLimit(RuntimeError):
         self.partial = partial
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """Refuse a count that is not an integer >= least; numpy integers pass."""
+    if not (isinstance(value, numbers.Integral) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SiftConfig:
     """Settings of the sifting loop; pricing has one fixed rule (``price``).
@@ -83,12 +89,9 @@ class SiftConfig:
         if not math.isfinite(self.pricing_tolerance):
             # a NaN or +inf tolerance prices nothing, which certifies any dual
             raise ValueError("pricing_tolerance must be finite")
-        if not isinstance(self.max_rounds, numbers.Integral) or self.max_rounds < 1:
-            raise ValueError(f"max_rounds must be an integer >= 1, got {self.max_rounds!r}")
-        cap = self.max_new_columns_per_round
-        if cap is not None and not (isinstance(cap, numbers.Integral) and cap >= 1):
-            raise ValueError(f"max_new_columns_per_round must be None or an integer >= 1, "
-                             f"got {cap!r}")
+        _check_count("max_rounds", self.max_rounds, 1)
+        if self.max_new_columns_per_round is not None:
+            _check_count("max_new_columns_per_round", self.max_new_columns_per_round, 1)
 
 
 @dataclass(frozen=True)
@@ -144,7 +147,9 @@ def _finite_dual(instance: LpInstance, y) -> np.ndarray:
 def init_working_set(instance: LpInstance, y, count: int) -> np.ndarray:
     """The ``count`` columns with the largest reduced cost c_j - <a_j, y>,
     ties to the lower index, as a sorted int64 array; every column when
-    count >= n.  Raises ValueError for a y with a non-finite entry."""
+    count >= n.  Raises ValueError for a y with a non-finite entry and for
+    a count that is not an integer >= 0."""
+    _check_count("count", count, 0)
     return _top(_sweep(instance, _finite_dual(instance, y))[0], count)
 
 
@@ -159,17 +164,17 @@ def price(instance: LpInstance, working_set, y, tol: float = 1e-7,
     priced by ALPHA * r + anchor_share, and by r alone when that prices
     none, so an empty result still certifies y.  Raises ValueError for a y
     with a non-finite entry, for a non-finite tol, for working ids that are
-    not integers in [0, n) and for ``max_new`` below 1: a NaN or +inf tol
-    prices nothing, a negative id would stand for another column, which
-    then went unpriced, and a cap below 1 would price nothing, so each
-    could return a false certificate.
+    not integers in [0, n) and for a ``max_new`` that is not an integer
+    >= 1: a NaN or +inf tol prices nothing, a negative id would stand for
+    another column, which then went unpriced, and a cap below 1 would price
+    nothing, so each could return a false certificate.
     """
     y = _finite_dual(instance, y)
     n = instance.num_cols
     if not math.isfinite(tol):
         raise ValueError("tol must be finite")
-    if max_new is not None and max_new < 1:
-        raise ValueError("max_new must be >= 1")
+    if max_new is not None:
+        _check_count("max_new", max_new, 1)
     working_set = np.asarray(working_set)
     if working_set.size and (working_set.dtype.kind not in "iu" or working_set.min() < 0
                              or working_set.max() >= n):

@@ -464,6 +464,10 @@ class TestPlumbing:
         (["bench", "--reps", "-2"], "reps must be >= 0"),
         (["solve", "--max-k", "0", "--until-eps", "1e-9"], "max_k must be >= k (1)"),
         (["solve", "--k", "8", "--max-k", "4", "--until-eps", "1e-9"], "max_k must be >= k (8)"),
+        # a target that is never met doubled K up to the cap and exited 5
+        (["solve", "--until-eps", "nan"], "until_eps must be >= 0, got nan"),
+        (["solve", "--until-eps", "-1"], "until_eps must be >= 0, got -1.0"),
+        (["solve", "--until-eps=-inf", "--max-k", "0"], "until_eps must be >= 0, got -inf"),
         # negative seeds failed mid-run: a traceback, "solve failed", every cell failed
         (["gen", "--m", "3", "--n", "20", "--tau", "0.4", "--seed", "-2"], "seed must be >= 0"),
         (["solve", "--run-seed", "-1"], "seed must be a non-negative integer"),

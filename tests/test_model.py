@@ -282,21 +282,33 @@ class TestComputeStats:
 
     def test_uniform_dual_bound(self):
         # f_bar is the least dual value on the ray eta * 1 (brute force over
-        # every kink) and bounds the LP optimum OPT / n from above
+        # every kink) and bounds the LP optimum OPT / n from above.  The
+        # integer draws after the first 40 repeat kinks c_j / s_j, also at
+        # the minimizing one, where the right slope must count every column
+        # of the kink as turned
         rng = np.random.default_rng(11)
-        for _ in range(40):
-            m, n = int(rng.integers(1, 5)), int(rng.integers(1, 8))
-            A = rng.normal(size=(m, n)) * (rng.random(size=(m, n)) < 0.7)
-            b = rng.random(m) + 0.1
-            c = rng.normal(size=n)
+        tied_at_min = 0
+        for draw in range(120):
+            if draw < 40:
+                m, n = int(rng.integers(1, 5)), int(rng.integers(1, 8))
+                A = rng.normal(size=(m, n)) * (rng.random(size=(m, n)) < 0.7)
+                b = rng.random(m) + 0.1
+                c = rng.normal(size=n)
+            else:
+                m, n = int(rng.integers(1, 5)), int(rng.integers(2, 12))
+                A = rng.integers(-1, 3, size=(m, n)).astype(float)
+                b = rng.integers(1, 4, size=m).astype(float)
+                c = A.sum(axis=0) * rng.integers(0, 4, size=n)
             inst = LpInstance.from_dense(A, b, c)
             s = A.sum(axis=0)
-            kinks = [0.0] + [r for r in c[s != 0] / s[s != 0] if r > 0]
-            brute = min(e * b.sum() / n + np.maximum(c - e * s, 0.0).sum() / n
-                        for e in kinks)
+            ratios = c[s != 0] / s[s != 0]
+            kinks = [0.0] + [r for r in ratios if r > 0]
+            values = [e * b.sum() / n + np.maximum(c - e * s, 0.0).sum() / n for e in kinks]
             f_bar = compute_stats(inst).f_bar
-            assert f_bar == pytest.approx(brute, rel=1e-12, abs=1e-12)
+            assert f_bar == pytest.approx(min(values), rel=1e-12, abs=1e-12)
             assert f_bar >= solve_lp(inst).obj / n - 1e-9
+            tied_at_min += np.count_nonzero(ratios == kinks[int(np.argmin(values))]) > 1
+        assert tied_at_min >= 20
 
 
 class TestViolation:

@@ -116,6 +116,13 @@ class TestErrorLines:
         (toy((4, ["", "* no word"])), "line 3: OBJSENSE needs a sense word"),
         (toy((3, []), (4, []), (7, [" L  CAP", "OBJSENSE"])),
          "line 6: OBJSENSE needs a sense word"),
+        # OBJSENSE takes one word: a second token was dropped, and read as MAX
+        (toy((4, "    MAX  x")), "line 4: unknown objective sense 'MAX x'"),
+        (toy((3, "OBJSENSE  MAX  x"), (4, [])),
+         "line 3: unknown objective sense 'MAX x'"),
+        (toy((3, "objsense  max  min  max"), (4, [])),
+         "line 3: unknown objective sense 'max min max'"),
+        (toy((4, "    FOO  BAR")), "line 4: unknown objective sense 'FOO BAR'"),
         (toy((7, " Q  CAP")), "line 7: unknown row type 'Q'"),
         (toy((4, ["    MAX", "    MIN"])), "line 5: unexpected data in section OBJSENSE"),
         (toy((4, "    FOO")), "line 4: unknown objective sense 'FOO'"),

@@ -407,7 +407,8 @@ def test_objective_senses_match_the_reference(compiled, monkeypatch, tmp_path, h
 
 
 # files that break the grammar both front ends read: a row name declared
-# twice, whatever its types, and a section repeated
+# twice, whatever its types, a section repeated, and an OBJSENSE of more
+# than one word
 GRAMMAR_ERRORS = {
     "n then l": (toy((7, [" N  CAP", " L  CAP"])), "line 8: duplicate row 'CAP'"),
     "l then n": (toy((7, [" L  CAP", " N  CAP"])), "line 8: duplicate row 'CAP'"),
@@ -428,6 +429,10 @@ GRAMMAR_ERRORS = {
                      "line 13: section RANGES repeated"),
     "bounds twice": (toy((16, ["BOUNDS", " UP BND  X1  0.5", "ENDATA"])),
                      "line 16: section BOUNDS repeated"),
+    "objsense word and more": (toy((4, "    MAX  x")),
+                               "line 4: unknown objective sense 'MAX x'"),
+    "inline objsense word and more": (toy((3, "OBJSENSE  MAX  x"), (4, [])),
+                                      "line 3: unknown objective sense 'MAX x'"),
 }
 
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from onlinelp.projection import ProjectionInfeasibleError, project_weighted_simplex
+from onlinelp.projection import (ProjectionInfeasibleError, _breakpoint_sums,
+                                 project_weighted_simplex)
 
 
 def brute_force_projection(v, w, target, tol=1e-10):
@@ -88,3 +89,55 @@ class TestAgainstBruteForce:
             assert np.allclose(y, expected, atol=1e-7), (v, w, target, y, expected)
             assert abs(float(w @ y) - target) <= 1e-9 * (1 + abs(target))
             checked += 1
+
+    @pytest.mark.parametrize("signs", ["positive", "mixed"])
+    def test_tied_breakpoints(self, signs):
+        # integer data with v_i = w_i * r_i (+ a unit shift among mixed signs),
+        # so breakpoints v_i / w_i repeat: g is read at the start of each tie
+        # group, and the flat and tied segments are met exactly
+        rng = np.random.default_rng(44 if signs == "positive" else 45)
+        checked = tied = 0
+        while checked < 250:
+            n = int(rng.integers(2, 9))
+            if signs == "positive":
+                w = rng.integers(1, 4, size=n).astype(float)
+                v = w * rng.integers(-2, 3, size=n)
+                target = float(rng.integers(0, 12))
+            else:
+                w = rng.choice([-2.0, -1.0, 1.0, 2.0, 3.0], size=n)
+                v = w * rng.integers(-2, 3, size=n) + rng.integers(0, 2, size=n)
+                target = float(rng.integers(-6, 7))
+            expected = brute_force_projection(v, w, target)
+            if expected is None:
+                with pytest.raises(ProjectionInfeasibleError):
+                    project_weighted_simplex(v, w, target)
+                continue
+            y = project_weighted_simplex(v, w, target)
+            assert np.allclose(y, expected, atol=1e-7), (v, w, target, y, expected)
+            assert abs(float(w @ y) - target) <= 1e-9 * (1 + abs(target))
+            checked += 1
+            tied += np.unique(v / w).size < n
+        assert tied >= 150
+
+
+def test_breakpoint_sums_match_a_loop():
+    # the search that the projection and f_bar share, against the sums added
+    # one term at a time: positive slopes from the last position down,
+    # negative ones from the first up, equal breakpoints kept in input order
+    rng = np.random.default_rng(46)
+    for _ in range(200):
+        n = int(rng.integers(1, 12))
+        ratio = rng.integers(-3, 4, size=n) / rng.choice([1.0, 3.0])
+        slope = rng.choice([-2.0, -0.5, 1.0, 3.0], size=n)
+        terms = rng.normal(size=(2, n))
+        r, sums = _breakpoint_sums(ratio, slope, terms)
+        order = sorted(range(n), key=lambda i: ratio[i])
+        assert r.tolist() == [ratio[i] for i in order] and sums.shape == (2, n + 1)
+        for row, got in zip(terms, sums):
+            for p in range(n + 1):
+                above = below = 0.0
+                for i in reversed(order[p:]):
+                    above += row[i] if slope[i] > 0 else 0.0
+                for i in order[:p]:
+                    below += row[i] if slope[i] < 0 else 0.0
+                assert got[p] == above + below

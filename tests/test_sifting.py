@@ -52,6 +52,17 @@ class TestInitWorkingSet:
         want = np.sort(np.lexsort((np.arange(40), -reduced))[:7])
         np.testing.assert_array_equal(init_working_set(inst, y, 7), want)
 
+    @pytest.mark.parametrize("count", [2.5, 2.0, -1, "2"])
+    def test_a_count_that_is_no_non_negative_integer_is_refused(self, count):
+        # a float raised numpy's TypeError from np.partition; -1 took no column
+        with pytest.raises(ValueError, match=f"^count must be an integer >= 0, got {count!r}$"):
+            init_working_set(self.INST, [1.0, 1.0], count)
+
+    def test_numpy_integer_counts_are_accepted(self):
+        for count in (np.int64(2), np.int32(2), np.uint8(2)):
+            np.testing.assert_array_equal(init_working_set(self.INST, [1.0, 1.0], count), [2, 4])
+        assert init_working_set(self.INST, [1.0, 1.0], np.int64(0)).size == 0
+
     def test_a_sorted_int64_array(self):
         rng = np.random.default_rng(5)
         inst = generate_mkp(MkpParams(m=4, n=200, tightness=0.2, seed=5))
@@ -150,13 +161,19 @@ class TestPrice:
             price(inst, [], np.zeros(1), anchor_share=(1 - sifting.ALPHA) * np.full(3, -10.0)),
             [0, 1, 2])
 
-    @pytest.mark.parametrize("max_new", [0, -2])
-    def test_a_cap_below_one_is_refused(self, max_new):
-        # y = 0 prices every column; a cap that kept none read as a certificate
+    @pytest.mark.parametrize("max_new", [0, -2, 2.5, 2.0, "2"])
+    def test_a_cap_that_is_no_integer_from_one_up_is_refused(self, max_new):
+        # y = 0 prices every column; a cap that kept none read as a
+        # certificate, and a float or str cap raised a TypeError from np.partition
         inst = LpInstance.from_dense([[1, 2, 3], [1, 0, 1]], [1, 1], [5, 6, 7])
         np.testing.assert_array_equal(price(inst, [], np.zeros(2)), [0, 1, 2])
-        with pytest.raises(ValueError, match="max_new must be >= 1"):
+        with pytest.raises(ValueError, match=f"^max_new must be an integer >= 1, got {max_new!r}$"):
             price(inst, [], np.zeros(2), max_new=max_new)
+
+    def test_a_numpy_integer_cap_is_accepted(self):
+        inst = LpInstance.from_dense([[1, 2, 3], [1, 0, 1]], [1, 1], [5, 6, 7])
+        for max_new in (np.int64(2), np.int32(2), np.uint8(2)):
+            np.testing.assert_array_equal(price(inst, [], np.zeros(2), max_new=max_new), [1, 2])
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf")])
     def test_a_tolerance_that_is_not_finite_is_refused(self, tol):
