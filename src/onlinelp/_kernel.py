@@ -14,7 +14,8 @@ The protocol: arrays in, an int out, and never a raise; the
 caller turns the int into an outcome.  The two loops and the sweeps over
 A take their pointers from ``pointers``, which checks each array's dtype,
 size and contiguity: a strided view's or a short array's pointer would
-have the kernel read the wrong memory.
+have the kernel read the wrong memory.  An optional array that is absent
+goes in as None and comes out as None, the kernel's NULL.
 
 - ``explicit_pass`` takes the same arguments as its reference,
   ``online._python_loop``.  ``simplex_pivots`` takes what its reference,
@@ -208,14 +209,15 @@ def reason() -> str:
     return _state[1]
 
 
-def pointers(*arrays) -> list[int]:
-    """The data pointers of (name, array, dtype, size) entries.  Raises
-    ValueError for an array the kernel would read or write out of bounds or
-    misread."""
+def pointers(*arrays) -> list[int | None]:
+    """The data pointers of (name, array, dtype, size) entries, None for an
+    array that is None (the kernel's NULL).  Raises ValueError for an array
+    the kernel would read or write out of bounds or misread."""
     for name, arr, dtype, size in arrays:
-        if not (arr.dtype == dtype and arr.flags.c_contiguous and arr.size == size):
+        if arr is not None and not (arr.dtype == dtype and arr.flags.c_contiguous
+                                    and arr.size == size):
             raise ValueError(f"{name} must be contiguous {np.dtype(dtype).name} of size {size}")
-    return [_address(arr) for _, arr, _, _ in arrays]
+    return [None if arr is None else _address(arr) for _, arr, _, _ in arrays]
 
 
 def _address(arr: np.ndarray) -> int:

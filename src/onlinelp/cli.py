@@ -35,7 +35,7 @@ import numpy as np
 
 from .instances import (MkpParams, ResultRecord, _write_csv, generate_mkp, netlib_modify,
                         write_results_csv)
-from .model import relative_optimality, stopping_residual
+from .model import _check_count, relative_optimality, stopping_residual
 from .mps import MpsParseError, _check_writable, parse_mps, write_mps
 from .online import (METHODS, STARTS, STEPSIZE_MODES, OnlineSolution, RunConfig,
                      explicit_engine, solve_online)
@@ -359,8 +359,7 @@ def _bench_cell(args, bench_instance, k, method, seed) -> ResultRecord:
 
 def _cmd_bench(args) -> int:
     with _settings_checked():  # the whole grid, before the first cell runs
-        if args.reps < 0:
-            raise ValueError("reps must be >= 0")
+        _check_count("reps", args.reps, 0)
         for (m, n), tau in itertools.product(args.sizes, args.taus):
             MkpParams(m=m, n=n, tightness=tau, density=args.sigma, seed=args.seed)
         for k, method in itertools.product(args.ks, args.methods):

@@ -18,12 +18,11 @@ their order.
 from __future__ import annotations
 
 import csv
-import numbers
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .model import LpInstance
+from .model import LpInstance, _check_count
 from .mps import _opened
 
 __all__ = [
@@ -62,13 +61,9 @@ class MkpParams:
     b_pre_sparsify: bool = False
 
     def __post_init__(self):
-        for name in ("m", "n", "seed"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.m < 1 or self.n < 1:
-            raise ValueError("m and n must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        _check_count("m", self.m, 1)
+        _check_count("n", self.n, 1)
+        _check_count("seed", self.seed, 0)
         if not (0.0 < self.tightness <= 1.0):
             raise ValueError("tightness must lie in (0, 1]")
         if not (0.0 < self.density <= 1.0):

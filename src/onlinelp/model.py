@@ -28,6 +28,7 @@ Both give their reference's result bit for bit, whatever the part count.
 from __future__ import annotations
 
 import functools
+import numbers
 import threading
 import warnings
 from dataclasses import dataclass, field
@@ -62,6 +63,12 @@ __all__ = [
 _PART_FLOOR = 1 << 17
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """Refuse a count that is not an integer >= least; numpy integers pass."""
+    if not (isinstance(value, numbers.Integral) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.flags.writeable = False
@@ -83,6 +90,11 @@ class LpInstance:
     converted, and the caller's objects are left as they were.
     ``==`` and ``hash`` go by identity, so instances serve as dict keys;
     to compare two instances by value, compare their arrays.
+
+    Raises ValueError for a ``num_rows`` or ``num_cols`` that is not an
+    integer >= 1 (``_check_count``), for column pointers, row indices or
+    vectors of the wrong shape or order, for an explicit zero, for an upper
+    bound that is not positive and for a non-finite entry of A, b or c.
     """
 
     num_rows: int
@@ -96,9 +108,9 @@ class LpInstance:
     meta: dict | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
+        _check_count("num_rows", self.num_rows, 1)
+        _check_count("num_cols", self.num_cols, 1)
         m, n = int(self.num_rows), int(self.num_cols)
-        if m < 1 or n < 1:
-            raise ValueError(f"degenerate instance: m={m}, n={n}")
         object.__setattr__(self, "num_rows", m)
         object.__setattr__(self, "num_cols", n)
         cp = np.asarray(self.col_ptr, dtype=np.int64)
@@ -344,10 +356,15 @@ def _check_x(instance: LpInstance, x) -> np.ndarray:
     return x
 
 
-def _check_y(instance: LpInstance, y) -> np.ndarray:
+def _check_y(instance: LpInstance, y, name: str = "y") -> np.ndarray:
+    """y as a contiguous float64 array; raises ValueError unless it has
+    shape (m,) and every entry is finite.  A NaN entry makes every reduced
+    cost on its row NaN, which no comparison catches downstream."""
     y = np.ascontiguousarray(y, dtype=np.float64)
     if y.shape != (instance.num_rows,):
-        raise ValueError(f"y must have shape ({instance.num_rows},), got {y.shape}")
+        raise ValueError(f"{name} must have shape ({instance.num_rows},), got {y.shape}")
+    if not np.isfinite(y).all():
+        raise ValueError(f"{name} must be finite")
     return y
 
 
@@ -397,11 +414,9 @@ def _sweep(instance: LpInstance, y: np.ndarray, working: np.ndarray | None = Non
     size = n if share is None else 2 * n
     buf = np.empty(size + 2 * parts + instance.num_rows)
     buf[size + 2 * parts:] = y
-    (buf_p,) = _kernel.pointers(("sweep buffer", buf, np.float64, buf.size))
-    working_p = None if working is None else \
-        _kernel.pointers(("working mask", working, np.uint8, n))[0]
-    share_p = None if share is None else \
-        _kernel.pointers(("anchor share", share, np.float64, n))[0]
+    buf_p, working_p, share_p = _kernel.pointers(
+        ("sweep buffer", buf, np.float64, buf.size), ("working mask", working, np.uint8, n),
+        ("anchor share", share, np.float64, n))
     blend_p = None if share is None else buf_p + 8 * n
     counts_p, y_p = buf_p + 8 * size, buf_p + 8 * (size + 2 * parts)
     args = [(lo, hi, *instance._kernel_pointers, y_p, working_p, share_p, alpha, tol, buf_p,
@@ -459,8 +474,10 @@ def relative_optimality(instance: LpInstance, x, opt_value: float) -> float:
 def dual_objective(instance: LpInstance, y) -> float:
     """Upper bound <b,y> + <u, [c - A^T y]_+>, valid for any y >= 0.
 
-    Negative entries of y are clamped to zero (with a warning) rather than
-    rejected, so the returned value is always a valid bound.
+    Raises ValueError for a y that is not of shape (m,) or has a non-finite
+    entry (``_check_y``).  Negative entries are clamped to zero (with a
+    warning) rather than rejected, so the value returned is always a valid
+    bound.
     """
     y = _check_y(instance, y)
     if np.any(y < 0):

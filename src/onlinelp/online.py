@@ -53,14 +53,14 @@ measured every iterate.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from . import _kernel
-from .model import LpInstance, InstanceStats, _check_y, compute_stats, constraint_violation
+from .model import (LpInstance, InstanceStats, _check_count, _check_y, compute_stats,
+                    constraint_violation)
 from .projection import project_weighted_simplex
 
 __all__ = [
@@ -145,12 +145,8 @@ class RunConfig:
                 raise ValueError(f"stepsize mode must be one of {STEPSIZE_MODES} or a float")
         else:
             _fixed_step(self.stepsize)
-        if not isinstance(self.duplication, numbers.Integral):
-            raise ValueError(f"duplication must be an integer, got {self.duplication!r}")
-        if self.duplication < 1:
-            raise ValueError("duplication must be >= 1")
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        _check_count("duplication", self.duplication, 1)
+        _check_count("seed", self.seed, 0)
         if isinstance(self.start, str) and self.start not in STARTS:
             raise ValueError(f"start must be one of {STARTS} or an explicit vector")
         if self.lazy is not True:
@@ -175,8 +171,9 @@ class OnlineSolution:
 
 
 def _fixed_step(step) -> float:
-    """A fixed step as a float; ValueError unless it is finite and positive
-    (an infinite step gives a NaN dual)."""
+    """A step length gamma as a float, the one check of a fixed
+    ``stepsize`` and of both single steps' gamma; ValueError unless it is
+    finite and positive (an infinite step gives a NaN dual)."""
     gamma = float(step)
     if not (0.0 < gamma < math.inf):
         raise ValueError(f"fixed stepsize must be positive and finite, got {gamma!r}")
@@ -236,7 +233,8 @@ def default_stepsize(stats: InstanceStats, num_rows: int, num_cols: int,
         The constant that balances the worst-case gap and violation
         bounds, sqrt(2 c_bar / (d_lo * (a_bar + d_hi)^2 * m * nK)) for the
         explicit update and the same value divided by sqrt(5) for the
-        implicit one.
+        implicit one.  Where c_bar <= 0 (then y* = 0) that value is 0, and
+        the rule falls back to "simple".
 
     The paper's abstract fixes neither the step nor the constants of its
     sqrt(K) claim.  Tuning per coordinate rather than on ||y*|| is this
@@ -262,6 +260,8 @@ def default_stepsize(stats: InstanceStats, num_rows: int, num_cols: int,
         raise ValueError(f"unknown stepsize mode {mode!r}")
     if stats.d_lo <= 0:
         raise ValueError("theorem stepsize needs d_lo > 0 (b must be strictly positive)")
+    if stats.c_bar <= 0:
+        return simple
     n_eff = num_cols * duplication
     base = 2.0 * stats.c_bar / (stats.d_lo * (stats.a_bar + stats.d_hi) ** 2
                                 * num_rows * n_eff)
@@ -308,13 +308,14 @@ def explicit_step(instance: LpInstance, y, j: int, gamma: float,
     a remaining-capacity vector is supplied and column j does not fit) and
     y_next = [y + gamma * (a_j x_k - d)]_+.  It runs the pass engine on the
     one-column sequence (j,), so it is the pass's own arithmetic; the
-    caller's arrays are left untouched.
+    caller's arrays are left untouched.  Raises ValueError for a y that is
+    not finite of shape (m,) (``_check_y``), for a gamma that is not finite
+    and positive (``_fixed_step``) and IndexError for j outside [0, n).
     """
     remaining = (None if remaining_capacity is None
                  else np.array(remaining_capacity, dtype=np.float64))
-    x_sum, y_next, _ = _explicit_pass(instance, np.array([j]), gamma,
-                                      np.asarray(y, dtype=np.float64), remaining,
-                                      norm_bound=None)
+    x_sum, y_next, _ = _explicit_pass(instance, np.array([j]), _fixed_step(gamma),
+                                      _check_y(instance, y), remaining, norm_bound=None)
     return y_next, float(x_sum[j])
 
 
@@ -368,12 +369,12 @@ def implicit_step(instance: LpInstance, y, j: int, gamma: float) -> ProximalSolu
     Minimizes <d,y'> + [c_j - <a_j,y'>]_+ + ||y' - y||^2 / (2 gamma) over
     y' >= 0 by trying the two kink-inactive closed forms first and falling
     back to the weighted-simplex projection when the kink is active.
-    Raises ValueError for a y of the wrong shape and IndexError for j
-    outside [0, n).
+    Raises ValueError for a y that is not finite of shape (m,)
+    (``_check_y``), for a gamma that is not finite and positive
+    (``_fixed_step``) and IndexError for j outside [0, n).
     """
     y = _check_y(instance, y)
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    gamma = _fixed_step(gamma)
     d = instance.rhs / instance.num_cols
     rows, vals = instance.column(j)
     return _implicit_step_core(y, rows, vals, float(instance.obj[j]), gamma * d, gamma)
@@ -381,16 +382,12 @@ def implicit_step(instance: LpInstance, y, j: int, gamma: float) -> ProximalSolu
 
 # -- pass engines ------------------------------------------------------------
 
-def _resolve_start(start, num_rows: int) -> np.ndarray:
+def _resolve_start(start, instance: LpInstance) -> np.ndarray:
     if isinstance(start, str):
         if start == "zero":
-            return np.zeros(num_rows)
-        return np.ones(num_rows)
-    y0 = np.asarray(start, dtype=np.float64).copy()
-    if y0.shape != (num_rows,):
-        raise ValueError(f"start vector must have shape ({num_rows},)")
-    if not np.isfinite(y0).all():
-        raise ValueError("start vector must be finite")
+            return np.zeros(instance.num_rows)
+        return np.ones(instance.num_rows)
+    y0 = _check_y(instance, start, "start vector")
     if np.any(y0 < 0):
         raise ValueError("start vector must be nonnegative")
     return y0
@@ -522,14 +519,11 @@ def _compiled_loop(instance, seq, gamma, step_d, y_base, last, remaining, x_sum,
     """``_python_loop`` in one call of the compiled kernel, which writes in
     place through the pointers of the same arrays."""
     m = instance.num_rows
-    step_d_p, seq_p, y_base_p, last_p, x_sum_p = _kernel.pointers(
+    step_d_p, seq_p, y_base_p, last_p, x_sum_p, remaining_p, max_norm_p = _kernel.pointers(
         ("step_d", step_d, np.float64, m), ("seq", seq, np.int64, seq.size),
         ("y_base", y_base, np.float64, m), ("last", last, np.int64, m),
-        ("x_sum", x_sum, np.float64, instance.num_cols))
-    remaining_p = None if remaining is None else \
-        _kernel.pointers(("capacity", remaining, np.float64, m))[0]
-    max_norm_p = None if max_norm is None else \
-        _kernel.pointers(("max_norm", max_norm, np.float64, 1))[0]
+        ("x_sum", x_sum, np.float64, instance.num_cols),
+        ("capacity", remaining, np.float64, m), ("max_norm", max_norm, np.float64, 1))
     return _kernel.load().explicit_pass(
         m, *instance._kernel_pointers, step_d_p, gamma, seq_p, seq.size, y_base_p, last_p,
         remaining_p, x_sum_p, math.inf if norm_bound is None else norm_bound, max_norm_p)
@@ -618,7 +612,7 @@ def solve_online(instance: LpInstance, config: RunConfig) -> OnlineSolution:
             "instance violates d = b/n > 0; pass check_assumptions=False to override"
         )
     gamma = default_stepsize(stats, m, n, k, config.method, config.stepsize)
-    start_y = _resolve_start(config.start, m)
+    start_y = _resolve_start(config.start, scaled)
     seq = _column_sequence(n, k, config.seed)
     remaining = k * scaled.rhs.astype(np.float64) if config.enforce_feasibility else None
 

@@ -11,6 +11,8 @@ breakpoint search; f_bar (``model._uniform_dual_value``) searches them too.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["project_weighted_simplex", "ProjectionInfeasibleError"]
@@ -69,6 +71,10 @@ def project_weighted_simplex(v, w, target: float, return_multiplier: bool = Fals
 
     Raises
     ------
+    ValueError
+        When v and w are not 1-d of equal length, or an entry of v or w or
+        the target is not finite: the search's test on the attained target
+        is False for a NaN, so it would return a NaN or a wrong y.
     ProjectionInfeasibleError
         When no multiplier attains the target (the feasible set is empty,
         e.g. w >= 0 with a negative target).
@@ -78,6 +84,8 @@ def project_weighted_simplex(v, w, target: float, return_multiplier: bool = Fals
     if v.shape != w.shape or v.ndim != 1:
         raise ValueError("v and w must be 1-d arrays of equal length")
     target = float(target)
+    if not (math.isfinite(target) and np.isfinite((v, w)).all()):
+        raise ValueError("v, w and target must be finite")
 
     nz = w != 0.0
     if not np.any(nz):

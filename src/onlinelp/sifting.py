@@ -21,13 +21,12 @@ pricing sweep (``solve_s``, ``price_s``) within its ``wall_time_s``.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import LpInstance, _check_y, _sweep
+from .model import LpInstance, _check_count, _check_y, _sweep
 from .online import OnlineSolution
 from .simplex import SimplexResult, SolveStatus, solve_lp
 
@@ -55,12 +54,6 @@ class SiftRoundLimit(RuntimeError):
     def __init__(self, message: str, partial: "SiftResult"):
         super().__init__(message)
         self.partial = partial
-
-
-def _check_count(name: str, value, least: int) -> None:
-    """Refuse a count that is not an integer >= least; numpy integers pass."""
-    if not (isinstance(value, numbers.Integral) and value >= least):
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -133,24 +126,13 @@ def _top(scores: np.ndarray, k: int) -> np.ndarray:
     return np.flatnonzero(picked).astype(np.int64)
 
 
-def _finite_dual(instance: LpInstance, y) -> np.ndarray:
-    """y as a contiguous float64 array of size m; raises ValueError unless
-    it has that shape and every entry is finite.  A NaN in y makes the
-    reduced cost of every column on its row NaN, which no test prices, so
-    a sweep against it could certify anything."""
-    y = _check_y(instance, y)
-    if not np.isfinite(y).all():
-        raise ValueError("the dual y must be finite")
-    return y
-
-
 def init_working_set(instance: LpInstance, y, count: int) -> np.ndarray:
     """The ``count`` columns with the largest reduced cost c_j - <a_j, y>,
     ties to the lower index, as a sorted int64 array; every column when
     count >= n.  Raises ValueError for a y with a non-finite entry and for
     a count that is not an integer >= 0."""
     _check_count("count", count, 0)
-    return _top(_sweep(instance, _finite_dual(instance, y))[0], count)
+    return _top(_sweep(instance, _check_y(instance, y))[0], count)
 
 
 def price(instance: LpInstance, working_set, y, tol: float = 1e-7,
@@ -169,7 +151,7 @@ def price(instance: LpInstance, working_set, y, tol: float = 1e-7,
     another column, which then went unpriced, and a cap below 1 would price
     nothing, so each could return a false certificate.
     """
-    y = _finite_dual(instance, y)
+    y = _check_y(instance, y)
     n = instance.num_cols
     if not math.isfinite(tol):
         raise ValueError("tol must be finite")
@@ -243,7 +225,7 @@ def sift(instance: LpInstance, online_solution: OnlineSolution,
     if np.any(instance.rhs < 0):
         raise ValueError("sifting requires b >= 0 (all-slack start must be feasible)")
 
-    anchor = np.maximum(_finite_dual(instance, online_solution.y_final), 0.0)
+    anchor = np.maximum(_check_y(instance, online_solution.y_final), 0.0)
     anchor_reduced = _sweep(instance, anchor)[0]
     w = _top(anchor_reduced, m)
     anchor_share = (1.0 - ALPHA) * anchor_reduced   # the blend's fixed part

@@ -94,7 +94,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -103,7 +102,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from . import _kernel
-from .model import LpInstance, _gather
+from .model import LpInstance, _check_count, _gather
 
 _getrf, _getri = sla.get_lapack_funcs(("getrf", "getri"), (np.zeros((1, 1)),))
 
@@ -463,8 +462,8 @@ def solve_lp(instance: LpInstance, warm_basis=None, max_iter: int | None = None,
     m = instance.num_rows
     if m > DENSE_LIMIT:
         raise ValueError(f"m={m} exceeds the dense-solver limit {DENSE_LIMIT}")
-    if max_iter is not None and not (isinstance(max_iter, numbers.Integral) and max_iter >= 0):
-        raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
+    if max_iter is not None:
+        _check_count("max_iter", max_iter, 0)
     b = instance.rhs
     neg_rows = (b < 0).nonzero()[0]
     ws = _Workspace(instance, neg_rows, columns)

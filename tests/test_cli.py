@@ -451,17 +451,17 @@ class TestPlumbing:
         assert hidden == [("sift", ["--prepass-lazy"])]
 
     @pytest.mark.parametrize("args, message", [
-        (["solve", "--k", "0"], "duplication must be >= 1"),
+        (["solve", "--k", "0"], "duplication must be an integer >= 1, got 0"),
         (["solve", "--stepsize", "-1"], "fixed stepsize must be positive"),
         (["solve", "--stepsize", "inf"], "fixed stepsize must be positive and finite"),
         (["solve", "--stepsize", "nan"], "fixed stepsize must be positive and finite"),
         (["solve", "--stepsize", "fast"], "stepsize mode must be one of"),
-        (["sift", "--prepass-k", "0"], "duplication must be >= 1"),
+        (["sift", "--prepass-k", "0"], "duplication must be an integer >= 1, got 0"),
         (["bench", "--sizes", "5"], "size '5' is not MxN"),
         (["bench", "--sizes", "5x"], "invalid literal for int()"),
         (["bench", "--taus", "0.2,,0.3"], "could not convert string to float"),
         (["bench", "--methods", "foo"], "method must be one of"),
-        (["bench", "--reps", "-2"], "reps must be >= 0"),
+        (["bench", "--reps", "-2"], "reps must be an integer >= 0, got -2"),
         (["solve", "--max-k", "0", "--until-eps", "1e-9"], "max_k must be >= k (1)"),
         (["solve", "--k", "8", "--max-k", "4", "--until-eps", "1e-9"], "max_k must be >= k (8)"),
         # a target that is never met doubled K up to the cap and exited 5
@@ -469,10 +469,11 @@ class TestPlumbing:
         (["solve", "--until-eps", "-1"], "until_eps must be >= 0, got -1.0"),
         (["solve", "--until-eps=-inf", "--max-k", "0"], "until_eps must be >= 0, got -inf"),
         # negative seeds failed mid-run: a traceback, "solve failed", every cell failed
-        (["gen", "--m", "3", "--n", "20", "--tau", "0.4", "--seed", "-2"], "seed must be >= 0"),
-        (["solve", "--run-seed", "-1"], "seed must be a non-negative integer"),
-        (["sift", "--run-seed", "-1"], "seed must be a non-negative integer"),
-        (["bench", "--sizes", "3x20", "--seed", "-1"], "seed must be >= 0"),
+        (["gen", "--m", "3", "--n", "20", "--tau", "0.4", "--seed", "-2"],
+         "seed must be an integer >= 0, got -2"),
+        (["solve", "--run-seed", "-1"], "seed must be an integer >= 0, got -1"),
+        (["sift", "--run-seed", "-1"], "seed must be an integer >= 0, got -1"),
+        (["bench", "--sizes", "3x20", "--seed", "-1"], "seed must be an integer >= 0, got -1"),
     ])
     def test_out_of_range_setting_is_usage_error(self, tmp_path, capsys, args, message):
         target = ["--out", str(tmp_path / "x.csv")] if args[0] in ("gen", "bench") else \

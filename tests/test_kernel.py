@@ -316,6 +316,15 @@ def test_the_compiled_loop_refuses_an_array_it_would_misread(compiled, spoil):
     assert not (y_base.any() or last.any() or x_sum.any() or max_norm.any())
 
 
+def test_pointers_give_none_for_an_absent_array():
+    a, b = np.zeros(3), np.zeros(2, dtype=np.int64)
+    assert _kernel.pointers(("a", a, np.float64, 3), ("none", None, np.uint8, 9),
+                            ("b", b, np.int64, 2)) == [a.ctypes.data, None, b.ctypes.data]
+    # an absent array does not excuse the others from their checks
+    with pytest.raises(ValueError, match="b must be contiguous int64 of size 3"):
+        _kernel.pointers(("none", None, np.float64, 3), ("b", b, np.int64, 3))
+
+
 # -- the explicit loop's lookahead ---------------------------------------------
 # The compiled loop reads ahead in seq by AHEAD and 2 AHEAD steps; these runs
 # put the ends of the stream, its empty columns and an early escape inside

@@ -10,6 +10,7 @@ from onlinelp.model import (
     optimality_gap,
     relative_optimality,
     dual_objective,
+    evaluate_solution,
     stopping_residual,
 )
 from onlinelp.simplex import solve_lp
@@ -26,9 +27,22 @@ class TestLpInstance:
         assert inst.num_rows == 1 and inst.num_cols == 1
         assert inst.nnz == 1
 
-    def test_rejects_degenerate(self):
-        with pytest.raises(ValueError):
-            LpInstance(0, 1, [0, 0], [], [], [], [1.0], [1.0])
+    @pytest.mark.parametrize("m, n, message", [
+        (0, 1, "num_rows must be an integer >= 1, got 0"),
+        (1, 0, "num_cols must be an integer >= 1, got 0"),
+        # 2.7 x 3.9 built a 2 x 3 instance, and "2" was taken for 2
+        (2.7, 3, "num_rows must be an integer >= 1, got 2.7"),
+        (2, 3.9, "num_cols must be an integer >= 1, got 3.9"),
+        ("2", 3, "num_rows must be an integer >= 1, got '2'")])
+    def test_rejects_degenerate(self, m, n, message):
+        with pytest.raises(ValueError, match=message):
+            LpInstance(m, n, [0, 1, 2, 3], [0, 1, 0], [1.0] * 3, [1.0] * 2, [1.0] * 3,
+                       [1.0] * 3)
+
+    def test_numpy_integer_sizes_are_accepted(self):
+        inst = LpInstance(np.int32(2), np.int64(3), [0, 1, 2, 3], [0, 1, 0], [1.0] * 3,
+                          [1.0] * 2, [1.0] * 3, [1.0] * 3)
+        assert (inst.num_rows, inst.num_cols) == (2, 3) and type(inst.num_rows) is int
 
     def test_rejects_bad_col_ptr(self):
         with pytest.raises(ValueError):
@@ -399,6 +413,18 @@ class TestDualObjective:
         inst = LpInstance.from_dense([[1.0]], [1.0], [1.0], upper=[np.inf])
         # y = 1 zeroes the reduced cost; inf * 0 must not poison the bound
         assert dual_objective(inst, [1.0]) == 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_dual_that_is_not_finite_is_refused(self, bad):
+        # a NaN gave a NaN bound, and stopping_residual read it as inf
+        inst = generate_mkp(MkpParams(m=3, n=20, tightness=0.3, seed=1))
+        y, x = [bad, 0.0, 0.0], np.zeros(20)
+        with pytest.raises(ValueError, match="y must be finite"):
+            dual_objective(inst, y)
+        with pytest.raises(ValueError, match="y must be finite"):
+            evaluate_solution(inst, x, y=y)
+        with pytest.raises(ValueError, match="y must be finite"):
+            stopping_residual(inst, x, y)
 
 
 class TestDualBoundProperty:

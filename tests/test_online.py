@@ -82,6 +82,17 @@ class TestDefaultStepsize:
         gi = default_stepsize(stats, 2, 2, 1, "implicit", "theorem")
         assert gi == pytest.approx(ge / math.sqrt(5))
 
+    @pytest.mark.parametrize("method", ["explicit", "implicit"])
+    def test_theorem_on_a_zero_objective_falls_back_to_simple(self, method):
+        # c_bar = 0 resolved to gamma = 0: the explicit pass ran with it and
+        # the implicit one raised ZeroDivisionError at x = -theta / gamma
+        stats = InstanceStats(a_bar=1, c_bar=0, d_lo=1, d_hi=1, nnz=4, assumptions_ok=True)
+        assert default_stepsize(stats, 2, 3, 2, method, "theorem") == 1 / math.sqrt(12)
+        inst = LpInstance.from_dense([[1, 2, 1], [2, 1, 1]], [1, 1], [0, 0, 0])
+        sol = solve_online(inst, RunConfig(method=method, stepsize="theorem", duplication=2))
+        assert sol.gamma == 1 / math.sqrt(12)
+        assert np.all(np.isfinite(sol.y_final)) and sol.objective == 0.0
+
     def test_theorem_rejects_bad_d(self):
         stats = InstanceStats(1, 1, 0.0, 1, 1, False)
         with pytest.raises(ValueError):
@@ -232,8 +243,27 @@ class TestImplicitStep:
     def test_a_dual_of_the_wrong_shape_is_refused(self, shape):
         # a y of shape (1,) once broadcast against d without a word
         inst = LpInstance.from_dense([[1.0, 2.0], [3.0, 4.0]], [1.0, 1.0], [1.0, 1.0])
-        with pytest.raises(ValueError, match=r"y must have shape \(2,\)"):
-            implicit_step(inst, np.zeros(shape), 0, 0.1)
+        for step in (implicit_step, explicit_step):
+            with pytest.raises(ValueError, match=r"y must have shape \(2,\)"):
+                step(inst, np.zeros(shape), 0, 0.1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_dual_that_is_not_finite_is_refused(self, bad):
+        # a NaN in y gave an all-NaN y_plus tagged KINK_ACTIVE: the KKT
+        # check resid > KKT_TOL is False for a NaN residual
+        inst = LpInstance.from_dense([[1.0, 2.0], [3.0, 4.0]], [1.0, 1.0], [1.0, 1.0])
+        for step in (implicit_step, explicit_step):
+            with pytest.raises(ValueError, match="y must be finite"):
+                step(inst, np.array([bad, 0.0]), 0, 0.1)
+
+    @pytest.mark.parametrize("gamma", [-1.0, 0.0, math.nan, math.inf])
+    def test_a_step_length_that_is_not_finite_and_positive_is_refused(self, gamma):
+        # explicit_step ran with -1 and NaN (x = 1, NaN dual); implicit_step
+        # gave an all-NaN y_plus for NaN and inf
+        inst = LpInstance.from_dense([[1.0, 2.0], [3.0, 4.0]], [1.0, 1.0], [1.0, 1.0])
+        for step in (implicit_step, explicit_step):
+            with pytest.raises(ValueError, match="fixed stepsize must be positive and finite"):
+                step(inst, np.zeros(2), 0, gamma)
 
     def test_matches_grid_oracle(self):
         rng = np.random.default_rng(11)
@@ -356,7 +386,7 @@ class TestExplicitEngine:
     @pytest.mark.parametrize("seed", [2.5, 3.0, -1, "3"])
     def test_a_seed_that_is_no_non_negative_integer_is_refused(self, seed):
         # 2.5 and -1 failed mid-run with numpy's TypeError and ValueError
-        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
             RunConfig(seed=seed)
 
     def test_a_numpy_integer_seed_is_accepted(self):

@@ -59,6 +59,18 @@ class TestKnownValues:
         with pytest.raises(ProjectionInfeasibleError):
             project_weighted_simplex([1.0], [0.0], 2.0)
 
+    @pytest.mark.parametrize("v, w, target", [
+        ([1.0, 2.0], [1.0, 1.0], np.nan), ([1.0, 2.0], [1.0, 1.0], -np.inf),
+        ([1.0, 2.0], [1.0, 1.0], np.inf), ([np.nan, 2.0], [1.0, 1.0], 1.0),
+        ([1.0, np.inf], [1.0, 1.0], 1.0), ([1.0, 2.0], [1.0, np.nan], 1.0),
+        ([1.0, 2.0], [-np.inf, 1.0], 1.0), ([np.nan, 2.0], [0.0, 0.0], 0.0)])
+    def test_data_that_is_not_finite_is_refused(self, v, w, target):
+        # a NaN or -inf target gave y = [0, 0] and theta = 2, +inf gave
+        # y = [inf, inf], and a NaN in v or w an all-NaN y
+        with pytest.raises(ValueError, match="v, w and target must be finite") as exc:
+            project_weighted_simplex(v, w, target, return_multiplier=True)
+        assert not isinstance(exc.value, ProjectionInfeasibleError)
+
     def test_mixed_sign_reaches_negative_target(self):
         y = project_weighted_simplex([0.0, 0.0], [1.0, -1.0], -2.0)
         assert float(np.array([1.0, -1.0]) @ y) == pytest.approx(-2.0, abs=1e-9)
