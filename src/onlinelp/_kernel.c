@@ -37,7 +37,8 @@ enum { AHEAD = 8 };
 
 /* Runs steps 0 .. T-1 of seq, forming only the visited column's entries
  * of y: O(nnz) work.  Updates y_base, last, remaining (may be NULL), x_sum
- * and max_norm in place.  max_norm is NULL for an unchecked pass;
+ * and max_norm in place; scratch holds m doubles of the caller's, which
+ * the pass overwrites.  max_norm is NULL for an unchecked pass;
  * otherwise the pass raises it, from the caller's 0, to the largest
  * ||y^k|| of y^0 and of each iterate after an accepted step, the only
  * iterates that can set a new largest norm when d > 0.  Returns T, or
@@ -50,12 +51,20 @@ enum { AHEAD = 8 };
  * fetched, the first and last entries of that column and its c.  (The
  * write to x_sum[j] needs no hint: a store does not hold up the step.)
  * The last 2 AHEAD steps take no hints.  The hints read only values a
- * later step reads anyway and change no arithmetic. */
+ * later step reads anyway and change no arithmetic.
+ *
+ * Each visited entry's value ym = [y_base_r - (k - last_r) gamma d_r]_+ is
+ * formed once, by the dot product, which keeps it in scratch for the
+ * update.  That is bitwise the value the update would form afresh: a
+ * column's rows strictly increase (LpInstance refuses any other), so no
+ * y_base_r or last_r changes between the two loops, and a column holds at
+ * most m entries.  Whether the copy is accepted is fixed before the
+ * update, so the update has one loop for each outcome. */
 int64_t explicit_pass(int64_t m, const int64_t *col_ptr, const int64_t *row_idx,
                       const double *vals, const double *c, const double *step_d,
                       double gamma, const int64_t *seq, int64_t T, double *y_base,
                       int64_t *last, double *remaining, double *x_sum,
-                      double norm_bound, double *max_norm)
+                      double norm_bound, double *max_norm, double *scratch)
 {
     int measure = max_norm != NULL;   /* at y^0, then after each accepted step */
     for (int64_t k = 0;; k++) {
@@ -82,22 +91,34 @@ int64_t explicit_pass(int64_t m, const int64_t *col_ptr, const int64_t *row_idx,
             PREFETCH(c + ja);
         }
         int64_t j = seq[k], lo = col_ptr[j], hi = col_ptr[j + 1];
+        const int64_t *rows = row_idx + lo;
+        const double *a = vals + lo;
+        int64_t len = hi - lo;
         double dot = 0.0;
-        for (int64_t p = lo; p < hi; p++) {
-            int64_t r = row_idx[p];
-            dot += vals[p] * clamp(y_base[r] - (double)(k - last[r]) * step_d[r]);
+        for (int64_t t = 0; t < len; t++) {
+            int64_t r = rows[t];
+            double ym = clamp(y_base[r] - (double)(k - last[r]) * step_d[r]);
+            scratch[t] = ym;
+            dot += a[t] * ym;
         }
         int x = c[j] > dot;
-        for (int64_t p = lo; x && remaining && p < hi; p++)
-            if (!(remaining[row_idx[p]] >= vals[p])) x = 0;
-        for (int64_t p = lo; p < hi; p++) {
-            int64_t r = row_idx[p];
-            double ym = clamp(y_base[r] - (double)(k - last[r]) * step_d[r]);
-            if (x && remaining) remaining[r] -= vals[p];
-            y_base[r] = x ? clamp((ym + gamma * vals[p]) - step_d[r]) : clamp(ym - step_d[r]);
-            last[r] = k + 1;
+        for (int64_t t = 0; x && remaining && t < len; t++)
+            if (!(remaining[rows[t]] >= a[t])) x = 0;
+        if (x) {
+            for (int64_t t = 0; t < len; t++) {
+                int64_t r = rows[t];
+                if (remaining) remaining[r] -= a[t];
+                y_base[r] = clamp((scratch[t] + gamma * a[t]) - step_d[r]);
+                last[r] = k + 1;
+            }
+            x_sum[j] += 1.0;
+        } else {
+            for (int64_t t = 0; t < len; t++) {
+                int64_t r = rows[t];
+                y_base[r] = clamp(scratch[t] - step_d[r]);
+                last[r] = k + 1;
+            }
         }
-        if (x) x_sum[j] += 1.0;
         measure = x && max_norm;
     }
 }

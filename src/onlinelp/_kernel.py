@@ -18,7 +18,8 @@ have the kernel read the wrong memory.  An optional array that is absent
 goes in as None and comes out as None, the kernel's NULL.
 
 - ``explicit_pass`` takes the same arguments as its reference,
-  ``online._python_loop``.  ``simplex_pivots`` takes what its reference,
+  ``online._python_loop``, and a scratch of m doubles that it
+  overwrites.  ``simplex_pivots`` takes what its reference,
   ``simplex._python_pivots``, reads through (ws, cost, limit): the cost's
   pointer, then those of the arrays the simplex workspace keeps, which the
   workspace looks up once, and the limit.  Both update the same arrays in
@@ -98,7 +99,8 @@ _SIGNATURES = {
         _i64, _ptr, _ptr, _ptr, _ptr, _ptr,    # m, col_ptr, row_idx, vals, c, step_d
         _f64, _ptr, _i64,                      # gamma, seq, T
         _ptr, _ptr, _ptr, _ptr,                # y_base, last, remaining, x_sum
-        _f64, _ptr,                            # norm_bound, max_norm (NULL: unchecked)
+        _f64, _ptr, _ptr,                      # norm_bound, max_norm (NULL: unchecked),
+                                               # scratch (m doubles)
     )),
     # after cost, the simplex workspace's arrays; the ext arrays are [A I -E]
     "simplex_pivots": (_int, (

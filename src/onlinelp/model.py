@@ -64,8 +64,10 @@ _PART_FLOOR = 1 << 17
 
 
 def _check_count(name: str, value, least: int) -> None:
-    """Refuse a count that is not an integer >= least; numpy integers pass."""
-    if not (isinstance(value, numbers.Integral) and value >= least):
+    """Refuse a count that is not an integer >= least; numpy integers pass,
+    bools do not (numpy's bool is no Integral)."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= least):
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
@@ -350,9 +352,14 @@ class Metrics:
 
 
 def _check_x(instance: LpInstance, x) -> np.ndarray:
+    """x as a contiguous float64 array; raises ValueError unless it has
+    shape (n,) and every entry is finite.  A NaN entry would make the
+    violation and the objective NaN, which no comparison catches."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.shape != (instance.num_cols,):
         raise ValueError(f"x must have shape ({instance.num_cols},), got {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("x must be finite")
     return x
 
 

@@ -60,7 +60,9 @@ class TestGenerateMkp:
     @pytest.mark.parametrize("field, value, message", [
         ("m", 2.5, "m must be an integer"), ("n", 10.0, "n must be an integer"),
         ("seed", 1.5, "seed must be an integer"), ("seed", -1, "seed must be an integer >= 0"),
-        ("n", 0, "n must be an integer >= 1, got 0")])
+        ("n", 0, "n must be an integer >= 1, got 0"),
+        ("m", True, "m must be an integer >= 1, got True"),
+        ("seed", False, "seed must be an integer >= 0, got False")])
     def test_a_setting_that_is_no_fitting_integer_is_refused(self, field, value, message):
         # each failed later inside generate_mkp with numpy's TypeError or ValueError
         with pytest.raises(ValueError, match=message):

@@ -264,11 +264,15 @@ def loop_state(loop, instance, seq, gamma, start, capacity, bound):
 
 
 @pytest.mark.parametrize("capacity", [False, True], ids=["free", "capacity"])
-def test_both_loops_leave_the_same_state(compiled, capacity):
-    inst = generate_mkp(MkpParams(m=8, n=60, tightness=0.3, density=0.5, seed=9))
+# at density 1 and at m = 1 every column fills the compiled loop's scratch;
+# there a tightness of 1 lets copies fit, under capacity, and accept
+@pytest.mark.parametrize("m, density, tightness", [(8, 0.5, 0.3), (8, 1.0, 1.0), (1, 1.0, 1.0)],
+                         ids=["m8-half", "m8-full", "m1"])
+def test_both_loops_leave_the_same_state(compiled, capacity, m, density, tightness):
+    inst = generate_mkp(MkpParams(m=m, n=60, tightness=tightness, density=density, seed=9))
     gamma = solve_online(inst, RunConfig(duplication=4)).gamma
     seq = np.random.default_rng(9).permutation(4 * 60) % 60
-    start = np.random.default_rng(9).uniform(0.0, 0.1, 8)
+    start = np.random.default_rng(9).uniform(0.0, 0.1, m)
     cap = 4 * inst.rhs if capacity else None
     k, free = loop_state(online._python_loop, inst, seq, gamma, start, cap, None)
     assert k == seq.size
@@ -288,14 +292,14 @@ def test_both_loops_leave_the_same_state(compiled, capacity):
 
 @pytest.mark.parametrize("spoil", ["float32 step_d", "int32 seq", "strided y_base",
                                    "int32 last", "strided capacity", "short x_sum",
-                                   "long max_norm"])
+                                   "long max_norm", "short scratch"])
 def test_the_compiled_loop_refuses_an_array_it_would_misread(compiled, spoil):
     inst = generate_mkp(MkpParams(m=4, n=30, tightness=0.3, seed=1))
     m, n = 4, 30
     step_d = 0.01 * (inst.rhs / n)
     seq = np.arange(n, dtype=np.int64)
     y_base, last, capacity = np.zeros(m), np.zeros(m, dtype=np.int64), inst.rhs.copy()
-    x_sum, max_norm = np.zeros(n), np.zeros(1)
+    x_sum, max_norm, scratch = np.zeros(n), np.zeros(1), np.empty(m)
     if spoil == "float32 step_d":
         step_d = step_d.astype(np.float32)
     elif spoil == "int32 seq":
@@ -308,12 +312,35 @@ def test_the_compiled_loop_refuses_an_array_it_would_misread(compiled, spoil):
         capacity = np.repeat(capacity, 2)[::2]
     elif spoil == "short x_sum":
         x_sum = np.zeros(n - 1)
-    else:
+    elif spoil == "long max_norm":
         max_norm = np.zeros(2)
+    else:
+        scratch = np.empty(m - 1)
     with pytest.raises(ValueError, match="must be contiguous"):
         online._compiled_loop(inst, seq, 0.01, step_d, y_base, last, capacity, x_sum,
-                              math.inf, max_norm)
+                              math.inf, max_norm, scratch=scratch)
     assert not (y_base.any() or last.any() or x_sum.any() or max_norm.any())
+
+
+@pytest.mark.parametrize("capacity", [False, True], ids=["free", "capacity"])
+def test_explicit_step_on_a_full_column_matches(compiled, monkeypatch, capacity):
+    # every column has an entry in each of the m rows, so it fills the
+    # compiled loop's scratch; the steps accept and refuse
+    inst = generate_mkp(MkpParams(m=8, n=20, tightness=0.3, density=1.0, seed=2))
+    assert np.all(np.diff(inst.col_ptr) == 8)
+    starts = (np.zeros(8), np.random.default_rng(2).uniform(0.0, 2.0, 8))
+    taken = set()
+    for y in starts:
+        for j in range(inst.num_cols):
+            # none, some or all of the column's entries fit
+            cap = np.full(8, inst.values.max() * (j % 3) / 2) if capacity else None
+            got = explicit_step(inst, y, j, 0.05, cap)
+            with monkeypatch.context() as mp:
+                mp.setattr(_kernel, "_state", (None, "reference run"))
+                want = explicit_step(inst, y, j, 0.05, cap)
+            assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
+            taken.add(got[1])
+    assert taken == {0.0, 1.0}
 
 
 def test_pointers_give_none_for_an_absent_array():

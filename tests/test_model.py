@@ -33,7 +33,10 @@ class TestLpInstance:
         # 2.7 x 3.9 built a 2 x 3 instance, and "2" was taken for 2
         (2.7, 3, "num_rows must be an integer >= 1, got 2.7"),
         (2, 3.9, "num_cols must be an integer >= 1, got 3.9"),
-        ("2", 3, "num_rows must be an integer >= 1, got '2'")])
+        ("2", 3, "num_rows must be an integer >= 1, got '2'"),
+        # a bool is an Integral: True built a one-row instance
+        (True, 3, "num_rows must be an integer >= 1, got True"),
+        (2, np.True_, r"num_cols must be an integer >= 1, got (np\.True_|True)")])
     def test_rejects_degenerate(self, m, n, message):
         with pytest.raises(ValueError, match=message):
             LpInstance(m, n, [0, 1, 2, 3], [0, 1, 0], [1.0] * 3, [1.0] * 2, [1.0] * 3,
@@ -349,6 +352,21 @@ class TestViolation:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             constraint_violation(toy_half_lp(), [1.0])
+
+
+class TestFiniteX:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_primal_that_is_not_finite_is_refused(self, bad):
+        # a NaN gave a NaN violation and gap, and evaluate_solution passed them on
+        inst = toy_half_lp()
+        x = [bad, 0.0]
+        for measure in (lambda: constraint_violation(inst, x),
+                        lambda: optimality_gap(inst, x, 1.0),
+                        lambda: relative_optimality(inst, x, 1.0),
+                        lambda: evaluate_solution(inst, x, 1.0),
+                        lambda: stopping_residual(inst, x, [0.0])):
+            with pytest.raises(ValueError, match="^x must be finite$"):
+                measure()
 
 
 class TestGapAndRelative:

@@ -377,13 +377,13 @@ class TestExplicitEngine:
         assert np.array_equal(dense.x_hat, sol.x_hat)
         assert np.array_equal(dense.y_final, sol.y_final)
 
-    @pytest.mark.parametrize("k", [2.5, 2.0, "2", None])
+    @pytest.mark.parametrize("k", [2.5, 2.0, "2", None, True])
     def test_a_duplication_that_is_no_integer_is_refused(self, k):
         # 2.5 failed mid-run with numpy's TypeError
         with pytest.raises(ValueError, match="duplication must be an integer"):
             RunConfig(duplication=k)
 
-    @pytest.mark.parametrize("seed", [2.5, 3.0, -1, "3"])
+    @pytest.mark.parametrize("seed", [2.5, 3.0, -1, "3", True])
     def test_a_seed_that_is_no_non_negative_integer_is_refused(self, seed):
         # 2.5 and -1 failed mid-run with numpy's TypeError and ValueError
         with pytest.raises(ValueError, match="seed must be an integer >= 0"):

@@ -52,7 +52,7 @@ class TestInitWorkingSet:
         want = np.sort(np.lexsort((np.arange(40), -reduced))[:7])
         np.testing.assert_array_equal(init_working_set(inst, y, 7), want)
 
-    @pytest.mark.parametrize("count", [2.5, 2.0, -1, "2"])
+    @pytest.mark.parametrize("count", [2.5, 2.0, -1, "2", True])
     def test_a_count_that_is_no_non_negative_integer_is_refused(self, count):
         # a float raised numpy's TypeError from np.partition; -1 took no column
         with pytest.raises(ValueError, match=f"^count must be an integer >= 0, got {count!r}$"):
@@ -161,7 +161,7 @@ class TestPrice:
             price(inst, [], np.zeros(1), anchor_share=(1 - sifting.ALPHA) * np.full(3, -10.0)),
             [0, 1, 2])
 
-    @pytest.mark.parametrize("max_new", [0, -2, 2.5, 2.0, "2"])
+    @pytest.mark.parametrize("max_new", [0, -2, 2.5, 2.0, "2", True])
     def test_a_cap_that_is_no_integer_from_one_up_is_refused(self, max_new):
         # y = 0 prices every column; a cap that kept none read as a
         # certificate, and a float or str cap raised a TypeError from np.partition
@@ -396,7 +396,7 @@ class TestSift:
             SiftConfig(max_new_columns_per_round=0)
 
     @pytest.mark.parametrize("field", ["max_rounds", "max_new_columns_per_round"])
-    @pytest.mark.parametrize("value", [2.5, 3.0, "3"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, "3", True])
     def test_a_count_that_is_no_integer_is_refused(self, field, value):
         # 2.5 failed mid-run with numpy's TypeError
         with pytest.raises(ValueError, match=f"{field} must be .*an integer >= 1"):

@@ -242,7 +242,7 @@ class TestMaxIter:
         cold = solve_lp(inst, max_iter=0)
         assert cold.status is SolveStatus.ITERATION_LIMIT and cold.iterations == 0
 
-    @pytest.mark.parametrize("max_iter", [-1, -3, 4.5, 4.0])
+    @pytest.mark.parametrize("max_iter", [-1, -3, 4.5, 4.0, True])
     def test_a_max_iter_that_is_no_count_is_refused(self, engine, max_iter):
         # -3 returned ITERATION_LIMIT; 4.5 raised ctypes' ArgumentError on
         # the kernel and ran 5 pivots on the reference
