@@ -33,13 +33,10 @@ for a checked pass, a one-slot norm maximum, update them in place, and
 return the number of steps run or the step whose norm escaped its bound
 (``_explicit_pass`` raises that escape).  The kernel takes one array more,
 a scratch of m doubles that ``_compiled_loop`` allocates, where it keeps
-each visited entry's value for the update rather than forming it twice:
-on the kernel alone that took a step from 88 to 68 ns at m=100, n=10^5,
-K=2 and from 49 to 35 ns at m=8, n=1000, K=32 with capacity (medians of
-60 interleaved calls, raw, on a shared 2-core x86-64 box).  They agree
-bit for bit under the sum contract stated in ``_kernel``.  Every sum of the pass engines,
-explicit and implicit, is added term by term in stored order, starting
-from the first term (``_sum``):
+each visited entry's value between the pricing and the update.  They
+agree bit for bit under the sum contract stated in ``_kernel``.  Every sum
+of the pass engines, explicit and implicit, is added term by term in stored
+order, starting from the first term (``_sum``):
 
 * the pricing dot product <a_j, y> over the nonzeros of column j, 0.0 for
   an empty column, and the implicit step's sign tests and KKT residual;
@@ -520,13 +517,12 @@ def _python_loop(instance, seq, gamma, step_d, y_base, last, remaining, x_sum, n
 
 
 def _compiled_loop(instance, seq, gamma, step_d, y_base, last, remaining, x_sum, norm_bound,
-                   max_norm, *, scratch=None) -> int:
+                   max_norm) -> int:
     """``_python_loop`` in one call of the compiled kernel, which writes in
-    place through the pointers of the same arrays.  The kernel also keeps
-    the visited column's dual entries in ``scratch``, m float64 entries
-    allocated here when None."""
+    place through the pointers of the same arrays and keeps the visited
+    column's dual entries in a scratch of m doubles allocated here."""
     m = instance.num_rows
-    scratch = np.empty(m) if scratch is None else scratch
+    scratch = np.empty(m)
     step_d_p, seq_p, y_base_p, last_p, x_sum_p, remaining_p, max_norm_p, scratch_p = (
         _kernel.pointers(
             ("step_d", step_d, np.float64, m), ("seq", seq, np.int64, seq.size),
